@@ -3,9 +3,11 @@
 square well.
 
 Shooting finds every matching root in the bracket; the fixed point is then
-seeded at each root and must confirm it is self-consistent. States whose
-self-consistency map is too steep for the damped iteration are reported as
-fixed-point misses rather than disagreements.
+seeded at each root and must confirm it is self-consistent. Its linear
+eigenvalues are picked by node count, so a state the fixed point does not
+confirm is not a wrong state index: it is a state whose self-consistency
+map is too steep for the damped iteration to settle within tolerance, and
+it is reported as a fixed-point miss rather than a disagreement.
 """
 
 import argparse
@@ -49,7 +51,7 @@ def main():
                       f"(drifted to other branch E={fp.energy:.6g})")
         except NonConvergenceError:
             print(f"{r.node_count:6d} {r.energy:18.12f} "
-                  f"{'(fixed point repelled)':>18}")
+                  f"{'(fixed-point miss)':>18}")
 
 
 if __name__ == "__main__":

@@ -26,9 +26,8 @@ from .numgrid import (Grid, WaveField, build_laplacian, count_nodes,
 from .potentials import (E_EQUALS_V, PotentialSpec, SingularSet, evaluate,
                          find_singular_set)
 from .reference import kinetic_operator
-from .shooting import (bracketed_roots, count_shot_nodes,
-                       linear_bound_state_energy, march_endpoint,
-                       piecewise_regions, sample_shot)
+from .shooting import (linear_bound_state_energy, piecewise_regions,
+                       shooting_states, shot_state)
 from .units import UnitSystem
 
 REJECT = "reject"
@@ -125,40 +124,26 @@ def solve_stationary_shooting(grid: Grid, V: PotentialSpec, e_bracket,
     if not e_hi > e_lo:
         raise ConfigurationError("e_bracket must be an increasing interval")
     edges, region_values = piecewise_regions(V, grid.x_min, grid.x_max)
-    widths = np.diff(edges)
     scale = max(1.0, abs(e_lo), abs(e_hi))
     for v in region_values:
         if abs(e_lo - v) <= singular_margin * scale or \
            abs(e_hi - v) <= singular_margin * scale:
             raise ConfigurationError("e_bracket endpoint is singular (E = V)")
 
-    def matching(e_arr):
-        return march_endpoint(widths, _nonlinear_coefficient(e_arr, region_values,
-                                                             units))
-
     e_scan = np.linspace(e_lo, e_hi, n_scan)
     skip = np.zeros(e_scan.size, dtype=bool)
     for v in region_values:
         skip |= np.abs(e_scan - v) <= singular_margin * scale
-    roots = bracketed_roots(matching, e_scan, skip_mask=skip)
-    if roots.size == 0:
+    shots = shooting_states(
+        grid, edges, lambda e: _nonlinear_coefficient(e, region_values, units),
+        e_scan, skip_mask=skip)
+    if not shots:
         raise NoRootError(
             f"no matching-determinant sign change in [{e_lo}, {e_hi}]")
-    results = []
-    for e_star in roots:
-        coeffs = _nonlinear_coefficient(e_star, region_values, units)[0]
-        xs, ps = sample_shot(edges, coeffs)
-        nodes = count_shot_nodes(edges, coeffs)
-        psi_grid = np.interp(grid.x, xs, ps)
-        state = WaveField(psi_grid.astype(complex), grid)
-        nrm = state.norm()
-        if nrm > 0:
-            state = WaveField(state.values / nrm, grid)
-        results.append(ModifiedEigenResult(
-            energy=float(e_star), state=state, iterations=0,
-            self_consistency_residual=float(abs(matching(np.array([e_star]))[0])),
-            node_count=nodes, method="shooting"))
-    return sorted(results, key=lambda r: r.energy)
+    return [ModifiedEigenResult(energy=e_star, state=state, iterations=0,
+                                self_consistency_residual=residual,
+                                node_count=nodes, method="shooting")
+            for e_star, state, residual, nodes in shots]
 
 
 def _grid_eigensolve_by_nodes(grid, w_samples, state_index, units):
@@ -216,12 +201,10 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
         residual = abs(mu - e_k)
         if residual <= tol:
             if state is None:
-                coeffs = _nonlinear_coefficient(e_k, region_values, units)[0]
-                xs, ps = sample_shot(edges, coeffs)
-                state = WaveField(np.interp(grid.x, xs, ps).astype(complex), grid)
-            nrm = state.norm()
-            if nrm > 0:
-                state = WaveField(state.values / nrm, grid)
+                state = shot_state(grid, edges, _nonlinear_coefficient(
+                    e_k, region_values, units)[0])
+            else:
+                state = state.normalized()
             return ModifiedEigenResult(
                 energy=e_k, state=state, iterations=it,
                 self_consistency_residual=residual,
@@ -238,10 +221,10 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
         if stationary:
             history.append(mu)
             if state is None:
-                coeffs = _nonlinear_coefficient(mu, region_values, units)[0]
-                xs, ps = sample_shot(edges, coeffs)
-                state = WaveField(np.interp(grid.x, xs, ps).astype(complex), grid)
-            state = WaveField(state.values / max(state.norm(), 1e-300), grid)
+                state = shot_state(grid, edges, _nonlinear_coefficient(
+                    mu, region_values, units)[0])
+            else:
+                state = state.normalized()
             return ModifiedEigenResult(
                 energy=float(mu), state=state, iterations=it,
                 self_consistency_residual=0.0,

@@ -15,8 +15,7 @@ from .errors import (ConfigurationError, InvalidScenarioError, NoRootError,
                      OutOfScopeError, StabilityError)
 from .numgrid import Grid, WaveField, build_laplacian, count_nodes
 from .potentials import PotentialSpec, evaluate
-from .shooting import (bracketed_roots, count_shot_nodes, march_endpoint,
-                       piecewise_regions, sample_shot)
+from .shooting import piecewise_regions, shooting_states
 from .units import UnitSystem
 from .modified_nr import ModifiedEigenResult, TimeDepState
 
@@ -72,27 +71,15 @@ def solve_rel_stationary(scenario: RelScenario, e_bracket,
                                              grid.x_min, grid.x_max)
     if np.any(region_values <= -units.E0):
         raise InvalidScenarioError("region potential fails V > -E0")
-    widths = np.diff(edges)
-
-    def matching(e_arr):
-        return march_endpoint(widths, rel_coefficient(e_arr, region_values, units))
-
-    roots = bracketed_roots(matching, np.linspace(e_lo, e_hi, n_scan))
-    if roots.size == 0:
+    shots = shooting_states(
+        grid, edges, lambda e: rel_coefficient(e, region_values, units),
+        np.linspace(e_lo, e_hi, n_scan))
+    if not shots:
         raise NoRootError(f"no matching sign change in [{e_lo}, {e_hi}]")
-    results = []
-    for e_star in roots:
-        coeffs = rel_coefficient(e_star, region_values, units)[0]
-        xs, ps = sample_shot(edges, coeffs)
-        psi = WaveField(np.interp(grid.x, xs, ps).astype(complex), grid)
-        nrm = psi.norm()
-        if nrm > 0:
-            psi = WaveField(psi.values / nrm, grid)
-        results.append(ModifiedEigenResult(
-            energy=float(e_star), state=psi, iterations=0,
-            self_consistency_residual=float(abs(matching(np.array([e_star]))[0])),
-            node_count=count_shot_nodes(edges, coeffs), method="shooting"))
-    return sorted(results, key=lambda r: r.energy)
+    return [ModifiedEigenResult(energy=e_star, state=psi, iterations=0,
+                                self_consistency_residual=residual,
+                                node_count=nodes, method="shooting")
+            for e_star, psi, residual, nodes in shots]
 
 
 def rel_stability_limit(scenario: RelScenario, safety: float = 0.9) -> float:

@@ -13,8 +13,7 @@ import scipy.sparse.linalg
 
 from .errors import ConfigurationError
 from .numgrid import (Grid, RADIAL, WaveField, build_laplacian,
-                      build_radial_laplacian, count_nodes, inner_product,
-                      lowest_eigenpairs)
+                      build_radial_laplacian, count_nodes, lowest_eigenpairs)
 from .potentials import PotentialSpec, evaluate
 from .units import UnitSystem
 
@@ -154,13 +153,3 @@ def finite_well_bound_energies(depth: float, half_width: float,
                     break
             roots.append(0.5 * (lo + hi))
     return sorted(roots)
-
-
-def gram_matrix(states) -> np.ndarray:
-    """Pairwise inner products of a list of fields."""
-    n = len(states)
-    g = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            g[i, j] = inner_product(states[i], states[j])
-    return g

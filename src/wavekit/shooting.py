@@ -5,7 +5,8 @@ regions: oscillatory (w > 0), exponential (w < 0) or linear (w = 0).
 Marching starts from psi = 0, psi' = 1 at the left wall; the Dirichlet
 matching function is psi at the right wall. The marchers are vectorized
 over a whole array of trial energies so that dense scans and batched
-bisection stay cheap.
+bisection stay cheap; the Sturm count of the same closed forms picks
+linear eigenvalues by node count.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NoRootError, UsageError
-from .numgrid import Grid
+from .numgrid import Grid, WaveField
 from .potentials import PotentialSpec, evaluate
 
 
@@ -40,26 +41,36 @@ def piecewise_regions(spec: PotentialSpec, x_min: float, x_max: float):
 
 
 def _step(psi, dpsi, w, width):
-    """Advance (psi, psi') across one region of psi'' = -w psi. Vectorized."""
-    w = np.asarray(w, dtype=float)
-    psi_new = np.empty_like(psi)
-    dpsi_new = np.empty_like(dpsi)
+    """Advance (psi, psi') across one region of psi'' = -w psi.
 
+    Mask-free, so the arguments broadcast (trial energies, or sample
+    offsets for one energy). Each branch gets a zero argument where it is
+    not selected, so sin = sinh = 0 and cos = cosh = 1 there and the two
+    transfer matrices combine by plain arithmetic; w = 0 is their common
+    k -> 0 limit, except that psi' carries into psi by the width. The
+    overflow guard clamps only the cosh/sinh argument: oscillatory phases,
+    thousands of radians in deep wells, stay exact.
+    """
+    w = np.asarray(w, dtype=float)
+    k = np.sqrt(np.abs(w))
+    phase = k * width
     osc = w > 0
-    k = np.sqrt(w[osc])
-    s, c = np.sin(k * width), np.cos(k * width)
-    psi_new[osc] = c * psi[osc] + s / k * dpsi[osc]
-    dpsi_new[osc] = -k * s * psi[osc] + c * dpsi[osc]
-    dec = w < 0
-    kap = np.sqrt(-w[dec])
-    arg = np.minimum(kap * width, 700.0)  # overflow guard; renormalized after
-    sh, ch = np.sinh(arg), np.cosh(arg)
-    psi_new[dec] = ch * psi[dec] + sh / kap * dpsi[dec]
-    dpsi_new[dec] = kap * sh * psi[dec] + ch * dpsi[dec]
-    lin = w == 0
-    psi_new[lin] = psi[lin] + width * dpsi[lin]
-    dpsi_new[lin] = dpsi[lin]
-    return psi_new, dpsi_new
+    wave = np.where(osc, phase, 0.0)
+    grow = np.where(osc, 0.0, np.minimum(phase, 700.0))  # renormalized after
+    s, c = np.sin(wave), np.cos(wave)
+    sh, ch = np.sinh(grow), np.cosh(grow)
+    lin = k == 0
+    diag = c * ch
+    to_psi = np.where(lin, width, s + sh) / np.where(lin, 1.0, k)
+    to_dpsi = k * (sh - s)
+    return diag * psi + to_psi * dpsi, to_dpsi * psi + diag * dpsi
+
+
+def _renormalized(psi, dpsi):
+    """Divide by max(|psi|, |psi'|): a positive factor, so zeros and signs
+    are unchanged while the state stays clear of overflow."""
+    scale = np.maximum(np.maximum(np.abs(psi), np.abs(dpsi)), 1e-280)
+    return psi / scale, dpsi / scale
 
 
 def march_endpoint(widths, coeffs) -> np.ndarray:
@@ -73,10 +84,44 @@ def march_endpoint(widths, coeffs) -> np.ndarray:
     psi = np.zeros(n)
     dpsi = np.ones(n)
     for j, width in enumerate(widths):
-        psi, dpsi = _step(psi, dpsi, coeffs[:, j], width)
-        scale = np.maximum(np.maximum(np.abs(psi), np.abs(dpsi)), 1e-280)
-        psi, dpsi = psi / scale, dpsi / scale
+        psi, dpsi = _renormalized(*_step(psi, dpsi, coeffs[:, j], width))
     return psi
+
+
+def sturm_count(widths, coeffs, final_crossing: bool = True) -> np.ndarray:
+    """Zeros of the left shot inside the open interval, one count per trial.
+
+    ``coeffs`` has shape (n_trials, n_regions). For a linear Sturm-Liouville
+    coefficient the count is N(E), the number of Dirichlet eigenvalues below
+    E (oscillation theorem). Zeros of R cos(k xi - phi) are counted
+    analytically in oscillatory regions; an exponential or linear region
+    holds at most one, read from the signs at its two ends. With
+    ``final_crossing=False`` a sign change across a non-oscillatory last
+    region is not counted: near an eigenvalue its endpoint is the matching
+    residual, not the field.
+    """
+    coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
+    n = coeffs.shape[0]
+    psi = np.zeros(n)
+    dpsi = np.ones(n)
+    total = np.zeros(n, dtype=int)
+    last = len(widths) - 1
+    for j, d in enumerate(widths):
+        w = coeffs[:, j]
+        end_psi, end_dpsi = _step(psi, dpsi, w, d)
+        osc = w > 0
+        k = np.sqrt(np.where(osc, w, 1.0))
+        phi = np.arctan2(dpsi / k, psi)
+        # zeros at xi = (phi + pi/2 + m pi)/k inside (0, d)
+        m_lo = np.ceil((-phi - np.pi / 2) / np.pi + 1e-12)
+        m_hi = np.floor((k * d - phi - np.pi / 2) / np.pi - 1e-12)
+        waves = np.maximum(0.0, m_hi - m_lo + 1.0).astype(int)
+        crossing = np.sign(end_psi) * np.sign(psi) < 0
+        if j == last and not final_crossing:
+            crossing[:] = False
+        total += np.where(osc, waves, crossing)
+        psi, dpsi = _renormalized(end_psi, end_dpsi)
+    return total
 
 
 def count_shot_nodes(edges, coeffs) -> int:
@@ -85,41 +130,18 @@ def count_shot_nodes(edges, coeffs) -> int:
     Sampling-based counting is unreliable here: in a forbidden outer region
     the residual of an imperfect root grows like e^{kappa L} and either
     drowns the oscillatory amplitude or reads as a fake crossing. Counting
-    zeros of R cos(k xi - phi) analytically per region avoids both.
+    zeros analytically per region (:func:`sturm_count`, without the final
+    region's residual crossing) avoids both.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
     widths = np.diff(np.asarray(edges, dtype=float))
-    psi, dpsi = 0.0, 1.0
-    total = 0
-    last = len(coeffs) - 1
-    for j, (w, d) in enumerate(zip(coeffs, widths)):
-        if w > 0:
-            k = np.sqrt(w)
-            phi = np.arctan2(dpsi / k, psi)
-            # zeros at xi = (phi + pi/2 + m pi)/k inside (0, d)
-            m_lo = int(np.ceil((-phi - np.pi / 2) / np.pi + 1e-12))
-            m_hi = int(np.floor((k * d - phi - np.pi / 2) / np.pi - 1e-12))
-            total += max(0, m_hi - m_lo + 1)
-        elif psi != 0.0 and j != last:
-            # exponential/linear region: at most one crossing, read from the
-            # sign of the (renormalized) endpoint state. The final region is
-            # skipped: its endpoint is the matching residual, not the field.
-            end_psi, _ = _step(np.array([psi]), np.array([dpsi]),
-                               np.array([w]), d)
-            if np.sign(end_psi[0]) * np.sign(psi) < 0:
-                total += 1
-        (psi,), (dpsi,) = _step(np.array([psi]), np.array([dpsi]),
-                                np.array([w]), d)
-        scale = max(abs(psi), abs(dpsi), 1e-280)
-        psi, dpsi = psi / scale, dpsi / scale
-    return total
+    return int(sturm_count(widths, coeffs, final_crossing=False)[0])
 
 
 def sample_shot(edges, coeffs, n_per_region: int = 200):
     """Positions and psi samples of the left shot for a single trial.
 
-    Used for node counting and for producing an output field; the samples
-    are renormalized region by region, then rescaled to max |psi| = 1.
+    Used for producing an output field; the samples are renormalized
+    region by region, then rescaled to max |psi| = 1.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     xs_all, ps_all = [], []
@@ -127,22 +149,12 @@ def sample_shot(edges, coeffs, n_per_region: int = 200):
     for j in range(len(coeffs)):
         a, b = edges[j], edges[j + 1]
         local = np.linspace(0.0, b - a, n_per_region, endpoint=(j == len(coeffs) - 1))
-        w = coeffs[j]
-        if w > 0:
-            k = np.sqrt(w)
-            vals = np.cos(k * local) * psi + np.sin(k * local) / k * dpsi
-        elif w < 0:
-            kap = np.sqrt(-w)
-            arg = np.minimum(kap * local, 700.0)
-            vals = np.cosh(arg) * psi + np.sinh(arg) / kap * dpsi
-        else:
-            vals = psi + local * dpsi
+        vals, _ = _step(psi, dpsi, coeffs[j], local)
         xs_all.append(a + local)
         ps_all.append(vals)
-        (psi,), (dpsi,) = _step(np.array([psi]), np.array([dpsi]),
-                                np.array([w]), b - a)
-        scale = max(abs(psi), abs(dpsi), 1e-280)
-        psi, dpsi = psi / scale, dpsi / scale
+        end_psi, end_dpsi = _step(psi, dpsi, coeffs[j], b - a)
+        scale = max(abs(end_psi), abs(end_dpsi), 1e-280)
+        psi, dpsi = float(end_psi / scale), float(end_dpsi / scale)
         # keep earlier samples in the same normalization as the marching state
         for i in range(len(ps_all)):
             ps_all[i] = ps_all[i] / scale
@@ -184,35 +196,114 @@ def bracketed_roots(matching, e_scan: np.ndarray, skip_mask=None,
     return 0.5 * (lo + hi)
 
 
+def shot_state(grid: Grid, edges, coeffs) -> WaveField:
+    """The left shot for one trial, interpolated onto ``grid`` and
+    normalized (left as is if it vanishes there)."""
+    xs, ps = sample_shot(edges, coeffs)
+    state = WaveField(np.interp(grid.x, xs, ps).astype(complex), grid)
+    nrm = state.norm()
+    return WaveField(state.values / nrm, grid) if nrm > 0 else state
+
+
+def shooting_states(grid: Grid, edges, coefficient, e_scan, skip_mask=None):
+    """Every matching root on the scan ``e_scan`` with its shot state.
+
+    ``coefficient(e)`` maps an array of trial energies to region
+    coefficients of shape (n_trials, n_regions). Returns ascending
+    ``(energy, normalized state, |matching residual|, node count)`` tuples;
+    an empty list when the scan sees no sign change.
+    """
+    widths = np.diff(edges)
+
+    def matching(e_arr):
+        return march_endpoint(widths, coefficient(e_arr))
+
+    roots = bracketed_roots(matching, e_scan, skip_mask=skip_mask)
+    coeffs = coefficient(roots)
+    residuals = np.abs(matching(roots))
+    nodes = sturm_count(widths, coeffs, final_crossing=False)
+    return [(float(e), shot_state(grid, edges, row), float(r), int(n))
+            for e, row, r, n in zip(roots, coeffs, residuals, nodes)]
+
+
+#: Trial energies per round of the batched bisections (one march each).
+_BISECT_BATCH = 64
+
+
+def _bisect_sign_change(matching, lo: float, hi: float, s_lo: float) -> float:
+    """Root of a vectorized ``matching`` that changes sign once on
+    [lo, hi], where it has sign ``s_lo`` at ``lo``, narrowed to
+    neighbouring floats.
+
+    Each round marches ``_BISECT_BATCH`` interior energies in one call and
+    keeps the cell where the sign first differs from ``s_lo``.
+    """
+    while True:
+        trial = np.linspace(lo, hi, _BISECT_BATCH + 2)[1:-1]
+        trial = trial[(trial > lo) & (trial < hi)]
+        if trial.size == 0:
+            return 0.5 * (lo + hi)
+        flips = np.flatnonzero(np.sign(matching(trial)) != s_lo)
+        i = flips[0] if flips.size else trial.size
+        if i > 0:
+            lo = float(trial[i - 1])
+        if i < trial.size:
+            hi = float(trial[i])
+
+
 def linear_bound_state_energy(edges, region_potentials, state_index: int,
-                              units, e_lo=None, e_hi=None, n_scan: int = 4000):
+                              units):
     """Energy of the ``state_index``-th Dirichlet eigenstate of the standard
     operator -hbar^2/2m psi'' + U psi on a piecewise-constant profile U.
 
-    Exact per-region closed forms; the k-th matching root has k interior
-    nodes, so selection by root order is selection by node count.
+    The eigenvalue is bracketed by the Sturm count N(E) of
+    :func:`sturm_count`, so the state is selected by its node count, not by
+    the order of matching roots on a scan (in deep wells neighbouring roots
+    share scan cells). N(min U) = 0; the upper end doubles until
+    N > ``state_index``; batched bisection on N narrows the bracket to
+    N(lo) = k, N(hi) = k + 1. The single matching root inside it is then
+    refined by batched bisection on its sign: the matching function is
+    nearly a step across the root (the shot grows through forbidden outer
+    regions), so one vectorized march per round beats a scalar root finder.
     """
-    widths = np.diff(edges)
+    widths = np.diff(np.asarray(edges, dtype=float))
     u = np.asarray(region_potentials, dtype=float)
-    length = edges[-1] - edges[0]
+    if not np.all(np.isfinite(u)):
+        raise UsageError("region potentials must be finite")
     scale = 2.0 * units.m / units.hbar**2
-    if e_lo is None:
-        e_lo = float(np.min(u))
-    if e_hi is None:
-        # generous upper bound: a few box levels above the requested state
-        e_hi = float(np.max(u)) + (units.hbar**2 / (2 * units.m)) * (
-            np.pi * (state_index + 3) / length) ** 2 * 4.0
+    k = state_index
+
+    def coeffs(e_arr):
+        return scale * (e_arr[:, None] - u[None, :])
 
     def matching(e_arr):
-        coeffs = scale * (np.atleast_1d(e_arr)[:, None] - u[None, :])
-        return march_endpoint(widths, coeffs)
+        return march_endpoint(widths, coeffs(e_arr))
 
-    roots = bracketed_roots(matching, np.linspace(e_lo, e_hi, n_scan))
-    while roots.size <= state_index:
-        e_lo2, e_hi2 = e_hi, e_hi + (e_hi - e_lo)
-        more = bracketed_roots(matching, np.linspace(e_lo2, e_hi2, n_scan))
-        if more.size == 0 and e_hi2 > 1e8 * max(1.0, abs(e_hi)):
-            raise NoRootError(f"could not find linear eigenstate {state_index}")
-        roots = np.concatenate([roots, more])
-        e_lo, e_hi = e_lo, e_hi2
-    return float(roots[state_index])
+    # lowest level of a box spanning the interval: the spectral spacing scale
+    unit = (np.pi / np.sum(widths)) ** 2 / scale
+    # comparison with the constant profile max(U) puts E_k below
+    # max(U) + (k+1)^2 unit, so every doubling is known up front: one batch
+    lo, n_lo = float(np.min(u)), 0
+    hi = None
+    top = float(np.max(u)) + 2.0 * (k + 1) ** 2 * unit
+    n_double = int(np.ceil(np.log2((top - lo) / unit))) + 1
+    trial = lo + unit * 2.0 ** np.arange(n_double)
+    for _ in range(64):
+        # keep N(lo) <= k < N(hi) with the closest trial energies
+        counts = sturm_count(widths, coeffs(trial))
+        above = np.flatnonzero(counts > k)
+        i = above[0] if above.size else trial.size
+        if i > 0:
+            lo, n_lo = float(trial[i - 1]), counts[i - 1]
+        if i < trial.size:
+            hi, n_hi = float(trial[i]), counts[i]
+        if hi is None:
+            break
+        if n_lo == k and n_hi == k + 1:
+            ends = np.sign(matching(np.array([lo, hi])))
+            if ends[0] * ends[1] <= 0:
+                return _bisect_sign_change(matching, lo, hi, ends[0])
+            # same sign at both ends: the root sits within rounding of one
+            # of them, so narrow the count bracket further
+        trial = np.linspace(lo, hi, _BISECT_BATCH + 2)[1:-1]
+    raise NoRootError(f"could not isolate linear eigenstate {state_index}")

@@ -152,21 +152,6 @@ def free_dirac_matrix(grid: Grid, units: UnitSystem,
     return h
 
 
-def apply_modified_hamiltonian(psi: SpinorField, V: PotentialSpec,
-                               units: UnitSystem) -> SpinorField:
-    """E0/(E0 + V(x)) (-i hbar c alpha d/dx + m c^2 beta) psi, prefactor
-    applied pointwise after differentiation (no Wilson term here)."""
-    grid = psi.grid
-    v = np.asarray(evaluate(V, grid.x), dtype=float)
-    _check_weight(v, units)
-    d = _derivative_matrix(grid)
-    coeff = -1j * units.hbar * units.c
-    up = coeff * (d @ psi.down) + units.E0 * psi.up
-    down = coeff * (d @ psi.up) - units.E0 * psi.down
-    pref = units.E0 / (units.E0 + v)
-    return SpinorField(pref * up, pref * down, grid)
-
-
 def solve_spin_half_stationary(grid: Grid, V: PotentialSpec, units: UnitSystem,
                                wilson_r: float = 1.0,
                                n_states: int = 8) -> SpectrumResult:
