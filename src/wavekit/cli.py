@@ -15,9 +15,9 @@ import yaml
 
 from .errors import ConfigurationError, WavekitError
 from .scenario import (EXIT_CONFIG, EXIT_NONCONVERGENCE, EXIT_OK, RunReport,
-                       canonical_json, compare_reports, error_object,
-                       exit_code_for, frames_csv, parse_scenario, run_scenario,
-                       run_sweep, spectrum_csv, sweep_table)
+                       compare_reports, error_object, frames_csv,
+                       parse_scenario, run_scenario, run_sweep, spectrum_csv,
+                       sweep_table)
 
 STATIONARY_IDS = ("schrodinger", "modified_nr_stationary",
                   "modified_rel_stationary", "spin_half_stationary",
@@ -146,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="scenario YAML path")
         p.add_argument("--out", default=None, help="output path")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--frame-stride", type=int, default=None)
         p.add_argument("--quiet", action="store_true")
 
@@ -162,6 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("sweep", help="one-parameter scenario sweep")
     common(ps)
+    ps.add_argument("--jobs", type=int, default=1)
     return parser
 
 

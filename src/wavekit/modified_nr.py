@@ -10,8 +10,7 @@ genuinely singular wherever E = V(x).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
@@ -22,9 +21,8 @@ from .errors import (ConfigurationError, NonConvergenceError,
                      SingularCoefficientError, SingularRegionError,
                      StateTrackingError, UsageError)
 from .numgrid import (Grid, WaveField, build_laplacian, count_nodes,
-                      inner_product, lowest_eigenpairs)
-from .potentials import (E_EQUALS_V, PotentialSpec, SingularSet, evaluate,
-                         find_singular_set)
+                      lowest_eigenpairs)
+from .potentials import E_EQUALS_V, PotentialSpec, evaluate, find_singular_set
 from .reference import kinetic_operator
 from .shooting import (linear_bound_state_energy, piecewise_regions,
                        shooting_states, shot_state)

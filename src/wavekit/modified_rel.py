@@ -7,13 +7,12 @@ reduction of the electromagnetic invariant potential.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import (ConfigurationError, InvalidScenarioError, NoRootError,
                      OutOfScopeError, StabilityError)
-from .numgrid import Grid, WaveField, build_laplacian, count_nodes
+from .numgrid import Grid, WaveField, build_laplacian
 from .potentials import PotentialSpec, evaluate
 from .shooting import piecewise_regions, shooting_states
 from .units import UnitSystem

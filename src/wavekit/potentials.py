@@ -4,13 +4,12 @@ V = -E0 that the modified equations introduce through their denominators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, UsageError
-from .numgrid import Grid, RADIAL
+from .numgrid import Grid
 
 FREE = "free"
 SQUARE_WELL = "square_well"
@@ -105,6 +104,21 @@ class PotentialSpec:
         return self.variant in (FREE, SQUARE_WELL, STEP, BARRIER, PIECEWISE_CONSTANT)
 
 
+def region_edges(spec: PotentialSpec, x_min: float, x_max: float) -> np.ndarray:
+    """x_min, the jumps of a piecewise-constant ``spec`` strictly inside
+    (x_min, x_max) in the order the spec lists them, and x_max; V is
+    constant between neighbouring edges."""
+    if spec.variant == SQUARE_WELL:
+        breaks = [spec.center - spec.half_width, spec.center + spec.half_width]
+    elif spec.variant == STEP:
+        breaks = [spec.edge]
+    elif spec.variant == BARRIER:
+        breaks = [spec.left, spec.right]
+    else:
+        breaks = list(spec.breakpoints)
+    return np.asarray([x_min] + [b for b in breaks if x_min < b < x_max] + [x_max])
+
+
 def evaluate(spec: PotentialSpec, x):
     """V(x); accepts scalars or arrays."""
     x = np.asarray(x, dtype=float)
@@ -170,7 +184,11 @@ def find_singular_set(spec: PotentialSpec, E: float, kind: str, grid: Grid,
 
     Sign-change scanning at ``scan_factor`` times the grid density followed
     by bisection. Jump discontinuities of piecewise potentials produce sign
-    changes without zeros; those are filtered by a residual check.
+    changes without zeros; those are filtered by a residual check. On a
+    piecewise-constant profile the condition takes one value per region,
+    read at the region midpoints in one call: unless one of them is within
+    the residual tolerance of zero, every sign change is a jump and is
+    rejected without bisecting it.
     """
     if not np.isfinite(E):
         raise UsageError("E must be finite")
@@ -184,6 +202,11 @@ def find_singular_set(spec: PotentialSpec, E: float, kind: str, grid: Grid,
         roots.append(float(xs[i]))
     sign = np.sign(fs)
     changes = np.flatnonzero((sign[:-1] * sign[1:]) < 0)
+    if changes.size and spec.is_piecewise_constant:
+        edges = np.sort(region_edges(spec, grid.x_min, grid.x_max))
+        levels = f(0.5 * (edges[:-1] + edges[1:]))
+        if np.all(np.abs(levels) > tol_val):
+            changes = changes[:0]  # all jumps: each would fail the residual check
     for i in changes:
         lo, hi = xs[i], xs[i + 1]
         flo = fs[i]

@@ -25,22 +25,21 @@ from .errors import (ConfigurationError, InvalidScenarioError,
                      NoRootError, SingularCoefficientError,
                      SingularRegionError, StabilityError, StateTrackingError,
                      UsageError, WavekitError)
-from .numgrid import Grid, WaveField, inner_product
-from .potentials import PotentialSpec, evaluate
+from .numgrid import Grid, WaveField
+from .potentials import PotentialSpec
 from .planewave import (PlaneWaveState, constant_A, constant_A_prime,
                         constant_B, constant_B_prime, constant_D,
                         constant_D_prime, residual_massless,
                         residual_nr_stationary, residual_nr_timedep,
                         residual_rel_stationary, residual_rel_timedep,
                         residual_spin_half)
-from .reference import solve_schrodinger_stationary, propagate_schrodinger
+from .reference import solve_schrodinger_stationary
 from .modified_nr import (GuardPolicy, TimeDepState, propagate_timedep,
                           solve_stationary_fixed_point,
                           solve_stationary_shooting)
 from .modified_rel import (RelScenario, propagate_rel_timedep,
                            solve_rel_stationary)
-from .spin_half import (SpinorField, propagate_massless, solve_massless,
-                        solve_spin_half_stationary)
+from .spin_half import SpinorField, solve_massless, solve_spin_half_stationary
 from .units import ATOMIC_C, UnitSystem
 
 EQUATION_IDS = (

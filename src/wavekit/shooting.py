@@ -6,7 +6,9 @@ Marching starts from psi = 0, psi' = 1 at the left wall; the Dirichlet
 matching function is psi at the right wall. The marchers are vectorized
 over a whole array of trial energies so that dense scans and batched
 bisection stay cheap; the Sturm count of the same closed forms picks
-linear eigenvalues by node count.
+linear eigenvalues by node count. The transfer coefficients of every
+(trial, region) pair are evaluated once per march, count or sampled shot;
+the region loop only applies them and renormalizes.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .errors import NoRootError, UsageError
 from .numgrid import Grid, WaveField
-from .potentials import PotentialSpec, evaluate
+from .potentials import PotentialSpec, evaluate, region_edges
 
 
 def piecewise_regions(spec: PotentialSpec, x_min: float, x_max: float):
@@ -25,25 +27,16 @@ def piecewise_regions(spec: PotentialSpec, x_min: float, x_max: float):
     """
     if not spec.is_piecewise_constant:
         raise UsageError(f"potential variant {spec.variant!r} is not piecewise-constant")
-    if spec.variant == "free":
-        breaks = []
-    elif spec.variant == "square_well":
-        breaks = [spec.center - spec.half_width, spec.center + spec.half_width]
-    elif spec.variant == "step":
-        breaks = [spec.edge]
-    elif spec.variant == "barrier":
-        breaks = [spec.left, spec.right]
-    else:
-        breaks = list(spec.breakpoints)
-    edges = [x_min] + [b for b in breaks if x_min < b < x_max] + [x_max]
-    values = [float(evaluate(spec, 0.5 * (a + b))) for a, b in zip(edges[:-1], edges[1:])]
-    return np.asarray(edges), np.asarray(values)
+    edges = region_edges(spec, x_min, x_max)
+    return edges, evaluate(spec, 0.5 * (edges[:-1] + edges[1:]))
 
 
-def _step(psi, dpsi, w, width):
-    """Advance (psi, psi') across one region of psi'' = -w psi.
+def _transfer(w, width):
+    """Transfer coefficients (diag, to_psi, to_dpsi) of psi'' = -w psi
+    across ``width``: the matrix [[diag, to_psi], [to_dpsi, diag]] maps
+    (psi, psi') at the start of a region to its end.
 
-    Mask-free, so the arguments broadcast (trial energies, or sample
+    Mask-free, so the arguments broadcast (trials x regions, or sample
     offsets for one energy). Each branch gets a zero argument where it is
     not selected, so sin = sinh = 0 and cos = cosh = 1 there and the two
     transfer matrices combine by plain arithmetic; w = 0 is their common
@@ -63,7 +56,18 @@ def _step(psi, dpsi, w, width):
     diag = c * ch
     to_psi = np.where(lin, width, s + sh) / np.where(lin, 1.0, k)
     to_dpsi = k * (sh - s)
+    return diag, to_psi, to_dpsi
+
+
+def _apply(psi, dpsi, diag, to_psi, to_dpsi):
+    """(psi, psi') moved across a region with coefficients of :func:`_transfer`."""
     return diag * psi + to_psi * dpsi, to_dpsi * psi + diag * dpsi
+
+
+def _step(psi, dpsi, w, width):
+    """Advance (psi, psi') across one region of psi'' = -w psi; broadcasts
+    like :func:`_transfer`."""
+    return _apply(psi, dpsi, *_transfer(w, width))
 
 
 def _renormalized(psi, dpsi):
@@ -73,6 +77,11 @@ def _renormalized(psi, dpsi):
     return psi / scale, dpsi / scale
 
 
+#: Trial rows marched together: bounds the (rows x regions) transfer
+#: temporaries of long energy scans.
+_MARCH_ROWS = 2048
+
+
 def march_endpoint(widths, coeffs) -> np.ndarray:
     """psi at the right wall for the shot psi(0)=0, psi'(0)=1.
 
@@ -80,11 +89,21 @@ def march_endpoint(widths, coeffs) -> np.ndarray:
     to dodge overflow (positive factors, so root locations are unchanged).
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
+    if coeffs.shape[0] <= _MARCH_ROWS:
+        return _march(widths, coeffs)
+    return np.concatenate([_march(widths, coeffs[i:i + _MARCH_ROWS])
+                           for i in range(0, coeffs.shape[0], _MARCH_ROWS)])
+
+
+def _march(widths, coeffs):
+    """:func:`march_endpoint` for one block of trial rows."""
+    diag, to_psi, to_dpsi = _transfer(coeffs, widths)
     n = coeffs.shape[0]
     psi = np.zeros(n)
     dpsi = np.ones(n)
-    for j, width in enumerate(widths):
-        psi, dpsi = _renormalized(*_step(psi, dpsi, coeffs[:, j], width))
+    for j in range(coeffs.shape[1]):
+        psi, dpsi = _renormalized(*_apply(psi, dpsi, diag[:, j], to_psi[:, j],
+                                          to_dpsi[:, j]))
     return psi
 
 
@@ -101,25 +120,27 @@ def sturm_count(widths, coeffs, final_crossing: bool = True) -> np.ndarray:
     residual, not the field.
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
+    diag, to_psi, to_dpsi = _transfer(coeffs, widths)
+    osc = coeffs > 0
+    k = np.sqrt(np.where(osc, coeffs, 1.0))
+    kd = k * widths
     n = coeffs.shape[0]
     psi = np.zeros(n)
     dpsi = np.ones(n)
     total = np.zeros(n, dtype=int)
-    last = len(widths) - 1
-    for j, d in enumerate(widths):
-        w = coeffs[:, j]
-        end_psi, end_dpsi = _step(psi, dpsi, w, d)
-        osc = w > 0
-        k = np.sqrt(np.where(osc, w, 1.0))
-        phi = np.arctan2(dpsi / k, psi)
+    last = coeffs.shape[1] - 1
+    for j in range(last + 1):
+        end_psi, end_dpsi = _apply(psi, dpsi, diag[:, j], to_psi[:, j],
+                                   to_dpsi[:, j])
+        phi = np.arctan2(dpsi / k[:, j], psi)
         # zeros at xi = (phi + pi/2 + m pi)/k inside (0, d)
         m_lo = np.ceil((-phi - np.pi / 2) / np.pi + 1e-12)
-        m_hi = np.floor((k * d - phi - np.pi / 2) / np.pi - 1e-12)
+        m_hi = np.floor((kd[:, j] - phi - np.pi / 2) / np.pi - 1e-12)
         waves = np.maximum(0.0, m_hi - m_lo + 1.0).astype(int)
         crossing = np.sign(end_psi) * np.sign(psi) < 0
         if j == last and not final_crossing:
             crossing[:] = False
-        total += np.where(osc, waves, crossing)
+        total += np.where(osc[:, j], waves, crossing)
         psi, dpsi = _renormalized(end_psi, end_dpsi)
     return total
 
@@ -143,23 +164,28 @@ def sample_shot(edges, coeffs, n_per_region: int = 200):
     Used for producing an output field; the samples are renormalized
     region by region, then rescaled to max |psi| = 1.
     """
+    edges = np.asarray(edges, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
-    xs_all, ps_all = [], []
+    widths = np.diff(edges)
+    diag, to_psi, to_dpsi = _transfer(coeffs, widths)
+    starts = np.empty((2, coeffs.size))
+    scales = []
     psi, dpsi = 0.0, 1.0
-    for j in range(len(coeffs)):
-        a, b = edges[j], edges[j + 1]
-        local = np.linspace(0.0, b - a, n_per_region, endpoint=(j == len(coeffs) - 1))
-        vals, _ = _step(psi, dpsi, coeffs[j], local)
-        xs_all.append(a + local)
-        ps_all.append(vals)
-        end_psi, end_dpsi = _step(psi, dpsi, coeffs[j], b - a)
+    for j in range(coeffs.size):
+        starts[:, j] = psi, dpsi
+        end_psi, end_dpsi = _apply(psi, dpsi, diag[j], to_psi[j], to_dpsi[j])
         scale = max(abs(end_psi), abs(end_dpsi), 1e-280)
-        psi, dpsi = float(end_psi / scale), float(end_dpsi / scale)
-        # keep earlier samples in the same normalization as the marching state
-        for i in range(len(ps_all)):
-            ps_all[i] = ps_all[i] / scale
-    x = np.concatenate(xs_all)
-    p = np.concatenate(ps_all)
+        psi, dpsi = end_psi / scale, end_dpsi / scale
+        scales.append(scale)
+    # offsets within each region; only the last one reaches its far end
+    local = np.linspace(0.0, widths, n_per_region, endpoint=False, axis=1)
+    local[-1] = np.linspace(0.0, widths[-1], n_per_region)
+    ps, _ = _step(starts[0][:, None], starts[1][:, None], coeffs[:, None], local)
+    # keep earlier samples in the same normalization as the marching state
+    for j, scale in enumerate(scales):
+        ps[:j + 1] /= scale
+    x = (edges[:-1, None] + local).ravel()
+    p = ps.ravel()
     # the last sample is the matching residual at the far wall, not a field
     # value; pin it so a leftover sign does not read as a spurious node
     p[-1] = 0.0
@@ -228,6 +254,15 @@ def shooting_states(grid: Grid, edges, coefficient, e_scan, skip_mask=None):
 
 #: Trial energies per round of the batched bisections (one march each).
 _BISECT_BATCH = 64
+_STEPS = np.arange(1, _BISECT_BATCH + 1)
+
+
+def _interior(lo: float, hi: float) -> np.ndarray:
+    """``_BISECT_BATCH`` evenly spaced energies strictly between lo and hi:
+    lo plus i times the step (hi - lo)/(_BISECT_BATCH + 1), the same floats
+    as ``np.linspace(lo, hi, _BISECT_BATCH + 2)[1:-1]`` (unless the step
+    underflows to 0) without its per-call set-up."""
+    return lo + _STEPS * ((hi - lo) / (_BISECT_BATCH + 1))
 
 
 def _bisect_sign_change(matching, lo: float, hi: float, s_lo: float) -> float:
@@ -239,7 +274,7 @@ def _bisect_sign_change(matching, lo: float, hi: float, s_lo: float) -> float:
     keeps the cell where the sign first differs from ``s_lo``.
     """
     while True:
-        trial = np.linspace(lo, hi, _BISECT_BATCH + 2)[1:-1]
+        trial = _interior(lo, hi)
         trial = trial[(trial > lo) & (trial < hi)]
         if trial.size == 0:
             return 0.5 * (lo + hi)
@@ -305,5 +340,5 @@ def linear_bound_state_energy(edges, region_potentials, state_index: int,
                 return _bisect_sign_change(matching, lo, hi, ends[0])
             # same sign at both ends: the root sits within rounding of one
             # of them, so narrow the count bracket further
-        trial = np.linspace(lo, hi, _BISECT_BATCH + 2)[1:-1]
+        trial = _interior(lo, hi)
     raise NoRootError(f"could not isolate linear eigenstate {state_index}")

@@ -17,7 +17,7 @@ import scipy.sparse
 
 from .errors import (ConfigurationError, InvalidScenarioError, StabilityError,
                      UsageError)
-from .numgrid import DIRICHLET, Grid, PERIODIC, WaveField, count_nodes
+from .numgrid import Grid, PERIODIC, count_nodes
 from .potentials import PotentialSpec, evaluate
 from .reference import SpectrumResult
 from .units import UnitSystem

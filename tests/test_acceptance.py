@@ -140,6 +140,7 @@ def test_acceptance_solver_cross_validation():
     grid = Grid.line(-8.0, 8.0, 400)
     scale = 2.0 * U.m / U.hbar**2
     worst = 0.0
+    worst_mu = 0.0
     n_states_total = 0
     misses = []
     for trial in range(20):
@@ -172,7 +173,12 @@ def test_acceptance_solver_cross_validation():
                 misses.append(abs(mu - r.energy))
                 continue
             assert bracket[0] <= fp.energy <= bracket[1], (trial, fp.energy)
+            # the fixed point returns its seed itself when the first
+            # iterate already satisfies |mu(E) - E| <= tol, so this
+            # difference is 0 for such states; the agreement with content
+            # is |mu(E_fp) - E_fp|, its self-consistency residual
             worst = max(worst, abs(fp.energy - r.energy))
+            worst_mu = max(worst_mu, fp.self_consistency_residual)
             n_states_total += 1
         # oracle: an independently coded 10^4-point scan must see the same
         # root count.  Transfer matrices for psi'' = -w psi, vectorized
@@ -199,7 +205,8 @@ def test_acceptance_solver_cross_validation():
     ok = (worst <= 1e-8 and n_states_total >= 1331 and len(misses) <= 25
           and worst_miss <= 1e-6)
     _report("solver cross-validation", ok,
-            f"max |E_fixed_point - E_shooting| {worst:.3e} (<= 1e-8) over "
+            f"max |E_fixed_point - E_shooting| {worst:.3e} (<= 1e-8), "
+            f"max |mu(E_fp) - E_fp| {worst_mu:.3e} over "
             f"{n_states_total} mutually found states of 20 wells (>= 1331); "
             f"{len(misses)} fixed-point misses (<= 25), each indexed by its "
             f"node count, |mu - E| up to {worst_miss:.1e} (<= 1e-6); "

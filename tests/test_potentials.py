@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wavekit import potentials
 from wavekit.errors import ConfigurationError, DomainError
 from wavekit.numgrid import Grid
-from wavekit.potentials import (E_EQUALS_2V, E_EQUALS_V, PotentialSpec,
-                                evaluate, find_singular_set)
+from wavekit.potentials import (E_EQUALS_2V, E_EQUALS_V, V_EQUALS_MINUS_E0,
+                                PotentialSpec, evaluate, find_singular_set)
 
 
 def test_square_well_profile():
@@ -99,3 +100,62 @@ def test_singular_set_proximity_is_distance_to_grid():
     s = find_singular_set(PotentialSpec.harmonic(1.0), 1.0, E_EQUALS_V, g)
     d = min(np.min(np.abs(g.x - loc)) for loc in s.locations)
     assert s.proximity == pytest.approx(d)
+
+
+# the condition as a multiple of the region value v: E = v, E = 2v, E = -v
+SINGULAR_AT = [(E_EQUALS_V, 1.0), (E_EQUALS_2V, 2.0), (V_EQUALS_MINUS_E0, -1.0)]
+
+
+@pytest.fixture
+def evaluate_calls(monkeypatch):
+    calls = []
+
+    def counting(spec, x):
+        calls.append(np.size(x))
+        return evaluate(spec, x)
+
+    monkeypatch.setattr(potentials, "evaluate", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind, factor", SINGULAR_AT)
+@pytest.mark.parametrize("spec", [PotentialSpec.square_well(10.0, 1.0),
+                                  PotentialSpec.step(-10.0, 0.5),
+                                  PotentialSpec.piecewise_constant(
+                                      [-2.0, 0.3, 1.0], [0.0, -10.0, -4.0, 0.0])])
+def test_step_profile_jumps_are_rejected_without_bisection(
+        spec, kind, factor, evaluate_calls):
+    # E halfway between the region values -10 and 0: the condition changes
+    # sign at every jump to or from -10 but is never near zero
+    g = Grid.line(-4.0, 4.0, 400)
+    s = find_singular_set(spec, factor * -5.0, kind, g)
+    assert s.locations == ()
+    assert len(evaluate_calls) <= 2
+
+
+@pytest.mark.parametrize("kind, factor", SINGULAR_AT)
+def test_step_profile_exact_zeros_are_every_scan_point_of_the_region(
+        kind, factor, evaluate_calls):
+    # E at a region value: the condition vanishes on the whole region, and
+    # each scan point there is reported
+    g = Grid.line(-4.0, 4.0, 400)
+    spec = PotentialSpec.square_well(10.0, 1.0)
+    xs = np.linspace(-4.0, 4.0, 8 * 400)
+    for v in (-10.0, 0.0):
+        s = find_singular_set(spec, factor * v, kind, g)
+        on_region = xs[evaluate(spec, xs) == v]
+        assert s.locations == tuple(sorted(round(float(x), 14)
+                                           for x in on_region))
+
+
+@pytest.mark.parametrize("kind, factor", SINGULAR_AT)
+def test_step_profile_near_singular_energy_still_bisects_the_jump(
+        kind, factor, evaluate_calls):
+    # |E - v| < 1e-9 (scaled by the kind): the residual check accepts a
+    # point at the jump, so the jump is bisected and reported
+    g = Grid.line(-4.0, 4.0, 400)
+    spec = PotentialSpec.square_well(10.0, 1.0)
+    s = find_singular_set(spec, factor * (-10.0 + 1e-10), kind, g)
+    assert s.locations
+    assert all(abs(abs(x) - 1.0) < 1e-11 for x in s.locations)
+    assert len(evaluate_calls) > 2

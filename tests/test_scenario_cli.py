@@ -223,3 +223,15 @@ sweep:
     assert lines[0].startswith("grid.n_points,status,ground_energy")
     assert len(lines) == 4
     assert all(line.split(",")[1] == "ok" for line in lines[1:])
+
+
+def test_cli_jobs_is_a_sweep_option_only(tmp_path):
+    cfg = _write(tmp_path, "box.yaml", BOX)
+    assert cli.main(["solve", "--config", cfg, "--quiet", "--jobs", "2"]) == 2
+    sweep_cfg = _write(tmp_path, "sweep.yaml", BOX + """\
+sweep:
+  parameter: grid.n_points
+  values: [64, 128]
+""")
+    assert cli.main(["sweep", "--config", sweep_cfg, "--quiet",
+                     "--jobs", "1"]) == 0

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from wavekit.errors import UsageError
-from wavekit.shooting import (_step, count_shot_nodes,
+from wavekit.shooting import (_BISECT_BATCH, _MARCH_ROWS, _interior,
+                              _renormalized, _step, count_shot_nodes,
                               linear_bound_state_energy, march_endpoint,
-                              sturm_count)
+                              sample_shot, sturm_count)
 from wavekit.units import UnitSystem
 
 U = UnitSystem()
@@ -105,3 +106,111 @@ def test_linear_eigenvalue_rejects_non_finite_profile():
     edges = np.array([0.0, 1.0, 2.0])
     with pytest.raises(UsageError):
         linear_bound_state_energy(edges, np.array([0.0, np.nan]), 0, U)
+
+
+# -- region-by-region references: the marchers evaluate the transfer
+# coefficients of all regions at once and must give the same floats
+
+
+def _ref_march(widths, coeffs):
+    psi, dpsi = np.zeros(coeffs.shape[0]), np.ones(coeffs.shape[0])
+    for j, width in enumerate(widths):
+        psi, dpsi = _renormalized(*_step(psi, dpsi, coeffs[:, j], width))
+    return psi
+
+
+def _ref_sturm(widths, coeffs, final_crossing):
+    psi, dpsi = np.zeros(coeffs.shape[0]), np.ones(coeffs.shape[0])
+    total = np.zeros(coeffs.shape[0], dtype=int)
+    for j, d in enumerate(widths):
+        w = coeffs[:, j]
+        end_psi, end_dpsi = _step(psi, dpsi, w, d)
+        osc = w > 0
+        k = np.sqrt(np.where(osc, w, 1.0))
+        phi = np.arctan2(dpsi / k, psi)
+        m_lo = np.ceil((-phi - np.pi / 2) / np.pi + 1e-12)
+        m_hi = np.floor((k * d - phi - np.pi / 2) / np.pi - 1e-12)
+        waves = np.maximum(0.0, m_hi - m_lo + 1.0).astype(int)
+        crossing = np.sign(end_psi) * np.sign(psi) < 0
+        if j == len(widths) - 1 and not final_crossing:
+            crossing[:] = False
+        total += np.where(osc, waves, crossing)
+        psi, dpsi = _renormalized(end_psi, end_dpsi)
+    return total
+
+
+def _ref_sample(edges, coeffs, n_per_region):
+    xs_all, ps_all = [], []
+    psi, dpsi = 0.0, 1.0
+    for j in range(len(coeffs)):
+        a, b = edges[j], edges[j + 1]
+        local = np.linspace(0.0, b - a, n_per_region,
+                            endpoint=(j == len(coeffs) - 1))
+        xs_all.append(a + local)
+        ps_all.append(_step(psi, dpsi, coeffs[j], local)[0])
+        end_psi, end_dpsi = _step(psi, dpsi, coeffs[j], b - a)
+        scale = max(abs(end_psi), abs(end_dpsi), 1e-280)
+        psi, dpsi = float(end_psi / scale), float(end_dpsi / scale)
+        for i in range(len(ps_all)):
+            ps_all[i] = ps_all[i] / scale
+    x, p = np.concatenate(xs_all), np.concatenate(ps_all)
+    p[-1] = 0.0
+    m = np.max(np.abs(p))
+    return x, (p / m if m > 0 else p)
+
+
+def _random_profile(rng):
+    """1-6 regions; coefficients mix w > 0 (up to 2000 rad phases), w < 0
+    (past the 700 clamp), w = 0 and O(1) values of either sign. Decay
+    rates stay below 3e4, where kappa sinh(700) is still finite."""
+    n_regions = int(rng.integers(1, 7))
+    widths = rng.uniform(0.05, 2.0, n_regions)
+    n_trials = int(rng.integers(1, 70))
+    shape = (n_trials, n_regions)
+    branch = rng.integers(0, 5, size=shape)
+    big = (2000.0 / widths) ** 2 * rng.uniform(0.0, 1.0, shape)
+    coeffs = np.select([branch == 0, branch == 1, branch == 2, branch == 3],
+                       [big, -np.minimum(big, 9e8), np.zeros(shape),
+                        rng.normal(size=shape)],
+                       -rng.uniform(1e6, 1e8, shape))
+    return widths, coeffs
+
+
+def test_marchers_equal_region_by_region_references():
+    rng = np.random.default_rng(3)
+    seen_clamp = seen_phase = seen_zero = False
+    for _ in range(300):
+        widths, coeffs = _random_profile(rng)
+        phase = np.sqrt(np.abs(coeffs)) * widths
+        seen_clamp |= bool(np.any((coeffs < 0) & (phase > 700.0)))
+        seen_phase |= bool(np.any((coeffs > 0) & (phase > 1500.0)))
+        seen_zero |= bool(np.any(coeffs == 0))
+        assert np.array_equal(march_endpoint(widths, coeffs),
+                              _ref_march(widths, coeffs))
+        for final in (True, False):
+            assert np.array_equal(sturm_count(widths, coeffs, final),
+                                  _ref_sturm(widths, coeffs, final))
+        edges = np.concatenate([[-1.0], -1.0 + np.cumsum(widths)])
+        n = int(rng.integers(2, 250))
+        for got, want in zip(sample_shot(edges, coeffs[0], n),
+                             _ref_sample(edges, coeffs[0], n)):
+            assert np.array_equal(got, want)
+    assert seen_clamp and seen_phase and seen_zero
+    # long scans are marched in blocks of rows
+    widths, coeffs = _random_profile(rng)
+    coeffs = np.resize(coeffs, (5 * _MARCH_ROWS // 2, coeffs.shape[1]))
+    assert np.array_equal(march_endpoint(widths, coeffs),
+                          _ref_march(widths, coeffs))
+
+
+def test_bisection_trials_equal_linspace():
+    rng = np.random.default_rng(5)
+    lo = rng.uniform(-1e5, 1e5, 2000) * 10.0 ** rng.integers(-12, 3, 2000)
+    hi = lo + np.abs(rng.normal(size=2000)) * 10.0 ** rng.integers(-14, 4, 2000)
+    for a, b in zip(lo, hi):
+        a, b = float(a), float(b)
+        want = np.linspace(a, b, _BISECT_BATCH + 2)[1:-1]
+        assert np.array_equal(_interior(a, b), want)
+    # neighbouring floats leave no interior trial energy either way
+    b = float(np.nextafter(1.0, 2.0))
+    assert np.array_equal(_interior(1.0, b), np.linspace(1.0, b, 66)[1:-1])
