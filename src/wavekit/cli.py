@@ -66,7 +66,9 @@ def _run_command(args, expected_ids) -> int:
             raise ConfigurationError(
                 f"equation {config.equation!r} is not valid for this command "
                 f"(expected one of {expected_ids})")
-        if args.frame_stride:
+        if args.frame_stride is not None:
+            if args.frame_stride < 1:
+                raise ConfigurationError("--frame-stride must be >= 1")
             config.output["frame_stride"] = args.frame_stride
         report = run_scenario(config)
     except WavekitError as exc:
@@ -146,7 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="scenario YAML path")
         p.add_argument("--out", default=None, help="output path")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--frame-stride", type=int, default=None)
+        p.add_argument("--frame-stride", type=int, default=None,
+                       help="keep every n-th time step in memory and emit "
+                            "it as a frame (overrides output.frame_stride)")
         p.add_argument("--quiet", action="store_true")
 
     common(sub.add_parser("solve", help="stationary spectra"))

@@ -326,10 +326,20 @@ def stability_limit(s: np.ndarray, h: float, safety: float = 0.9) -> float:
     return safety * h / float(np.sqrt(np.max(s)))
 
 
+def check_stride(stride):
+    """Reject a frame stride that is not an integer >= 1."""
+    if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) \
+            or stride < 1:
+        raise ConfigurationError(f"stride must be an integer >= 1, got {stride!r}")
+
+
 def propagate_timedep(state0: TimeDepState, V: PotentialSpec, dt: float,
-                      steps: int, units: UnitSystem = UnitSystem()):
+                      steps: int, units: UnitSystem = UnitSystem(),
+                      stride: int = 1):
     """Leapfrog evolution of psi_tt = s(x) psi_xx with s from the modified
-    time-dependent equation. Returns the trajectory including state0."""
+    time-dependent equation. Returns the states at steps 0, stride,
+    2 stride, ... and the final step; the default keeps every state."""
+    check_stride(stride)
     grid = state0.psi.grid
     s = timedep_speed_squared(V, state0.E, state0.epsilon, grid, units)
     limit = stability_limit(s, grid.h)
@@ -341,18 +351,20 @@ def propagate_timedep(state0: TimeDepState, V: PotentialSpec, dt: float,
     vel = state0.dpsi_dt.values
     acc = s * (lap @ psi_prev)
     psi = psi_prev + dt * vel + 0.5 * dt**2 * acc
-    trajectory = [state0,
-                  TimeDepState(WaveField(psi, grid),
-                               WaveField(vel + dt * acc, grid),
-                               state0.t + dt, state0.E, state0.epsilon)]
+    trajectory = [state0]
+    if stride == 1 or steps <= 1:  # step 1 is kept like step k below
+        trajectory.append(TimeDepState(WaveField(psi, grid),
+                                       WaveField(vel + dt * acc, grid),
+                                       state0.t + dt, state0.E, state0.epsilon))
     for k in range(2, steps + 1):
         acc = s * (lap @ psi)
         psi_next = 2.0 * psi - psi_prev + dt**2 * acc
-        vel = (psi_next - psi_prev) / (2.0 * dt)
+        if k % stride == 0 or k == steps:
+            vel = (psi_next - psi_prev) / (2.0 * dt)
+            trajectory.append(TimeDepState(
+                WaveField(psi_next, grid), WaveField(vel, grid),
+                state0.t + k * dt, state0.E, state0.epsilon))
         psi_prev, psi = psi, psi_next
-        trajectory.append(TimeDepState(
-            WaveField(psi, grid), WaveField(vel, grid),
-            state0.t + k * dt, state0.E, state0.epsilon))
     return trajectory
 
 

@@ -16,7 +16,7 @@ from .numgrid import Grid, WaveField, build_laplacian
 from .potentials import PotentialSpec, evaluate
 from .shooting import piecewise_regions, shooting_states
 from .units import UnitSystem
-from .modified_nr import ModifiedEigenResult, TimeDepState
+from .modified_nr import ModifiedEigenResult, TimeDepState, check_stride
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,13 +93,17 @@ def rel_stability_limit(scenario: RelScenario, safety: float = 0.9) -> float:
 
 
 def propagate_rel_timedep(phi0: WaveField, dphi0_dt: WaveField,
-                          scenario: RelScenario, dt: float, steps: int):
+                          scenario: RelScenario, dt: float, steps: int,
+                          stride: int = 1):
     """Leapfrog evolution of
     phi_tt = (c^2 Laplacian phi - (E0/hbar)^2 phi) / (1 + V/E0)^2.
 
     With V = 0 the update is the discrete Klein-Gordon step (unit factor,
-    same code path). Raises StabilityError on norm blow-up beyond 10x.
+    same code path). Returns the states at steps 0, stride, 2 stride, ...
+    and the final step; the default keeps every state. Raises
+    StabilityError on norm blow-up beyond 10x, checked at every step.
     """
+    check_stride(stride)
     grid, units = scenario.grid, scenario.units
     limit = rel_stability_limit(scenario)
     if dt <= 0 or dt > limit:
@@ -116,19 +120,23 @@ def propagate_rel_timedep(phi0: WaveField, dphi0_dt: WaveField,
     a = accel(phi_prev)
     phi = phi_prev + dt * vel + 0.5 * dt**2 * a
     norm0 = max(float(np.linalg.norm(phi_prev)), 1e-300)
-    trajectory = [TimeDepState(phi0, dphi0_dt, 0.0, 0.0, 0.0),
-                  TimeDepState(WaveField(phi, grid),
-                               WaveField(vel + dt * a, grid), dt, 0.0, 0.0)]
+    trajectory = [TimeDepState(phi0, dphi0_dt, 0.0, 0.0, 0.0)]
+    if stride == 1 or steps <= 1:  # step 1 is kept like step k below
+        trajectory.append(TimeDepState(WaveField(phi, grid),
+                                       WaveField(vel + dt * a, grid),
+                                       dt, 0.0, 0.0))
     for k in range(2, steps + 1):
         phi_next = 2.0 * phi - phi_prev + dt**2 * accel(phi)
-        vel = (phi_next - phi_prev) / (2.0 * dt)
-        phi_prev, phi = phi, phi_next
-        if float(np.linalg.norm(phi)) > 10.0 * norm0 + 1e-300:
+        if float(np.linalg.norm(phi_next)) > 10.0 * norm0 + 1e-300:
             raise StabilityError(
                 f"norm grew beyond 10x at step {k}; reduce dt below "
                 f"{rel_stability_limit(scenario):.3e}")
-        trajectory.append(TimeDepState(
-            WaveField(phi, grid), WaveField(vel, grid), k * dt, 0.0, 0.0))
+        if k % stride == 0 or k == steps:
+            vel = (phi_next - phi_prev) / (2.0 * dt)
+            trajectory.append(TimeDepState(
+                WaveField(phi_next, grid), WaveField(vel, grid), k * dt,
+                0.0, 0.0))
+        phi_prev, phi = phi, phi_next
     return trajectory
 
 

@@ -59,11 +59,17 @@ class PotentialSpec:
             raise ConfigurationError(f"unknown potential variant {self.variant!r}")
         if self.variant == SQUARE_WELL and (self.depth <= 0 or self.half_width <= 0):
             raise ConfigurationError("square_well needs depth > 0 and half_width > 0")
-        if self.variant == PIECEWISE_CONSTANT and len(self.values) != len(self.breakpoints) + 1:
-            raise ConfigurationError(
-                "piecewise_constant needs len(values) == len(breakpoints) + 1")
-        if self.variant == TABULATED and len(self.sample_x) != len(self.sample_v):
-            raise ConfigurationError("tabulated needs matching sample arrays")
+        if self.variant == BARRIER and not self.left < self.right:
+            raise ConfigurationError("barrier needs left < right")
+        if self.variant == PIECEWISE_CONSTANT:
+            if len(self.values) != len(self.breakpoints) + 1:
+                raise ConfigurationError(
+                    "piecewise_constant needs len(values) == len(breakpoints) + 1")
+            _check_increasing("piecewise_constant breakpoints", self.breakpoints)
+        if self.variant == TABULATED:
+            if len(self.sample_x) != len(self.sample_v):
+                raise ConfigurationError("tabulated needs matching sample arrays")
+            _check_increasing("tabulated sample_x", self.sample_x)
 
     # -- factories ---------------------------------------------------------
     @classmethod
@@ -102,6 +108,16 @@ class PotentialSpec:
     @property
     def is_piecewise_constant(self) -> bool:
         return self.variant in (FREE, SQUARE_WELL, STEP, BARRIER, PIECEWISE_CONSTANT)
+
+
+def _check_increasing(name: str, seq):
+    """``evaluate`` and ``region_edges`` read positions in ascending order."""
+    try:
+        x = np.asarray(seq, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{name} must be a list of numbers") from None
+    if x.ndim != 1 or not np.all(np.diff(x) > 0):
+        raise ConfigurationError(f"{name} must be strictly increasing")
 
 
 def region_edges(spec: PotentialSpec, x_min: float, x_max: float) -> np.ndarray:

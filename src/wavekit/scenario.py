@@ -149,6 +149,15 @@ def _potential_from_dict(block: dict, failures: list) -> PotentialSpec:
         return PotentialSpec.free()
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    """An integer >= 1, also when written as an integral float."""
+    return _is_number(value) and float(value).is_integer() and value >= 1
+
+
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse and validate a YAML scenario, reporting every failure at once."""
     try:
@@ -200,18 +209,19 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
     solver = {**SOLVER_DEFAULTS, **(doc.get("solver") or {})}
     for key in ("tol", "dt"):
-        if not solver[key] or solver[key] <= 0:
-            failures.append(f"solver.{key} must be > 0")
-    if solver["n_states"] < 1:
-        failures.append("solver.n_states must be >= 1")
-    if not 0.0 < solver["damping"] <= 1.0:
+        if not (_is_number(solver[key]) and 0 < solver[key] < np.inf):
+            failures.append(f"solver.{key} must be a number > 0")
+    for key in ("n_states", "steps"):
+        if not _is_count(solver[key]):
+            failures.append(f"solver.{key} must be an integer >= 1")
+    if not (_is_number(solver["damping"]) and 0.0 < solver["damping"] <= 1.0):
         failures.append("solver.damping must lie in (0, 1]")
 
     output = {**OUTPUT_DEFAULTS, **(doc.get("output") or {})}
     if output["format"] not in ("json", "csv"):
         failures.append(f"unknown output format {output['format']!r}")
-    if output["frame_stride"] < 1:
-        failures.append("output.frame_stride must be >= 1")
+    if not _is_count(output["frame_stride"]):
+        failures.append("output.frame_stride must be an integer >= 1")
 
     if failures:
         raise ConfigurationError(
@@ -246,24 +256,15 @@ def _spectrum_payload(energies, states, node_counts, residuals, store_states=Tru
     return payload
 
 
-def _trajectory_payload(times, fields, grid, stride):
-    frames = []
-    for i in range(0, len(fields), stride):
-        f = fields[i]
-        if isinstance(f, SpinorField):
-            frames.append({"t": float(times[i]), "re": f.up.real.tolist(),
-                           "im": f.up.imag.tolist(),
-                           "re2": f.down.real.tolist(),
-                           "im2": f.down.imag.tolist()})
-        else:
-            frames.append({"t": float(times[i]), "re": f.values.real.tolist(),
-                           "im": f.values.imag.tolist()})
+def _trajectory_payload(trajectory, grid, steps, stride):
+    """Frames at steps 0, stride, 2 stride, ... of a trajectory a stepper
+    kept with the same stride; its last state is the final step, which is
+    a frame only when the stride divides ``steps``."""
+    frames = [{"t": float(s.t), "re": s.psi.values.real.tolist(),
+               "im": s.psi.values.imag.tolist()}
+              for s in trajectory[:steps // stride + 1]]
     return {"kind": "trajectory", "x": grid.x.tolist(), "frames": frames,
-            "n_steps": len(fields) - 1}
-
-
-def _norm_of(f) -> float:
-    return f.norm()
+            "n_steps": steps}
 
 
 def _initial_wave(config: ScenarioConfig):
@@ -311,21 +312,6 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
         diagnostics["iterations"] = [r.iterations for r in results]
         diagnostics["method"] = results[0].method
 
-    elif config.equation == "modified_nr_timedep":
-        psi0, k = _initial_wave(config)
-        eps = solver["epsilon"]
-        if eps is None:
-            eps = (units.hbar * k) ** 2 / (2.0 * units.m)
-        E = float(solver.get("E", eps))
-        dpsi0 = WaveField(-1j * eps / units.hbar * psi0.values, grid)
-        state0 = TimeDepState(psi0, dpsi0, 0.0, E, float(eps))
-        traj = propagate_timedep(state0, config.potential, float(solver["dt"]),
-                                 int(solver["steps"]), units)
-        times = [s.t for s in traj]
-        payload = _trajectory_payload(times, [s.psi for s in traj], grid,
-                                      int(config.output["frame_stride"]))
-        diagnostics["final_norm"] = _norm_of(traj[-1].psi)
-
     elif config.equation == "modified_rel_stationary":
         scen = RelScenario(units, config.potential, grid)
         bracket = solver["e_bracket"]
@@ -338,32 +324,40 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
             [r.self_consistency_residual for r in results])
         diagnostics["method"] = "shooting"
 
-    elif config.equation == "modified_rel_timedep":
-        scen = RelScenario(units, config.potential, grid)
-        phi0, k = _initial_wave(config)
-        E = float(np.sqrt((units.c * units.hbar * k) ** 2 + units.E0**2))
-        dphi0 = WaveField(-1j * E / units.hbar * phi0.values, grid)
-        traj = propagate_rel_timedep(phi0, dphi0, scen, float(solver["dt"]),
-                                     int(solver["steps"]))
-        times = [s.t for s in traj]
-        payload = _trajectory_payload(times, [s.psi for s in traj], grid,
-                                      int(config.output["frame_stride"]))
-        diagnostics["final_norm"] = _norm_of(traj[-1].psi)
+    elif config.equation in ("modified_nr_timedep", "modified_rel_timedep"):
+        steps = int(solver["steps"])
+        stride = int(config.output["frame_stride"])
+        psi0, k = _initial_wave(config)
+        if config.equation == "modified_nr_timedep":
+            eps = solver["epsilon"]
+            if eps is None:
+                eps = (units.hbar * k) ** 2 / (2.0 * units.m)
+            E = float(solver.get("E", eps))
+            dpsi0 = WaveField(-1j * eps / units.hbar * psi0.values, grid)
+            state0 = TimeDepState(psi0, dpsi0, 0.0, E, float(eps))
+            traj = propagate_timedep(state0, config.potential,
+                                     float(solver["dt"]), steps, units, stride)
+        else:
+            scen = RelScenario(units, config.potential, grid)
+            E = float(np.sqrt((units.c * units.hbar * k) ** 2 + units.E0**2))
+            dpsi0 = WaveField(-1j * E / units.hbar * psi0.values, grid)
+            traj = propagate_rel_timedep(psi0, dpsi0, scen, float(solver["dt"]),
+                                         steps, stride)
+        payload = _trajectory_payload(traj, grid, steps, stride)
+        diagnostics["final_norm"] = traj[-1].psi.norm()
 
-    elif config.equation == "spin_half_stationary":
-        res = solve_spin_half_stationary(grid, config.potential, units,
-                                         float(solver["wilson_r"]),
-                                         int(solver["n_states"]))
+    elif config.equation in ("spin_half_stationary", "massless_spin_half"):
+        if config.equation == "spin_half_stationary":
+            res = solve_spin_half_stationary(grid, config.potential, units,
+                                             float(solver["wilson_r"]),
+                                             int(solver["n_states"]))
+        else:
+            res = solve_massless(grid, config.potential, units,
+                                 int(solver["n_states"]))
         payload = _spectrum_payload(res.energies, res.states, res.node_counts,
                                     res.diagnostics["residuals"])
-        diagnostics["wilson_r"] = float(solver["wilson_r"])
-
-    elif config.equation == "massless_spin_half":
-        res = solve_massless(grid, config.potential, units,
-                             int(solver["n_states"]))
-        payload = _spectrum_payload(res.energies, res.states, res.node_counts,
-                                    [0.0] * len(res.energies))
-        diagnostics["method"] = "generalized_eigh"
+        diagnostics.update({key: value for key, value in res.diagnostics.items()
+                            if key != "residuals"})
 
     elif config.equation == "dispersion_audit":
         rows = []

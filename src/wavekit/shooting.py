@@ -31,6 +31,10 @@ def piecewise_regions(spec: PotentialSpec, x_min: float, x_max: float):
     return edges, evaluate(spec, 0.5 * (edges[:-1] + edges[1:]))
 
 
+#: Decay rates below which kappa sinh(700) cannot overflow.
+_SAFE_RATE = 3.5e4
+
+
 def _transfer(w, width):
     """Transfer coefficients (diag, to_psi, to_dpsi) of psi'' = -w psi
     across ``width``: the matrix [[diag, to_psi], [to_dpsi, diag]] maps
@@ -42,7 +46,10 @@ def _transfer(w, width):
     transfer matrices combine by plain arithmetic; w = 0 is their common
     k -> 0 limit, except that psi' carries into psi by the width. The
     overflow guard clamps only the cosh/sinh argument: oscillatory phases,
-    thousands of radians in deep wells, stay exact.
+    thousands of radians in deep wells, stay exact. Past a decay rate of
+    about 3.6e4, kappa sinh of the clamped argument still overflows; those
+    cells get the matrix times e^-grow instead, a positive factor that the
+    marchers' renormalization absorbs.
     """
     w = np.asarray(w, dtype=float)
     k = np.sqrt(np.abs(w))
@@ -55,8 +62,15 @@ def _transfer(w, width):
     lin = k == 0
     diag = c * ch
     to_psi = np.where(lin, width, s + sh) / np.where(lin, 1.0, k)
-    to_dpsi = k * (sh - s)
-    return diag, to_psi, to_dpsi
+    if k.max(initial=0.0) < _SAFE_RATE:
+        return diag, to_psi, k * (sh - s)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        to_dpsi = k * (sh - s)
+        huge = np.isinf(to_dpsi)
+        half_gap = 0.5 * (1.0 - np.exp(-2.0 * grow))
+        return (np.where(huge, 1.0 - half_gap, diag),
+                np.where(huge, half_gap / k, to_psi),
+                np.where(huge, half_gap * k, to_dpsi))
 
 
 def _apply(psi, dpsi, diag, to_psi, to_dpsi):

@@ -128,8 +128,30 @@ def _second_difference_matrix(grid: Grid) -> scipy.sparse.csr_matrix:
 
 
 def _check_weight(v: np.ndarray, units: UnitSystem):
+    if not np.all(np.isfinite(v)):
+        raise InvalidScenarioError("potential must be finite on the grid")
     if np.any(v <= -units.E0):
         raise InvalidScenarioError("potential must satisfy V > -E0 everywhere")
+
+
+def real_dirac_operator(grid: Grid, units: UnitSystem, wilson_r: float = 0.0,
+                        massless: bool = False) -> scipy.sparse.csr_matrix:
+    """Sparse real symmetric U^H H U of the Dirac operator
+    H = -i hbar c alpha d/dx + beta M with U = diag(1, i):
+    [[M, hbar c D], [hbar c D^T, -M]], where D is the (antisymmetric)
+    centered difference and M = m c^2 - (hbar c r h / 2) Laplacian carries
+    the Wilson doubling suppressor. ``massless`` drops the M blocks. A
+    spinor (v1, v2) of this operator is (up, down) = (v1, i v2) of H.
+    """
+    kin = units.hbar * units.c * _derivative_matrix(grid)
+    mass = None
+    if not massless:
+        mass = units.E0 * scipy.sparse.identity(grid.n_points, format="csr")
+        if wilson_r != 0.0:
+            mass = mass - 0.5 * units.hbar * units.c * wilson_r * grid.h \
+                * _second_difference_matrix(grid)
+    return scipy.sparse.bmat([[mass, kin], [kin.T, None if mass is None else -mass]],
+                             format="csr")
 
 
 def free_dirac_matrix(grid: Grid, units: UnitSystem,
@@ -137,85 +159,81 @@ def free_dirac_matrix(grid: Grid, units: UnitSystem,
     """Dense Hermitian 2n x 2n matrix of -i hbar c alpha d/dx + m c^2 beta,
     plus the Wilson doubling suppressor -(hbar c r h / 2) beta Laplacian."""
     n = grid.n_points
-    d = _derivative_matrix(grid).toarray()
-    kin = -1j * units.hbar * units.c * d
-    mass = units.E0 * np.eye(n)
-    if wilson_r != 0.0:
-        lap = _second_difference_matrix(grid).toarray()
-        mass = mass - 0.5 * units.hbar * units.c * wilson_r * grid.h * lap
-    h = np.zeros((2 * n, 2 * n), dtype=complex)
-    # alpha = sigma_x couples the components, beta = sigma_z signs the mass
-    h[:n, n:] = kin
-    h[n:, :n] = kin
-    h[:n, :n] = mass
-    h[n:, n:] = -mass
+    h = real_dirac_operator(grid, units, wilson_r).toarray().astype(complex)
+    # undo the conjugation by U = diag(1, i)
+    h[:n, n:] *= -1j
+    h[n:, :n] *= 1j
     return h
+
+
+def _weighted_spectrum(grid: Grid, V: PotentialSpec, units: UnitSystem,
+                       n_states: int, wilson_r: float,
+                       massless: bool) -> SpectrumResult:
+    """The ``n_states`` smallest-|E| solutions of A v = E (1 + V/E0) v for
+    the real operator A of :func:`real_dirac_operator`, sorted by |E|.
+
+    The weight is diagonal and positive, so it is folded in symmetrically
+    and a standard eigenproblem is solved over an index window. With a mass
+    block exactly n of the 2n eigenvalues are negative (the inertia of
+    [[M, B], [B^T, -M]] with M positive definite, kept by the congruence);
+    without one the spectrum is symmetric about zero. Either way the
+    n_states smallest |E| lie among the indices n - n_states ... n +
+    n_states - 1. The window is still checked against its edge eigenvalues
+    and widened until it provably holds them.
+    """
+    n = grid.n_points
+    if n_states < 1 or n_states > 2 * n:
+        raise ConfigurationError("n_states out of range")
+    v = np.asarray(evaluate(V, grid.x), dtype=float)
+    _check_weight(v, units)
+    op = real_dirac_operator(grid, units, wilson_r, massless)
+    weight = np.concatenate([1.0 + v / units.E0, 1.0 + v / units.E0])
+    inv_root_w = scipy.sparse.diags(1.0 / np.sqrt(weight))
+    folded = inv_root_w @ op @ inv_root_w
+    half = n_states
+    widenings = 0
+    while True:
+        lo, hi = max(n - half, 0), min(n + half, 2 * n) - 1
+        vals, vecs = scipy.linalg.eigh(folded.toarray(order="F"), driver="evr",
+                                       subset_by_index=(lo, hi),
+                                       overwrite_a=True)
+        order = np.argsort(np.abs(vals), kind="stable")[:n_states]
+        edge = np.max(np.abs(vals[order]))
+        if (lo == 0 or vals[0] <= -edge) and (hi == 2 * n - 1 or vals[-1] >= edge):
+            break
+        half *= 2
+        widenings += 1
+    energies = vals[order]
+    vecs = inv_root_w @ vecs[:, order]
+    vecs /= np.sqrt(grid.trapezoid_weights @ (vecs[:n] ** 2 + vecs[n:] ** 2))
+    residuals = np.max(np.abs(op @ vecs - energies * weight[:, None] * vecs),
+                       axis=0) / np.max(np.abs(vecs), axis=0)
+    states = [SpinorField(vec[:n], 1j * vec[n:], grid) for vec in vecs.T]
+    return SpectrumResult(energies, states,
+                          tuple(count_nodes(sf.up) for sf in states),
+                          {"residuals": residuals.tolist(),
+                           "method": "real_symmetric_evr", "dim": 2 * n,
+                           "window": [lo, hi], "widenings": widenings})
 
 
 def solve_spin_half_stationary(grid: Grid, V: PotentialSpec, units: UnitSystem,
                                wilson_r: float = 1.0,
                                n_states: int = 8) -> SpectrumResult:
-    """Generalized eigenproblem H_D psi = E (1 + V/E0) psi with a symmetric
-    Wilson-stabilized Dirac operator and positive diagonal weight, sorted
-    by |E|."""
-    n = grid.n_points
-    if n_states < 1 or n_states > 2 * n:
-        raise ConfigurationError("n_states out of range")
-    v = np.asarray(evaluate(V, grid.x), dtype=float)
-    _check_weight(v, units)
-    h_d = free_dirac_matrix(grid, units, wilson_r)
-    weight = np.concatenate([1.0 + v / units.E0, 1.0 + v / units.E0])
-    # the weight is diagonal and positive, so fold it in symmetrically and
-    # solve a standard eigenproblem (much cheaper than the generalized path)
-    root_w = np.sqrt(weight)
-    vals, vecs = scipy.linalg.eigh(h_d / np.outer(root_w, root_w),
-                                   driver="evd")
-    vecs = vecs / root_w[:, None]
-    order = np.argsort(np.abs(vals), kind="stable")[:n_states]
-    energies = vals[order]
-    states, nodes, residuals = [], [], []
-    for idx in order:
-        vec = vecs[:, idx]
-        sf = SpinorField.from_stacked(vec, grid)
-        nrm = sf.norm()
-        sf = SpinorField(sf.up / nrm, sf.down / nrm, grid)
-        states.append(sf)
-        nodes.append(count_nodes(sf.up))
-        residuals.append(float(np.max(np.abs(
-            h_d @ vec - vals[idx] * weight * vec)) / max(np.max(np.abs(vec)), 1e-300)))
-    return SpectrumResult(np.asarray(energies), states, tuple(nodes),
-                          {"residuals": residuals, "wilson_r": wilson_r,
-                           "method": "generalized_eigh"})
+    """Generalized eigenproblem H_D psi = E (1 + V/E0) psi with the
+    Wilson-stabilized Dirac operator, sorted by |E|."""
+    res = _weighted_spectrum(grid, V, units, n_states, wilson_r, massless=False)
+    res.diagnostics["wilson_r"] = wilson_r
+    return res
 
 
 def solve_massless(grid: Grid, V: PotentialSpec, units: UnitSystem,
                    n_states: int = 8) -> SpectrumResult:
-    """Stationary massless problem -i hbar c sigma d/dx psi = E (1+V/E0) psi
-    as a generalized eigenproblem (naive centered difference, no mass to
-    attach a Wilson term to), sorted by |E|."""
-    n = grid.n_points
-    if n_states < 1 or n_states > 2 * n:
-        raise ConfigurationError("n_states out of range")
-    v = np.asarray(evaluate(V, grid.x), dtype=float)
-    _check_weight(v, units)
-    d = _derivative_matrix(grid).toarray()
-    kin = -1j * units.hbar * units.c * d
-    a = np.zeros((2 * n, 2 * n), dtype=complex)
-    a[:n, n:] = kin
-    a[n:, :n] = kin
-    weight = np.concatenate([1.0 + v / units.E0, 1.0 + v / units.E0])
-    root_w = np.sqrt(weight)
-    vals, vecs = scipy.linalg.eigh(a / np.outer(root_w, root_w), driver="evd")
-    vecs = vecs / root_w[:, None]
-    order = np.argsort(np.abs(vals), kind="stable")[:n_states]
-    states = []
-    for idx in order:
-        sf = SpinorField.from_stacked(vecs[:, idx], grid)
-        nrm = sf.norm()
-        states.append(SpinorField(sf.up / nrm, sf.down / nrm, grid))
-    return SpectrumResult(np.asarray(vals[order]), states,
-                          tuple(count_nodes(s.up) for s in states),
-                          {"method": "generalized_eigh", "massless": True})
+    """Stationary massless problem -i hbar c sigma d/dx psi = E (1+V/E0) psi:
+    the spin-1/2 solver without a mass block (naive centered difference,
+    no mass to attach a Wilson term to), sorted by |E|."""
+    res = _weighted_spectrum(grid, V, units, n_states, 0.0, massless=True)
+    res.diagnostics["massless"] = True
+    return res
 
 
 def propagate_massless(psi0: SpinorField, V: PotentialSpec, dt: float,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,54 @@ def test_propagation_rejects_unstable_step():
     limit = mnr.stability_limit(s, g.h)
     with pytest.raises(ConfigurationError):
         mnr.propagate_timedep(state, PotentialSpec.free(), 2.0 * limit, 10, U)
+
+
+def _plane_wave_state(n):
+    g = Grid.line(0.0, 2.0 * np.pi, n, boundary="periodic")
+    psi0 = WaveField(np.exp(1j * g.x), g)
+    return mnr.TimeDepState(psi0, WaveField(-0.5j * psi0.values, g),
+                            0.0, 0.5, 0.5)
+
+
+def _same_state(a, b):
+    return (a.t == b.t and np.array_equal(a.psi.values, b.psi.values)
+            and np.array_equal(a.dpsi_dt.values, b.dpsi_dt.values))
+
+
+@pytest.mark.parametrize("steps, stride", [(60, 1), (60, 20), (61, 20),
+                                           (7, 3), (1, 5), (5, 9)])
+def test_strided_propagation_keeps_every_stride_th_and_final_state(steps,
+                                                                   stride):
+    state = _plane_wave_state(96)
+    full = mnr.propagate_timedep(state, PotentialSpec.free(), 1e-2, steps, U)
+    kept = mnr.propagate_timedep(state, PotentialSpec.free(), 1e-2, steps, U,
+                                 stride)
+    want = full[::stride]
+    if steps % stride:
+        want.append(full[-1])
+    assert len(kept) == len(want)
+    assert all(_same_state(a, b) for a, b in zip(kept, want))
+
+
+@pytest.mark.parametrize("stride", [0, -2, 2.0, True])
+def test_strided_propagation_rejects_bad_stride(stride):
+    with pytest.raises(ConfigurationError):
+        mnr.propagate_timedep(_plane_wave_state(32), PotentialSpec.free(),
+                              1e-2, 10, U, stride)
+
+
+def test_strided_propagation_holds_only_kept_states():
+    # 4000 steps on 2000 points keep ~256 MB of states at stride 1
+    state = _plane_wave_state(2000)
+    tracemalloc.start()
+    try:
+        traj = mnr.propagate_timedep(state, PotentialSpec.free(), 1e-4, 4000,
+                                     U, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 5 and traj[-1].t == pytest.approx(0.4)
+    assert peak < 16e6
 
 
 def test_wave_energy_conserved():

@@ -75,6 +75,26 @@ def test_free_reduction_is_klein_gordon_leapfrog():
         assert np.max(np.abs(traj[k].psi.values - cur)) < 1e-12 * (k + 1)
 
 
+@pytest.mark.parametrize("steps, stride", [(40, 1), (40, 8), (43, 8), (1, 4)])
+def test_strided_propagation_keeps_every_stride_th_and_final_state(steps,
+                                                                   stride):
+    sc = scenario(n=128)
+    g = sc.grid
+    phi0 = WaveField(np.sin(np.pi * g.x).astype(complex), g)
+    dphi0 = WaveField(np.zeros(128, complex), g)
+    dt = 0.5 * mrel.rel_stability_limit(sc)
+    full = mrel.propagate_rel_timedep(phi0, dphi0, sc, dt, steps)
+    kept = mrel.propagate_rel_timedep(phi0, dphi0, sc, dt, steps, stride)
+    want = full[::stride]
+    if steps % stride:
+        want.append(full[-1])
+    assert len(kept) == len(want)
+    for a, b in zip(kept, want):
+        assert a.t == b.t
+        assert np.array_equal(a.psi.values, b.psi.values)
+        assert np.array_equal(a.dpsi_dt.values, b.dpsi_dt.values)
+
+
 def test_plane_wave_frequency_matches_dispersion():
     sc = scenario()
     g = sc.grid

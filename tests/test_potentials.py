@@ -40,6 +40,18 @@ def test_piecewise_constant_validation():
     assert spec.is_piecewise_constant
 
 
+@pytest.mark.parametrize("make", [
+    lambda: PotentialSpec.piecewise_constant([1.0, -1.0], [0.0, -5.0, 0.0]),
+    lambda: PotentialSpec.piecewise_constant([0.0, 0.0], [0.0, -5.0, 0.0]),
+    lambda: PotentialSpec.piecewise_constant(["a"], [0.0, 1.0]),
+    lambda: PotentialSpec.tabulated([0.0, 2.0, 1.0], [0.0, 1.0, 2.0]),
+    lambda: PotentialSpec.barrier(5.0, 1.0, -1.0),
+])
+def test_unsorted_positions_are_rejected(make):
+    with pytest.raises(ConfigurationError):
+        make()
+
+
 def test_tabulated_interpolates():
     x = np.linspace(0.0, 1.0, 11)
     spec = PotentialSpec.tabulated(x, x**2)

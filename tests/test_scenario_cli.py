@@ -5,7 +5,10 @@ import pytest
 import yaml
 
 from wavekit import cli, scenario
+from wavekit import modified_nr as mnr
+from wavekit import modified_rel as mrel
 from wavekit.errors import ConfigurationError
+from wavekit.numgrid import WaveField
 
 
 BOX = """\
@@ -135,6 +138,41 @@ solver: {dt: 1.0e-3, steps: 20}
     assert len(lines) == 1 + 3 * 64  # frames at steps 0, 10, 20
 
 
+@pytest.mark.parametrize("equation", ["modified_nr_timedep",
+                                      "modified_rel_timedep"])
+def test_propagate_payload_equals_full_trajectory_frames(equation):
+    text = f"""\
+equation: {equation}
+units: {{c: 1.0}}
+grid: {{kind: line, x_min: 0.0, x_max: 6.283185307179586, n_points: 64, boundary: periodic}}
+potential: {{variant: free}}
+solver: {{mode: 2, dt: 1.0e-3, steps: 47}}
+output: {{frame_stride: 10}}
+"""
+    config = scenario.parse_scenario(text)
+    report = scenario.run_scenario(config)
+    # the whole trajectory, framed as every stride-th state
+    psi0, k = scenario._initial_wave(config)
+    if equation == "modified_nr_timedep":
+        eps = k**2 / 2.0
+        state0 = mnr.TimeDepState(psi0, WaveField(-1j * eps * psi0.values,
+                                                  config.grid), 0.0, eps, eps)
+        full = mnr.propagate_timedep(state0, config.potential, 1e-3, 47,
+                                     config.units)
+    else:
+        omega = np.sqrt(k**2 + 1.0)
+        full = mrel.propagate_rel_timedep(
+            psi0, WaveField(-1j * omega * psi0.values, config.grid),
+            mrel.RelScenario(config.units, config.potential, config.grid),
+            1e-3, 47)
+    frames = [{"t": float(s.t), "re": s.psi.values.real.tolist(),
+               "im": s.psi.values.imag.tolist()} for s in full[::10]]
+    want = {"kind": "trajectory", "x": config.grid.x.tolist(),
+            "frames": frames, "n_steps": 47}
+    assert scenario.canonical_json(report.payload) == scenario.canonical_json(want)
+    assert report.diagnostics["final_norm"] == full[-1].psi.norm()
+
+
 # -- CLI exit codes ---------------------------------------------------------
 
 def test_cli_solve_ok(tmp_path, capsys):
@@ -235,3 +273,71 @@ sweep:
 """)
     assert cli.main(["sweep", "--config", sweep_cfg, "--quiet",
                      "--jobs", "1"]) == 0
+
+
+PROPAGATE = """\
+equation: modified_nr_timedep
+grid: {kind: line, x_min: 0.0, x_max: 6.283185307179586, n_points: 32, boundary: periodic}
+potential: {variant: free}
+"""
+
+
+@pytest.mark.parametrize("block, key", [
+    ("solver: {steps: -5}", "solver.steps"),
+    ("solver: {steps: 0}", "solver.steps"),
+    ("solver: {steps: 2.5}", "solver.steps"),
+    ("solver: {dt: x}", "solver.dt"),
+    ("solver: {n_states: four}", "solver.n_states"),
+    ("output: {frame_stride: x}", "output.frame_stride"),
+    ("output: {frame_stride: 0}", "output.frame_stride"),
+])
+def test_cli_malformed_stepper_keys_exit_2(tmp_path, block, key):
+    cfg = _write(tmp_path, "bad.yaml", PROPAGATE + block + "\n")
+    out = tmp_path / "err.json"
+    assert cli.main(["propagate", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 2
+    obj = json.loads(out.read_text())
+    assert obj["error"] == "ConfigurationError"
+    assert any(f.startswith(key) for f in obj["failures"])
+
+
+def test_cli_lists_stepper_key_failures_together(tmp_path):
+    cfg = _write(tmp_path, "bad.yaml", PROPAGATE + """\
+solver: {steps: -5, dt: x, n_states: four, damping: high}
+output: {frame_stride: x}
+""")
+    out = tmp_path / "err.json"
+    assert cli.main(["propagate", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 2
+    failures = json.loads(out.read_text())["failures"]
+    for key in ("solver.steps", "solver.dt", "solver.n_states",
+                "solver.damping", "output.frame_stride"):
+        assert any(f.startswith(key) for f in failures), key
+
+
+def test_cli_frame_stride_flag_must_be_positive(tmp_path):
+    cfg = _write(tmp_path, "ok.yaml", PROPAGATE + "solver: {steps: 4}\n")
+    assert cli.main(["propagate", "--config", cfg, "--quiet",
+                     "--frame-stride", "0"]) == 2
+    out = tmp_path / "report.json"
+    assert cli.main(["propagate", "--config", cfg, "--quiet",
+                     "--frame-stride", "3", "--out", str(out)]) == 0
+    frames = json.loads(out.read_text())["payload"]["frames"]
+    assert [f["t"] for f in frames] == pytest.approx([0.0, 3e-3])
+
+
+@pytest.mark.parametrize("potential", [
+    "{variant: piecewise_constant, breakpoints: [1.0, -1.0], values: [0.0, -5.0, 0.0]}",
+    "{variant: tabulated, sample_x: [0.0, 2.0, 1.0], sample_v: [0.0, 1.0, 2.0]}",
+])
+def test_cli_unsorted_potential_positions_exit_2(tmp_path, potential):
+    cfg = _write(tmp_path, "bad.yaml", f"""\
+equation: schrodinger
+grid: {{kind: line, x_min: -4.0, x_max: 4.0, n_points: 64}}
+potential: {potential}
+""")
+    out = tmp_path / "err.json"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 2
+    failures = json.loads(out.read_text())["failures"]
+    assert any("strictly increasing" in f for f in failures)

@@ -108,6 +108,27 @@ def test_linear_eigenvalue_rejects_non_finite_profile():
         linear_bound_state_energy(edges, np.array([0.0, np.nan]), 0, U)
 
 
+def test_marchers_stay_finite_past_the_decay_rate_overflow():
+    # barrier of 10 on [-1, 1] in walls at +-4: just below the barrier top
+    # the modified coefficient there is about -2e9, where kappa sinh(700)
+    # overflows. Split into thin regions, the same barrier needs no clamp.
+    widths = np.array([3.0, 2.0, 3.0])
+    for e in (10.0 - 1e-6, 10.0 - 1e-7, 10.0 - 1e-9):
+        v = np.array([0.0, 10.0, 0.0])
+        coeffs = (SCALE * (e - 2.0 * v) ** 2 / (e - v))[None, :]
+        kappa = math.sqrt(-coeffs[0, 1])
+        m = math.ceil(2.0 * kappa / 600.0)
+        thin_widths = np.concatenate([[3.0], np.full(m, 2.0 / m), [3.0]])
+        thin = np.concatenate([[coeffs[0, 0]], np.full(m, coeffs[0, 1]),
+                               [coeffs[0, 2]]])[None, :]
+        got = march_endpoint(widths, coeffs)
+        assert np.all(np.isfinite(got))
+        assert got[0] == pytest.approx(march_endpoint(thin_widths, thin)[0],
+                                       rel=1e-12)
+        assert sturm_count(widths, coeffs)[0] == sturm_count(thin_widths,
+                                                             thin)[0] == 8
+
+
 # -- region-by-region references: the marchers evaluate the transfer
 # coefficients of all regions at once and must give the same floats
 

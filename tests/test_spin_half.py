@@ -3,7 +3,7 @@ import pytest
 
 from wavekit import spin_half as sh
 from wavekit.numgrid import Grid
-from wavekit.potentials import PotentialSpec
+from wavekit.potentials import PotentialSpec, evaluate
 from wavekit.reference import dirac_free_energies
 from wavekit.units import UnitSystem
 
@@ -32,6 +32,74 @@ def test_free_dirac_matrix_hermitian():
     for r in (0.0, 1.0):
         m = sh.free_dirac_matrix(g, U, wilson_r=r)
         assert np.max(np.abs(m - m.conj().T)) < 1e-12
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("massless", [False, True])
+def test_real_operator_is_the_conjugated_dirac_matrix(boundary, massless):
+    g = Grid.line(0.0, 5.0, 48, boundary=boundary)
+    n = g.n_points
+    h = sh.free_dirac_matrix(g, U, wilson_r=0.0 if massless else 1.0)
+    if massless:
+        h[:n, :n] = h[n:, n:] = 0.0
+    u = np.diag(np.concatenate([np.ones(n), 1j * np.ones(n)]))
+    conj = u.conj().T @ h @ u
+    op = sh.real_dirac_operator(g, U, 1.0, massless).toarray()
+    assert op.dtype == np.float64
+    assert np.max(np.abs(conj.imag)) == 0.0
+    assert np.array_equal(conj.real, op)
+    assert np.max(np.abs(op - op.T)) == 0.0
+
+
+def _complex_reference(g, V, n_states, massless):
+    """Smallest-|E| energies from a full complex Hermitian eigensolve."""
+    n = g.n_points
+    h = sh.free_dirac_matrix(g, U, wilson_r=0.0 if massless else 1.0)
+    if massless:
+        h[:n, :n] = h[n:, n:] = 0.0
+    v = evaluate(V, g.x)
+    root_w = np.sqrt(np.concatenate([1.0 + v / U.E0, 1.0 + v / U.E0]))
+    vals = np.linalg.eigvalsh(h / np.outer(root_w, root_w))
+    return np.sort(np.abs(vals))[:n_states]
+
+
+@pytest.mark.parametrize("massless", [False, True])
+@pytest.mark.parametrize("boundary, V, n_states", [
+    # free periodic: |E| multiplets of four (+-E, +-k); 4 and 7 cut one
+    ("periodic", PotentialSpec.free(), 4),
+    ("periodic", PotentialSpec.free(), 7),
+    ("periodic", PotentialSpec.harmonic(0.5, center=2.5), 9),
+    ("dirichlet", PotentialSpec.square_well(30.0, 1.0, center=2.5), 11),
+    ("dirichlet", PotentialSpec.piecewise_constant([1.0, 3.0],
+                                                   [0.0, 40.0, -20.0]), 6),
+])
+def test_energies_match_complex_hermitian_reference(massless, boundary, V,
+                                                    n_states):
+    g = Grid.line(0.0, 5.0, 80, boundary=boundary)
+    res = (sh.solve_massless(g, V, U, n_states=n_states) if massless else
+           sh.solve_spin_half_stationary(g, V, U, n_states=n_states))
+    want = _complex_reference(g, V, n_states, massless)
+    assert len(res.energies) == len(res.states) == n_states
+    np.testing.assert_allclose(np.sort(np.abs(res.energies)), want,
+                               rtol=0, atol=1e-10)
+    assert max(res.diagnostics["residuals"]) < 1e-8
+    for s in res.states:
+        # (up, down) = (v1, i v2) for a real eigenvector (v1, v2)
+        assert np.all(s.up.imag == 0.0) and np.all(s.down.real == 0.0)
+        assert s.norm() == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("boundary, n", [("dirichlet", 63), ("dirichlet", 65),
+                                         ("periodic", 127), ("periodic", 64)])
+def test_massless_zero_modes_at_the_window_edge(boundary, n):
+    # zero modes come out with either sign, so the index window may have
+    # to widen before its edges bound the smallest |E|
+    g = Grid.line(0.0, 5.0, n, boundary=boundary)
+    for n_states in (1, 2, 3):
+        res = sh.solve_massless(g, PotentialSpec.free(), U, n_states=n_states)
+        want = _complex_reference(g, PotentialSpec.free(), n_states, True)
+        np.testing.assert_allclose(np.sort(np.abs(res.energies)), want,
+                                   rtol=0, atol=1e-10)
 
 
 def test_spinor_field_stacking_roundtrip():
