@@ -20,8 +20,8 @@ from .errors import (ConfigurationError, NonConvergenceError,
                      NonHyperbolicRegimeError, NoRootError,
                      SingularCoefficientError, SingularRegionError,
                      StateTrackingError, UsageError)
-from .numgrid import (Grid, WaveField, build_laplacian, count_nodes,
-                      lowest_eigenpairs)
+from .numgrid import (DIRICHLET, Grid, WaveField, build_laplacian,
+                      count_nodes, dirichlet_block, lowest_eigenpairs)
 from .potentials import E_EQUALS_V, PotentialSpec, evaluate, find_singular_set
 from .reference import kinetic_operator
 from .shooting import (linear_bound_state_energy, piecewise_regions,
@@ -85,17 +85,28 @@ def effective_potential(V: PotentialSpec, E: float, grid: Grid,
     if not np.isfinite(E):
         raise UsageError("E must be finite")
     v = np.asarray(evaluate(V, grid.x), dtype=float)
-    denom = E - v
     if guard.mode == REJECT:
-        sset = find_singular_set(V, E, E_EQUALS_V, grid)
-        if sset.locations:
-            raise SingularRegionError(
-                f"E - V vanishes inside the domain at {sset.locations}", sset)
-    else:
+        _reject_singular(V, E, grid, "energy")
+    return _effective_samples(v, E, guard)
+
+
+def _effective_samples(v: np.ndarray, E: float, guard: GuardPolicy) -> np.ndarray:
+    """W(E, x) from samples ``v`` of V; under ``clamp`` the denominator
+    E - V is floored in magnitude at ``guard.floor``, sign preserved."""
+    denom = E - v
+    if guard.mode == CLAMP:
         small = np.abs(denom) < guard.floor
         denom = np.where(small, np.where(denom >= 0, guard.floor, -guard.floor),
                          denom)
     return 3.0 * v - v**2 / denom
+
+
+def _reject_singular(V: PotentialSpec, E: float, grid: Grid, what: str):
+    """Raise :class:`SingularRegionError` when E = V(x) inside the domain."""
+    sset = find_singular_set(V, E, E_EQUALS_V, grid)
+    if not sset.empty:
+        raise SingularRegionError(
+            f"{what} E={E} has E = V(x) at {sset.locations}", sset)
 
 
 def _nonlinear_coefficient(e: np.ndarray, region_values: np.ndarray,
@@ -144,15 +155,30 @@ def solve_stationary_shooting(grid: Grid, V: PotentialSpec, e_bracket,
             for e_star, state, residual, nodes in shots]
 
 
-def _grid_eigensolve_by_nodes(grid, w_samples, state_index, units):
-    """Eigenvalue of -hbar^2/2m Laplacian + W whose state has
-    ``state_index`` interior nodes, via banded eigensolve."""
-    factor, lap = kinetic_operator(grid, units)
+def _grid_eigenpair(lap, factor, w_samples, state_index):
+    """Eigenpair ``state_index`` of -hbar^2/2m Laplacian + W and its state.
+
+    On Dirichlet grids the operator is a Jacobi matrix (symmetric
+    tridiagonal with negative off-diagonals), whose k-th eigenvector has
+    exactly k sign changes (Gantmacher-Krein): the eigenvalue index is the
+    node count, so that one pair alone is computed. Periodic wrap terms
+    break that structure; there the state is picked among the lowest ones
+    by its node count.
+    """
+    grid = lap.grid
+    if grid.boundary == DIRICHLET:
+        m = dirichlet_block(grid)[1]
+        if state_index >= m:
+            raise StateTrackingError(
+                f"state {state_index} exceeds the {m} unknowns of the grid")
+        energies, states = lowest_eigenpairs(lap, factor, w_samples, 1,
+                                             first=state_index)
+        return float(energies[0]), WaveField(states[:, 0], grid)
     n_ask = min(state_index + 4, grid.n_points - 2)
     energies, states = lowest_eigenpairs(lap, factor, w_samples, n_ask)
     for j in range(n_ask):
         if count_nodes(states[:, j]) == state_index:
-            return float(energies[j]), WaveField(states[:, j].astype(complex), grid)
+            return float(energies[j]), WaveField(states[:, j], grid)
     raise StateTrackingError(
         f"no eigenstate with node count {state_index} among the lowest {n_ask}")
 
@@ -166,10 +192,13 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
     """Damped self-consistent iteration on E: linearize at W(E_k), take the
     eigenvalue whose state carries ``state_index`` nodes, relax toward it.
 
-    ``backend='grid'`` uses the discrete banded eigensolve (any potential);
+    ``backend='grid'`` uses the discrete banded eigensolve (any potential),
+    on V sampled and the kinetic operator built once per solve;
     ``backend='exact'`` uses closed-form piecewise-constant linear shooting,
     so the converged energy is free of discretization error and comparable
-    with :func:`solve_stationary_shooting` at 1e-8.
+    with :func:`solve_stationary_shooting` at 1e-8. Under the ``reject``
+    guard every iterate and every linearized eigenvalue is checked for
+    E = V(x) inside the domain.
     """
     if state_index < 0:
         raise ConfigurationError("state_index must be >= 0")
@@ -177,21 +206,23 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
         raise ConfigurationError("damping must lie in (0, 1]")
     if backend not in ("grid", "exact"):
         raise ConfigurationError(f"unknown backend {backend!r}")
+    reject = guard.mode == REJECT
     if backend == "exact":
         edges, region_values = piecewise_regions(V, grid.x_min, grid.x_max)
+    else:
+        factor, lap = kinetic_operator(grid, units)
+        v = np.asarray(evaluate(V, grid.x), dtype=float)
 
     e_k = float(e_init)
     history = [e_k]
     state = None
     for it in range(1, max_iter + 1):
         # surfacing singularities is part of the contract: check every iterate
-        sset = find_singular_set(V, e_k, E_EQUALS_V, grid)
-        if not sset.empty and guard.mode == REJECT:
-            raise SingularRegionError(
-                f"iterate E={e_k} has E = V(x) at {sset.locations}", sset)
+        if reject:
+            _reject_singular(V, e_k, grid, "iterate")
         if backend == "grid":
-            w = effective_potential(V, e_k, grid, guard)
-            mu, state = _grid_eigensolve_by_nodes(grid, w, state_index, units)
+            w = _effective_samples(v, e_k, guard)
+            mu, state = _grid_eigenpair(lap, factor, w, state_index)
         else:
             w_regions = 3.0 * region_values - region_values**2 / (e_k - region_values)
             mu = linear_bound_state_energy(edges, w_regions, state_index, units)
@@ -211,7 +242,9 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
         # landing where the profile is stationary), mu is already the exact
         # fixed point: re-solving at mu would reproduce the same operator
         if backend == "grid":
-            w_at_mu = effective_potential(V, mu, grid, guard)
+            if reject:
+                _reject_singular(V, mu, grid, "linearized eigenvalue")
+            w_at_mu = _effective_samples(v, mu, guard)
             stationary = np.array_equal(w_at_mu, w)
         else:
             w_at_mu = 3.0 * region_values - region_values**2 / (mu - region_values)
@@ -346,25 +379,33 @@ def propagate_timedep(state0: TimeDepState, V: PotentialSpec, dt: float,
     if dt <= 0 or dt > limit:
         raise ConfigurationError(
             f"dt={dt} violates the stability bound {limit:.3e}")
-    lap = build_laplacian(grid).matrix
-    psi_prev = state0.psi.values
+    # one cast to the field dtype, not an upcast inside every matvec
+    lap = build_laplacian(grid).matrix.astype(state0.psi.values.dtype)
+    dt2 = dt**2
+    psi_prev = state0.psi.values.copy()  # the loop reuses it as a buffer
     vel = state0.dpsi_dt.values
     acc = s * (lap @ psi_prev)
-    psi = psi_prev + dt * vel + 0.5 * dt**2 * acc
+    psi = psi_prev + dt * vel + 0.5 * dt2 * acc
     trajectory = [state0]
     if stride == 1 or steps <= 1:  # step 1 is kept like step k below
-        trajectory.append(TimeDepState(WaveField(psi, grid),
+        trajectory.append(TimeDepState(WaveField(psi.copy(), grid),
                                        WaveField(vel + dt * acc, grid),
                                        state0.t + dt, state0.E, state0.epsilon))
+    psi_next = np.empty_like(psi)
     for k in range(2, steps + 1):
-        acc = s * (lap @ psi)
-        psi_next = 2.0 * psi - psi_prev + dt**2 * acc
+        # psi_next = 2 psi - psi_prev + dt^2 s (lap psi), in place
+        acc = lap @ psi
+        np.multiply(s, acc, out=acc)
+        np.multiply(dt2, acc, out=acc)
+        np.multiply(2.0, psi, out=psi_next)
+        psi_next -= psi_prev
+        psi_next += acc
         if k % stride == 0 or k == steps:
             vel = (psi_next - psi_prev) / (2.0 * dt)
             trajectory.append(TimeDepState(
-                WaveField(psi_next, grid), WaveField(vel, grid),
+                WaveField(psi_next.copy(), grid), WaveField(vel, grid),
                 state0.t + k * dt, state0.E, state0.epsilon))
-        psi_prev, psi = psi, psi_next
+        psi_prev, psi, psi_next = psi, psi_next, psi_prev
     return trajectory
 
 

@@ -235,26 +235,40 @@ def count_nodes(values: np.ndarray, rel_floor: float = 1e-8) -> int:
     return int(np.sum(np.signbit(v[:-1]) != np.signbit(v[1:])))
 
 
+def dirichlet_block(grid: Grid):
+    """First node and size of the unknowns block of a Dirichlet grid.
+
+    Line grids pin the end nodes (walls on the grid); radial grids put the
+    walls one spacing outside, so every node is an unknown.
+    """
+    if grid.kind == RADIAL:
+        return 0, grid.n_points
+    return 1, grid.n_points - 2
+
+
 def lowest_eigenpairs(kinetic: BandedOperator, kinetic_factor: float,
-                      potential: np.ndarray, n_states: int):
-    """Lowest eigenpairs of ``kinetic_factor * L + diag(potential)``.
+                      potential: np.ndarray, n_states: int, first: int = 0):
+    """Eigenpairs ``first`` .. ``first + n_states - 1`` (ascending) of
+    ``kinetic_factor * L + diag(potential)``; the lowest ones by default.
 
     Dirichlet/radial grids use a symmetric banded solve on the interior
-    block; periodic grids fall back to a dense symmetric solve. Returned
-    states live on the full grid (end values zero for Dirichlet) and are
-    normalized under trapezoidal quadrature.
+    block, which computes only the requested index window; periodic grids
+    fall back to a dense symmetric solve. Returned states live on the full
+    grid (end values zero for Dirichlet) and are normalized under
+    trapezoidal quadrature.
     """
     grid = kinetic.grid
     n = grid.n_points
     if n_states < 1:
         raise ConfigurationError("n_states must be >= 1")
+    if first < 0:
+        raise ConfigurationError("first must be >= 0")
+    last = first + n_states - 1
     if grid.boundary == DIRICHLET:
-        # Line grids pin the end nodes (walls on the grid); radial grids put
-        # the walls one spacing outside, so every node is an unknown.
-        lo = 0 if grid.kind == RADIAL else 1
-        m = n if grid.kind == RADIAL else n - 2
-        if n_states > m:
-            raise ConfigurationError(f"n_states={n_states} exceeds interior size {m}")
+        lo, m = dirichlet_block(grid)
+        if last >= m:
+            raise ConfigurationError(
+                f"eigenpairs up to index {last} exceed interior size {m}")
         bw = kinetic.bandwidth
         band = np.zeros((bw + 1, m))
         for k in range(bw + 1):
@@ -264,15 +278,16 @@ def lowest_eigenpairs(kinetic: BandedOperator, kinetic_factor: float,
             band[k, : m - k] = kinetic_factor * row[lo : lo + m - k]
         band[0] += potential[lo : lo + m]
         vals, vecs = scipy.linalg.eig_banded(
-            band, lower=True, select="i", select_range=(0, n_states - 1))
+            band, lower=True, select="i", select_range=(first, last))
         states = np.zeros((n, n_states))
         states[lo : lo + m, :] = vecs
     else:
-        if n_states > n:
-            raise ConfigurationError(f"n_states={n_states} exceeds grid size {n}")
+        if last >= n:
+            raise ConfigurationError(
+                f"eigenpairs up to index {last} exceed grid size {n}")
         dense = kinetic_factor * kinetic.to_dense() + np.diag(potential)
         vals, vecs = scipy.linalg.eigh(dense)
-        vals, states = vals[:n_states], vecs[:, :n_states]
+        vals, states = vals[first : last + 1], vecs[:, first : last + 1]
     w = grid.trapezoid_weights
     norms = np.sqrt(np.einsum("i,ij->j", w, states**2))
     states = states / norms

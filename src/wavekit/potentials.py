@@ -4,6 +4,8 @@ V = -E0 that the modified equations introduce through their denominators.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +59,13 @@ class PotentialSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"unknown potential variant {self.variant!r}")
+        for name in _SCALAR_FIELDS:
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                    and math.isfinite(value)):
+                raise ConfigurationError(f"{name} must be a finite number")
+        for name in _LIST_FIELDS:
+            _check_finite_list(name, getattr(self, name))
         if self.variant == SQUARE_WELL and (self.depth <= 0 or self.half_width <= 0):
             raise ConfigurationError("square_well needs depth > 0 and half_width > 0")
         if self.variant == BARRIER and not self.left < self.right:
@@ -69,6 +78,8 @@ class PotentialSpec:
         if self.variant == TABULATED:
             if len(self.sample_x) != len(self.sample_v):
                 raise ConfigurationError("tabulated needs matching sample arrays")
+            if len(self.sample_x) < 2:
+                raise ConfigurationError("tabulated needs at least two samples")
             _check_increasing("tabulated sample_x", self.sample_x)
 
     # -- factories ---------------------------------------------------------
@@ -110,13 +121,23 @@ class PotentialSpec:
         return self.variant in (FREE, SQUARE_WELL, STEP, BARRIER, PIECEWISE_CONSTANT)
 
 
-def _check_increasing(name: str, seq):
-    """``evaluate`` and ``region_edges`` read positions in ascending order."""
+_SCALAR_FIELDS = ("center", "depth", "half_width", "height", "edge", "left",
+                  "right", "omega", "mass", "strength")
+_LIST_FIELDS = ("breakpoints", "values", "sample_x", "sample_v")
+
+
+def _check_finite_list(name: str, seq):
     try:
         x = np.asarray(seq, dtype=float)
     except (TypeError, ValueError):
         raise ConfigurationError(f"{name} must be a list of numbers") from None
-    if x.ndim != 1 or not np.all(np.diff(x) > 0):
+    if x.ndim != 1 or not np.all(np.isfinite(x)):
+        raise ConfigurationError(f"{name} must be a list of finite numbers")
+
+
+def _check_increasing(name: str, seq):
+    """``evaluate`` and ``region_edges`` read positions in ascending order."""
+    if not np.all(np.diff(np.asarray(seq, dtype=float)) > 0):
         raise ConfigurationError(f"{name} must be strictly increasing")
 
 

@@ -79,6 +79,8 @@ SOLVER_DEFAULTS = {
     "momenta": [0.5, 1.0, 2.0],
     "potential_value": 0.0,
     "epsilon": None,
+    "E": None,
+    "mode": 1,
 }
 
 OUTPUT_DEFAULTS = {"path": None, "format": "json", "frame_stride": 10}
@@ -153,9 +155,58 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_integer(value) -> bool:
+    """An integer, also when written as an integral float."""
+    return _is_number(value) and float(value).is_integer()
+
+
 def _is_count(value) -> bool:
     """An integer >= 1, also when written as an integral float."""
-    return _is_number(value) and float(value).is_integer() and value >= 1
+    return _is_integer(value) and value >= 1
+
+
+def _is_finite(value) -> bool:
+    return _is_number(value) and bool(np.isfinite(value))
+
+
+def _is_bracket(value) -> bool:
+    """Two finite numbers in increasing order."""
+    return (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(_is_finite(v) for v in value) and value[0] < value[1])
+
+
+#: Parse-time checks of the solver keys: (keys, check, what a value must
+#: be). Every key that fails is listed with the other config failures.
+SOLVER_CHECKS = (
+    (("tol", "dt", "guard_floor"),
+     lambda v: _is_number(v) and 0 < v < np.inf, "a number > 0"),
+    (("n_states", "steps", "max_iter"), _is_count, "an integer >= 1"),
+    (("state_index",), lambda v: _is_integer(v) and v >= 0, "an integer >= 0"),
+    (("mode",), _is_integer, "an integer"),
+    (("e_init", "wilson_r", "potential_value"), _is_finite, "a finite number"),
+    (("epsilon", "E"), lambda v: v is None or _is_finite(v),
+     "null or a finite number"),
+    (("e_bracket",), lambda v: v is None or _is_bracket(v),
+     "null or two finite increasing numbers"),
+    (("momenta",), lambda v: isinstance(v, list) and all(map(_is_finite, v)),
+     "a list of finite numbers"),
+    (("damping",), lambda v: _is_number(v) and 0.0 < v <= 1.0,
+     "a number in (0, 1]"),
+    (("method",), lambda v: v in ("fixed_point", "shooting"),
+     "fixed_point or shooting"),
+    (("backend",), lambda v: v in ("grid", "exact"), "grid or exact"),
+    (("policy",), lambda v: v in ("reject", "clamp"), "reject or clamp"),
+)
+
+
+def _mapping(doc: dict, name: str, failures: list) -> dict:
+    """The config's ``name`` block; {} when absent, and also when it is not
+    a mapping, which is listed as a failure."""
+    block = doc.get(name)
+    if block is None or isinstance(block, dict):
+        return block or {}
+    failures.append(f"{name} block must be a mapping")
+    return {}
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -175,7 +226,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         failures.append(f"unknown equation id {equation!r}{hint}")
         equation = "schrodinger"
 
-    units_block = dict(doc.get("units") or {})
+    units_block = dict(_mapping(doc, "units", failures))
     if "c" not in units_block:
         units_block["c"] = ATOMIC_C if equation in RELATIVISTIC_IDS else 1.0
     try:
@@ -207,17 +258,14 @@ def parse_scenario(text: str) -> ScenarioConfig:
             failures.append(f"grid: {exc}")
             grid = Grid.line(0.0, 1.0, 8)
 
-    solver = {**SOLVER_DEFAULTS, **(doc.get("solver") or {})}
-    for key in ("tol", "dt"):
-        if not (_is_number(solver[key]) and 0 < solver[key] < np.inf):
-            failures.append(f"solver.{key} must be a number > 0")
-    for key in ("n_states", "steps"):
-        if not _is_count(solver[key]):
-            failures.append(f"solver.{key} must be an integer >= 1")
-    if not (_is_number(solver["damping"]) and 0.0 < solver["damping"] <= 1.0):
-        failures.append("solver.damping must lie in (0, 1]")
+    solver = {**SOLVER_DEFAULTS, **_mapping(doc, "solver", failures)}
+    for keys, check, what in SOLVER_CHECKS:
+        for key in keys:
+            if not check(solver[key]):
+                failures.append(f"solver.{key} must be {what}, "
+                                f"got {solver[key]!r}")
 
-    output = {**OUTPUT_DEFAULTS, **(doc.get("output") or {})}
+    output = {**OUTPUT_DEFAULTS, **_mapping(doc, "output", failures)}
     if output["format"] not in ("json", "csv"):
         failures.append(f"unknown output format {output['format']!r}")
     if not _is_count(output["frame_stride"]):
@@ -270,7 +318,7 @@ def _trajectory_payload(trajectory, grid, steps, stride):
 def _initial_wave(config: ScenarioConfig):
     """Initial data for time-dependent runs: a plane-wave mode by default."""
     grid = config.grid
-    mode = int(config.solver.get("mode", 1))
+    mode = int(config.solver["mode"])
     k = 2.0 * np.pi * mode / (grid.x_max - grid.x_min)
     psi = np.exp(1j * k * grid.x)
     return WaveField(psi, grid), k
@@ -332,7 +380,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
             eps = solver["epsilon"]
             if eps is None:
                 eps = (units.hbar * k) ** 2 / (2.0 * units.m)
-            E = float(solver.get("E", eps))
+            E = float(eps if solver["E"] is None else solver["E"])
             dpsi0 = WaveField(-1j * eps / units.hbar * psi0.values, grid)
             state0 = TimeDepState(psi0, dpsi0, 0.0, E, float(eps))
             traj = propagate_timedep(state0, config.potential,

@@ -31,7 +31,9 @@ def piecewise_regions(spec: PotentialSpec, x_min: float, x_max: float):
     return edges, evaluate(spec, 0.5 * (edges[:-1] + edges[1:]))
 
 
-#: Decay rates below which kappa sinh(700) cannot overflow.
+#: Largest cosh/sinh argument of a transfer; decay rates below
+#: ``_SAFE_RATE`` keep kappa sinh of it finite.
+_GROW_CLAMP = 700.0
 _SAFE_RATE = 3.5e4
 
 
@@ -56,7 +58,7 @@ def _transfer(w, width):
     phase = k * width
     osc = w > 0
     wave = np.where(osc, phase, 0.0)
-    grow = np.where(osc, 0.0, np.minimum(phase, 700.0))  # renormalized after
+    grow = np.where(osc, 0.0, np.minimum(phase, _GROW_CLAMP))  # renormalized after
     s, c = np.sin(wave), np.cos(wave)
     sh, ch = np.sinh(grow), np.cosh(grow)
     lin = k == 0
@@ -195,6 +197,22 @@ def sample_shot(edges, coeffs, n_per_region: int = 200):
     local = np.linspace(0.0, widths, n_per_region, endpoint=False, axis=1)
     local[-1] = np.linspace(0.0, widths[-1], n_per_region)
     ps, _ = _step(starts[0][:, None], starts[1][:, None], coeffs[:, None], local)
+    # An overflowing region's transfer leaves its end state times e^-G, for
+    # G = kappa width its whole growth (up to the decaying part the clamp
+    # drops). Sample cells past the overflow carry their own e^-g instead:
+    # put every sample of the region on the one scale e^-G, and take e^-G
+    # off the samples before it as well.
+    if coeffs.min() <= -_SAFE_RATE**2:
+        kappa = np.sqrt(np.maximum(-coeffs, 0.0))
+        with np.errstate(over="ignore"):
+            over = np.isinf(kappa * np.sinh(np.minimum(kappa * widths,
+                                                       _GROW_CLAMP)))
+        for j in np.flatnonzero(over):
+            g, full = kappa[j] * local[j], kappa[j] * widths[j]
+            up, down = np.exp(g - full), np.exp(-g - full)
+            ps[j] = 0.5 * ((up + down) * starts[0, j]
+                           + (up - down) / kappa[j] * starts[1, j])
+            ps[:j] *= np.exp(-full)
     # keep earlier samples in the same normalization as the marching state
     for j, scale in enumerate(scales):
         ps[:j + 1] /= scale

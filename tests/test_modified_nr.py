@@ -2,15 +2,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from wavekit import modified_nr as mnr
 from wavekit.errors import (ConfigurationError, NoRootError,
                             NonConvergenceError, NonHyperbolicRegimeError,
-                            SingularRegionError)
+                            SingularRegionError, StateTrackingError)
 from wavekit.numgrid import Grid, WaveField
 from wavekit.potentials import PotentialSpec
 from wavekit.reference import (hydrogen_ground_state, infinite_well_energy,
-                               solve_schrodinger_stationary)
+                               kinetic_operator, solve_schrodinger_stationary)
 from wavekit.units import UnitSystem
 
 U = UnitSystem()
@@ -137,6 +138,84 @@ def test_fixed_point_surfaces_singular_iterate():
     with pytest.raises(SingularRegionError):
         mnr.solve_stationary_fixed_point(
             g, PotentialSpec.harmonic(1.0), 0, e_init=1.0, units=U)
+
+
+def _frozen_eigenvalues(grid, spec, E):
+    """eigvalsh of the dense operator -hbar^2/2m L + W(E) on the unknowns."""
+    factor, lap = kinetic_operator(grid, U)
+    h = factor * lap.to_dense() + np.diag(mnr.effective_potential(spec, E, grid))
+    unknowns = slice(None) if grid.kind == "radial" else slice(1, -1)
+    return scipy.linalg.eigvalsh(h[unknowns, unknowns])
+
+
+@pytest.mark.parametrize("grid, spec", [
+    (Grid.line(-4.0, 4.0, 400), PotentialSpec.barrier(40.0, -1.0, 1.0)),
+    (Grid.radial(8.0, 400), PotentialSpec.barrier(80.0, 3.0, 5.0)),
+])
+@pytest.mark.parametrize("index", [0, 1, 2, 3])
+def test_grid_fixed_point_is_eigenvalue_index_k_of_the_frozen_operator(
+        grid, spec, index):
+    # a high central barrier makes two wells. On the line grid they are
+    # mirror images and the pairs are degenerate to about 2e-12; on the
+    # radial grid they differ slightly, states localize in one well each,
+    # and a node inside the barrier lies far below the sampling floor of
+    # count_nodes. Only the eigenvalue index identifies the state there.
+    res = mnr.solve_stationary_fixed_point(grid, spec, index, 1.0, units=U)
+    mu = _frozen_eigenvalues(grid, spec, res.energy)[index]
+    assert abs(mu - res.energy) <= 1e-10 + 1e-12
+    assert res.node_count == index
+
+
+@pytest.mark.parametrize("grid, index", [(Grid.line(-1.0, 1.0, 10), 8),
+                                         (Grid.radial(2.0, 10), 10)])
+def test_grid_fixed_point_state_beyond_the_grid_is_a_tracking_error(grid,
+                                                                   index):
+    spec = PotentialSpec.square_well(1.0, 0.5, center=0.5 * grid.x_max)
+    with pytest.raises(StateTrackingError):
+        mnr.solve_stationary_fixed_point(grid, spec, index, -0.5, units=U)
+
+
+def test_fixed_point_surfaces_singular_linearized_eigenvalue():
+    # the iterate E = -1 lies below V everywhere; its linear eigenvalue mu
+    # does not, and E = V at x = +-sqrt(2 mu) must surface
+    g = Grid.line(-6.0, 6.0, 400)
+    spec = PotentialSpec.harmonic(1.0)
+    mu = _frozen_eigenvalues(g, spec, -1.0)[0]
+    with pytest.raises(SingularRegionError) as exc:
+        mnr.solve_stationary_fixed_point(g, spec, 0, e_init=-1.0, units=U)
+    root = np.sqrt(2.0 * mu)
+    np.testing.assert_allclose(exc.value.singular_set.locations, [-root, root],
+                               atol=1e-9)
+
+
+@pytest.mark.parametrize("spec, index, e_init, policy", [
+    (PotentialSpec.barrier(40.0, -1.0, 1.0), 1, 1.0, "reject"),  # converges
+    (PotentialSpec.square_well(12.0, 1.0), 1, -6.0, "reject"),   # wanders
+    (PotentialSpec.harmonic(1.0), 0, -1.0, "clamp"),
+])
+def test_grid_fixed_point_samples_v_once_and_scans_twice_per_iterate(
+        monkeypatch, spec, index, e_init, policy):
+    calls = {"scan": 0, "sample": 0}
+    scan, sample = mnr.find_singular_set, mnr.evaluate
+
+    def counted_scan(*args, **kwargs):
+        calls["scan"] += 1
+        return scan(*args, **kwargs)
+
+    def counted_sample(*args, **kwargs):
+        calls["sample"] += 1
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(mnr, "find_singular_set", counted_scan)
+    monkeypatch.setattr(mnr, "evaluate", counted_sample)
+    try:
+        iterations = mnr.solve_stationary_fixed_point(
+            Grid.line(-4.0, 4.0, 400), spec, index, e_init, max_iter=40,
+            units=U, guard=mnr.GuardPolicy(policy)).iterations
+    except NonConvergenceError as exc:
+        iterations = len(exc.history) - 1
+    assert calls["sample"] == 1
+    assert calls["scan"] <= (2 * iterations if policy == "reject" else 0)
 
 
 def test_free_scaling_covariance():

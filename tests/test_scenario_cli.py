@@ -290,6 +290,10 @@ potential: {variant: free}
     ("solver: {n_states: four}", "solver.n_states"),
     ("output: {frame_stride: x}", "output.frame_stride"),
     ("output: {frame_stride: 0}", "output.frame_stride"),
+    ("solver: {mode: x}", "solver.mode"),
+    ("solver: {mode: 1.5}", "solver.mode"),
+    ("solver: {epsilon: x}", "solver.epsilon"),
+    ("solver: {epsilon: .nan}", "solver.epsilon"),
 ])
 def test_cli_malformed_stepper_keys_exit_2(tmp_path, block, key):
     cfg = _write(tmp_path, "bad.yaml", PROPAGATE + block + "\n")
@@ -341,3 +345,81 @@ potential: {potential}
                      "--quiet"]) == 2
     failures = json.loads(out.read_text())["failures"]
     assert any("strictly increasing" in f for f in failures)
+
+
+STATIONARY = """\
+equation: modified_nr_stationary
+grid: {kind: line, x_min: -8.0, x_max: 8.0, n_points: 400}
+potential: {variant: square_well, depth: 12.0, half_width: 1.0}
+"""
+
+
+@pytest.mark.parametrize("block, key", [
+    ("solver: {e_bracket: 3}", "solver.e_bracket"),
+    ("solver: {e_bracket: [-1.0]}", "solver.e_bracket"),
+    ("solver: {e_bracket: [-1.0, x]}", "solver.e_bracket"),
+    ("solver: {e_bracket: [-1.0, .inf]}", "solver.e_bracket"),
+    ("solver: {e_bracket: [-1.0, -2.0], method: shooting}", "solver.e_bracket"),
+    ("solver: {method: bogus}", "solver.method"),
+    ("solver: {backend: bogus}", "solver.backend"),
+    ("solver: {policy: bogus}", "solver.policy"),
+    ("solver: {e_init: x}", "solver.e_init"),
+    ("solver: {e_init: .nan}", "solver.e_init"),
+    ("solver: {state_index: -1}", "solver.state_index"),
+    ("solver: {state_index: x}", "solver.state_index"),
+    ("solver: {max_iter: x}", "solver.max_iter"),
+    ("solver: {guard_floor: x}", "solver.guard_floor"),
+    ("solver: {wilson_r: x}", "solver.wilson_r"),
+    ("solver: {E: x}", "solver.E"),
+    ("solver: {potential_value: x}", "solver.potential_value"),
+    ("solver: {momenta: [1.0, x]}", "solver.momenta"),
+    ("solver: 3", "solver block"),
+    ("output: [json]", "output block"),
+    ("units: 1.0", "units block"),
+])
+def test_cli_malformed_solver_keys_exit_2(tmp_path, block, key):
+    cfg = _write(tmp_path, "bad.yaml", STATIONARY + block + "\n")
+    out = tmp_path / "err.json"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 2
+    obj = json.loads(out.read_text())
+    assert obj["error"] == "ConfigurationError"
+    assert any(f.startswith(key) for f in obj["failures"])
+
+
+@pytest.mark.parametrize("potential, field", [
+    ("{variant: square_well, depth: .nan, half_width: 1.0}", "depth"),
+    ("{variant: harmonic, omega: .inf}", "omega"),
+    ("{variant: step, height: x, edge: 0.0}", "height"),
+    ("{variant: piecewise_constant, breakpoints: [0.0], values: [0.0, .nan]}",
+     "values"),
+    ("{variant: tabulated, sample_x: [], sample_v: []}", "tabulated"),
+])
+def test_cli_non_finite_or_empty_potential_exits_2(tmp_path, potential, field):
+    cfg = _write(tmp_path, "bad.yaml", f"""\
+equation: schrodinger
+grid: {{kind: line, x_min: -4.0, x_max: 4.0, n_points: 64}}
+potential: {potential}
+""")
+    out = tmp_path / "err.json"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 2
+    failures = json.loads(out.read_text())["failures"]
+    assert any(f.startswith(f"potential: {field}") for f in failures)
+
+
+def test_cli_deep_well_state_1_still_wanders_to_exit_3(tmp_path):
+    # a depth-12 well with state_index 1 from e_init in [-7, -5]: the
+    # iterate leaves the well and wanders for all 200 iterations. On the
+    # way some linearized operators have near-degenerate pairs whose
+    # states come back mixed; picking by eigenvalue index must keep the
+    # outcome
+    out = tmp_path / "err.json"
+    for e_init in np.random.default_rng(6).uniform(-7.0, -5.0, 200):
+        solver = f"solver: {{state_index: 1, e_init: {float(e_init)!r}}}\n"
+        cfg = _write(tmp_path, "wander.yaml", STATIONARY + solver)
+        assert cli.main(["solve", "--config", cfg, "--out", str(out),
+                         "--quiet"]) == 3
+        obj = json.loads(out.read_text())
+        assert obj["error"] == "NonConvergenceError"
+        assert len(obj["iterate_history"]) == 201

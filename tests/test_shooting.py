@@ -129,6 +129,24 @@ def test_marchers_stay_finite_past_the_decay_rate_overflow():
                                                              thin)[0] == 8
 
 
+@pytest.mark.parametrize("e", [10.0 - 1e-7, 10.0 - 1e-9])
+def test_sample_shot_puts_an_overflowing_region_on_one_scale(e):
+    # the barrier above, where kappa sinh(700) overflows: the shot must have
+    # the shape of the same barrier split into thin regions (which need no
+    # clamp), not a spike at the first barrier sample past the overflow
+    v = np.array([0.0, 10.0, 0.0])
+    coeffs = SCALE * (e - 2.0 * v) ** 2 / (e - v)
+    kappa = math.sqrt(-coeffs[1])
+    m = math.ceil(2.0 * kappa / 600.0)
+    x, p = sample_shot(np.array([-4.0, -1.0, 1.0, 4.0]), coeffs)
+    thin_edges = np.concatenate([[-4.0], np.linspace(-1.0, 1.0, m + 1), [4.0]])
+    thin = np.concatenate([[coeffs[0]], np.full(m, coeffs[1]), [coeffs[2]]])
+    x_thin, p_thin = sample_shot(thin_edges, thin)
+    np.testing.assert_allclose(p, np.interp(x, x_thin, p_thin), rtol=0.0,
+                               atol=1e-12)
+    assert np.max(np.abs(p[x > 1.0])) == 1.0
+
+
 # -- region-by-region references: the marchers evaluate the transfer
 # coefficients of all regions at once and must give the same floats
 
