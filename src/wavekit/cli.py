@@ -11,18 +11,11 @@ import json
 import sys
 from pathlib import Path
 
-import yaml
-
 from .errors import ConfigurationError, WavekitError
-from .scenario import (EXIT_CONFIG, EXIT_NONCONVERGENCE, EXIT_OK, RunReport,
-                       compare_reports, error_object, frames_csv,
-                       parse_scenario, run_scenario, run_sweep, spectrum_csv,
-                       sweep_table)
-
-STATIONARY_IDS = ("schrodinger", "modified_nr_stationary",
-                  "modified_rel_stationary", "spin_half_stationary",
-                  "massless_spin_half")
-TIMEDEP_IDS = ("modified_nr_timedep", "modified_rel_timedep")
+from .scenario import (EQUATIONS, EXIT_CONFIG, EXIT_NONCONVERGENCE, EXIT_OK,
+                       RunReport, compare_reports, error_object, frames_csv,
+                       parse_scenario, parse_sweep, run_scenario, run_sweep,
+                       spectrum_csv, sweep_table)
 
 
 def _read_config(path: str) -> str:
@@ -59,34 +52,23 @@ def _write_error(exc: WavekitError, out: str | None, quiet: bool) -> int:
     return obj["exit_code"]
 
 
-def _run_command(args, expected_ids) -> int:
+def cmd_scenario(args) -> int:
+    """solve / propagate / dispersion: one run of an equation of the command."""
     try:
         config = parse_scenario(_read_config(args.config))
-        if config.equation not in expected_ids:
+        command = EQUATIONS[config.equation].command
+        if command != args.command:
             raise ConfigurationError(
-                f"equation {config.equation!r} is not valid for this command "
-                f"(expected one of {expected_ids})")
+                f"equation {config.equation!r} is run by 'wavekit {command}', "
+                f"not 'wavekit {args.command}'")
         if args.frame_stride is not None:
             if args.frame_stride < 1:
                 raise ConfigurationError("--frame-stride must be >= 1")
             config.output["frame_stride"] = args.frame_stride
-        report = run_scenario(config)
+        _write_report(run_scenario(config), args.out, args.format, args.quiet)
     except WavekitError as exc:
         return _write_error(exc, args.out, args.quiet)
-    _write_report(report, args.out, args.format, args.quiet)
     return EXIT_OK
-
-
-def cmd_solve(args) -> int:
-    return _run_command(args, STATIONARY_IDS)
-
-
-def cmd_propagate(args) -> int:
-    return _run_command(args, TIMEDEP_IDS)
-
-
-def cmd_dispersion(args) -> int:
-    return _run_command(args, ("dispersion_audit",))
 
 
 def cmd_compare(args) -> int:
@@ -114,17 +96,7 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     try:
-        doc = yaml.safe_load(_read_config(args.config))
-        if not isinstance(doc, dict) or "sweep" not in doc:
-            raise ConfigurationError("sweep config needs a 'sweep' block "
-                                     "with 'parameter' and 'values'")
-        sweep_block = doc.pop("sweep")
-        parameter = sweep_block.get("parameter")
-        values = sweep_block.get("values")
-        if not parameter:
-            raise ConfigurationError("sweep.parameter is required")
-        if not values:
-            raise ConfigurationError("sweep.values must be a non-empty list")
+        doc, parameter, values = parse_sweep(_read_config(args.config))
         cells = run_sweep(doc, parameter, values, jobs=args.jobs)
     except WavekitError as exc:
         return _write_error(exc, args.out, args.quiet)
@@ -169,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-COMMANDS = {"solve": cmd_solve, "propagate": cmd_propagate,
-            "dispersion": cmd_dispersion, "compare": cmd_compare,
+COMMANDS = {"solve": cmd_scenario, "propagate": cmd_scenario,
+            "dispersion": cmd_scenario, "compare": cmd_compare,
             "sweep": cmd_sweep}
 
 

@@ -207,31 +207,30 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
     if backend not in ("grid", "exact"):
         raise ConfigurationError(f"unknown backend {backend!r}")
     reject = guard.mode == REJECT
+    # V as the exact backend's region values or the grid backend's samples
     if backend == "exact":
-        edges, region_values = piecewise_regions(V, grid.x_min, grid.x_max)
+        edges, v = piecewise_regions(V, grid.x_min, grid.x_max)
     else:
         factor, lap = kinetic_operator(grid, units)
         v = np.asarray(evaluate(V, grid.x), dtype=float)
 
     e_k = float(e_init)
     history = [e_k]
-    state = None
     for it in range(1, max_iter + 1):
         # surfacing singularities is part of the contract: check every iterate
         if reject:
             _reject_singular(V, e_k, grid, "iterate")
+        w = _effective_samples(v, e_k, guard)
         if backend == "grid":
-            w = _effective_samples(v, e_k, guard)
             mu, state = _grid_eigenpair(lap, factor, w, state_index)
         else:
-            w_regions = 3.0 * region_values - region_values**2 / (e_k - region_values)
-            mu = linear_bound_state_energy(edges, w_regions, state_index, units)
+            mu = linear_bound_state_energy(edges, w, state_index, units)
             state = None
         residual = abs(mu - e_k)
         if residual <= tol:
             if state is None:
                 state = shot_state(grid, edges, _nonlinear_coefficient(
-                    e_k, region_values, units)[0])
+                    e_k, v, units)[0])
             else:
                 state = state.normalized()
             return ModifiedEigenResult(
@@ -241,19 +240,13 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
         # when W does not actually depend on E (free case, or an iterate
         # landing where the profile is stationary), mu is already the exact
         # fixed point: re-solving at mu would reproduce the same operator
-        if backend == "grid":
-            if reject:
-                _reject_singular(V, mu, grid, "linearized eigenvalue")
-            w_at_mu = _effective_samples(v, mu, guard)
-            stationary = np.array_equal(w_at_mu, w)
-        else:
-            w_at_mu = 3.0 * region_values - region_values**2 / (mu - region_values)
-            stationary = np.array_equal(w_at_mu, w_regions)
-        if stationary:
+        if reject and backend == "grid":
+            _reject_singular(V, mu, grid, "linearized eigenvalue")
+        if np.array_equal(_effective_samples(v, mu, guard), w):
             history.append(mu)
             if state is None:
                 state = shot_state(grid, edges, _nonlinear_coefficient(
-                    mu, region_values, units)[0])
+                    mu, v, units)[0])
             else:
                 state = state.normalized()
             return ModifiedEigenResult(

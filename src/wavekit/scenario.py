@@ -3,6 +3,7 @@
 Configs are YAML documents (nested key-value text); reports are JSON with
 deterministic ordering; field tables go to CSV. Nothing in the artifact
 uses randomness, so identical configs always produce identical payloads.
+:data:`SCHEMAS` holds every config key, :data:`EQUATIONS` every equation.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -42,48 +44,10 @@ from .modified_rel import (RelScenario, propagate_rel_timedep,
 from .spin_half import SpinorField, solve_massless, solve_spin_half_stationary
 from .units import ATOMIC_C, UnitSystem
 
-EQUATION_IDS = (
-    "schrodinger",
-    "modified_nr_stationary",
-    "modified_nr_timedep",
-    "modified_rel_stationary",
-    "modified_rel_timedep",
-    "spin_half_stationary",
-    "massless_spin_half",
-    "dispersion_audit",
-)
-
-RELATIVISTIC_IDS = ("modified_rel_stationary", "modified_rel_timedep",
-                    "spin_half_stationary", "massless_spin_half")
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_SINGULAR = 4
-
-SOLVER_DEFAULTS = {
-    "n_states": 4,
-    "state_index": 0,
-    "e_init": 1.0,
-    "tol": 1e-10,
-    "max_iter": 200,
-    "damping": 0.5,
-    "wilson_r": 1.0,
-    "dt": 1e-3,
-    "steps": 100,
-    "policy": "reject",
-    "guard_floor": 1e-6,
-    "method": "fixed_point",
-    "backend": "grid",
-    "e_bracket": None,
-    "momenta": [0.5, 1.0, 2.0],
-    "potential_value": 0.0,
-    "epsilon": None,
-    "E": None,
-    "mode": 1,
-}
-
-OUTPUT_DEFAULTS = {"path": None, "format": "json", "frame_stride": 10}
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,16 +104,7 @@ def _jsonable(obj):
     raise TypeError(f"not serializable: {type(obj)}")
 
 
-def _potential_from_dict(block: dict, failures: list) -> PotentialSpec:
-    if not isinstance(block, dict) or "variant" not in block:
-        failures.append("potential block must contain a 'variant'")
-        return PotentialSpec.free()
-    try:
-        return PotentialSpec(**block)
-    except (ConfigurationError, TypeError) as exc:
-        failures.append(f"potential: {exc}")
-        return PotentialSpec.free()
-
+# -- config schema --------------------------------------------------------
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -158,11 +113,6 @@ def _is_number(value) -> bool:
 def _is_integer(value) -> bool:
     """An integer, also when written as an integral float."""
     return _is_number(value) and float(value).is_integer()
-
-
-def _is_count(value) -> bool:
-    """An integer >= 1, also when written as an integral float."""
-    return _is_integer(value) and value >= 1
 
 
 def _is_finite(value) -> bool:
@@ -175,107 +125,162 @@ def _is_bracket(value) -> bool:
             and all(_is_finite(v) for v in value) and value[0] < value[1])
 
 
-#: Parse-time checks of the solver keys: (keys, check, what a value must
-#: be). Every key that fails is listed with the other config failures.
-SOLVER_CHECKS = (
-    (("tol", "dt", "guard_floor"),
-     lambda v: _is_number(v) and 0 < v < np.inf, "a number > 0"),
-    (("n_states", "steps", "max_iter"), _is_count, "an integer >= 1"),
-    (("state_index",), lambda v: _is_integer(v) and v >= 0, "an integer >= 0"),
-    (("mode",), _is_integer, "an integer"),
-    (("e_init", "wilson_r", "potential_value"), _is_finite, "a finite number"),
-    (("epsilon", "E"), lambda v: v is None or _is_finite(v),
-     "null or a finite number"),
-    (("e_bracket",), lambda v: v is None or _is_bracket(v),
-     "null or two finite increasing numbers"),
-    (("momenta",), lambda v: isinstance(v, list) and all(map(_is_finite, v)),
-     "a list of finite numbers"),
-    (("damping",), lambda v: _is_number(v) and 0.0 < v <= 1.0,
-     "a number in (0, 1]"),
-    (("method",), lambda v: v in ("fixed_point", "shooting"),
-     "fixed_point or shooting"),
-    (("backend",), lambda v: v in ("grid", "exact"), "grid or exact"),
-    (("policy",), lambda v: v in ("reject", "clamp"), "reject or clamp"),
-)
+def _one_of(*choices):
+    return (lambda v: v in choices), " or ".join(choices)
 
 
-def _mapping(doc: dict, name: str, failures: list) -> dict:
-    """The config's ``name`` block; {} when absent, and also when it is not
-    a mapping, which is listed as a failure."""
-    block = doc.get(name)
-    if block is None or isinstance(block, dict):
-        return block or {}
-    failures.append(f"{name} block must be a mapping")
-    return {}
+_POSITIVE = (lambda v: _is_number(v) and 0 < v < np.inf), "a number > 0"
+_FINITE = _is_finite, "a finite number"
+_FINITE_OR_NULL = (lambda v: v is None or _is_finite(v)), "null or a finite number"
+_COUNT = (lambda v: _is_integer(v) and v >= 1), "an integer >= 1"
+
+#: Every config block but ``equation`` and ``potential`` (which
+#: :class:`PotentialSpec` checks): key -> (default, check, what a value must
+#: be). A key not listed is rejected. ``sweep`` is the extra block of a
+#: ``wavekit sweep`` config.
+SCHEMAS = {
+    "units": {
+        "hbar": (1.0, *_POSITIVE),
+        "m": (1.0, *_POSITIVE),
+        "c": (1.0, *_POSITIVE),  # ATOMIC_C where EQUATIONS says so
+        "e": (1.0, *_FINITE),
+    },
+    "grid": {
+        "kind": ("line", *_one_of("line", "radial")),
+        "x_min": (0.0, *_FINITE),
+        "x_max": (1.0, *_FINITE),
+        "n_points": (128, _is_integer, "an integer"),
+        "boundary": ("dirichlet", *_one_of("dirichlet", "periodic")),
+    },
+    "solver": {
+        "n_states": (4, *_COUNT),
+        "state_index": (0, lambda v: _is_integer(v) and v >= 0, "an integer >= 0"),
+        "e_init": (1.0, *_FINITE),
+        "tol": (1e-10, *_POSITIVE),
+        "max_iter": (200, *_COUNT),
+        "damping": (0.5, lambda v: _is_number(v) and 0.0 < v <= 1.0,
+                    "a number in (0, 1]"),
+        "wilson_r": (1.0, *_FINITE),
+        "dt": (1e-3, *_POSITIVE),
+        "steps": (100, *_COUNT),
+        "policy": ("reject", *_one_of("reject", "clamp")),
+        "guard_floor": (1e-6, *_POSITIVE),
+        "method": ("fixed_point", *_one_of("fixed_point", "shooting")),
+        "backend": ("grid", *_one_of("grid", "exact")),
+        "e_bracket": (None, lambda v: v is None or _is_bracket(v),
+                      "null or two finite increasing numbers"),
+        "momenta": ([0.5, 1.0, 2.0],
+                    lambda v: isinstance(v, list) and all(map(_is_finite, v)),
+                    "a list of finite numbers"),
+        "potential_value": (0.0, *_FINITE),
+        "epsilon": (None, *_FINITE_OR_NULL),
+        "E": (None, *_FINITE_OR_NULL),
+        "mode": (1, _is_integer, "an integer"),
+    },
+    "output": {"frame_stride": (10, *_COUNT)},
+    "sweep": {
+        "parameter": (None, lambda v: isinstance(v, str) and all(v.split(".")),
+                      "a dotted key path"),
+        "values": (None, lambda v: isinstance(v, list) and len(v) > 0,
+                   "a non-empty list"),
+    },
+}
+
+SCENARIO_BLOCKS = ("equation", "potential", "units", "grid", "solver", "output")
 
 
-def parse_scenario(text: str) -> ScenarioConfig:
-    """Parse and validate a YAML scenario, reporting every failure at once."""
+def _unknown(what: str, name, known) -> str:
+    """Failure text for an unknown name, with the nearest known one."""
+    near = difflib.get_close_matches(str(name), list(known), n=1)
+    hint = f" (did you mean {near[0]!r}?)" if near else ""
+    return f"unknown {what} {name!r}{hint}"
+
+
+def _config_block(name: str, block, failures: list, **defaults) -> dict | None:
+    """Block ``name`` checked against ``SCHEMAS[name]``: every schema key,
+    with ``defaults``, then the schema's, for those not given; None when
+    something fails. An absent block is empty. Each unknown key and each
+    failing value is appended to ``failures``."""
+    if block is None:
+        block = {}
+    elif not isinstance(block, dict):
+        failures.append(f"{name} block must be a mapping")
+        return None
+    schema = SCHEMAS[name]
+    before = len(failures)
+    failures.extend(_unknown(f"{name} key", key, schema)
+                    for key in block if key not in schema)
+    values = {key: block.get(key, defaults.get(key, spec[0]))
+              for key, spec in schema.items()}
+    for key, (_default, check, what) in schema.items():
+        if not check(values[key]):
+            failures.append(f"{name}.{key} must be {what}, got {values[key]!r}")
+    return values if len(failures) == before else None
+
+
+def _load_mapping(text: str) -> dict:
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"config is not valid YAML: {exc}")
     if not isinstance(doc, dict):
         raise ConfigurationError("config must be a mapping")
-    failures = []
+    return doc
+
+
+def _potential_from_dict(block: dict, failures: list) -> PotentialSpec:
+    if not isinstance(block, dict) or "variant" not in block:
+        failures.append("potential block must contain a 'variant'")
+        return PotentialSpec.free()
+    try:
+        return PotentialSpec(**block)
+    except (ConfigurationError, TypeError) as exc:
+        failures.append(f"potential: {exc}")
+        return PotentialSpec.free()
+
+
+def parse_scenario(text: str) -> ScenarioConfig:
+    """Parse and validate a YAML scenario, reporting every failure at once."""
+    doc = _load_mapping(text)
+    failures = [_unknown("block", key, SCENARIO_BLOCKS)
+                for key in doc if key not in SCENARIO_BLOCKS]
 
     equation = doc.get("equation")
-    if equation not in EQUATION_IDS:
-        near = difflib.get_close_matches(str(equation), EQUATION_IDS, n=1)
-        hint = f" (did you mean {near[0]!r}?)" if near else ""
-        failures.append(f"unknown equation id {equation!r}{hint}")
-        equation = "schrodinger"
+    spec = EQUATIONS.get(equation) if isinstance(equation, str) else None
+    if spec is None:
+        failures.append(_unknown("equation id", equation, EQUATIONS))
+        spec = Equation("solve", False, None)  # check the rest as a solve
+    if doc.get("grid") is None and spec.command != "dispersion":
+        failures.append("missing grid block")
 
-    units_block = dict(_mapping(doc, "units", failures))
-    if "c" not in units_block:
-        units_block["c"] = ATOMIC_C if equation in RELATIVISTIC_IDS else 1.0
-    try:
-        units = UnitSystem(**{k: units_block[k] for k in ("hbar", "m", "c", "e")
-                              if k in units_block})
-    except (ConfigurationError, TypeError) as exc:
-        failures.append(f"units: {exc}")
-        units = UnitSystem()
-
+    units = _config_block("units", doc.get("units"), failures,
+                          c=ATOMIC_C if spec.atomic_c else 1.0)
     potential = _potential_from_dict(doc.get("potential") or {"variant": "free"},
                                      failures)
-
-    grid_block = doc.get("grid")
-    if equation == "dispersion_audit":
-        grid = Grid.line(0.0, 1.0, 8)
-    elif not isinstance(grid_block, dict):
-        failures.append("missing grid block")
-        grid = Grid.line(0.0, 1.0, 8)
-    else:
+    grid = _config_block("grid", doc.get("grid"), failures)
+    solver = _config_block("solver", doc.get("solver"), failures)
+    output = _config_block("output", doc.get("output"), failures)
+    if grid is not None:
         try:
-            grid = Grid(
-                kind=grid_block.get("kind", "line"),
-                x_min=float(grid_block.get("x_min", 0.0)),
-                x_max=float(grid_block.get("x_max", 1.0)),
-                n_points=int(grid_block.get("n_points", 128)),
-                boundary=grid_block.get("boundary", "dirichlet"),
-            )
-        except (ConfigurationError, ValueError) as exc:
+            grid = Grid(grid["kind"], float(grid["x_min"]), float(grid["x_max"]),
+                        int(grid["n_points"]), grid["boundary"])
+        except ConfigurationError as exc:
             failures.append(f"grid: {exc}")
-            grid = Grid.line(0.0, 1.0, 8)
-
-    solver = {**SOLVER_DEFAULTS, **_mapping(doc, "solver", failures)}
-    for keys, check, what in SOLVER_CHECKS:
-        for key in keys:
-            if not check(solver[key]):
-                failures.append(f"solver.{key} must be {what}, "
-                                f"got {solver[key]!r}")
-
-    output = {**OUTPUT_DEFAULTS, **_mapping(doc, "output", failures)}
-    if output["format"] not in ("json", "csv"):
-        failures.append(f"unknown output format {output['format']!r}")
-    if not _is_count(output["frame_stride"]):
-        failures.append("output.frame_stride must be an integer >= 1")
-
     if failures:
         raise ConfigurationError(
             "invalid scenario: " + "; ".join(failures), failures)
-    return ScenarioConfig(equation, units, potential, grid, solver, output,
-                          raw=doc)
+    return ScenarioConfig(equation, UnitSystem(**units), potential, grid,
+                          solver, output, raw=doc)
+
+
+def parse_sweep(text: str):
+    """The base scenario, swept parameter and values of a sweep config."""
+    doc = _load_mapping(text)
+    failures = []
+    sweep = _config_block("sweep", doc.pop("sweep", None), failures)
+    if failures:
+        raise ConfigurationError("invalid sweep: " + "; ".join(failures), failures)
+    return doc, sweep["parameter"], sweep["values"]
 
 
 def emit_scenario(config: ScenarioConfig) -> str:
@@ -283,176 +288,191 @@ def emit_scenario(config: ScenarioConfig) -> str:
     return yaml.safe_dump(config.raw, sort_keys=True)
 
 
-def _spectrum_payload(energies, states, node_counts, residuals, store_states=True):
+# -- runners: config -> (payload, diagnostics) ------------------------------
+
+def _spectrum_payload(energies, states, node_counts, residuals):
     payload = {
         "kind": "spectrum",
         "energies": [float(e) for e in energies],
         "node_counts": [int(n) for n in node_counts],
         "self_consistency_residuals": [float(r) for r in residuals],
     }
-    if store_states and states:
-        ser = []
-        for s in states:
-            if isinstance(s, SpinorField):
-                ser.append({"re": s.up.real.tolist(), "im": s.up.imag.tolist(),
-                            "re2": s.down.real.tolist(),
-                            "im2": s.down.imag.tolist()})
-            else:
-                ser.append({"re": s.values.real.tolist(),
-                            "im": s.values.imag.tolist()})
-        payload["states"] = ser
+    if states:
+        payload["states"] = [
+            {"re": s.up.real.tolist(), "im": s.up.imag.tolist(),
+             "re2": s.down.real.tolist(), "im2": s.down.imag.tolist()}
+            if isinstance(s, SpinorField) else
+            {"re": s.values.real.tolist(), "im": s.values.imag.tolist()}
+            for s in states]
     return payload
 
 
-def _trajectory_payload(trajectory, grid, steps, stride):
-    """Frames at steps 0, stride, 2 stride, ... of a trajectory a stepper
-    kept with the same stride; its last state is the final step, which is
-    a frame only when the stride divides ``steps``."""
-    frames = [{"t": float(s.t), "re": s.psi.values.real.tolist(),
-               "im": s.psi.values.imag.tolist()}
-              for s in trajectory[:steps // stride + 1]]
-    return {"kind": "trajectory", "x": grid.x.tolist(), "frames": frames,
-            "n_steps": steps}
+def _linear_spectrum(res):
+    """Report of a :class:`SpectrumResult`; its residuals go to the payload."""
+    diagnostics = dict(res.diagnostics)
+    residuals = diagnostics.pop("residuals")
+    return (_spectrum_payload(res.energies, res.states, res.node_counts,
+                              residuals), diagnostics)
+
+
+def _modified_spectrum(results):
+    """Report of a list of :class:`ModifiedEigenResult`."""
+    payload = _spectrum_payload(
+        [r.energy for r in results], [r.state for r in results],
+        [r.node_count for r in results],
+        [r.self_consistency_residual for r in results])
+    return payload, {"iterations": [r.iterations for r in results],
+                     "method": results[0].method}
 
 
 def _initial_wave(config: ScenarioConfig):
     """Initial data for time-dependent runs: a plane-wave mode by default."""
     grid = config.grid
-    mode = int(config.solver["mode"])
-    k = 2.0 * np.pi * mode / (grid.x_max - grid.x_min)
-    psi = np.exp(1j * k * grid.x)
-    return WaveField(psi, grid), k
+    k = 2.0 * np.pi * int(config.solver["mode"]) / (grid.x_max - grid.x_min)
+    return WaveField(np.exp(1j * k * grid.x), grid), k
+
+
+def _trajectory(config: ScenarioConfig, trajectory):
+    """Report of a trajectory a stepper kept with stride ``frame_stride``:
+    frames at steps 0, stride, 2 stride, ...; its last state is the final
+    step, which is a frame only when the stride divides ``steps``."""
+    grid, steps = config.grid, int(config.solver["steps"])
+    frames = [{"t": float(s.t), "re": s.psi.values.real.tolist(),
+               "im": s.psi.values.imag.tolist()}
+              for s in trajectory[:steps // int(config.output["frame_stride"]) + 1]]
+    payload = {"kind": "trajectory", "x": grid.x.tolist(), "frames": frames,
+               "n_steps": steps}
+    return payload, {"final_norm": trajectory[-1].psi.norm()}
+
+
+def _run_schrodinger(config: ScenarioConfig):
+    return _linear_spectrum(solve_schrodinger_stationary(
+        config.grid, config.potential, int(config.solver["n_states"]),
+        config.units))
+
+
+def _run_nr_stationary(config: ScenarioConfig):
+    solver = config.solver
+    if solver["method"] == "shooting":
+        if solver["e_bracket"] is None:
+            raise ConfigurationError("shooting requires solver.e_bracket")
+        return _modified_spectrum(solve_stationary_shooting(
+            config.grid, config.potential, solver["e_bracket"], config.units))
+    return _modified_spectrum([solve_stationary_fixed_point(
+        config.grid, config.potential, int(solver["state_index"]),
+        float(solver["e_init"]), float(solver["tol"]),
+        int(solver["max_iter"]), float(solver["damping"]), config.units,
+        GuardPolicy(solver["policy"], solver["guard_floor"]),
+        backend=solver["backend"])])
+
+
+def _run_rel_stationary(config: ScenarioConfig):
+    scen = RelScenario(config.units, config.potential, config.grid)
+    if config.solver["e_bracket"] is None:
+        raise ConfigurationError(f"{config.equation} requires solver.e_bracket")
+    return _modified_spectrum(solve_rel_stationary(scen, config.solver["e_bracket"]))
+
+
+def _run_nr_timedep(config: ScenarioConfig):
+    solver, units, grid = config.solver, config.units, config.grid
+    psi0, k = _initial_wave(config)
+    eps = solver["epsilon"]
+    if eps is None:
+        eps = (units.hbar * k) ** 2 / (2.0 * units.m)
+    E = float(eps if solver["E"] is None else solver["E"])
+    dpsi0 = WaveField(-1j * eps / units.hbar * psi0.values, grid)
+    state0 = TimeDepState(psi0, dpsi0, 0.0, E, float(eps))
+    return _trajectory(config, propagate_timedep(
+        state0, config.potential, float(solver["dt"]), int(solver["steps"]),
+        units, int(config.output["frame_stride"])))
+
+
+def _run_rel_timedep(config: ScenarioConfig):
+    units, grid = config.units, config.grid
+    psi0, k = _initial_wave(config)
+    scen = RelScenario(units, config.potential, grid)
+    E = float(np.sqrt((units.c * units.hbar * k) ** 2 + units.E0**2))
+    dpsi0 = WaveField(-1j * E / units.hbar * psi0.values, grid)
+    return _trajectory(config, propagate_rel_timedep(
+        psi0, dpsi0, scen, float(config.solver["dt"]),
+        int(config.solver["steps"]), int(config.output["frame_stride"])))
+
+
+def _run_spin_half(config: ScenarioConfig):
+    return _linear_spectrum(solve_spin_half_stationary(
+        config.grid, config.potential, config.units,
+        float(config.solver["wilson_r"]), int(config.solver["n_states"])))
+
+
+def _run_massless(config: ScenarioConfig):
+    return _linear_spectrum(solve_massless(
+        config.grid, config.potential, config.units,
+        int(config.solver["n_states"])))
+
+
+def _run_dispersion_audit(config: ScenarioConfig):
+    units, solver = config.units, config.solver
+    rows = []
+    v0, E0 = float(solver["potential_value"]), units.E0
+    for p in solver["momenta"]:
+        p = float(p)
+        # each equation has its own dispersion relation at constant V;
+        # pick the E that satisfies it so every residual closes
+        K = p**2 / (2.0 * units.m)
+        e_nr = 0.5 * (K + 4.0 * v0 + np.sqrt(K * (K + 4.0 * v0)))
+        e_rel = v0 + np.sqrt(E0**2 + (units.c * p / (1.0 + v0 / E0)) ** 2)
+        e_spin = np.sqrt((units.c * p) ** 2 + E0**2) * E0 / (E0 + v0)
+        st_nr = PlaneWaveState(p, e_nr - v0, e_nr, v0)
+        st_rel = PlaneWaveState(p, e_rel - v0, e_rel, v0)
+        st_spin = PlaneWaveState(p, e_spin - v0, e_spin, v0)
+        eps_rel = float(np.sqrt((units.c * p) ** 2 + E0**2))
+        rows.append({
+            "p": p,
+            "constant_A": constant_A(units),
+            "constant_A_prime": constant_A_prime(K),
+            "constant_B": constant_B(eps_rel, units),
+            "constant_B_prime": constant_B_prime(p, units),
+            "constant_D": constant_D(eps_rel, units),
+            "constant_D_prime": constant_D_prime(p, units),
+            "residual_nr_stationary": residual_nr_stationary(st_nr, units),
+            "residual_nr_timedep": residual_nr_timedep(st_nr, units),
+            "residual_rel_stationary": residual_rel_stationary(st_rel, units),
+            "residual_rel_timedep": residual_rel_timedep(st_spin, units),
+            "residual_spin_half_plus": residual_spin_half(st_spin, units, +1),
+            "residual_massless_plus": residual_massless(PlaneWaveState(
+                p, units.c * p, units.c * p * E0 / (E0 + v0), v0), units, +1),
+        })
+    return {"kind": "residual_table", "rows": rows}, {}
+
+
+class Equation(NamedTuple):
+    command: str        # the CLI command that runs the equation
+    atomic_c: bool      # units.c defaults to ATOMIC_C instead of 1
+    run: Callable       # ScenarioConfig -> (payload, diagnostics)
+
+
+#: Every equation id. Runners call the solvers through this module's
+#: globals at call time, so wrapping a solver here reaches every run.
+EQUATIONS = {
+    "schrodinger": Equation("solve", False, _run_schrodinger),
+    "modified_nr_stationary": Equation("solve", False, _run_nr_stationary),
+    "modified_nr_timedep": Equation("propagate", False, _run_nr_timedep),
+    "modified_rel_stationary": Equation("solve", True, _run_rel_stationary),
+    "modified_rel_timedep": Equation("propagate", True, _run_rel_timedep),
+    "spin_half_stationary": Equation("solve", True, _run_spin_half),
+    "massless_spin_half": Equation("solve", True, _run_massless),
+    "dispersion_audit": Equation("dispersion", False, _run_dispersion_audit),
+}
 
 
 def run_scenario(config: ScenarioConfig) -> RunReport:
-    """Dispatch one scenario; raises typed errors for exit-code mapping."""
+    """Run one scenario; raises typed errors for exit-code mapping."""
     t0 = time.perf_counter()
-    solver = config.solver
-    units = config.units
-    grid = config.grid
-    diagnostics = {}
-
-    if config.equation == "schrodinger":
-        res = solve_schrodinger_stationary(grid, config.potential,
-                                           int(solver["n_states"]), units)
-        payload = _spectrum_payload(res.energies, res.states, res.node_counts,
-                                    res.diagnostics["residuals"])
-        diagnostics["method"] = res.diagnostics["method"]
-
-    elif config.equation == "modified_nr_stationary":
-        guard = GuardPolicy(solver["policy"], solver["guard_floor"])
-        if solver["method"] == "shooting":
-            bracket = solver["e_bracket"]
-            if bracket is None:
-                raise ConfigurationError("shooting requires solver.e_bracket")
-            results = solve_stationary_shooting(grid, config.potential, bracket,
-                                                units)
-        else:
-            results = [solve_stationary_fixed_point(
-                grid, config.potential, int(solver["state_index"]),
-                float(solver["e_init"]), float(solver["tol"]),
-                int(solver["max_iter"]), float(solver["damping"]), units,
-                guard, backend=solver["backend"])]
-        payload = _spectrum_payload(
-            [r.energy for r in results], [r.state for r in results],
-            [r.node_count for r in results],
-            [r.self_consistency_residual for r in results])
-        diagnostics["iterations"] = [r.iterations for r in results]
-        diagnostics["method"] = results[0].method
-
-    elif config.equation == "modified_rel_stationary":
-        scen = RelScenario(units, config.potential, grid)
-        bracket = solver["e_bracket"]
-        if bracket is None:
-            raise ConfigurationError("modified_rel_stationary requires solver.e_bracket")
-        results = solve_rel_stationary(scen, bracket)
-        payload = _spectrum_payload(
-            [r.energy for r in results], [r.state for r in results],
-            [r.node_count for r in results],
-            [r.self_consistency_residual for r in results])
-        diagnostics["method"] = "shooting"
-
-    elif config.equation in ("modified_nr_timedep", "modified_rel_timedep"):
-        steps = int(solver["steps"])
-        stride = int(config.output["frame_stride"])
-        psi0, k = _initial_wave(config)
-        if config.equation == "modified_nr_timedep":
-            eps = solver["epsilon"]
-            if eps is None:
-                eps = (units.hbar * k) ** 2 / (2.0 * units.m)
-            E = float(eps if solver["E"] is None else solver["E"])
-            dpsi0 = WaveField(-1j * eps / units.hbar * psi0.values, grid)
-            state0 = TimeDepState(psi0, dpsi0, 0.0, E, float(eps))
-            traj = propagate_timedep(state0, config.potential,
-                                     float(solver["dt"]), steps, units, stride)
-        else:
-            scen = RelScenario(units, config.potential, grid)
-            E = float(np.sqrt((units.c * units.hbar * k) ** 2 + units.E0**2))
-            dpsi0 = WaveField(-1j * E / units.hbar * psi0.values, grid)
-            traj = propagate_rel_timedep(psi0, dpsi0, scen, float(solver["dt"]),
-                                         steps, stride)
-        payload = _trajectory_payload(traj, grid, steps, stride)
-        diagnostics["final_norm"] = traj[-1].psi.norm()
-
-    elif config.equation in ("spin_half_stationary", "massless_spin_half"):
-        if config.equation == "spin_half_stationary":
-            res = solve_spin_half_stationary(grid, config.potential, units,
-                                             float(solver["wilson_r"]),
-                                             int(solver["n_states"]))
-        else:
-            res = solve_massless(grid, config.potential, units,
-                                 int(solver["n_states"]))
-        payload = _spectrum_payload(res.energies, res.states, res.node_counts,
-                                    res.diagnostics["residuals"])
-        diagnostics.update({key: value for key, value in res.diagnostics.items()
-                            if key != "residuals"})
-
-    elif config.equation == "dispersion_audit":
-        rows = []
-        v0 = float(solver["potential_value"])
-        for p in solver["momenta"]:
-            p = float(p)
-            E0 = units.E0
-            # each equation has its own dispersion relation at constant V;
-            # pick the E that satisfies it so every residual closes
-            K = p**2 / (2.0 * units.m)
-            e_nr = 0.5 * (K + 4.0 * v0 + np.sqrt(K * (K + 4.0 * v0)))
-            e_rel = v0 + np.sqrt(E0**2 + (units.c * p / (1.0 + v0 / E0)) ** 2)
-            e_spin = np.sqrt((units.c * p) ** 2 + E0**2) * E0 / (E0 + v0)
-            st_nr = PlaneWaveState(p, e_nr - v0, e_nr, v0)
-            st_rel = PlaneWaveState(p, e_rel - v0, e_rel, v0)
-            st_spin = PlaneWaveState(p, e_spin - v0, e_spin, v0)
-            st_kg = PlaneWaveState(p, e_spin - v0, e_spin, v0)
-            eps_nr = K
-            eps_rel = float(np.sqrt((units.c * p) ** 2 + E0**2))
-            rows.append({
-                "p": p,
-                "constant_A": constant_A(units),
-                "constant_A_prime": constant_A_prime(eps_nr),
-                "constant_B": constant_B(eps_rel, units),
-                "constant_B_prime": constant_B_prime(p, units),
-                "constant_D": constant_D(eps_rel, units),
-                "constant_D_prime": constant_D_prime(p, units),
-                "residual_nr_stationary": residual_nr_stationary(st_nr, units),
-                "residual_nr_timedep": residual_nr_timedep(st_nr, units),
-                "residual_rel_stationary": residual_rel_stationary(st_rel, units),
-                "residual_rel_timedep": residual_rel_timedep(st_kg, units),
-                "residual_spin_half_plus": residual_spin_half(st_spin, units, +1),
-                "residual_massless_plus": residual_massless(
-                    PlaneWaveState(p, units.c * p,
-                                   units.c * p * units.E0 / (units.E0 + v0),
-                                   v0),
-                    units, +1),
-            })
-        payload = {"kind": "residual_table", "rows": rows}
-
-    else:  # pragma: no cover - parse_scenario guards the id
-        raise ConfigurationError(f"unknown equation {config.equation!r}")
-
+    payload, diagnostics = EQUATIONS[config.equation].run(config)
     diagnostics["wall_time_s"] = time.perf_counter() - t0
-    scenario_echo = json.loads(canonical_json(config.raw))
-    digest = hashlib.sha256(canonical_json(config.raw).encode()).hexdigest()
-    return RunReport(scenario_echo, payload, diagnostics, __version__, digest)
+    echo = canonical_json(config.raw)
+    return RunReport(json.loads(echo), payload, diagnostics, __version__,
+                     hashlib.sha256(echo.encode()).hexdigest())
 
 
 ERROR_EXIT_CODES = (
@@ -523,11 +543,14 @@ def compare_reports(a: RunReport, b: RunReport) -> dict:
 
 
 def _set_by_path(doc: dict, dotted: str, value):
-    parts = dotted.split(".")
+    *parents, leaf = dotted.split(".")
     node = doc
-    for p in parts[:-1]:
-        node = node.setdefault(p, {})
-    node[parts[-1]] = value
+    for part in parents:
+        node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            raise ConfigurationError(
+                f"sweep.parameter {dotted!r}: {part!r} is not a block")
+    node[leaf] = value
 
 
 def run_sweep(base_doc: dict, parameter: str, values, jobs: int = 1):
@@ -536,10 +559,13 @@ def run_sweep(base_doc: dict, parameter: str, values, jobs: int = 1):
     continues."""
     if not values:
         raise ConfigurationError("sweep value list is empty")
-
-    def one(value):
+    docs = []
+    for value in values:
         doc = json.loads(canonical_json(base_doc))
         _set_by_path(doc, parameter, value)
+        docs.append(doc)
+
+    def one(doc, value):
         try:
             config = parse_scenario(yaml.safe_dump(doc))
             report = run_scenario(config)
@@ -549,10 +575,10 @@ def run_sweep(base_doc: dict, parameter: str, values, jobs: int = 1):
                     "error": error_object(exc)}
 
     if jobs <= 1:
-        cells = [one(v) for v in values]
+        cells = [one(d, v) for d, v in zip(docs, values)]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(one, values))
+            cells = list(pool.map(one, docs, values))
     return cells
 
 

@@ -17,7 +17,8 @@ import scipy.sparse
 
 from .errors import (ConfigurationError, InvalidScenarioError, StabilityError,
                      UsageError)
-from .numgrid import Grid, PERIODIC, count_nodes
+from .numgrid import (BandedOperator, Grid, PERIODIC,
+                      _laplacian_diagonals, count_nodes)
 from .potentials import PotentialSpec, evaluate
 from .reference import SpectrumResult
 from .units import UnitSystem
@@ -115,18 +116,6 @@ def _derivative_matrix(grid: Grid) -> scipy.sparse.csr_matrix:
                               shape=(n, n), format="csr")
 
 
-def _second_difference_matrix(grid: Grid) -> scipy.sparse.csr_matrix:
-    n, h = grid.n_points, grid.h
-    inv = 1.0 / h**2
-    diags = {0: np.full(n, -2.0 * inv), 1: np.full(n - 1, inv),
-             -1: np.full(n - 1, inv)}
-    if grid.boundary == PERIODIC:
-        diags[n - 1] = np.array([inv])
-        diags[-(n - 1)] = np.array([inv])
-    return scipy.sparse.diags([diags[k] for k in sorted(diags)], sorted(diags),
-                              shape=(n, n), format="csr")
-
-
 def _check_weight(v: np.ndarray, units: UnitSystem):
     if not np.all(np.isfinite(v)):
         raise InvalidScenarioError("potential must be finite on the grid")
@@ -148,8 +137,11 @@ def real_dirac_operator(grid: Grid, units: UnitSystem, wilson_r: float = 0.0,
     if not massless:
         mass = units.E0 * scipy.sparse.identity(grid.n_points, format="csr")
         if wilson_r != 0.0:
+            # the order-2 Laplacian with walls one spacing outside the grid
+            lap = BandedOperator(grid, 1, _laplacian_diagonals(
+                grid.n_points, grid.h, 2, grid.boundary, ghost_walls=True))
             mass = mass - 0.5 * units.hbar * units.c * wilson_r * grid.h \
-                * _second_difference_matrix(grid)
+                * lap.matrix
     return scipy.sparse.bmat([[mass, kin], [kin.T, None if mass is None else -mass]],
                              format="csr")
 

@@ -218,6 +218,57 @@ def test_grid_fixed_point_samples_v_once_and_scans_twice_per_iterate(
     assert calls["scan"] <= (2 * iterations if policy == "reject" else 0)
 
 
+WALLED_WELL = (Grid.line(-3.0, 3.0, 200), PotentialSpec.square_well(4.0, 1.0))
+
+
+def _inline_w_exact_fixed_point(grid, spec, index, e, tol, max_iter=200,
+                                damping=0.5):
+    """The exact-backend iteration with W written inline, unguarded:
+    3V - V^2/(E - V) on the region values (singular checks left out)."""
+    edges, v = mnr.piecewise_regions(spec, grid.x_min, grid.x_max)
+    for it in range(1, max_iter + 1):
+        w = 3.0 * v - v**2 / (e - v)
+        mu = mnr.linear_bound_state_energy(edges, w, index, U)
+        if abs(mu - e) <= tol:
+            return e, it
+        if np.array_equal(3.0 * v - v**2 / (mu - v), w):
+            return mu, it
+        e = (1.0 - damping) * e + damping * mu
+    return None, max_iter
+
+
+@pytest.mark.parametrize("index, e_init", [(6, -3.5851220539340374),
+                                           (5, -3.3509013816879336),
+                                           (4, -2.7368610761328287)])
+def test_exact_fixed_point_reject_energies_equal_inline_w(index, e_init):
+    grid, spec = WALLED_WELL
+    res = mnr.solve_stationary_fixed_point(grid, spec, index, e_init, tol=1e-9,
+                                           units=U, backend="exact")
+    assert (res.energy, res.iterations) == _inline_w_exact_fixed_point(
+        grid, spec, index, e_init, 1e-9)
+
+
+def test_exact_fixed_point_applies_the_clamp_policy(monkeypatch):
+    # E = -4 is the well bottom: E - V = 0 there. Under clamp the
+    # denominator is floored at the guard, as on the grid backend, and the
+    # run ends in a typed outcome, not a non-finite region potential
+    grid, spec = WALLED_WELL
+    seen = []
+    linear = mnr.linear_bound_state_energy
+
+    def spy(edges, w, index, units):
+        seen.append(np.array(w))
+        return linear(edges, w, index, units)
+
+    monkeypatch.setattr(mnr, "linear_bound_state_energy", spy)
+    with pytest.raises(NonConvergenceError):
+        mnr.solve_stationary_fixed_point(
+            grid, spec, 0, -4.0, units=U, backend="exact",
+            guard=mnr.GuardPolicy("clamp", 1e-6))
+    np.testing.assert_array_equal(seen[0], [0.0, -12.0 - 16.0 / 1e-6, 0.0])
+    assert all(np.all(np.isfinite(w)) for w in seen)
+
+
 def test_free_scaling_covariance():
     # x -> alpha x with E -> E/alpha^2 leaves E_n/E_1 unchanged
     def ratios(alpha):

@@ -9,6 +9,7 @@ from wavekit import modified_nr as mnr
 from wavekit import modified_rel as mrel
 from wavekit.errors import ConfigurationError
 from wavekit.numgrid import WaveField
+from wavekit.units import ATOMIC_C
 
 
 BOX = """\
@@ -423,3 +424,111 @@ def test_cli_deep_well_state_1_still_wanders_to_exit_3(tmp_path):
         obj = json.loads(out.read_text())
         assert obj["error"] == "NonConvergenceError"
         assert len(obj["iterate_history"]) == 201
+
+
+# -- the config schema and the equation table ---------------------------------
+
+GRID64 = "grid: {kind: line, x_min: 0.0, x_max: 1.0, n_points: 64}\n"
+
+
+def _failures(tmp_path, command, text):
+    """Exit code and failure list (or message) of one CLI run."""
+    cfg = _write(tmp_path, "config.yaml", text)
+    out = tmp_path / "err.json"
+    code = cli.main([command, "--config", cfg, "--out", str(out), "--quiet"])
+    obj = json.loads(out.read_text())
+    return code, obj.get("failures") or [obj.get("message")]
+
+
+@pytest.mark.parametrize("blocks, failure", [
+    (GRID64 + "solvr: {n_states: 2}",
+     "unknown block 'solvr' (did you mean 'solver'?)"),
+    (GRID64 + "units: {hbr: 1.0}",
+     "unknown units key 'hbr' (did you mean 'hbar'?)"),
+    ("grid: {kind: line, x_min: 0.0, x_max: 1.0, n_point: 64}",
+     "unknown grid key 'n_point' (did you mean 'n_points'?)"),
+    (GRID64 + "solver: {n_state: 2}",
+     "unknown solver key 'n_state' (did you mean 'n_states'?)"),
+    (GRID64 + "output: {frame_strid: 2}",
+     "unknown output key 'frame_strid' (did you mean 'frame_stride'?)"),
+    (GRID64 + "output: {format: csv}", "unknown output key 'format'"),
+    (GRID64 + "output: {path: report.json}", "unknown output key 'path'"),
+])
+def test_cli_unknown_keys_exit_2_with_hint(tmp_path, blocks, failure):
+    code, failures = _failures(tmp_path, "solve", f"""\
+equation: schrodinger
+potential: {{variant: free}}
+{blocks}
+""")
+    assert code == 2
+    assert failure in failures
+
+
+@pytest.mark.parametrize("block, failure", [
+    ("grid: {kind: line, x_min: 0.0, x_max: 1.0, n_points: 64.7}",
+     "grid.n_points must be an integer, got 64.7"),
+    ("grid: {kind: line, x_min: null, x_max: 1.0, n_points: 64}",
+     "grid.x_min must be a finite number, got None"),
+    ("grid: {kind: ring, n_points: 64}", "grid.kind must be line or radial"),
+    (GRID64 + "units: {hbar: .nan}", "units.hbar must be a number > 0, got nan"),
+    (GRID64 + "units: {c: .inf}", "units.c must be a number > 0, got inf"),
+    (GRID64 + "units: {e: x}", "units.e must be a finite number, got 'x'"),
+])
+def test_cli_malformed_grid_and_units_exit_2(tmp_path, block, failure):
+    code, failures = _failures(tmp_path, "solve", f"""\
+equation: schrodinger
+potential: {{variant: free}}
+{block}
+""")
+    assert code == 2
+    assert any(f.startswith(failure) for f in failures)
+
+
+@pytest.mark.parametrize("equation, command", [
+    (equation, command) for equation, spec in scenario.EQUATIONS.items()
+    for command in ("solve", "propagate", "dispersion")
+    if command != spec.command])
+def test_cli_equation_under_the_wrong_command_exits_2(tmp_path, equation,
+                                                      command):
+    code, failures = _failures(tmp_path, command,
+                               f"equation: {equation}\n{GRID64}")
+    assert code == 2
+    want = scenario.EQUATIONS[equation].command
+    assert failures == [f"equation {equation!r} is run by 'wavekit {want}', "
+                        f"not 'wavekit {command}'"]
+
+
+def test_equation_table_sets_the_light_speed_default():
+    for equation, spec in scenario.EQUATIONS.items():
+        config = scenario.parse_scenario(f"equation: {equation}\n{GRID64}")
+        assert config.units.c == (ATOMIC_C if spec.atomic_c else 1.0)
+
+
+def test_dispersion_audit_needs_no_grid_block():
+    assert scenario.parse_scenario("equation: dispersion_audit\n")
+    with pytest.raises(ConfigurationError) as exc:
+        scenario.parse_scenario("equation: schrodinger\n")
+    assert exc.value.failures == ["missing grid block"]
+
+
+@pytest.mark.parametrize("sweep, failure", [
+    ("sweep: 3", "sweep block must be a mapping"),
+    ("sweep: {parameter: grid.n_points, values: 3}",
+     "sweep.values must be a non-empty list, got 3"),
+    ("sweep: {parameter: 5, values: [64]}",
+     "sweep.parameter must be a dotted key path, got 5"),
+    ("sweep: {parameter: equation.x, values: [64]}",
+     "sweep.parameter 'equation.x': 'equation' is not a block"),
+    ("sweep: {paramter: grid.n_points, values: [64]}",
+     "unknown sweep key 'paramter' (did you mean 'parameter'?)"),
+])
+def test_cli_malformed_sweep_block_exits_2(tmp_path, sweep, failure):
+    code, failures = _failures(tmp_path, "sweep", BOX + sweep + "\n")
+    assert code == 2
+    assert failure in failures
+
+
+def test_cli_csv_of_a_residual_table_exits_2(tmp_path):
+    cfg = _write(tmp_path, "audit.yaml", "equation: dispersion_audit\n")
+    assert cli.main(["dispersion", "--config", cfg, "--format", "csv",
+                     "--quiet"]) == 2

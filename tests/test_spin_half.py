@@ -124,6 +124,23 @@ def test_free_dispersion_with_wilson_term():
         assert np.min(np.abs(np.abs(e) - np.abs(cand))) < 1e-3 * np.abs(e)
 
 
+@pytest.mark.parametrize("n", [8, 33, 512])
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+def test_wilson_mass_block_is_the_three_point_laplacian(n, boundary):
+    # M = E0 - (hbar c r h / 2) L with L the 3-point second difference,
+    # walls one spacing outside the grid (or periodic wrap), bitwise
+    g = Grid.line(-3.7, 5.1, n, boundary=boundary)
+    inv = 1.0 / g.h**2
+    lap = (np.diag(np.full(n, -2.0 * inv)) + np.diag(np.full(n - 1, inv), 1)
+           + np.diag(np.full(n - 1, inv), -1))
+    if boundary == "periodic":
+        lap[0, -1] = lap[-1, 0] = inv
+    mass = U.E0 * np.eye(n) - 0.5 * U.hbar * U.c * 0.7 * g.h * lap
+    op = sh.real_dirac_operator(g, U, 0.7).toarray()
+    np.testing.assert_array_equal(op[:n, :n], mass)
+    np.testing.assert_array_equal(op[n:, n:], -mass)
+
+
 def test_wilson_term_lifts_doublers():
     # without the Wilson term the spectrum keeps spurious low-|E| doubler
     # states at the zone edge; with r=1 they are pushed away
