@@ -119,15 +119,17 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="scenario YAML path")
         p.add_argument("--out", default=None, help="output path")
+        p.add_argument("--quiet", action="store_true")
+        return p
+
+    for command, what in (("solve", "stationary spectra"),
+                          ("propagate", "time-dependent evolution"),
+                          ("dispersion", "plane-wave residual audit")):
+        p = common(sub.add_parser(command, help=what))
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--frame-stride", type=int, default=None,
                        help="keep every n-th time step in memory and emit "
                             "it as a frame (overrides output.frame_stride)")
-        p.add_argument("--quiet", action="store_true")
-
-    common(sub.add_parser("solve", help="stationary spectra"))
-    common(sub.add_parser("propagate", help="time-dependent evolution"))
-    common(sub.add_parser("dispersion", help="plane-wave residual audit"))
 
     pc = sub.add_parser("compare", help="delta of two spectrum reports")
     pc.add_argument("report_a")
@@ -135,8 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--out", default=None)
     pc.add_argument("--quiet", action="store_true")
 
-    ps = sub.add_parser("sweep", help="one-parameter scenario sweep")
-    common(ps)
+    ps = common(sub.add_parser("sweep", help="one-parameter scenario sweep"))
     ps.add_argument("--jobs", type=int, default=1)
     return parser
 

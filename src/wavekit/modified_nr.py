@@ -19,13 +19,14 @@ import scipy.interpolate
 from .errors import (ConfigurationError, NonConvergenceError,
                      NonHyperbolicRegimeError, NoRootError,
                      SingularCoefficientError, SingularRegionError,
-                     StateTrackingError, UsageError)
+                     StabilityError, StateTrackingError, UsageError)
 from .numgrid import (DIRICHLET, Grid, WaveField, build_laplacian,
                       count_nodes, dirichlet_block, lowest_eigenpairs)
 from .potentials import E_EQUALS_V, PotentialSpec, evaluate, find_singular_set
 from .reference import kinetic_operator
-from .shooting import (linear_bound_state_energy, piecewise_regions,
-                       shooting_states, shot_state)
+from .shooting import (bracketed_roots, linear_bound_state_energy,
+                       march_endpoint, piecewise_regions, shot_state,
+                       sturm_count)
 from .units import UnitSystem
 
 REJECT = "reject"
@@ -118,41 +119,61 @@ def _nonlinear_coefficient(e: np.ndarray, region_values: np.ndarray,
     return (2.0 * units.m / units.hbar**2) * (e - 2.0 * v) ** 2 / (e - v)
 
 
-def solve_stationary_shooting(grid: Grid, V: PotentialSpec, e_bracket,
-                              units: UnitSystem = UnitSystem(),
-                              n_scan: int = 10000,
-                              singular_margin: float = 1e-9):
-    """All modified-equation eigenenergies in ``e_bracket`` by closed-form
-    interface matching on a piecewise-constant potential, Dirichlet walls
-    at the grid ends. Returns results sorted by energy.
+def shooting_spectrum(grid: Grid, edges, coefficient, e_bracket, n_scan: int,
+                      poles=()):
+    """Every energy in ``e_bracket`` with a nontrivial Dirichlet solution of
+    psi'' = -w psi on the regions between ``edges``, by closed-form
+    interface matching; ``coefficient(e)`` maps an array of trial energies
+    to the region coefficients w, shape (n_trials, n_regions).
 
-    Trial energies within ``singular_margin`` (relative) of any region
-    value are skipped and reported in the result diagnostics.
+    ``n_scan`` evenly spaced energies are scanned for sign changes of the
+    matching function, skipping those within 1e-9 (relative) of any of
+    the ``poles`` of w; a bracket end that close to one is rejected.
+    Returns the results sorted by energy, each with its normalized shot
+    state, |matching residual| and node count.
     """
     e_lo, e_hi = float(e_bracket[0]), float(e_bracket[1])
     if not e_hi > e_lo:
         raise ConfigurationError("e_bracket must be an increasing interval")
-    edges, region_values = piecewise_regions(V, grid.x_min, grid.x_max)
-    scale = max(1.0, abs(e_lo), abs(e_hi))
-    for v in region_values:
-        if abs(e_lo - v) <= singular_margin * scale or \
-           abs(e_hi - v) <= singular_margin * scale:
-            raise ConfigurationError("e_bracket endpoint is singular (E = V)")
+    margin = 1e-9 * max(1.0, abs(e_lo), abs(e_hi))
+    poles = np.asarray(poles, dtype=float)
 
+    def near_pole(e):
+        return np.any(np.abs(np.subtract.outer(e, poles)) <= margin, axis=-1)
+
+    if np.any(near_pole(np.array([e_lo, e_hi]))):
+        raise ConfigurationError("e_bracket endpoint is singular (E = V)")
     e_scan = np.linspace(e_lo, e_hi, n_scan)
-    skip = np.zeros(e_scan.size, dtype=bool)
-    for v in region_values:
-        skip |= np.abs(e_scan - v) <= singular_margin * scale
-    shots = shooting_states(
+    widths = np.diff(edges)
+
+    def matching(e_arr):
+        return march_endpoint(widths, coefficient(e_arr))
+
+    roots = bracketed_roots(matching, e_scan, skip_mask=near_pole(e_scan))
+    if roots.size == 0:
+        raise NoRootError(f"no matching sign change in [{e_lo}, {e_hi}]")
+    coeffs = coefficient(roots)
+    residuals = np.abs(matching(roots))
+    nodes = sturm_count(widths, coeffs, final_crossing=False)
+    return [ModifiedEigenResult(energy=float(e),
+                                state=shot_state(grid, edges, row),
+                                iterations=0, self_consistency_residual=float(r),
+                                node_count=int(n), method="shooting")
+            for e, row, r, n in zip(roots, coeffs, residuals, nodes)]
+
+
+def solve_stationary_shooting(grid: Grid, V: PotentialSpec, e_bracket,
+                              units: UnitSystem = UnitSystem(),
+                              n_scan: int = 10000):
+    """All modified-equation eigenenergies in ``e_bracket`` by closed-form
+    interface matching on a piecewise-constant potential, Dirichlet walls
+    at the grid ends (:func:`shooting_spectrum`; the region values, where
+    E = V, are the poles). Returns results sorted by energy.
+    """
+    edges, region_values = piecewise_regions(V, grid.x_min, grid.x_max)
+    return shooting_spectrum(
         grid, edges, lambda e: _nonlinear_coefficient(e, region_values, units),
-        e_scan, skip_mask=skip)
-    if not shots:
-        raise NoRootError(
-            f"no matching-determinant sign change in [{e_lo}, {e_hi}]")
-    return [ModifiedEigenResult(energy=e_star, state=state, iterations=0,
-                                self_consistency_residual=residual,
-                                node_count=nodes, method="shooting")
-            for e_star, state, residual, nodes in shots]
+        e_bracket, n_scan, poles=region_values)
 
 
 def _grid_eigenpair(lap, factor, w_samples, state_index):
@@ -214,6 +235,17 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
         factor, lap = kinetic_operator(grid, units)
         v = np.asarray(evaluate(V, grid.x), dtype=float)
 
+    def result(energy, state, iterations, residual):
+        if state is None:  # exact backend: the shot, already normalized
+            state = shot_state(grid, edges,
+                               _nonlinear_coefficient(energy, v, units)[0])
+        else:
+            state = state.normalized()
+        return ModifiedEigenResult(
+            energy=float(energy), state=state, iterations=iterations,
+            self_consistency_residual=residual, node_count=state_index,
+            method="fixed_point")
+
     e_k = float(e_init)
     history = [e_k]
     for it in range(1, max_iter + 1):
@@ -228,34 +260,16 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
             state = None
         residual = abs(mu - e_k)
         if residual <= tol:
-            if state is None:
-                state = shot_state(grid, edges, _nonlinear_coefficient(
-                    e_k, v, units)[0])
-            else:
-                state = state.normalized()
-            return ModifiedEigenResult(
-                energy=e_k, state=state, iterations=it,
-                self_consistency_residual=residual,
-                node_count=state_index, method="fixed_point")
+            return result(e_k, state, it, residual)
         # when W does not actually depend on E (free case, or an iterate
         # landing where the profile is stationary), mu is already the exact
         # fixed point: re-solving at mu would reproduce the same operator
         if reject and backend == "grid":
             _reject_singular(V, mu, grid, "linearized eigenvalue")
         if np.array_equal(_effective_samples(v, mu, guard), w):
-            history.append(mu)
-            if state is None:
-                state = shot_state(grid, edges, _nonlinear_coefficient(
-                    mu, v, units)[0])
-            else:
-                state = state.normalized()
-            return ModifiedEigenResult(
-                energy=float(mu), state=state, iterations=it,
-                self_consistency_residual=0.0,
-                node_count=state_index, method="fixed_point")
-        e_next = (1.0 - damping) * e_k + damping * mu
-        history.append(e_next)
-        e_k = e_next
+            return result(mu, state, it, 0.0)
+        e_k = (1.0 - damping) * e_k + damping * mu
+        history.append(e_k)
     raise NonConvergenceError(
         f"fixed point did not converge in {max_iter} iterations", history)
 
@@ -347,59 +361,88 @@ def timedep_speed_squared(V: PotentialSpec, E: float, epsilon: float,
     return s
 
 
-def stability_limit(s: np.ndarray, h: float, safety: float = 0.9) -> float:
-    """Largest stable leapfrog step h/sqrt(max s), times the safety factor."""
-    return safety * h / float(np.sqrt(np.max(s)))
+def stability_limit(s: np.ndarray, h: float) -> float:
+    """Largest stable leapfrog step h/sqrt(max s), times the safety factor
+    0.9."""
+    return 0.9 * h / float(np.sqrt(np.max(s)))
 
 
-def check_stride(stride):
-    """Reject a frame stride that is not an integer >= 1."""
+def leapfrog(state0: TimeDepState, accel, dt: float, steps: int, limit: float,
+             stride: int = 1, max_growth=None):
+    """Leapfrog evolution of psi_tt = accel(psi) from ``state0`` with a
+    step ``dt`` in (0, ``limit``]; ``accel`` returns a new array, which
+    the loop scales in place.
+
+    Returns the states at steps 0, stride, 2 stride, ... and the final
+    step; the default keeps every state. With ``max_growth`` set, raises
+    :class:`StabilityError` at the first step whose norm exceeds
+    ``max_growth`` times the initial norm.
+    """
     if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) \
             or stride < 1:
         raise ConfigurationError(f"stride must be an integer >= 1, got {stride!r}")
+    if dt <= 0 or dt > limit:
+        raise ConfigurationError(
+            f"dt={dt} violates the stability bound {limit:.3e}")
+    grid, t0 = state0.psi.grid, state0.t
+    if max_growth is not None:
+        bound = max_growth * max(float(np.linalg.norm(state0.psi.values)),
+                                 1e-300) + 1e-300
+
+    def guard(psi, k):
+        if max_growth is not None and float(np.linalg.norm(psi)) > bound:
+            raise StabilityError(
+                f"norm grew beyond {max_growth}x at step {k}; reduce dt below "
+                f"{limit:.3e}")
+
+    def state(psi, vel, t):
+        return TimeDepState(WaveField(psi, grid), WaveField(vel, grid), t,
+                            state0.E, state0.epsilon)
+
+    dt2 = dt**2
+    psi_prev = state0.psi.values.copy()  # the loop reuses it as a buffer
+    vel = state0.dpsi_dt.values
+    acc = accel(psi_prev)
+    psi = psi_prev + dt * vel + 0.5 * dt2 * acc
+    guard(psi, 1)
+    trajectory = [state0]
+    if stride == 1 or steps <= 1:  # step 1 is kept like step k below
+        trajectory.append(state(psi.copy(), vel + dt * acc, t0 + dt))
+    psi_next = np.empty_like(psi)
+    for k in range(2, steps + 1):
+        # psi_next = 2 psi - psi_prev + dt^2 accel(psi), in place
+        acc = accel(psi)
+        np.multiply(dt2, acc, out=acc)
+        np.multiply(2.0, psi, out=psi_next)
+        psi_next -= psi_prev
+        psi_next += acc
+        guard(psi_next, k)
+        if k % stride == 0 or k == steps:
+            trajectory.append(state(psi_next.copy(),
+                                    (psi_next - psi_prev) / (2.0 * dt),
+                                    t0 + k * dt))
+        psi_prev, psi, psi_next = psi, psi_next, psi_prev
+    return trajectory
 
 
 def propagate_timedep(state0: TimeDepState, V: PotentialSpec, dt: float,
                       steps: int, units: UnitSystem = UnitSystem(),
                       stride: int = 1):
-    """Leapfrog evolution of psi_tt = s(x) psi_xx with s from the modified
-    time-dependent equation. Returns the states at steps 0, stride,
-    2 stride, ... and the final step; the default keeps every state."""
-    check_stride(stride)
+    """Leapfrog evolution (:func:`leapfrog`) of psi_tt = s(x) psi_xx with s
+    from the modified time-dependent equation. Returns the states at steps
+    0, stride, 2 stride, ... and the final step; the default keeps every
+    state."""
     grid = state0.psi.grid
     s = timedep_speed_squared(V, state0.E, state0.epsilon, grid, units)
-    limit = stability_limit(s, grid.h)
-    if dt <= 0 or dt > limit:
-        raise ConfigurationError(
-            f"dt={dt} violates the stability bound {limit:.3e}")
     # one cast to the field dtype, not an upcast inside every matvec
     lap = build_laplacian(grid).matrix.astype(state0.psi.values.dtype)
-    dt2 = dt**2
-    psi_prev = state0.psi.values.copy()  # the loop reuses it as a buffer
-    vel = state0.dpsi_dt.values
-    acc = s * (lap @ psi_prev)
-    psi = psi_prev + dt * vel + 0.5 * dt2 * acc
-    trajectory = [state0]
-    if stride == 1 or steps <= 1:  # step 1 is kept like step k below
-        trajectory.append(TimeDepState(WaveField(psi.copy(), grid),
-                                       WaveField(vel + dt * acc, grid),
-                                       state0.t + dt, state0.E, state0.epsilon))
-    psi_next = np.empty_like(psi)
-    for k in range(2, steps + 1):
-        # psi_next = 2 psi - psi_prev + dt^2 s (lap psi), in place
+
+    def accel(psi):
         acc = lap @ psi
-        np.multiply(s, acc, out=acc)
-        np.multiply(dt2, acc, out=acc)
-        np.multiply(2.0, psi, out=psi_next)
-        psi_next -= psi_prev
-        psi_next += acc
-        if k % stride == 0 or k == steps:
-            vel = (psi_next - psi_prev) / (2.0 * dt)
-            trajectory.append(TimeDepState(
-                WaveField(psi_next.copy(), grid), WaveField(vel, grid),
-                state0.t + k * dt, state0.E, state0.epsilon))
-        psi_prev, psi, psi_next = psi, psi_next, psi_prev
-    return trajectory
+        return np.multiply(s, acc, out=acc)
+
+    return leapfrog(state0, accel, dt, steps, stability_limit(s, grid.h),
+                    stride)
 
 
 def wave_energy(state: TimeDepState, s: np.ndarray) -> float:

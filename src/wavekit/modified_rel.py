@@ -10,13 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigurationError, InvalidScenarioError, NoRootError,
-                     OutOfScopeError, StabilityError)
+from .errors import InvalidScenarioError, OutOfScopeError
 from .numgrid import Grid, WaveField, build_laplacian
 from .potentials import PotentialSpec, evaluate
-from .shooting import piecewise_regions, shooting_states
+from .shooting import piecewise_regions
 from .units import UnitSystem
-from .modified_nr import ModifiedEigenResult, TimeDepState, check_stride
+from .modified_nr import TimeDepState, leapfrog, shooting_spectrum
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,83 +60,50 @@ def solve_rel_stationary(scenario: RelScenario, e_bracket,
                          n_scan: int = 10000):
     """All energies in the bracket with a nontrivial Dirichlet solution of
     the stationary modified relativistic equation, by piecewise-constant
-    interface matching. Returns results sorted by energy."""
+    interface matching (:func:`~wavekit.modified_nr.shooting_spectrum`;
+    the coefficient has no poles). Returns results sorted by energy."""
     grid, units = scenario.grid, scenario.units
-    e_lo, e_hi = float(e_bracket[0]), float(e_bracket[1])
-    if not e_hi > e_lo:
-        raise ConfigurationError("e_bracket must be an increasing interval")
     edges, region_values = piecewise_regions(scenario.potential,
                                              grid.x_min, grid.x_max)
     if np.any(region_values <= -units.E0):
         raise InvalidScenarioError("region potential fails V > -E0")
-    shots = shooting_states(
+    return shooting_spectrum(
         grid, edges, lambda e: rel_coefficient(e, region_values, units),
-        np.linspace(e_lo, e_hi, n_scan))
-    if not shots:
-        raise NoRootError(f"no matching sign change in [{e_lo}, {e_hi}]")
-    return [ModifiedEigenResult(energy=e_star, state=psi, iterations=0,
-                                self_consistency_residual=residual,
-                                node_count=nodes, method="shooting")
-            for e_star, psi, residual, nodes in shots]
+        e_bracket, n_scan)
 
 
-def rel_stability_limit(scenario: RelScenario, safety: float = 0.9) -> float:
+def rel_stability_limit(scenario: RelScenario) -> float:
     """Leapfrog step bound from the maximal wave speed c/(1 + min V/E0) and
-    the mass-term frequency."""
+    the mass-term frequency, times the safety factor 0.9."""
     grid, units = scenario.grid, scenario.units
     factor = 1.0 + scenario.potential_samples / units.E0
     fmin = float(np.min(factor))
     omega_max = np.sqrt((units.c**2 * 4.0 / grid.h**2
                          + (units.E0 / units.hbar) ** 2) / fmin**2)
-    return safety * 2.0 / omega_max
+    return 0.9 * 2.0 / omega_max
 
 
 def propagate_rel_timedep(phi0: WaveField, dphi0_dt: WaveField,
                           scenario: RelScenario, dt: float, steps: int,
                           stride: int = 1):
-    """Leapfrog evolution of
+    """Leapfrog evolution (:func:`~wavekit.modified_nr.leapfrog`) of
     phi_tt = (c^2 Laplacian phi - (E0/hbar)^2 phi) / (1 + V/E0)^2.
 
     With V = 0 the update is the discrete Klein-Gordon step (unit factor,
     same code path). Returns the states at steps 0, stride, 2 stride, ...
     and the final step; the default keeps every state. Raises
-    StabilityError on norm blow-up beyond 10x, checked at every step.
+    StabilityError once the norm grows beyond 10x its initial value.
     """
-    check_stride(stride)
-    grid, units = scenario.grid, scenario.units
-    limit = rel_stability_limit(scenario)
-    if dt <= 0 or dt > limit:
-        raise ConfigurationError(f"dt={dt} violates the stability bound {limit:.3e}")
+    units = scenario.units
     inv_factor_sq = 1.0 / (1.0 + scenario.potential_samples / units.E0) ** 2
-    lap = build_laplacian(grid).matrix
+    lap = build_laplacian(scenario.grid).matrix
     mass_sq = (units.E0 / units.hbar) ** 2
 
     def accel(phi):
         return inv_factor_sq * (units.c**2 * (lap @ phi) - mass_sq * phi)
 
-    phi_prev = phi0.values
-    vel = dphi0_dt.values
-    a = accel(phi_prev)
-    phi = phi_prev + dt * vel + 0.5 * dt**2 * a
-    norm0 = max(float(np.linalg.norm(phi_prev)), 1e-300)
-    trajectory = [TimeDepState(phi0, dphi0_dt, 0.0, 0.0, 0.0)]
-    if stride == 1 or steps <= 1:  # step 1 is kept like step k below
-        trajectory.append(TimeDepState(WaveField(phi, grid),
-                                       WaveField(vel + dt * a, grid),
-                                       dt, 0.0, 0.0))
-    for k in range(2, steps + 1):
-        phi_next = 2.0 * phi - phi_prev + dt**2 * accel(phi)
-        if float(np.linalg.norm(phi_next)) > 10.0 * norm0 + 1e-300:
-            raise StabilityError(
-                f"norm grew beyond 10x at step {k}; reduce dt below "
-                f"{rel_stability_limit(scenario):.3e}")
-        if k % stride == 0 or k == steps:
-            vel = (phi_next - phi_prev) / (2.0 * dt)
-            trajectory.append(TimeDepState(
-                WaveField(phi_next, grid), WaveField(vel, grid), k * dt,
-                0.0, 0.0))
-        phi_prev, phi = phi, phi_next
-    return trajectory
+    return leapfrog(TimeDepState(phi0, dphi0_dt, 0.0, 0.0, 0.0), accel, dt,
+                    steps, rel_stability_limit(scenario), stride, max_growth=10)
 
 
 def electrostatic_invariant_potential(phi: float, epsilon: float, e: float,

@@ -8,6 +8,7 @@ uses randomness, so identical configs always produce identical payloads.
 
 from __future__ import annotations
 
+import copy
 import csv
 import difflib
 import hashlib
@@ -561,7 +562,7 @@ def run_sweep(base_doc: dict, parameter: str, values, jobs: int = 1):
         raise ConfigurationError("sweep value list is empty")
     docs = []
     for value in values:
-        doc = json.loads(canonical_json(base_doc))
+        doc = copy.deepcopy(base_doc)
         _set_by_path(doc, parameter, value)
         docs.append(doc)
 
@@ -623,17 +624,10 @@ def frames_csv(report: RunReport) -> str:
         raise UsageError("frames_csv needs a trajectory payload")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    spinor = payload["frames"] and "re2" in payload["frames"][0]
-    header = ["t", "x", "re_psi", "im_psi"]
-    if spinor:
-        header += ["re_psi2", "im_psi2"]
-    writer.writerow(header)
+    writer.writerow(["t", "x", "re_psi", "im_psi"])
     xs = payload["x"]
     for frame in payload["frames"]:
         for j, x in enumerate(xs):
-            row = [repr(frame["t"]), repr(x), repr(frame["re"][j]),
-                   repr(frame["im"][j])]
-            if spinor:
-                row += [repr(frame["re2"][j]), repr(frame["im2"][j])]
-            writer.writerow(row)
+            writer.writerow([repr(frame["t"]), repr(x), repr(frame["re"][j]),
+                             repr(frame["im"][j])])
     return buf.getvalue()

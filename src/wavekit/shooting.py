@@ -263,27 +263,6 @@ def shot_state(grid: Grid, edges, coeffs) -> WaveField:
     return WaveField(state.values / nrm, grid) if nrm > 0 else state
 
 
-def shooting_states(grid: Grid, edges, coefficient, e_scan, skip_mask=None):
-    """Every matching root on the scan ``e_scan`` with its shot state.
-
-    ``coefficient(e)`` maps an array of trial energies to region
-    coefficients of shape (n_trials, n_regions). Returns ascending
-    ``(energy, normalized state, |matching residual|, node count)`` tuples;
-    an empty list when the scan sees no sign change.
-    """
-    widths = np.diff(edges)
-
-    def matching(e_arr):
-        return march_endpoint(widths, coefficient(e_arr))
-
-    roots = bracketed_roots(matching, e_scan, skip_mask=skip_mask)
-    coeffs = coefficient(roots)
-    residuals = np.abs(matching(roots))
-    nodes = sturm_count(widths, coeffs, final_crossing=False)
-    return [(float(e), shot_state(grid, edges, row), float(r), int(n))
-            for e, row, r, n in zip(roots, coeffs, residuals, nodes)]
-
-
 #: Trial energies per round of the batched bisections (one march each).
 _BISECT_BATCH = 64
 _STEPS = np.arange(1, _BISECT_BATCH + 1)

@@ -7,7 +7,8 @@ import scipy.linalg
 from wavekit import modified_nr as mnr
 from wavekit.errors import (ConfigurationError, NoRootError,
                             NonConvergenceError, NonHyperbolicRegimeError,
-                            SingularRegionError, StateTrackingError)
+                            SingularRegionError, StabilityError,
+                            StateTrackingError)
 from wavekit.numgrid import Grid, WaveField
 from wavekit.potentials import PotentialSpec
 from wavekit.reference import (hydrogen_ground_state, infinite_well_energy,
@@ -404,6 +405,28 @@ def test_strided_propagation_rejects_bad_stride(stride):
     with pytest.raises(ConfigurationError):
         mnr.propagate_timedep(_plane_wave_state(32), PotentialSpec.free(),
                               1e-2, 10, U, stride)
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 1e-3])
+def test_leapfrog_growth_guard_stops_at_first_step_past_the_bound(amplitude):
+    # psi_tt = +4 psi grows without bound: the unguarded run completes, and
+    # the guarded one stops at the first step whose norm passes 10x norm0
+    # (step 1 itself when the field starts far below its velocity)
+    g = Grid.line(0.0, 1.0, 16)
+    state = mnr.TimeDepState(WaveField(np.full(16, amplitude), g),
+                             WaveField(np.ones(16), g), 0.0, 0.0, 0.0)
+
+    def accel(psi):
+        return 4.0 * psi
+
+    free = mnr.leapfrog(state, accel, 0.01, 200, limit=1.0)
+    assert len(free) == 201
+    norm0 = np.linalg.norm(state.psi.values)
+    first = next(k for k, s in enumerate(free)
+                 if np.linalg.norm(s.psi.values) > 10 * norm0)
+    assert (first == 1) == (amplitude < 1.0)
+    with pytest.raises(StabilityError, match=f"beyond 10x at step {first};"):
+        mnr.leapfrog(state, accel, 0.01, 200, limit=1.0, max_growth=10)
 
 
 def test_strided_propagation_holds_only_kept_states():

@@ -120,6 +120,18 @@ def test_propagation_rejects_oversized_step():
                                    2.0 * mrel.rel_stability_limit(sc), 10)
 
 
+def test_propagation_stops_on_norm_growth_past_10x():
+    # a field far smaller than its velocity: within the step bound, the
+    # norm still passes 10x its initial value after a few steps
+    sc = scenario(n=64)
+    g = sc.grid
+    mode = np.sin(np.pi * g.x).astype(complex)
+    with pytest.raises(StabilityError, match="beyond 10x at step"):
+        mrel.propagate_rel_timedep(WaveField(1e-2 * mode, g),
+                                   WaveField(100.0 * mode, g), sc,
+                                   0.01 * mrel.rel_stability_limit(sc), 500)
+
+
 def test_stability_limit_scales_with_grid():
     fine = scenario(n=4000)
     coarse = scenario(n=1000)

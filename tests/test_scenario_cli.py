@@ -274,6 +274,31 @@ sweep:
 """)
     assert cli.main(["sweep", "--config", sweep_cfg, "--quiet",
                      "--jobs", "1"]) == 0
+    # the report options of single runs are not sweep options either
+    assert cli.main(["sweep", "--config", sweep_cfg, "--quiet",
+                     "--format", "json"]) == 2
+    assert cli.main(["sweep", "--config", sweep_cfg, "--quiet",
+                     "--frame-stride", "3"]) == 2
+
+
+@pytest.mark.parametrize("x_min", ["2001-01-01", "x"])
+def test_cli_sweep_records_a_malformed_base_value_in_every_cell(tmp_path,
+                                                                x_min):
+    # a YAML date is a malformed value like any other, not a crash when
+    # the base document is copied for each cell
+    cfg = _write(tmp_path, "sweep.yaml", f"""\
+equation: schrodinger
+grid: {{kind: line, x_min: {x_min}, x_max: 1.0, n_points: 64}}
+potential: {{variant: free}}
+sweep: {{parameter: grid.n_points, values: [64, 128]}}
+""")
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 3
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[:2] + row[4:5] for row in rows] == [
+        ["64", "error", "ConfigurationError"],
+        ["128", "error", "ConfigurationError"]]
 
 
 PROPAGATE = """\
