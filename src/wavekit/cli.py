@@ -25,16 +25,22 @@ def _read_config(path: str) -> str:
     return p.read_text()
 
 
+def _write(out: str, text: str):
+    try:
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write --out {out}: {exc}") from exc
+
+
 def _write_report(report: RunReport, out: str | None, fmt: str, quiet: bool):
-    doc = json.dumps(report.to_dict(), sort_keys=True, indent=2, default=str)
     if fmt == "csv":
         kind = report.payload.get("kind")
         text = spectrum_csv(report) if kind == "spectrum" else frames_csv(report)
     else:
-        text = doc
+        text = json.dumps(report.to_dict(), sort_keys=True, indent=2, default=str)
     if out:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(text)
+        _write(out, text)
         if not quiet:
             print(f"report written to {out}")
     elif not quiet:
@@ -45,8 +51,10 @@ def _write_error(exc: WavekitError, out: str | None, quiet: bool) -> int:
     obj = error_object(exc)
     text = json.dumps(obj, sort_keys=True, indent=2, default=str)
     if out:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(text)
+        try:
+            _write(out, text)
+        except ConfigurationError as unwritable:  # reported on stderr instead
+            return _write_error(unwritable, None, False)
     if not quiet:
         print(text, file=sys.stderr)
     return obj["exit_code"]
@@ -81,14 +89,14 @@ def cmd_compare(args) -> int:
                                      doc.get("version", ""),
                                      doc.get("input_digest", "")))
         delta = compare_reports(reports[0], reports[1])
+        text = json.dumps(delta, sort_keys=True, indent=2)
+        if args.out:
+            _write(args.out, text)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot load report: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except WavekitError as exc:
         return _write_error(exc, args.out, args.quiet)
-    text = json.dumps(delta, sort_keys=True, indent=2)
-    if args.out:
-        Path(args.out).write_text(text)
     if not args.quiet:
         print(text)
     return EXIT_OK
@@ -98,12 +106,11 @@ def cmd_sweep(args) -> int:
     try:
         doc, parameter, values = parse_sweep(_read_config(args.config))
         cells = run_sweep(doc, parameter, values, jobs=args.jobs)
+        table = sweep_table(cells, parameter)
+        if args.out:
+            _write(args.out, table)
     except WavekitError as exc:
         return _write_error(exc, args.out, args.quiet)
-    table = sweep_table(cells, parameter)
-    if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(table)
     if not args.quiet:
         print(table)
     ok = any(c["status"] == "ok" for c in cells)

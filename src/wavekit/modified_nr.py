@@ -31,6 +31,7 @@ from .units import UnitSystem
 
 REJECT = "reject"
 CLAMP = "clamp"
+_MAX_HALVINGS = 60  # additional_term_report: most excision-radius halvings
 
 
 @dataclass(frozen=True)
@@ -276,7 +277,7 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
 
 def additional_term_report(psi_ref: WaveField, E_ref: float, V: PotentialSpec,
                            units: UnitSystem = UnitSystem(),
-                           rel_tol: float = 1e-6, max_halvings: int = 60) -> dict:
+                           rel_tol: float = 1e-6) -> dict:
     """First-order audit of the additional term -2V + V^2/(E - V) on a
     reference eigenstate.
 
@@ -324,7 +325,7 @@ def additional_term_report(psi_ref: WaveField, E_ref: float, V: PotentialSpec,
         delta = min(0.05 * (b - a),
                     min(min(p - a, b - p) for p in poles) * 0.5)
         pv = excised(delta)
-        for _ in range(max_halvings):
+        for _ in range(_MAX_HALVINGS):
             delta *= 0.5
             new = excised(delta)
             if abs(new - pv) <= rel_tol * max(1.0, abs(new)):
@@ -374,16 +375,20 @@ def leapfrog(state0: TimeDepState, accel, dt: float, steps: int, limit: float,
     the loop scales in place.
 
     Returns the states at steps 0, stride, 2 stride, ... and the final
-    step; the default keeps every state. With ``max_growth`` set, raises
-    :class:`StabilityError` at the first step whose norm exceeds
-    ``max_growth`` times the initial norm.
+    step; the default keeps every state, and zero steps keep ``state0``
+    alone. With ``max_growth`` set, raises :class:`StabilityError` at the
+    first step whose norm exceeds ``max_growth`` times the initial norm.
     """
-    if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) \
-            or stride < 1:
-        raise ConfigurationError(f"stride must be an integer >= 1, got {stride!r}")
+    for name, value, least in (("stride", stride, 1), ("steps", steps, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+                or value < least:
+            raise ConfigurationError(
+                f"{name} must be an integer >= {least}, got {value!r}")
     if dt <= 0 or dt > limit:
         raise ConfigurationError(
             f"dt={dt} violates the stability bound {limit:.3e}")
+    if steps == 0:
+        return [state0]
     grid, t0 = state0.psi.grid, state0.t
     if max_growth is not None:
         bound = max_growth * max(float(np.linalg.norm(state0.psi.values)),

@@ -28,6 +28,7 @@ LINE = "line"
 RADIAL = "radial"
 DIRICHLET = "dirichlet"
 PERIODIC = "periodic"
+_NODE_FLOOR = 1e-8  # count_nodes: samples below it (relative) carry no sign
 
 
 @dataclass(frozen=True)
@@ -223,13 +224,13 @@ def inner_product(a: WaveField, b: WaveField) -> complex:
     return complex(np.sum(np.conj(a.values) * w * b.values))
 
 
-def count_nodes(values: np.ndarray, rel_floor: float = 1e-8) -> int:
+def count_nodes(values: np.ndarray) -> int:
     """Interior sign changes of the real part, ignoring near-zero samples."""
     v = np.real(values)
     scale = np.max(np.abs(v))
     if scale == 0.0:
         return 0
-    v = v[np.abs(v) > rel_floor * scale]
+    v = v[np.abs(v) > _NODE_FLOOR * scale]
     if v.size < 2:
         return 0
     return int(np.sum(np.signbit(v[:-1]) != np.signbit(v[1:])))

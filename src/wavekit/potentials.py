@@ -30,6 +30,8 @@ E_EQUALS_2V = "E_equals_2V"
 V_EQUALS_MINUS_E0 = "V_equals_minus_E0"
 
 SINGULARITY_KINDS = (E_EQUALS_V, E_EQUALS_2V, V_EQUALS_MINUS_E0)
+_SCAN_FACTOR = 8     # find_singular_set: scan points per grid point
+_BISECT_TOL = 1e-12  # find_singular_set: width of a bisected root
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,11 +217,11 @@ def _condition(spec: PotentialSpec, E: float, kind: str):
     raise UsageError(f"unknown singularity kind {kind!r}")
 
 
-def find_singular_set(spec: PotentialSpec, E: float, kind: str, grid: Grid,
-                      scan_factor: int = 8, bisect_tol: float = 1e-12) -> SingularSet:
+def find_singular_set(spec: PotentialSpec, E: float, kind: str,
+                      grid: Grid) -> SingularSet:
     """All solutions of the singularity condition inside the grid domain.
 
-    Sign-change scanning at ``scan_factor`` times the grid density followed
+    Sign-change scanning at ``_SCAN_FACTOR`` times the grid density followed
     by bisection. Jump discontinuities of piecewise potentials produce sign
     changes without zeros; those are filtered by a residual check. On a
     piecewise-constant profile the condition takes one value per region,
@@ -230,7 +232,7 @@ def find_singular_set(spec: PotentialSpec, E: float, kind: str, grid: Grid,
     if not np.isfinite(E):
         raise UsageError("E must be finite")
     f = _condition(spec, E, kind)
-    xs = np.linspace(grid.x_min, grid.x_max, scan_factor * grid.n_points)
+    xs = np.linspace(grid.x_min, grid.x_max, _SCAN_FACTOR * grid.n_points)
     fs = np.asarray(f(xs), dtype=float)
     tol_val = 1e-9 * max(1.0, abs(E))
     roots = []
@@ -247,7 +249,7 @@ def find_singular_set(spec: PotentialSpec, E: float, kind: str, grid: Grid,
     for i in changes:
         lo, hi = xs[i], xs[i + 1]
         flo = fs[i]
-        while hi - lo > bisect_tol:
+        while hi - lo > _BISECT_TOL:
             mid = 0.5 * (lo + hi)
             fm = f(mid)
             if fm == 0.0:
@@ -264,7 +266,7 @@ def find_singular_set(spec: PotentialSpec, E: float, kind: str, grid: Grid,
     # merge near-duplicates from adjacent scan cells
     merged = []
     for r in roots:
-        if not merged or r - merged[-1] > 10 * bisect_tol:
+        if not merged or r - merged[-1] > 10 * _BISECT_TOL:
             merged.append(r)
     if merged:
         prox = float(min(np.min(np.abs(grid.x - r)) for r in merged))

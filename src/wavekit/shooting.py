@@ -6,9 +6,9 @@ Marching starts from psi = 0, psi' = 1 at the left wall; the Dirichlet
 matching function is psi at the right wall. The marchers are vectorized
 over a whole array of trial energies so that dense scans and batched
 bisection stay cheap; the Sturm count of the same closed forms picks
-linear eigenvalues by node count. The transfer coefficients of every
-(trial, region) pair are evaluated once per march, count or sampled shot;
-the region loop only applies them and renormalizes.
+linear eigenvalues by node count. The march, the count and the sampled
+shot share one region walk, which evaluates the transfer coefficients of
+every (trial, region) pair once, then only applies them and renormalizes.
 """
 
 from __future__ import annotations
@@ -93,6 +93,19 @@ def _renormalized(psi, dpsi):
     return psi / scale, dpsi / scale
 
 
+def _walk(widths, coeffs):
+    """Start and end (psi, psi') in each region of the left shot psi(0)=0,
+    psi'(0)=1, per trial row of ``coeffs`` (or for one trial); a start is
+    the previous end :func:`_renormalized`."""
+    diag, to_psi, to_dpsi = _transfer(coeffs, widths)
+    start = np.zeros(coeffs.shape[:-1]), np.ones(coeffs.shape[:-1])
+    for j in range(coeffs.shape[-1]):
+        end = _apply(*start, diag[..., j], to_psi[..., j], to_dpsi[..., j])
+        yield start, end
+        if j + 1 < coeffs.shape[-1]:  # the last end is not renormalized here
+            start = _renormalized(*end)
+
+
 #: Trial rows marched together: bounds the (rows x regions) transfer
 #: temporaries of long energy scans.
 _MARCH_ROWS = 2048
@@ -105,22 +118,12 @@ def march_endpoint(widths, coeffs) -> np.ndarray:
     to dodge overflow (positive factors, so root locations are unchanged).
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
-    if coeffs.shape[0] <= _MARCH_ROWS:
-        return _march(widths, coeffs)
-    return np.concatenate([_march(widths, coeffs[i:i + _MARCH_ROWS])
-                           for i in range(0, coeffs.shape[0], _MARCH_ROWS)])
-
-
-def _march(widths, coeffs):
-    """:func:`march_endpoint` for one block of trial rows."""
-    diag, to_psi, to_dpsi = _transfer(coeffs, widths)
-    n = coeffs.shape[0]
-    psi = np.zeros(n)
-    dpsi = np.ones(n)
-    for j in range(coeffs.shape[1]):
-        psi, dpsi = _renormalized(*_apply(psi, dpsi, diag[:, j], to_psi[:, j],
-                                          to_dpsi[:, j]))
-    return psi
+    ends = []
+    for i in range(0, max(len(coeffs), 1), _MARCH_ROWS):
+        for _, end in _walk(widths, coeffs[i:i + _MARCH_ROWS]):
+            pass
+        ends.append(_renormalized(*end)[0])
+    return ends[0] if len(ends) == 1 else np.concatenate(ends)
 
 
 def sturm_count(widths, coeffs, final_crossing: bool = True) -> np.ndarray:
@@ -136,18 +139,12 @@ def sturm_count(widths, coeffs, final_crossing: bool = True) -> np.ndarray:
     residual, not the field.
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
-    diag, to_psi, to_dpsi = _transfer(coeffs, widths)
     osc = coeffs > 0
     k = np.sqrt(np.where(osc, coeffs, 1.0))
     kd = k * widths
-    n = coeffs.shape[0]
-    psi = np.zeros(n)
-    dpsi = np.ones(n)
-    total = np.zeros(n, dtype=int)
+    total = np.zeros(coeffs.shape[0], dtype=int)
     last = coeffs.shape[1] - 1
-    for j in range(last + 1):
-        end_psi, end_dpsi = _apply(psi, dpsi, diag[:, j], to_psi[:, j],
-                                   to_dpsi[:, j])
+    for j, ((psi, dpsi), (end_psi, _)) in enumerate(_walk(widths, coeffs)):
         phi = np.arctan2(dpsi / k[:, j], psi)
         # zeros at xi = (phi + pi/2 + m pi)/k inside (0, d)
         m_lo = np.ceil((-phi - np.pi / 2) / np.pi + 1e-12)
@@ -157,7 +154,6 @@ def sturm_count(widths, coeffs, final_crossing: bool = True) -> np.ndarray:
         if j == last and not final_crossing:
             crossing[:] = False
         total += np.where(osc[:, j], waves, crossing)
-        psi, dpsi = _renormalized(end_psi, end_dpsi)
     return total
 
 
@@ -174,61 +170,51 @@ def count_shot_nodes(edges, coeffs) -> int:
     return int(sturm_count(widths, coeffs, final_crossing=False)[0])
 
 
-def sample_shot(edges, coeffs, n_per_region: int = 200):
-    """Positions and psi samples of the left shot for a single trial.
-
-    Used for producing an output field; the samples are renormalized
-    region by region, then rescaled to max |psi| = 1.
-    """
-    edges = np.asarray(edges, dtype=float)
-    coeffs = np.asarray(coeffs, dtype=float)
+def sample_shot(edges, coeffs, x) -> np.ndarray:
+    """psi of the left shot for one trial at the positions ``x``, scaled to
+    max |psi| = 1: the closed form from the start of each position's region,
+    times the renormalizations and the growth the transfers dropped between
+    that region and the one holding the largest |psi|, summed in log space.
+    Past the growth clamp a position's own growth e^g stays in log space."""
+    edges, coeffs, x = (np.asarray(a, dtype=float) for a in (edges, coeffs, x))
     widths = np.diff(edges)
-    diag, to_psi, to_dpsi = _transfer(coeffs, widths)
-    starts = np.empty((2, coeffs.size))
-    scales = []
-    psi, dpsi = 0.0, 1.0
-    for j in range(coeffs.size):
-        starts[:, j] = psi, dpsi
-        end_psi, end_dpsi = _apply(psi, dpsi, diag[j], to_psi[j], to_dpsi[j])
-        scale = max(abs(end_psi), abs(end_dpsi), 1e-280)
-        psi, dpsi = end_psi / scale, end_dpsi / scale
-        scales.append(scale)
-    # offsets within each region; only the last one reaches its far end
-    local = np.linspace(0.0, widths, n_per_region, endpoint=False, axis=1)
-    local[-1] = np.linspace(0.0, widths[-1], n_per_region)
-    ps, _ = _step(starts[0][:, None], starts[1][:, None], coeffs[:, None], local)
-    # An overflowing region's transfer leaves its end state times e^-G, for
-    # G = kappa width its whole growth (up to the decaying part the clamp
-    # drops). Sample cells past the overflow carry their own e^-g instead:
-    # put every sample of the region on the one scale e^-G, and take e^-G
-    # off the samples before it as well.
-    if coeffs.min() <= -_SAFE_RATE**2:
-        kappa = np.sqrt(np.maximum(-coeffs, 0.0))
-        with np.errstate(over="ignore"):
-            over = np.isinf(kappa * np.sinh(np.minimum(kappa * widths,
-                                                       _GROW_CLAMP)))
-        for j in np.flatnonzero(over):
-            g, full = kappa[j] * local[j], kappa[j] * widths[j]
-            up, down = np.exp(g - full), np.exp(-g - full)
-            ps[j] = 0.5 * ((up + down) * starts[0, j]
-                           + (up - down) / kappa[j] * starts[1, j])
-            ps[:j] *= np.exp(-full)
-    # keep earlier samples in the same normalization as the marching state
-    for j, scale in enumerate(scales):
-        ps[:j + 1] /= scale
-    x = (edges[:-1, None] + local).ravel()
-    p = ps.ravel()
-    # the last sample is the matching residual at the far wall, not a field
-    # value; pin it so a leftover sign does not read as a spurious node
-    p[-1] = 0.0
+    psi0, dpsi0, psi1, dpsi1 = np.array(
+        [(*start, *end) for start, end in _walk(widths, coeffs)]).T
+    # the transfer leaves e^-drop off a region's end state: G - 700 past the
+    # clamp of G = kappa width, G where kappa sinh(clamped G) overflows
+    kappa = np.sqrt(np.maximum(-coeffs, 0.0))
+    grow = kappa * widths
+    with np.errstate(over="ignore"):
+        over = np.isinf(kappa * np.sinh(np.minimum(grow, _GROW_CLAMP)))
+    drop = np.where(over, grow, np.maximum(grow - _GROW_CLAMP, 0.0))
+    # e-folds to the next start: max(|psi|, |psi'|) of an end is the factor
+    # that _renormalized divides out (its 1e-280 floor binds only at zero)
+    f = np.log(np.maximum(np.abs(psi1), np.abs(dpsi1))) + drop
+    j = np.searchsorted(edges[1:-1], x, side="right")
+    offset = x - edges[j]
+    psi, _ = _step(psi0[j], dpsi0[j], coeffs[j], offset)
+    lift = np.zeros_like(psi)  # log of a factor kept out of psi
+    c = np.flatnonzero(drop[j] > 0)
+    lift[c] = g = kappa[j[c]] * offset[c]
+    psi[c] = 0.5 * ((1.0 + np.exp(-2.0 * g)) * psi0[j[c]]
+                    - np.expm1(-2.0 * g) / kappa[j[c]] * dpsi0[j[c]])
+    # psi at the far wall is the matching residual, not a field value; pin
+    # it so a leftover sign does not read as a spurious node
+    psi[x >= edges[-1]] = 0.0
+    size = lift + np.log(np.abs(psi), out=np.full_like(psi, -np.inf),
+                         where=psi != 0.0)
+    k = np.argmax((np.cumsum(f) - f)[j] + size)  # largest |psi|, roughly
+    # levels as partial sums from the peak's region: growth elsewhere costs
+    # no precision, and nothing overflows
+    r = j[k]
+    level = np.concatenate([-np.cumsum(f[:r][::-1])[::-1], [0.0],
+                            np.cumsum(f[r:-1])])
+    p = psi * np.exp(np.where(psi != 0.0, level[j] + lift - size[k], 0.0))
     m = np.max(np.abs(p))
-    if m > 0:
-        p = p / m
-    return x, p
+    return p / m if m > 0 else p
 
 
-def bracketed_roots(matching, e_scan: np.ndarray, skip_mask=None,
-                    n_bisect: int = 64):
+def bracketed_roots(matching, e_scan: np.ndarray, skip_mask=None):
     """Sign-change scan plus batched bisection of a vectorized matching
     function. Returns the refined roots; scan points under ``skip_mask``
     (singular energies) are dropped and sign changes across them ignored.
@@ -244,7 +230,7 @@ def bracketed_roots(matching, e_scan: np.ndarray, skip_mask=None,
     lo = e_scan[idx].copy()
     hi = e_scan[idx + 1].copy()
     flo = vals[idx].copy()
-    for _ in range(n_bisect):
+    for _ in range(_SCAN_BISECTIONS):
         mid = 0.5 * (lo + hi)
         fm = matching(mid)
         left = flo * fm <= 0
@@ -255,17 +241,15 @@ def bracketed_roots(matching, e_scan: np.ndarray, skip_mask=None,
 
 
 def shot_state(grid: Grid, edges, coeffs) -> WaveField:
-    """The left shot for one trial, interpolated onto ``grid`` and
-    normalized (left as is if it vanishes there)."""
-    xs, ps = sample_shot(edges, coeffs)
-    state = WaveField(np.interp(grid.x, xs, ps).astype(complex), grid)
-    nrm = state.norm()
-    return WaveField(state.values / nrm, grid) if nrm > 0 else state
+    """The left shot for one trial at the nodes of ``grid``, normalized."""
+    return WaveField(sample_shot(edges, coeffs, grid.x).astype(complex),
+                     grid).normalized()
 
 
 #: Trial energies per round of the batched bisections (one march each).
 _BISECT_BATCH = 64
 _STEPS = np.arange(1, _BISECT_BATCH + 1)
+_SCAN_BISECTIONS = 64  # bracketed_roots: halvings of each sign-change cell
 
 
 def _interior(lo: float, hi: float) -> np.ndarray:

@@ -407,6 +407,21 @@ def test_strided_propagation_rejects_bad_stride(stride):
                               1e-2, 10, U, stride)
 
 
+def test_zero_steps_keep_only_the_initial_state():
+    state = _plane_wave_state(32)
+    for stride in (1, 4):
+        kept = mnr.propagate_timedep(state, PotentialSpec.free(), 1e-2, 0, U,
+                                     stride)
+        assert len(kept) == 1 and kept[0] is state
+
+
+@pytest.mark.parametrize("steps", [-1, -3, 2.0, True])
+def test_propagation_rejects_bad_steps(steps):
+    with pytest.raises(ConfigurationError, match="steps must be an integer"):
+        mnr.propagate_timedep(_plane_wave_state(32), PotentialSpec.free(),
+                              1e-2, steps, U)
+
+
 @pytest.mark.parametrize("amplitude", [1.0, 1e-3])
 def test_leapfrog_growth_guard_stops_at_first_step_past_the_bound(amplitude):
     # psi_tt = +4 psi grows without bound: the unguarded run completes, and

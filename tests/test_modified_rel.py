@@ -95,6 +95,27 @@ def test_strided_propagation_keeps_every_stride_th_and_final_state(steps,
         assert np.array_equal(a.dpsi_dt.values, b.dpsi_dt.values)
 
 
+def _sine_start(n):
+    sc = scenario(n=n)
+    phi0 = WaveField(np.sin(np.pi * sc.grid.x).astype(complex), sc.grid)
+    return phi0, WaveField(np.zeros(n, complex), sc.grid), sc
+
+
+def test_zero_steps_keep_only_phi0():
+    phi0, dphi0, sc = _sine_start(64)
+    (only,) = mrel.propagate_rel_timedep(phi0, dphi0, sc,
+                                         0.5 * mrel.rel_stability_limit(sc), 0)
+    assert only.t == 0.0 and np.array_equal(only.psi.values, phi0.values)
+
+
+@pytest.mark.parametrize("steps", [-2, 3.0, False])
+def test_propagation_rejects_bad_steps(steps):
+    phi0, dphi0, sc = _sine_start(64)
+    with pytest.raises(ConfigurationError, match="steps must be an integer"):
+        mrel.propagate_rel_timedep(phi0, dphi0, sc,
+                                   0.5 * mrel.rel_stability_limit(sc), steps)
+
+
 def test_plane_wave_frequency_matches_dispersion():
     sc = scenario()
     g = sc.grid

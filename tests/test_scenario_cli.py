@@ -249,6 +249,30 @@ def test_cli_compare_roundtrip(tmp_path, capsys):
     np.testing.assert_allclose(delta["energy_deltas"], 0.0)
 
 
+def test_cli_compare_writes_into_a_new_nested_directory(tmp_path):
+    cfg = _write(tmp_path, "box.yaml", BOX)
+    a = str(tmp_path / "a.json")
+    assert cli.main(["solve", "--config", cfg, "--out", a, "--quiet"]) == 0
+    out = tmp_path / "new" / "dir" / "d.json"
+    assert cli.main(["compare", a, a, "--quiet", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["energy_deltas"] == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("command, extra", [("solve", ""), ("sweep", """\
+sweep:
+  parameter: grid.n_points
+  values: [64, 128]
+""")], ids=["solve", "sweep"])
+def test_cli_out_at_an_existing_directory_exits_2(tmp_path, capsys, command,
+                                                  extra):
+    # the error object cannot go to --out, so it goes to stderr, even quiet
+    cfg = _write(tmp_path, "run.yaml", BOX + extra)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path),
+                     "--quiet"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["exit_code"] == 2 and "cannot write --out" in err["message"]
+
+
 def test_cli_sweep_csv(tmp_path):
     cfg = _write(tmp_path, "sweep.yaml", BOX + """\
 sweep:

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from wavekit.errors import UsageError
+from wavekit.numgrid import Grid
 from wavekit.shooting import (_BISECT_BATCH, _MARCH_ROWS, _interior,
                               _renormalized, _step, count_shot_nodes,
                               linear_bound_state_energy, march_endpoint,
-                              sample_shot, sturm_count)
+                              sample_shot, shot_state, sturm_count)
 from wavekit.units import UnitSystem
 
 U = UnitSystem()
@@ -133,22 +134,37 @@ def test_marchers_stay_finite_past_the_decay_rate_overflow():
 def test_sample_shot_puts_an_overflowing_region_on_one_scale(e):
     # the barrier above, where kappa sinh(700) overflows: the shot must have
     # the shape of the same barrier split into thin regions (which need no
-    # clamp), not a spike at the first barrier sample past the overflow
+    # clamp), not a spike at the first barrier position past the overflow
     v = np.array([0.0, 10.0, 0.0])
     coeffs = SCALE * (e - 2.0 * v) ** 2 / (e - v)
-    kappa = math.sqrt(-coeffs[1])
-    m = math.ceil(2.0 * kappa / 600.0)
-    x, p = sample_shot(np.array([-4.0, -1.0, 1.0, 4.0]), coeffs)
-    thin_edges = np.concatenate([[-4.0], np.linspace(-1.0, 1.0, m + 1), [4.0]])
-    thin = np.concatenate([[coeffs[0]], np.full(m, coeffs[1]), [coeffs[2]]])
-    x_thin, p_thin = sample_shot(thin_edges, thin)
-    np.testing.assert_allclose(p, np.interp(x, x_thin, p_thin), rtol=0.0,
+    edges = np.array([-4.0, -1.0, 1.0, 4.0])
+    x = np.linspace(-4.0, 4.0, 1201)
+    p = sample_shot(edges, coeffs, x)
+    np.testing.assert_allclose(p, _ref_shot(edges, coeffs, x), rtol=0.0,
                                atol=1e-12)
     assert np.max(np.abs(p[x > 1.0])) == 1.0
 
 
+@pytest.mark.parametrize("w_barrier", [-1e6, -4e5])
+def test_shot_state_of_a_clamped_region_matches_thin_regions(w_barrier):
+    # kappa width = 2000 and 1265 pass the growth clamp of 700 while kappa
+    # sinh(700) stays finite: the shot must not plateau where the clamp
+    # binds, and the regions before the barrier carry the dropped growth
+    edges = np.array([-4.0, -1.0, 1.0, 4.0])
+    coeffs = np.array([20.0, w_barrier, 20.0])
+    m = math.ceil(2.0 * math.sqrt(-w_barrier) / 600.0)
+    thin_edges = np.concatenate([[-4.0], np.linspace(-1.0, 1.0, m + 1), [4.0]])
+    thin = np.concatenate([[20.0], np.full(m, w_barrier), [20.0]])
+    grid = Grid("line", -4.0, 4.0, 401)
+    got = shot_state(grid, edges, coeffs).values
+    want = shot_state(grid, thin_edges, thin).values
+    np.testing.assert_allclose(got, want, rtol=0.0,
+                               atol=1e-12 * np.max(np.abs(want)))
+
+
 # -- region-by-region references: the marchers evaluate the transfer
-# coefficients of all regions at once and must give the same floats
+# coefficients of all regions at once and must give the same floats; the
+# sampled shot must match its reference to 1e-12 of max |psi|
 
 
 def _ref_march(widths, coeffs):
@@ -178,24 +194,35 @@ def _ref_sturm(widths, coeffs, final_crossing):
     return total
 
 
-def _ref_sample(edges, coeffs, n_per_region):
-    xs_all, ps_all = [], []
+def _ref_shot(edges, coeffs, x):
+    """The left shot at ``x`` from the per-branch closed forms: regions
+    growing past e^600 split into thin ones (which need no clamp), each
+    value scaled by the exactly summed log renormalizations between its
+    region and the largest value's, the right-wall value pinned to 0,
+    scaled to max |psi| = 1."""
+    thin_edges, thin = [edges[0]], []
+    for a, b, w in zip(edges[:-1], edges[1:], coeffs):
+        m = max(1, math.ceil(math.sqrt(max(-w, 0.0)) * (b - a) / 600.0))
+        thin_edges.extend(np.linspace(a, b, m + 1)[1:])
+        thin.extend([w] * m)
+    values, region, log_scales = np.zeros(len(x)), np.zeros(len(x), int), []
     psi, dpsi = 0.0, 1.0
-    for j in range(len(coeffs)):
-        a, b = edges[j], edges[j + 1]
-        local = np.linspace(0.0, b - a, n_per_region,
-                            endpoint=(j == len(coeffs) - 1))
-        xs_all.append(a + local)
-        ps_all.append(_step(psi, dpsi, coeffs[j], local)[0])
-        end_psi, end_dpsi = _step(psi, dpsi, coeffs[j], b - a)
-        scale = max(abs(end_psi), abs(end_dpsi), 1e-280)
-        psi, dpsi = float(end_psi / scale), float(end_dpsi / scale)
-        for i in range(len(ps_all)):
-            ps_all[i] = ps_all[i] / scale
-    x, p = np.concatenate(xs_all), np.concatenate(ps_all)
-    p[-1] = 0.0
-    m = np.max(np.abs(p))
-    return x, (p / m if m > 0 else p)
+    for r, (a, b, w) in enumerate(zip(thin_edges[:-1], thin_edges[1:], thin)):
+        for i in np.flatnonzero((x >= a) & (x < b)):
+            values[i], region[i] = _closed_form(psi, dpsi, w, x[i] - a)[0], r
+        psi, dpsi = _closed_form(psi, dpsi, w, b - a)
+        scale = max(abs(psi), abs(dpsi), 1e-280)
+        psi, dpsi = psi / scale, dpsi / scale
+        log_scales.append(math.log(scale))
+    live = np.flatnonzero(values)
+    peak = live[np.argmax([math.fsum(log_scales[:region[i]])
+                           + math.log(abs(values[i])) for i in live])]
+    p = np.zeros(len(x))
+    for i in live:
+        lo, hi = sorted((region[i], region[peak]))
+        level = math.fsum(log_scales[lo:hi]) * (1 if region[i] > lo else -1)
+        p[i] = values[i] * math.exp(level - math.log(abs(values[peak])))
+    return p / np.max(np.abs(p))
 
 
 def _random_profile(rng):
@@ -217,6 +244,7 @@ def _random_profile(rng):
 
 def test_marchers_equal_region_by_region_references():
     rng = np.random.default_rng(3)
+    positions = np.random.default_rng(4)
     seen_clamp = seen_phase = seen_zero = False
     for _ in range(300):
         widths, coeffs = _random_profile(rng)
@@ -231,9 +259,11 @@ def test_marchers_equal_region_by_region_references():
                                   _ref_sturm(widths, coeffs, final))
         edges = np.concatenate([[-1.0], -1.0 + np.cumsum(widths)])
         n = int(rng.integers(2, 250))
-        for got, want in zip(sample_shot(edges, coeffs[0], n),
-                             _ref_sample(edges, coeffs[0], n)):
-            assert np.array_equal(got, want)
+        x = np.sort(np.concatenate(
+            [edges, positions.uniform(edges[0], edges[-1], n)]))
+        np.testing.assert_allclose(sample_shot(edges, coeffs[0], x),
+                                   _ref_shot(edges, coeffs[0], x), rtol=0.0,
+                                   atol=1e-12)
     assert seen_clamp and seen_phase and seen_zero
     # long scans are marched in blocks of rows
     widths, coeffs = _random_profile(rng)
