@@ -11,18 +11,19 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import ConfigurationError, WavekitError
-from .scenario import (EQUATIONS, EXIT_CONFIG, EXIT_NONCONVERGENCE, EXIT_OK,
-                       RunReport, compare_reports, error_object, frames_csv,
-                       parse_scenario, parse_sweep, run_scenario, run_sweep,
-                       spectrum_csv, sweep_table)
+from .errors import (EXIT_CONFIG, EXIT_NONCONVERGENCE, EXIT_OK,
+                     ConfigurationError, WavekitError)
+from .scenario import (EQUATIONS, RunReport, canonical_json, compare_reports,
+                       error_object, frames_csv, load_document, parse_sweep,
+                       run_scenario, run_sweep, spectrum_csv, sweep_table,
+                       validate_scenario)
 
 
 def _read_config(path: str) -> str:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigurationError(f"config file not found: {path}")
-    return p.read_text()
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
 
 
 def _write(out: str, text: str):
@@ -38,7 +39,7 @@ def _write_report(report: RunReport, out: str | None, fmt: str, quiet: bool):
         kind = report.payload.get("kind")
         text = spectrum_csv(report) if kind == "spectrum" else frames_csv(report)
     else:
-        text = json.dumps(report.to_dict(), sort_keys=True, indent=2, default=str)
+        text = canonical_json(report.to_dict())
     if out:
         _write(out, text)
         if not quiet:
@@ -48,8 +49,7 @@ def _write_report(report: RunReport, out: str | None, fmt: str, quiet: bool):
 
 
 def _write_error(exc: WavekitError, out: str | None, quiet: bool) -> int:
-    obj = error_object(exc)
-    text = json.dumps(obj, sort_keys=True, indent=2, default=str)
+    text = canonical_json(error_object(exc))
     if out:
         try:
             _write(out, text)
@@ -57,22 +57,23 @@ def _write_error(exc: WavekitError, out: str | None, quiet: bool) -> int:
             return _write_error(unwritable, None, False)
     if not quiet:
         print(text, file=sys.stderr)
-    return obj["exit_code"]
+    return exc.exit_code
 
 
 def cmd_scenario(args) -> int:
     """solve / propagate / dispersion: one run of an equation of the command."""
     try:
-        config = parse_scenario(_read_config(args.config))
+        doc = load_document(_read_config(args.config))
+        output = {} if doc.get("output") is None else doc["output"]
+        if args.frame_stride is not None and isinstance(output, dict):
+            # into the document, so the schema checks it and the echo holds it
+            doc["output"] = {**output, "frame_stride": args.frame_stride}
+        config = validate_scenario(doc)
         command = EQUATIONS[config.equation].command
         if command != args.command:
             raise ConfigurationError(
                 f"equation {config.equation!r} is run by 'wavekit {command}', "
                 f"not 'wavekit {args.command}'")
-        if args.frame_stride is not None:
-            if args.frame_stride < 1:
-                raise ConfigurationError("--frame-stride must be >= 1")
-            config.output["frame_stride"] = args.frame_stride
         _write_report(run_scenario(config), args.out, args.format, args.quiet)
     except WavekitError as exc:
         return _write_error(exc, args.out, args.quiet)
@@ -83,16 +84,16 @@ def cmd_compare(args) -> int:
     try:
         reports = []
         for path in (args.report_a, args.report_b):
-            doc = json.loads(Path(path).read_text())
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
             reports.append(RunReport(doc["scenario"], doc["payload"],
                                      doc.get("diagnostics", {}),
                                      doc.get("version", ""),
-                                     doc.get("input_digest", "")))
-        delta = compare_reports(reports[0], reports[1])
-        text = json.dumps(delta, sort_keys=True, indent=2)
+                                     doc.get("input_digest", ""),
+                                     doc.get("payload_digest", "")))
+        text = canonical_json(compare_reports(reports[0], reports[1]))
         if args.out:
             _write(args.out, text)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"cannot load report: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except WavekitError as exc:

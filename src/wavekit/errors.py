@@ -1,15 +1,25 @@
 """Exception hierarchy shared by all wavekit modules.
 
 Solver failures carry enough structure (singular sets, iterate histories,
-offending regions) for the CLI to emit machine-readable error objects and
-map each failure class onto its exit code.
+offending regions) for the CLI to emit machine-readable error objects: each
+class names its exit code and the extra fields of its error object.
 """
 
 from __future__ import annotations
 
+EXIT_OK = 0
+EXIT_CONFIG = 2
+EXIT_NONCONVERGENCE = 3
+EXIT_SINGULAR = 4
+
 
 class WavekitError(Exception):
     """Base class for all wavekit errors."""
+    exit_code = EXIT_CONFIG
+
+    def fields(self) -> dict:
+        """Fields of the error object beyond error, message and exit_code."""
+        return {}
 
 
 class ConfigurationError(WavekitError):
@@ -22,6 +32,9 @@ class ConfigurationError(WavekitError):
         super().__init__(message)
         self.failures = list(failures) if failures is not None else [message]
 
+    def fields(self):
+        return {"failures": self.failures}
+
 
 class UsageError(WavekitError):
     """API misuse: mismatched grids, non-normalized input and the like."""
@@ -33,42 +46,59 @@ class DomainError(WavekitError):
 
 class SingularRegionError(WavekitError):
     """The energy-dependent denominator vanishes inside the domain."""
+    exit_code = EXIT_SINGULAR
 
     def __init__(self, message, singular_set):
         super().__init__(message)
         self.singular_set = singular_set
 
+    def fields(self):
+        return {"singular_kind": self.singular_set.kind,
+                "locations": list(self.singular_set.locations)}
+
 
 class SingularCoefficientError(WavekitError):
     """A pointwise coefficient of the evolution equation is singular."""
+    exit_code = EXIT_SINGULAR
 
 
 class NonHyperbolicRegimeError(WavekitError):
     """The squared wave speed is non-positive somewhere on the grid."""
+    exit_code = EXIT_SINGULAR
 
     def __init__(self, message, offending_positions):
         super().__init__(message)
         self.offending_positions = offending_positions
 
+    def fields(self):
+        return {"locations": [float(x) for x in self.offending_positions]}
+
 
 class NonConvergenceError(WavekitError):
     """Iterative solver hit its iteration cap; ``history`` holds iterates."""
+    exit_code = EXIT_NONCONVERGENCE
 
     def __init__(self, message, history):
         super().__init__(message)
         self.history = list(history)
 
+    def fields(self):
+        return {"iterate_history": [float(x) for x in self.history]}
+
 
 class StateTrackingError(WavekitError):
     """Node-count tracking could not identify the requested state."""
+    exit_code = EXIT_NONCONVERGENCE
 
 
 class NoRootError(WavekitError):
     """A root bracket contained no sign change."""
+    exit_code = EXIT_NONCONVERGENCE
 
 
 class StabilityError(WavekitError):
     """Explicit time stepping became unstable (norm blow-up)."""
+    exit_code = EXIT_NONCONVERGENCE
 
 
 class InvalidScenarioError(WavekitError):

@@ -23,11 +23,10 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .errors import (ConfigurationError, InvalidScenarioError,
-                     NonConvergenceError, NonHyperbolicRegimeError,
-                     NoRootError, SingularCoefficientError,
-                     SingularRegionError, StabilityError, StateTrackingError,
-                     UsageError, WavekitError)
+# the EXIT_* codes are re-exported for callers that import them from here
+from .errors import (EXIT_CONFIG, EXIT_NONCONVERGENCE, EXIT_OK,  # noqa: F401
+                     EXIT_SINGULAR, ConfigurationError, UsageError,
+                     WavekitError)
 from .numgrid import Grid, WaveField
 from .potentials import PotentialSpec
 from .planewave import (PlaneWaveState, constant_A, constant_A_prime,
@@ -44,12 +43,6 @@ from .modified_rel import (RelScenario, propagate_rel_timedep,
                            solve_rel_stationary)
 from .spin_half import SpinorField, solve_massless, solve_spin_half_stationary
 from .units import ATOMIC_C, UnitSystem
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_NONCONVERGENCE = 3
-EXIT_SINGULAR = 4
-
 
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
@@ -73,26 +66,21 @@ class RunReport:
     diagnostics: dict
     version: str
     input_digest: str
-
-    @property
-    def payload_digest(self) -> str:
-        blob = canonical_json({"scenario": self.scenario, "payload": self.payload})
-        return hashlib.sha256(blob.encode()).hexdigest()
+    payload_digest: str  # sha256 of canonical_json({"scenario", "payload"})
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "payload": self.payload,
-            "diagnostics": self.diagnostics,
-            "version": self.version,
-            "input_digest": self.input_digest,
-            "payload_digest": self.payload_digest,
-        }
+        return dict(vars(self))
 
 
 def canonical_json(obj) -> str:
+    """Compact JSON with sorted keys: the text of every digest and every
+    JSON file the CLI writes."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
                       allow_nan=True, default=_jsonable)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _jsonable(obj):
@@ -219,7 +207,8 @@ def _config_block(name: str, block, failures: list, **defaults) -> dict | None:
     return values if len(failures) == before else None
 
 
-def _load_mapping(text: str) -> dict:
+def load_document(text: str) -> dict:
+    """The mapping of a YAML config text."""
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -242,7 +231,12 @@ def _potential_from_dict(block: dict, failures: list) -> PotentialSpec:
 
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse and validate a YAML scenario, reporting every failure at once."""
-    doc = _load_mapping(text)
+    return validate_scenario(load_document(text))
+
+
+def validate_scenario(doc: dict) -> ScenarioConfig:
+    """The config of a scenario document, which it keeps as ``raw``;
+    raises one :class:`ConfigurationError` listing every failure."""
     failures = [_unknown("block", key, SCENARIO_BLOCKS)
                 for key in doc if key not in SCENARIO_BLOCKS]
 
@@ -276,7 +270,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
 def parse_sweep(text: str):
     """The base scenario, swept parameter and values of a sweep config."""
-    doc = _load_mapping(text)
+    doc = load_document(text)
     failures = []
     sweep = _config_block("sweep", doc.pop("sweep", None), failures)
     if failures:
@@ -472,44 +466,15 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
     payload, diagnostics = EQUATIONS[config.equation].run(config)
     diagnostics["wall_time_s"] = time.perf_counter() - t0
     echo = canonical_json(config.raw)
-    return RunReport(json.loads(echo), payload, diagnostics, __version__,
-                     hashlib.sha256(echo.encode()).hexdigest())
-
-
-ERROR_EXIT_CODES = (
-    (ConfigurationError, EXIT_CONFIG),
-    (SingularRegionError, EXIT_SINGULAR),
-    (NonHyperbolicRegimeError, EXIT_SINGULAR),
-    (SingularCoefficientError, EXIT_SINGULAR),
-    (InvalidScenarioError, EXIT_CONFIG),
-    (NonConvergenceError, EXIT_NONCONVERGENCE),
-    (StateTrackingError, EXIT_NONCONVERGENCE),
-    (NoRootError, EXIT_NONCONVERGENCE),
-    (StabilityError, EXIT_NONCONVERGENCE),
-    (UsageError, EXIT_CONFIG),
-)
-
-
-def exit_code_for(exc: WavekitError) -> int:
-    for cls, code in ERROR_EXIT_CODES:
-        if isinstance(exc, cls):
-            return code
-    return EXIT_CONFIG
+    scenario = json.loads(echo)
+    return RunReport(scenario, payload, diagnostics, __version__, _sha256(echo),
+                     _sha256(canonical_json({"scenario": scenario,
+                                             "payload": payload})))
 
 
 def error_object(exc: WavekitError) -> dict:
-    obj = {"error": type(exc).__name__, "message": str(exc),
-           "exit_code": exit_code_for(exc)}
-    if isinstance(exc, SingularRegionError):
-        obj["singular_kind"] = exc.singular_set.kind
-        obj["locations"] = list(exc.singular_set.locations)
-    if isinstance(exc, NonHyperbolicRegimeError):
-        obj["locations"] = [float(x) for x in exc.offending_positions]
-    if isinstance(exc, NonConvergenceError):
-        obj["iterate_history"] = [float(x) for x in exc.history]
-    if isinstance(exc, ConfigurationError):
-        obj["failures"] = exc.failures
-    return obj
+    return {"error": type(exc).__name__, "message": str(exc),
+            "exit_code": exc.exit_code, **exc.fields()}
 
 
 def compare_reports(a: RunReport, b: RunReport) -> dict:
@@ -527,9 +492,7 @@ def compare_reports(a: RunReport, b: RunReport) -> dict:
     deficits = []
     if "states" in pa and "states" in pb:
         for i in range(n):
-            sa, sb = pa["states"][i], pb["states"][i]
-            va = np.asarray(sa["re"]) + 1j * np.asarray(sa["im"])
-            vb = np.asarray(sb["re"]) + 1j * np.asarray(sb["im"])
+            va, vb = _state_vector(pa["states"][i]), _state_vector(pb["states"][i])
             if va.shape == vb.shape:
                 na = np.linalg.norm(va)
                 nb = np.linalg.norm(vb)
@@ -541,6 +504,14 @@ def compare_reports(a: RunReport, b: RunReport) -> dict:
         out["overlap_deficit_max"] = max(deficits)
         out["overlap_deficit_mean"] = sum(deficits) / len(deficits)
     return out
+
+
+def _state_vector(state: dict) -> np.ndarray:
+    """A report state as one complex vector; a spinor's down component
+    (``re2``/``im2``) follows its up component."""
+    parts = [("re", "im"), ("re2", "im2")] if "re2" in state else [("re", "im")]
+    return np.concatenate([np.asarray(state[re]) + 1j * np.asarray(state[im])
+                           for re, im in parts])
 
 
 def _set_by_path(doc: dict, dotted: str, value):
@@ -568,8 +539,7 @@ def run_sweep(base_doc: dict, parameter: str, values, jobs: int = 1):
 
     def one(doc, value):
         try:
-            config = parse_scenario(yaml.safe_dump(doc))
-            report = run_scenario(config)
+            report = run_scenario(validate_scenario(doc))
             return {"value": value, "status": "ok", "report": report}
         except WavekitError as exc:
             return {"value": value, "status": "error",
@@ -583,51 +553,43 @@ def run_sweep(base_doc: dict, parameter: str, values, jobs: int = 1):
     return cells
 
 
-def sweep_table(cells, parameter: str) -> str:
-    """Aggregation CSV: one row per swept value."""
+def _csv(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([parameter, "status", "ground_energy", "n_levels",
-                     "error", "payload_digest"])
-    for cell in cells:
-        if cell["status"] == "ok":
-            payload = cell["report"].payload
-            energies = payload.get("energies", [])
-            writer.writerow([cell["value"], "ok",
-                             energies[0] if energies else "",
-                             len(energies), "",
-                             cell["report"].payload_digest])
-        else:
-            writer.writerow([cell["value"], "error", "", 0,
-                             cell["error"]["error"], ""])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def _sweep_row(cell):
+    if cell["status"] != "ok":
+        return [cell["value"], "error", "", 0, cell["error"]["error"], ""]
+    energies = cell["report"].payload.get("energies", [])
+    return [cell["value"], "ok", energies[0] if energies else "",
+            len(energies), "", cell["report"].payload_digest]
+
+
+def sweep_table(cells, parameter: str) -> str:
+    """Aggregation CSV: one row per swept value."""
+    return _csv([parameter, "status", "ground_energy", "n_levels", "error",
+                 "payload_digest"], map(_sweep_row, cells))
 
 
 def spectrum_csv(report: RunReport) -> str:
     payload = report.payload
     if payload.get("kind") != "spectrum":
         raise UsageError("spectrum_csv needs a spectrum payload")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["index", "energy", "node_count",
-                     "self_consistency_residual"])
-    for i, (e, n, r) in enumerate(zip(payload["energies"],
-                                      payload["node_counts"],
-                                      payload["self_consistency_residuals"])):
-        writer.writerow([i, repr(e), n, repr(r)])
-    return buf.getvalue()
+    return _csv(["index", "energy", "node_count", "self_consistency_residual"],
+                ([i, repr(e), n, repr(r)] for i, (e, n, r) in enumerate(zip(
+                    payload["energies"], payload["node_counts"],
+                    payload["self_consistency_residuals"]))))
 
 
 def frames_csv(report: RunReport) -> str:
     payload = report.payload
     if payload.get("kind") != "trajectory":
         raise UsageError("frames_csv needs a trajectory payload")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "x", "re_psi", "im_psi"])
-    xs = payload["x"]
-    for frame in payload["frames"]:
-        for j, x in enumerate(xs):
-            writer.writerow([repr(frame["t"]), repr(x), repr(frame["re"][j]),
-                             repr(frame["im"][j])])
-    return buf.getvalue()
+    return _csv(["t", "x", "re_psi", "im_psi"],
+                ([repr(frame["t"]), repr(x), repr(re), repr(im)]
+                 for frame in payload["frames"]
+                 for x, re, im in zip(payload["x"], frame["re"], frame["im"])))

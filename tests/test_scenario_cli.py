@@ -1,14 +1,17 @@
+import copy
+import hashlib
 import json
 
 import numpy as np
 import pytest
 import yaml
 
-from wavekit import cli, scenario
+from wavekit import cli, errors, scenario
 from wavekit import modified_nr as mnr
 from wavekit import modified_rel as mrel
 from wavekit.errors import ConfigurationError
 from wavekit.numgrid import WaveField
+from wavekit.potentials import E_EQUALS_V, SingularSet
 from wavekit.units import ATOMIC_C
 
 
@@ -94,6 +97,59 @@ def test_compare_report_with_itself_is_zero():
     assert delta["warnings"] == []
     np.testing.assert_allclose(delta["energy_deltas"], 0.0)
     assert delta["overlap_deficit_max"] < 1e-14
+
+
+def test_compare_reads_both_spinor_components():
+    # the well binds states whose down component holds nearly all the norm
+    report = scenario.run_scenario(scenario.parse_scenario("""\
+equation: spin_half_stationary
+grid: {kind: line, x_min: -4.0, x_max: 4.0, n_points: 64}
+potential: {variant: square_well, depth: 50.0, half_width: 1.0}
+solver: {n_states: 4}
+"""))
+    payload = copy.deepcopy(report.payload)
+    for state in payload["states"]:
+        state["re2"] = [0.0] * len(state["re2"])
+        state["im2"] = [0.0] * len(state["im2"])
+    no_down = scenario.RunReport(report.scenario, payload, {}, "", "", "")
+    assert scenario.compare_reports(report, report)["overlap_deficit_max"] < 1e-14
+    delta = scenario.compare_reports(report, no_down)
+    assert delta["energy_deltas"] == [0.0] * 4
+    assert delta["overlap_deficit_max"] > 0.99
+
+
+@pytest.mark.parametrize("cls, code", [
+    (errors.WavekitError, 2), (errors.ConfigurationError, 2),
+    (errors.UsageError, 2), (errors.DomainError, 2),
+    (errors.SingularRegionError, 4), (errors.SingularCoefficientError, 4),
+    (errors.NonHyperbolicRegimeError, 4), (errors.NonConvergenceError, 3),
+    (errors.StateTrackingError, 3), (errors.NoRootError, 3),
+    (errors.StabilityError, 3), (errors.InvalidScenarioError, 2),
+    (errors.OutOfScopeError, 2),
+])
+def test_error_classes_carry_their_exit_codes(cls, code):
+    assert cls.exit_code == code
+    assert (scenario.EXIT_OK, scenario.EXIT_CONFIG, scenario.EXIT_NONCONVERGENCE,
+            scenario.EXIT_SINGULAR) == (0, 2, 3, 4)
+
+
+def test_error_objects_carry_the_fields_of_their_class():
+    sset = SingularSet(E_EQUALS_V, (0.5,), 0.1)
+    cases = [
+        (errors.ConfigurationError("bad", ["a", "b"]), {"failures": ["a", "b"]}),
+        (errors.SingularRegionError("s", sset),
+         {"singular_kind": E_EQUALS_V, "locations": [0.5]}),
+        (errors.NonHyperbolicRegimeError("h", np.array([1.5, 2.0])),
+         {"locations": [1.5, 2.0]}),
+        (errors.NonConvergenceError("n", [np.float64(1.0), 2]),
+         {"iterate_history": [1.0, 2.0]}),
+        (errors.NoRootError("r"), {}),
+    ]
+    for exc, fields in cases:
+        obj = scenario.error_object(exc)
+        assert obj == {"error": type(exc).__name__, "message": str(exc),
+                       "exit_code": exc.exit_code, **fields}
+        assert json.loads(scenario.canonical_json(obj)) == obj
 
 
 # -- sweeps -----------------------------------------------------------------
@@ -191,6 +247,23 @@ def test_cli_missing_config_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("unreadable", ["directory", "undecodable"])
+def test_cli_unreadable_config_exits_2(tmp_path, command, unreadable):
+    if unreadable == "directory":
+        cfg = tmp_path / "configs"
+        cfg.mkdir()
+    else:
+        cfg = tmp_path / "latin1.yaml"
+        cfg.write_bytes(b"equation: schr\xf6dinger\n")
+    out = tmp_path / "err.json"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out),
+                     "--quiet"]) == 2
+    obj = json.loads(out.read_text())
+    assert obj["error"] == "ConfigurationError"
+    assert obj["message"].startswith(f"cannot read config {cfg}")
+
+
 def test_cli_bad_config_exits_2(tmp_path):
     cfg = _write(tmp_path, "bad.yaml", "equation: nonsense\ngrid: {}\n")
     assert cli.main(["solve", "--config", cfg, "--quiet"]) == 2
@@ -247,6 +320,34 @@ def test_cli_compare_roundtrip(tmp_path, capsys):
                      "--out", str(tmp_path / "delta.json")]) == 0
     delta = json.loads((tmp_path / "delta.json").read_text())
     np.testing.assert_allclose(delta["energy_deltas"], 0.0)
+
+
+def test_cli_report_is_canonical_json_with_a_recomputable_digest(tmp_path,
+                                                                capsys):
+    cfg = _write(tmp_path, "box.yaml", BOX)
+    out = tmp_path / "report.json"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 0
+    text = out.read_text()
+    doc = json.loads(text)
+    assert text == scenario.canonical_json(doc)  # compact, sorted, one line
+    blob = scenario.canonical_json({"scenario": doc["scenario"],
+                                    "payload": doc["payload"]})
+    assert doc["payload_digest"] == hashlib.sha256(blob.encode()).hexdigest()
+    report = scenario.run_scenario(scenario.parse_scenario(BOX))
+    assert report.payload_digest == doc["payload_digest"]
+    assert report.to_dict()["payload_digest"] == doc["payload_digest"]
+    # the stdout echo is the same text
+    assert cli.main(["solve", "--config", cfg]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["payload_digest"] == doc["payload_digest"]
+
+
+def test_cli_compare_of_an_undecodable_report_exits_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"payload": "\xf6"}')
+    assert cli.main(["compare", str(bad), str(bad), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("cannot load report")
 
 
 def test_cli_compare_writes_into_a_new_nested_directory(tmp_path):
@@ -378,6 +479,47 @@ def test_cli_frame_stride_flag_must_be_positive(tmp_path):
                      "--frame-stride", "3", "--out", str(out)]) == 0
     frames = json.loads(out.read_text())["payload"]["frames"]
     assert [f["t"] for f in frames] == pytest.approx([0.0, 3e-3])
+
+
+def test_cli_frame_stride_is_echoed_and_digested(tmp_path):
+    cfg = _write(tmp_path, "ok.yaml", PROPAGATE + "solver: {steps: 30}\n")
+    docs = {}
+    for stride in (3, 10):
+        out = tmp_path / f"stride{stride}.json"
+        assert cli.main(["propagate", "--config", cfg, "--quiet",
+                         "--frame-stride", str(stride), "--out", str(out)]) == 0
+        docs[stride] = json.loads(out.read_text())
+    assert docs[3]["scenario"]["output"] == {"frame_stride": 3}
+    assert docs[10]["scenario"]["output"] == {"frame_stride": 10}
+    assert docs[3]["input_digest"] != docs[10]["input_digest"]
+    assert [len(d["payload"]["frames"]) for d in docs.values()] == [11, 4]
+    # the flag overrides the config's own output.frame_stride
+    cfg = _write(tmp_path, "own.yaml", PROPAGATE + """\
+solver: {steps: 30}
+output: {frame_stride: 5}
+""")
+    out = tmp_path / "own.json"
+    assert cli.main(["propagate", "--config", cfg, "--quiet",
+                     "--frame-stride", "10", "--out", str(out)]) == 0
+    own = json.loads(out.read_text())
+    assert own["scenario"] == docs[10]["scenario"]
+    assert own["payload_digest"] == docs[10]["payload_digest"]
+
+
+STRIDE_0 = "output.frame_stride must be an integer >= 1, got 0"
+
+
+@pytest.mark.parametrize("output, failure", [
+    ("", STRIDE_0), ("output: null\n", STRIDE_0), ("output: {}\n", STRIDE_0),
+    ("output: {frame_stride: 5}\n", STRIDE_0),
+    ("output: [3]\n", "output block must be a mapping"),
+], ids=["absent", "null", "empty", "own", "list"])
+def test_cli_frame_stride_0_fails_the_output_schema(tmp_path, output, failure):
+    cfg = _write(tmp_path, "ok.yaml", PROPAGATE + "solver: {steps: 4}\n" + output)
+    out = tmp_path / "err.json"
+    assert cli.main(["propagate", "--config", cfg, "--quiet",
+                     "--frame-stride", "0", "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["failures"] == [failure]
 
 
 @pytest.mark.parametrize("potential", [
