@@ -80,22 +80,29 @@ def cmd_scenario(args) -> int:
     return EXIT_OK
 
 
+def _load_report(path: str) -> RunReport:
+    """The report in the file at ``path``; raises ValueError when the file
+    holds other JSON, such as the error object of a failed run."""
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not (isinstance(doc, dict) and isinstance(doc.get("scenario"), dict)
+            and isinstance(doc.get("payload"), dict)):
+        raise ValueError(f"{path} is not a report: a report is a JSON object "
+                         "with 'scenario' and 'payload' objects")
+    return RunReport(doc["scenario"], doc["payload"], doc.get("diagnostics", {}),
+                     doc.get("version", ""), doc.get("input_digest", ""),
+                     doc.get("payload_digest", ""))
+
+
 def cmd_compare(args) -> int:
     try:
-        reports = []
-        for path in (args.report_a, args.report_b):
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-            reports.append(RunReport(doc["scenario"], doc["payload"],
-                                     doc.get("diagnostics", {}),
-                                     doc.get("version", ""),
-                                     doc.get("input_digest", ""),
-                                     doc.get("payload_digest", "")))
-        text = canonical_json(compare_reports(reports[0], reports[1]))
-        if args.out:
-            _write(args.out, text)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        reports = [_load_report(path) for path in (args.report_a, args.report_b)]
+    except (OSError, ValueError) as exc:  # ValueError: JSON and UTF-8 errors too
         print(f"cannot load report: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    try:
+        text = canonical_json(compare_reports(*reports))
+        if args.out:
+            _write(args.out, text)
     except WavekitError as exc:
         return _write_error(exc, args.out, args.quiet)
     if not args.quiet:

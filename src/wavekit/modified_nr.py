@@ -10,18 +10,19 @@ genuinely singular wherever E = V(x).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
-import scipy.integrate
-import scipy.interpolate
 
 from .errors import (ConfigurationError, NonConvergenceError,
                      NonHyperbolicRegimeError, NoRootError,
                      SingularCoefficientError, SingularRegionError,
                      StabilityError, StateTrackingError, UsageError)
 from .numgrid import (DIRICHLET, Grid, WaveField, build_laplacian,
-                      count_nodes, dirichlet_block, lowest_eigenpairs)
+                      count_nodes, dirichlet_block, dirichlet_eigenvalue,
+                      lowest_eigenpairs)
 from .potentials import E_EQUALS_V, PotentialSpec, evaluate, find_singular_set
 from .reference import kinetic_operator
 from .shooting import (bracketed_roots, linear_bound_state_energy,
@@ -55,14 +56,23 @@ class GuardPolicy:
 
 @dataclass(frozen=True, eq=False)
 class ModifiedEigenResult:
-    """One self-consistent eigenpair of the modified stationary equation."""
+    """One self-consistent eigenpair of the modified stationary equation.
+
+    ``state`` is built by ``build_state`` the first time it is read and
+    cached from then on, so a caller that reads only the energy, residual
+    or node count never pays for the normalized state.
+    """
 
     energy: float
-    state: WaveField
+    build_state: Callable[[], WaveField] = field(repr=False)
     iterations: int
     self_consistency_residual: float
     node_count: int
     method: str
+
+    @cached_property
+    def state(self) -> WaveField:
+        return self.build_state()
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,8 +140,9 @@ def shooting_spectrum(grid: Grid, edges, coefficient, e_bracket, n_scan: int,
     ``n_scan`` evenly spaced energies are scanned for sign changes of the
     matching function, skipping those within 1e-9 (relative) of any of
     the ``poles`` of w; a bracket end that close to one is rejected.
-    Returns the results sorted by energy, each with its normalized shot
-    state, |matching residual| and node count.
+    Returns the results sorted by energy, each with its |matching
+    residual|, node count and normalized shot state, which is sampled
+    only when first read.
     """
     e_lo, e_hi = float(e_bracket[0]), float(e_bracket[1])
     if not e_hi > e_lo:
@@ -157,7 +168,7 @@ def shooting_spectrum(grid: Grid, edges, coefficient, e_bracket, n_scan: int,
     residuals = np.abs(matching(roots))
     nodes = sturm_count(widths, coeffs, final_crossing=False)
     return [ModifiedEigenResult(energy=float(e),
-                                state=shot_state(grid, edges, row),
+                                build_state=partial(shot_state, grid, edges, row),
                                 iterations=0, self_consistency_residual=float(r),
                                 node_count=int(n), method="shooting")
             for e, row, r, n in zip(roots, coeffs, residuals, nodes)]
@@ -178,14 +189,16 @@ def solve_stationary_shooting(grid: Grid, V: PotentialSpec, e_bracket,
 
 
 def _grid_eigenpair(lap, factor, w_samples, state_index):
-    """Eigenpair ``state_index`` of -hbar^2/2m Laplacian + W and its state.
+    """Eigenvalue ``state_index`` of -hbar^2/2m Laplacian + W and a
+    callable that returns its normalized state.
 
     On Dirichlet grids the operator is a Jacobi matrix (symmetric
     tridiagonal with negative off-diagonals), whose k-th eigenvector has
     exactly k sign changes (Gantmacher-Krein): the eigenvalue index is the
-    node count, so that one pair alone is computed. Periodic wrap terms
-    break that structure; there the state is picked among the lowest ones
-    by its node count.
+    node count, so that eigenvalue alone is computed, and its eigenvector
+    only when the callable is called. Periodic wrap terms break that
+    structure; there the state is picked among the lowest ones by its node
+    count, so the pairs are computed up front.
     """
     grid = lap.grid
     if grid.boundary == DIRICHLET:
@@ -193,14 +206,18 @@ def _grid_eigenpair(lap, factor, w_samples, state_index):
         if state_index >= m:
             raise StateTrackingError(
                 f"state {state_index} exceeds the {m} unknowns of the grid")
-        energies, states = lowest_eigenpairs(lap, factor, w_samples, 1,
-                                             first=state_index)
-        return float(energies[0]), WaveField(states[:, 0], grid)
+
+        def state():
+            states = lowest_eigenpairs(lap, factor, w_samples, 1,
+                                       first=state_index)[1]
+            return WaveField(states[:, 0], grid).normalized()
+        return dirichlet_eigenvalue(lap, factor, w_samples, state_index), state
     n_ask = min(state_index + 4, grid.n_points - 2)
     energies, states = lowest_eigenpairs(lap, factor, w_samples, n_ask)
     for j in range(n_ask):
         if count_nodes(states[:, j]) == state_index:
-            return float(energies[j]), WaveField(states[:, j], grid)
+            found = WaveField(states[:, j], grid)
+            return float(energies[j]), found.normalized
     raise StateTrackingError(
         f"no eigenstate with node count {state_index} among the lowest {n_ask}")
 
@@ -215,12 +232,14 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
     eigenvalue whose state carries ``state_index`` nodes, relax toward it.
 
     ``backend='grid'`` uses the discrete banded eigensolve (any potential),
-    on V sampled and the kinetic operator built once per solve;
+    on V sampled and the kinetic operator built once per solve, and on
+    Dirichlet grids solves each iterate for the eigenvalue alone;
     ``backend='exact'`` uses closed-form piecewise-constant linear shooting,
     so the converged energy is free of discretization error and comparable
     with :func:`solve_stationary_shooting` at 1e-8. Under the ``reject``
     guard every iterate and every linearized eigenvalue is checked for
-    E = V(x) inside the domain.
+    E = V(x) inside the domain. The state of the result, the eigenvector
+    or shot at the returned energy, is computed when first read.
     """
     if state_index < 0:
         raise ConfigurationError("state_index must be >= 0")
@@ -238,12 +257,11 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
 
     def result(energy, state, iterations, residual):
         if state is None:  # exact backend: the shot, already normalized
-            state = shot_state(grid, edges,
-                               _nonlinear_coefficient(energy, v, units)[0])
-        else:
-            state = state.normalized()
+            def state():
+                return shot_state(grid, edges,
+                                  _nonlinear_coefficient(energy, v, units)[0])
         return ModifiedEigenResult(
-            energy=float(energy), state=state, iterations=iterations,
+            energy=float(energy), build_state=state, iterations=iterations,
             self_consistency_residual=residual, node_count=state_index,
             method="fixed_point")
 
@@ -286,6 +304,9 @@ def additional_term_report(psi_ref: WaveField, E_ref: float, V: PotentialSpec,
     with the excision radius halved until the value is stable to
     ``rel_tol`` relative.
     """
+    import scipy.integrate  # this audit alone integrates: kept off import time
+    import scipy.interpolate
+
     grid = psi_ref.grid
     if abs(psi_ref.norm() - 1.0) > 1e-8:
         raise UsageError("psi_ref must be normalized")

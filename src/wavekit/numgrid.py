@@ -247,6 +247,44 @@ def dirichlet_block(grid: Grid):
     return 1, grid.n_points - 2
 
 
+def _dirichlet_band(kinetic: BandedOperator, kinetic_factor: float,
+                    potential: np.ndarray, last: int) -> np.ndarray:
+    """Lower band storage of ``kinetic_factor * L + diag(potential)`` on
+    the unknowns block of a Dirichlet grid, checked to hold eigenvalue
+    index ``last``."""
+    lo, m = dirichlet_block(kinetic.grid)
+    if last >= m:
+        raise ConfigurationError(
+            f"eigenpairs up to index {last} exceed interior size {m}")
+    bw = kinetic.bandwidth
+    band = np.zeros((bw + 1, m))
+    for k in range(bw + 1):
+        row = kinetic.diagonals.get(k)
+        if row is None:
+            continue
+        band[k, : m - k] = kinetic_factor * row[lo : lo + m - k]
+    band[0] += potential[lo : lo + m]
+    return band
+
+
+def dirichlet_eigenvalue(kinetic: BandedOperator, kinetic_factor: float,
+                         potential: np.ndarray, index: int) -> float:
+    """Eigenvalue ``index`` (ascending) of ``kinetic_factor * L +
+    diag(potential)`` on a Dirichlet grid, without its eigenvector.
+
+    The same banded solve as :func:`lowest_eigenpairs` asked for no
+    vectors: LAPACK bisects the same tridiagonal form either way, so the
+    eigenvalue carries the same bits as the one it returns.
+    """
+    if kinetic.grid.boundary != DIRICHLET:
+        raise ConfigurationError("dirichlet_eigenvalue needs a Dirichlet grid")
+    if index < 0:
+        raise ConfigurationError("index must be >= 0")
+    return float(scipy.linalg.eig_banded(
+        _dirichlet_band(kinetic, kinetic_factor, potential, index), lower=True,
+        eigvals_only=True, select="i", select_range=(index, index))[0])
+
+
 def lowest_eigenpairs(kinetic: BandedOperator, kinetic_factor: float,
                       potential: np.ndarray, n_states: int, first: int = 0):
     """Eigenpairs ``first`` .. ``first + n_states - 1`` (ascending) of
@@ -267,19 +305,9 @@ def lowest_eigenpairs(kinetic: BandedOperator, kinetic_factor: float,
     last = first + n_states - 1
     if grid.boundary == DIRICHLET:
         lo, m = dirichlet_block(grid)
-        if last >= m:
-            raise ConfigurationError(
-                f"eigenpairs up to index {last} exceed interior size {m}")
-        bw = kinetic.bandwidth
-        band = np.zeros((bw + 1, m))
-        for k in range(bw + 1):
-            row = kinetic.diagonals.get(k)
-            if row is None:
-                continue
-            band[k, : m - k] = kinetic_factor * row[lo : lo + m - k]
-        band[0] += potential[lo : lo + m]
         vals, vecs = scipy.linalg.eig_banded(
-            band, lower=True, select="i", select_range=(first, last))
+            _dirichlet_band(kinetic, kinetic_factor, potential, last), lower=True,
+            select="i", select_range=(first, last))
         states = np.zeros((n, n_states))
         states[lo : lo + m, :] = vecs
     else:

@@ -223,30 +223,34 @@ def find_singular_set(spec: PotentialSpec, E: float, kind: str,
 
     Sign-change scanning at ``_SCAN_FACTOR`` times the grid density followed
     by bisection. Jump discontinuities of piecewise potentials produce sign
-    changes without zeros; those are filtered by a residual check. On a
-    piecewise-constant profile the condition takes one value per region,
-    read at the region midpoints in one call: unless one of them is within
-    the residual tolerance of zero, every sign change is a jump and is
-    rejected without bisecting it.
+    changes without zeros; those are filtered by a residual check.
+
+    On a piecewise-constant profile the condition takes one level per
+    region, read at the region midpoints in one call, and at the two
+    domain ends, where a breakpoint on an end gives that node the outer
+    level. Unless one of these levels is within the residual tolerance of
+    zero, the set is empty and no scan is made: every scan sample would
+    be one of them, and every sign change a jump that fails the residual
+    check.
     """
     if not np.isfinite(E):
         raise UsageError("E must be finite")
     f = _condition(spec, E, kind)
+    tol_val = 1e-9 * max(1.0, abs(E))
+    if spec.is_piecewise_constant:
+        edges = np.sort(region_edges(spec, grid.x_min, grid.x_max))
+        levels = f(np.concatenate([0.5 * (edges[:-1] + edges[1:]),
+                                   edges[[0, -1]]]))
+        if np.all(np.abs(levels) > tol_val):
+            return SingularSet(kind, (), float("inf"))
     xs = np.linspace(grid.x_min, grid.x_max, _SCAN_FACTOR * grid.n_points)
     fs = np.asarray(f(xs), dtype=float)
-    tol_val = 1e-9 * max(1.0, abs(E))
     roots = []
     exact = np.flatnonzero(np.abs(fs) <= 1e-15 * max(1.0, abs(E)))
     for i in exact:
         roots.append(float(xs[i]))
     sign = np.sign(fs)
-    changes = np.flatnonzero((sign[:-1] * sign[1:]) < 0)
-    if changes.size and spec.is_piecewise_constant:
-        edges = np.sort(region_edges(spec, grid.x_min, grid.x_max))
-        levels = f(0.5 * (edges[:-1] + edges[1:]))
-        if np.all(np.abs(levels) > tol_val):
-            changes = changes[:0]  # all jumps: each would fail the residual check
-    for i in changes:
+    for i in np.flatnonzero((sign[:-1] * sign[1:]) < 0):
         lo, hi = xs[i], xs[i + 1]
         flo = fs[i]
         while hi - lo > _BISECT_TOL:

@@ -5,12 +5,14 @@ import pytest
 import scipy.linalg
 
 from wavekit import modified_nr as mnr
+from wavekit import modified_rel as mrel
+from wavekit import shooting
 from wavekit.errors import (ConfigurationError, NoRootError,
                             NonConvergenceError, NonHyperbolicRegimeError,
                             SingularRegionError, StabilityError,
                             StateTrackingError)
-from wavekit.numgrid import Grid, WaveField
-from wavekit.potentials import PotentialSpec
+from wavekit.numgrid import Grid, WaveField, lowest_eigenpairs
+from wavekit.potentials import PotentialSpec, evaluate
 from wavekit.reference import (hydrogen_ground_state, infinite_well_energy,
                                kinetic_operator, solve_schrodinger_stationary)
 from wavekit.units import UnitSystem
@@ -217,6 +219,124 @@ def test_grid_fixed_point_samples_v_once_and_scans_twice_per_iterate(
         iterations = len(exc.history) - 1
     assert calls["sample"] == 1
     assert calls["scan"] <= (2 * iterations if policy == "reject" else 0)
+
+
+def _vector_fixed_point(grid, spec, index, e_k, max_iter, guard):
+    """Reference: the grid-backend iteration with an eigenpair solve on
+    every iterate (Dirichlet and radial grids), the eigenvalue and its
+    normalized state taken from ``lowest_eigenpairs`` with vectors."""
+    factor, lap = kinetic_operator(grid, U)
+    v = np.asarray(evaluate(spec, grid.x), dtype=float)
+    reject = guard.mode == "reject"
+    history = [e_k]
+    for it in range(1, max_iter + 1):
+        if reject:
+            mnr._reject_singular(spec, e_k, grid, "iterate")
+        w = mnr._effective_samples(v, e_k, guard)
+        mu, states = lowest_eigenpairs(lap, factor, w, 1, first=index)
+        mu, state = float(mu[0]), WaveField(states[:, 0], grid).normalized()
+        if abs(mu - e_k) <= 1e-10:
+            return e_k, it, abs(mu - e_k), state
+        if reject:
+            mnr._reject_singular(spec, mu, grid, "linearized eigenvalue")
+        if np.array_equal(mnr._effective_samples(v, mu, guard), w):
+            return mu, it, 0.0, state
+        e_k = 0.5 * e_k + 0.5 * mu
+        history.append(e_k)
+    raise NonConvergenceError("reference did not converge", history)
+
+
+SQUARE_WELL_12 = (Grid.line(-8.0, 8.0, 400), PotentialSpec.square_well(12.0, 1.0))
+
+
+@pytest.mark.parametrize("grid, spec, index, e_init, policy", [
+    (*SQUARE_WELL_12, 7, -8.0, "reject"),   # converges in 45 iterations
+    (*SQUARE_WELL_12, 7, -8.0, "clamp"),
+    (*SQUARE_WELL_12, 1, -6.0, "reject"),   # wanders to max_iter
+    (*SQUARE_WELL_12, 0, -12.0, "clamp"),   # starts on the well bottom
+    (Grid.line(-4.0, 4.0, 400), PotentialSpec.harmonic(1.0), 0, -1.0, "clamp"),
+    (Grid.line(-4.0, 4.0, 400), PotentialSpec.harmonic(1.0), 0, 0.3, "reject"),
+    (Grid.line(-4.0, 4.0, 300), PotentialSpec.free(), 2, 1.0, "reject"),
+    (Grid.radial(8.0, 400), PotentialSpec.barrier(80.0, 3.0, 5.0), 2, 1.0,
+     "reject"),
+    (Grid.radial(10.0, 300), PotentialSpec.harmonic(1.0, center=5.0), 1, 1.0,
+     "clamp"),
+])
+def test_grid_fixed_point_equals_an_eigenpair_solve_on_every_iterate(
+        grid, spec, index, e_init, policy):
+    # iterates solve for the eigenvalue alone; energies, iteration counts,
+    # residuals, states and histories keep every bit
+    guard = mnr.GuardPolicy(policy)
+
+    def solve(method):
+        try:
+            return method()
+        except (NonConvergenceError, SingularRegionError) as exc:
+            return type(exc), [float(e).hex() for e in getattr(exc, "history", [])]
+
+    want = solve(lambda: _vector_fixed_point(grid, spec, index, e_init, 60,
+                                             guard))
+    got = solve(lambda: mnr.solve_stationary_fixed_point(
+        grid, spec, index, e_init, max_iter=60, units=U, guard=guard))
+    if isinstance(got, mnr.ModifiedEigenResult):
+        assert (got.energy, got.iterations, got.self_consistency_residual) \
+            == want[:3]
+        np.testing.assert_array_equal(got.state.values, want[3].values)
+    else:
+        assert got == want
+
+
+# Each solve returns its results and the eager states: the shot at each
+# root, sampled from the region coefficients the solver computed for it.
+
+def _nr_shooting():
+    g, spec = Grid.line(-6.0, 6.0, 400), PotentialSpec.square_well(10.0, 1.0)
+    results = mnr.solve_stationary_shooting(g, spec, (-9.5, -0.01), U)
+    edges, values = mnr.piecewise_regions(spec, g.x_min, g.x_max)
+    rows = mnr._nonlinear_coefficient([r.energy for r in results], values, U)
+    return results, lambda: [shooting.shot_state(g, edges, r) for r in rows]
+
+
+def _rel_shooting():
+    units = UnitSystem(c=5.0)
+    g, spec = Grid.line(0.0, 2.0, 300), PotentialSpec.step(3.0, 1.2)
+    results = mrel.solve_rel_stationary(mrel.RelScenario(units, spec, g),
+                                        (26.0, 60.0), n_scan=4000)
+    edges, values = mnr.piecewise_regions(spec, g.x_min, g.x_max)
+    rows = mrel.rel_coefficient([r.energy for r in results], values, units)
+    return results, lambda: [shooting.shot_state(g, edges, r) for r in rows]
+
+
+def _exact_fixed_point():
+    grid, spec = Grid.line(-3.0, 3.0, 200), PotentialSpec.square_well(4.0, 1.0)
+    res = mnr.solve_stationary_fixed_point(grid, spec, 6, -3.5851220539340374,
+                                           tol=1e-9, units=U, backend="exact")
+    edges, values = mnr.piecewise_regions(spec, grid.x_min, grid.x_max)
+    row = mnr._nonlinear_coefficient(res.energy, values, U)[0]
+    return [res], lambda: [shooting.shot_state(grid, edges, row)]
+
+
+@pytest.mark.parametrize("solve", [_nr_shooting, _rel_shooting,
+                                   _exact_fixed_point])
+def test_states_are_sampled_on_first_read(monkeypatch, solve):
+    calls = []
+    sample = shooting.sample_shot
+
+    def counted(*args):
+        calls.append(1)
+        return sample(*args)
+
+    monkeypatch.setattr(shooting, "sample_shot", counted)
+    results, eager = solve()
+    assert results and all(np.isfinite(r.energy + r.self_consistency_residual
+                                       + r.node_count) for r in results)
+    assert calls == []
+    states = eager()
+    calls.clear()
+    for r, state in zip(results, states):
+        np.testing.assert_array_equal(r.state.values, state.values)
+        assert r.state is r.state  # built once
+    assert len(calls) == len(results)
 
 
 WALLED_WELL = (Grid.line(-3.0, 3.0, 200), PotentialSpec.square_well(4.0, 1.0))

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from wavekit.errors import ConfigurationError
 from wavekit.numgrid import (Grid, WaveField, build_laplacian,
                              build_radial_laplacian, count_nodes,
-                             inner_product, lowest_eigenpairs)
+                             dirichlet_eigenvalue, inner_product,
+                             lowest_eigenpairs)
 
 
 def test_grid_validation_collects_all_failures():
@@ -123,6 +124,28 @@ def test_lowest_eigenpairs_box_energies():
         assert np.sum(w * states[:, j] ** 2) == pytest.approx(1.0)
         assert states[0, j] == 0.0 and states[-1, j] == 0.0
         assert count_nodes(states[:, j]) == j
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("kind", ["line", "radial"])
+def test_dirichlet_eigenvalue_has_the_bits_of_the_eigenpair_solve(kind, order):
+    # the banded solve without vectors bisects the same tridiagonal form
+    # (Jacobi bands for order 2, pentadiagonal ones for order 4)
+    rng = np.random.default_rng([order, len(kind)])
+    for n in rng.integers(8, 400, size=25):
+        g = (Grid.line(-3.0, 3.0, int(n)) if kind == "line"
+             else Grid.radial(6.0, int(n)))
+        lap = build_laplacian(g, order)
+        factor = -rng.uniform(0.1, 2.0)
+        v = rng.normal(scale=rng.uniform(0.1, 50.0), size=g.n_points)
+        index = int(rng.integers(0, g.n_points - 2))
+        vals, _ = lowest_eigenpairs(lap, factor, v, 1, first=index)
+        assert dirichlet_eigenvalue(lap, factor, v, index) == vals[0]
+    with pytest.raises(ConfigurationError):
+        dirichlet_eigenvalue(lap, factor, v, g.n_points)
+    periodic = build_laplacian(Grid.line(0.0, 1.0, 16, "periodic"))
+    with pytest.raises(ConfigurationError):
+        dirichlet_eigenvalue(periodic, -0.5, np.zeros(16), 0)
 
 
 def test_inner_product_sesquilinear():

@@ -138,11 +138,12 @@ def evaluate_calls(monkeypatch):
 def test_step_profile_jumps_are_rejected_without_bisection(
         spec, kind, factor, evaluate_calls):
     # E halfway between the region values -10 and 0: the condition changes
-    # sign at every jump to or from -10 but is never near zero
+    # sign at every jump to or from -10 but is never near zero, so one
+    # evaluation of the region levels and end values decides the empty set
     g = Grid.line(-4.0, 4.0, 400)
     s = find_singular_set(spec, factor * -5.0, kind, g)
-    assert s.locations == ()
-    assert len(evaluate_calls) <= 2
+    assert (s.locations, s.proximity) == ((), float("inf"))
+    assert len(evaluate_calls) == 1
 
 
 @pytest.mark.parametrize("kind, factor", SINGULAR_AT)
@@ -171,3 +172,64 @@ def test_step_profile_near_singular_energy_still_bisects_the_jump(
     assert s.locations
     assert all(abs(abs(x) - 1.0) < 1e-11 for x in s.locations)
     assert len(evaluate_calls) > 2
+
+
+def _full_scan_singular_set(spec, E, kind, grid):
+    """Reference: the singular set from the dense scan alone, as before the
+    region levels were read first. Every sign change is bisected and kept
+    when the residual check passes; exact zeros of the scan are kept."""
+    f = potentials._condition(spec, E, kind)
+    xs = np.linspace(grid.x_min, grid.x_max, 8 * grid.n_points)
+    fs = np.asarray(f(xs), dtype=float)
+    tol_val = 1e-9 * max(1.0, abs(E))
+    roots = [float(x) for x in xs[np.abs(fs) <= 1e-15 * max(1.0, abs(E))]]
+    sign = np.sign(fs)
+    for i in np.flatnonzero((sign[:-1] * sign[1:]) < 0):
+        lo, hi, flo = xs[i], xs[i + 1], fs[i]
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            fm = f(mid)
+            if fm == 0.0:
+                lo = hi = mid
+                break
+            if flo * fm < 0:
+                hi = mid
+            else:
+                lo, flo = mid, fm
+        x_star = 0.5 * (lo + hi)
+        if abs(f(x_star)) <= tol_val:
+            roots.append(float(x_star))
+    merged = []
+    for r in sorted(set(round(r, 14) for r in roots)):
+        if not merged or r - merged[-1] > 1e-11:
+            merged.append(r)
+    prox = (float(min(np.min(np.abs(grid.x - r)) for r in merged)) if merged
+            else float("inf"))
+    return potentials.SingularSet(kind, tuple(merged), prox)
+
+
+@pytest.mark.parametrize("kind, factor", SINGULAR_AT)
+def test_singular_set_of_random_piecewise_profiles_equals_the_full_scan(
+        kind, factor):
+    # E sits at a random level's singular energy, offset by none, by a
+    # fraction of the 1e-9 residual tolerance on either side of it, or by
+    # far more; breakpoints fall inside and outside the domain, and on
+    # its ends, where the end node takes the outer level
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    g = Grid.line(-2.0, 2.0, 48)
+    for _ in range(80):
+        breaks = rng.uniform(-3.0, 3.0, int(rng.integers(0, 5)))
+        if rng.uniform() < 0.4:
+            breaks = np.append(breaks, rng.choice([g.x_min, g.x_max]))
+        breaks = np.unique(breaks)
+        values = rng.choice([-10.0, -4.0, 0.0, 3.5, 20.0], breaks.size + 1)
+        spec = PotentialSpec.piecewise_constant(breaks, values)
+        level = (evaluate(spec, rng.choice([g.x_min, g.x_max]))
+                 if rng.uniform() < 0.4 else rng.choice(values))
+        base = factor * float(level)
+        offset = rng.choice([0.0, 0.5, -0.5, 0.999, 1.001, -2.0, 3.0, 1e6])
+        E = base + offset * 1e-9 * max(1.0, abs(base))
+        got = find_singular_set(spec, E, kind, g)
+        want = _full_scan_singular_set(spec, E, kind, g)
+        assert (got.locations, got.proximity) == (want.locations,
+                                                  want.proximity), (spec, E)

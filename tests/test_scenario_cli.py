@@ -1,11 +1,16 @@
 import copy
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import wavekit
 from wavekit import cli, errors, scenario
 from wavekit import modified_nr as mnr
 from wavekit import modified_rel as mrel
@@ -348,6 +353,41 @@ def test_cli_compare_of_an_undecodable_report_exits_2(tmp_path, capsys):
     bad.write_bytes(b'{"payload": "\xf6"}')
     assert cli.main(["compare", str(bad), str(bad), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("cannot load report")
+
+
+@pytest.mark.parametrize("document", [
+    {"error": "NonConvergenceError", "message": "did not converge",
+     "exit_code": 3, "iterate_history": [-6.0]},  # --out of a failed run
+    [{"scenario": {}, "payload": {}}],
+    "no payload",
+], ids=["error object", "list", "no payload"])
+def test_cli_compare_of_a_document_that_is_no_report_exits_2(
+        tmp_path, capsys, document):
+    cfg = _write(tmp_path, "box.yaml", BOX)
+    good = tmp_path / "good.json"
+    assert cli.main(["solve", "--config", cfg, "--out", str(good),
+                     "--quiet"]) == 0
+    if document == "no payload":
+        document = json.loads(good.read_text())
+        del document["payload"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(document))
+    for pair in ([str(bad), str(good)], [str(good), str(bad)]):
+        assert cli.main(["compare", *pair, "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("cannot load report")
+
+
+def test_cli_import_leaves_the_integration_modules_unloaded():
+    # only additional_term_report integrates or interpolates; the CLI's
+    # start-up should not pay for loading those SciPy modules
+    src = str(Path(wavekit.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = ("import sys, wavekit.cli; print(sorted(m for m in "
+             "('scipy.integrate', 'scipy.interpolate') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_cli_compare_writes_into_a_new_nested_directory(tmp_path):
