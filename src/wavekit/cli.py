@@ -95,12 +95,15 @@ def _load_report(path: str) -> RunReport:
 
 def cmd_compare(args) -> int:
     try:
-        reports = [_load_report(path) for path in (args.report_a, args.report_b)]
-    except (OSError, ValueError) as exc:  # ValueError: JSON and UTF-8 errors too
+        delta = compare_reports(*(_load_report(path)
+                                  for path in (args.report_a, args.report_b)))
+    except (OSError, ValueError) as exc:  # JSON, UTF-8, truncated payloads
         print(f"cannot load report: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except WavekitError as exc:
+        return _write_error(exc, args.out, args.quiet)
     try:
-        text = canonical_json(compare_reports(*reports))
+        text = canonical_json(delta)
         if args.out:
             _write(args.out, text)
     except WavekitError as exc:

@@ -267,6 +267,29 @@ def _dirichlet_band(kinetic: BandedOperator, kinetic_factor: float,
     return band
 
 
+def ring_fold_order(n: int, boundary: str) -> np.ndarray:
+    """Site visit order that keeps grid neighbours close: ``0, n-1, 1,
+    n-2, ...`` on periodic grids, so the wrap couples sites at most two
+    places apart, and the natural order on Dirichlet grids."""
+    k = np.arange(n)
+    if boundary != PERIODIC:
+        return k
+    return np.where(k % 2 == 0, k // 2, n - 1 - k // 2)
+
+
+def band_storage(matrix: scipy.sparse.spmatrix) -> np.ndarray:
+    """LAPACK general band storage (``ab[b + i - j, j] = M[i, j]``, b sub-
+    and b super-diagonals) of a sparse matrix, copied from its stored
+    entries; b is the distance of the farthest stored entry from the
+    diagonal. For a symmetric matrix, ``ab[b:]`` is its lower band storage.
+    """
+    coo = matrix.tocoo()
+    b = int(np.max(np.abs(coo.row - coo.col), initial=0))
+    ab = np.zeros((2 * b + 1, matrix.shape[0]))
+    ab[b + coo.row - coo.col, coo.col] = coo.data
+    return ab
+
+
 def dirichlet_eigenvalue(kinetic: BandedOperator, kinetic_factor: float,
                          potential: np.ndarray, index: int) -> float:
     """Eigenvalue ``index`` (ascending) of ``kinetic_factor * L +

@@ -478,11 +478,15 @@ def error_object(exc: WavekitError) -> dict:
 
 
 def compare_reports(a: RunReport, b: RunReport) -> dict:
-    """Per-level energy deltas and state overlap deficits of two spectra."""
+    """Per-level energy deltas and state overlap deficits of two spectra.
+
+    Raises UsageError unless both payloads are spectra, and ValueError when
+    a spectrum is truncated: no ``energies``, a state without ``re``/``im``,
+    or fewer states than energies."""
     pa, pb = a.payload, b.payload
     if pa.get("kind") != "spectrum" or pb.get("kind") != "spectrum":
         raise UsageError("compare_reports needs two spectrum payloads")
-    ea, eb = pa["energies"], pb["energies"]
+    ea, eb = (_entry(p, "energies", "spectrum payload") for p in (pa, pb))
     n = min(len(ea), len(eb))
     warnings = []
     if len(ea) != len(eb):
@@ -491,6 +495,10 @@ def compare_reports(a: RunReport, b: RunReport) -> dict:
     deltas = [float(eb[i] - ea[i]) for i in range(n)]
     deficits = []
     if "states" in pa and "states" in pb:
+        for p in (pa, pb):
+            if len(p["states"]) != len(p["energies"]):
+                raise ValueError(f"spectrum payload holds {len(p['energies'])} "
+                                 f"energies but {len(p['states'])} states")
         for i in range(n):
             va, vb = _state_vector(pa["states"][i]), _state_vector(pb["states"][i])
             if va.shape == vb.shape:
@@ -510,8 +518,17 @@ def _state_vector(state: dict) -> np.ndarray:
     """A report state as one complex vector; a spinor's down component
     (``re2``/``im2``) follows its up component."""
     parts = [("re", "im"), ("re2", "im2")] if "re2" in state else [("re", "im")]
-    return np.concatenate([np.asarray(state[re]) + 1j * np.asarray(state[im])
+    return np.concatenate([np.asarray(_entry(state, re, "state"))
+                           + 1j * np.asarray(_entry(state, im, "state"))
                            for re, im in parts])
+
+
+def _entry(node: dict, key: str, what: str):
+    """``node[key]``; a ValueError naming the missing key of a truncated
+    report instead of a KeyError."""
+    if key not in node:
+        raise ValueError(f"{what} has no {key!r}")
+    return node[key]
 
 
 def _set_by_path(doc: dict, dotted: str, value):

@@ -360,16 +360,25 @@ def test_cli_compare_of_an_undecodable_report_exits_2(tmp_path, capsys):
      "exit_code": 3, "iterate_history": [-6.0]},  # --out of a failed run
     [{"scenario": {}, "payload": {}}],
     "no payload",
-], ids=["error object", "list", "no payload"])
+    "no energies",
+    "a state without im",
+], ids=["error object", "list", "no payload", "no energies",
+        "a state without im"])
 def test_cli_compare_of_a_document_that_is_no_report_exits_2(
         tmp_path, capsys, document):
     cfg = _write(tmp_path, "box.yaml", BOX)
     good = tmp_path / "good.json"
     assert cli.main(["solve", "--config", cfg, "--out", str(good),
                      "--quiet"]) == 0
-    if document == "no payload":
-        document = json.loads(good.read_text())
-        del document["payload"]
+    if isinstance(document, str):  # a truncated copy of the good report
+        report = json.loads(good.read_text())
+        if document == "no payload":
+            del report["payload"]
+        elif document == "no energies":
+            del report["payload"]["energies"]
+        else:
+            del report["payload"]["states"][1]["im"]
+        document = report
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(document))
     for pair in ([str(bad), str(good)], [str(good), str(bad)]):

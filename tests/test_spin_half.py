@@ -1,7 +1,13 @@
+import json
+
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 
+from wavekit import cli, scenario
 from wavekit import spin_half as sh
+from wavekit.errors import NonConvergenceError
 from wavekit.numgrid import Grid
 from wavekit.potentials import PotentialSpec, evaluate
 from wavekit.reference import dirac_free_energies
@@ -100,6 +106,174 @@ def test_massless_zero_modes_at_the_window_edge(boundary, n):
         want = _complex_reference(g, PotentialSpec.free(), n_states, True)
         np.testing.assert_allclose(np.sort(np.abs(res.energies)), want,
                                    rtol=0, atol=1e-10)
+
+
+def _line_grid(n, boundary):
+    """A line grid of n points; Grid refuses fewer than 8, which neither the
+    operator nor its band needs, so smaller ones are built field by field."""
+    if n >= 8:
+        return Grid.line(-3.7, 5.1, n, boundary=boundary)
+    g = object.__new__(Grid)
+    for name, value in zip(("kind", "x_min", "x_max", "n_points", "boundary"),
+                           ("line", -3.7, 5.1, n, boundary)):
+        object.__setattr__(g, name, value)
+    return g
+
+
+@pytest.mark.parametrize("n", [3, 8, 33, 512])
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("massless", [False, True])
+def test_band_unpermutes_to_the_folded_operator(n, boundary, massless):
+    # the band, expanded and put back in the stacked (up, down) order, is
+    # the folded operator a_ij / sqrt(w_i w_j) bit for bit
+    g = _line_grid(n, boundary)
+    op = sh.real_dirac_operator(g, U, 0.0 if massless else 0.7, massless)
+    s = 1.0 / np.sqrt(np.random.default_rng(n).uniform(0.2, 3.0, 2 * n))
+    folded, band, pos = sh._folded_band(op, s, boundary)
+    bw = 5 if boundary == "periodic" else 3
+    assert band.shape == (2 * bw + 1, 2 * n)
+    m = 2 * n
+    dense = np.zeros((m, m))
+    for d in range(-bw, bw + 1):  # ab[bw + i - j, j] = M[i, j]
+        j = np.arange(max(0, -d), min(m, m - d))
+        dense[j + d, j] = band[bw + d, j]
+        assert not np.any(np.delete(band[bw + d], j))  # padding stays zero
+    want = op.toarray() * np.outer(s, s)
+    np.testing.assert_array_equal(dense[np.ix_(pos, pos)], want)
+    np.testing.assert_array_equal(folded.toarray()[np.ix_(pos, pos)], want)
+
+
+def _dense_folded(g, V, massless):
+    op = sh.real_dirac_operator(g, U, 0.0 if massless else 1.0, massless)
+    v = evaluate(V, g.x)
+    s = 1.0 / np.sqrt(np.concatenate([1.0 + v / U.E0, 1.0 + v / U.E0]))
+    return op.toarray() * np.outer(s, s), s
+
+
+def _random_potential(rng, kind):
+    if kind == "harmonic":
+        return PotentialSpec.harmonic(float(rng.uniform(0.2, 3.0)),
+                                      center=float(rng.uniform(1.0, 4.0)))
+    breaks = np.sort(rng.uniform(0.0, 5.0, int(rng.integers(1, 5))))
+    return PotentialSpec.piecewise_constant(
+        breaks.tolist(), rng.uniform(-0.6 * U.E0, 2.0 * U.E0,
+                                     breaks.size + 1).tolist())
+
+
+@pytest.mark.parametrize("massless", [False, True])
+@pytest.mark.parametrize("boundary, n, kind, n_states, widens", [
+    ("periodic", 64, "free", 7, False),     # cuts a multiplet of four
+    ("periodic", 65, "free", 4, False),
+    ("periodic", 64, "harmonic", 9, False),
+    ("periodic", 81, "piecewise", 5, False),
+    ("dirichlet", 80, "piecewise", 11, False),
+    ("dirichlet", 63, "harmonic", 6, False),
+    ("dirichlet", 63, "free", 1, True),     # zero modes: massless widens
+])
+def test_banded_energies_match_a_dense_eigvalsh(massless, boundary, n, kind,
+                                                n_states, widens):
+    rng = np.random.default_rng([n, n_states])
+    for _ in range(3 if kind != "free" else 1):
+        V = PotentialSpec.free() if kind == "free" else _random_potential(rng,
+                                                                         kind)
+        g = Grid.line(0.0, 5.0, n, boundary=boundary)
+        res = (sh.solve_massless(g, V, U, n_states=n_states) if massless else
+               sh.solve_spin_half_stationary(g, V, U, n_states=n_states))
+        ref = np.linalg.eigvalsh(_dense_folded(g, V, massless)[0])
+        tol = 1e-12 * np.maximum(1.0, np.abs(res.energies))
+        # each level is a dense eigenvalue, and the |E| are the smallest ones
+        nearest = ref[np.argmin(np.abs(ref[None, :] - res.energies[:, None]),
+                                axis=1)]
+        assert np.all(np.abs(res.energies - nearest) <= tol)
+        assert np.all(np.abs(np.sort(np.abs(res.energies))
+                             - np.sort(np.abs(ref))[:n_states]) <= np.sort(tol))
+        lo, hi = res.diagnostics["window"]
+        assert hi - lo + 1 >= 2 * n_states
+        assert (res.diagnostics["widenings"] > 0) == (widens and massless)
+        assert res.diagnostics["max_residual"] < 1e-8
+
+
+@pytest.mark.parametrize("massless", [False, True])
+def test_degenerate_clusters_span_the_dense_eigenspaces(massless):
+    # the free ring's +-p partners are degenerate: any basis of the pair is
+    # right, so compare the eigenspace projectors of complete clusters
+    g = Grid.line(0.0, 40.0, 96, boundary="periodic")
+    V = PotentialSpec.free()
+    res = (sh.solve_massless(g, V, U, n_states=13) if massless else
+           sh.solve_spin_half_stationary(g, V, U, n_states=13))
+    dense, s = _dense_folded(g, V, massless)
+    ref, ref_vecs = np.linalg.eigh(dense)
+    # the states as orthonormal columns of the folded problem
+    y = np.array([np.concatenate([st.up.real, st.down.imag])
+                  for st in res.states]).T / s[:, None]
+    y /= np.linalg.norm(y, axis=0)
+    checked = 0
+    for e in np.unique(np.round(res.energies, 9)):
+        mine = np.abs(res.energies - e) < 1e-9
+        theirs = np.abs(ref - e) < 1e-9
+        if mine.sum() != theirs.sum():
+            continue  # the cut multiplet at the top is incomplete
+        checked += mine.sum() > 1
+        np.testing.assert_allclose(y[:, mine] @ y[:, mine].T,
+                                   ref_vecs[:, theirs] @ ref_vecs[:, theirs].T,
+                                   rtol=0, atol=1e-10)
+    assert checked >= 3
+
+
+def test_two_solves_give_the_same_arrays_and_digest():
+    doc = {"equation": "spin_half_stationary", "units": {"c": 10.0},
+           "grid": {"kind": "line", "x_min": -60.0, "x_max": 60.0,
+                    "n_points": 96, "boundary": "periodic"},
+           "potential": {"variant": "free"},
+           "solver": {"n_states": 10, "wilson_r": 1.0}}
+    one, two = (scenario.run_scenario(scenario.validate_scenario(doc))
+                for _ in range(2))
+    assert one.payload_digest == two.payload_digest
+    assert one.payload == two.payload
+    g = Grid.line(0.0, 5.0, 64, boundary="periodic")
+    a, b = (sh.solve_massless(g, PotentialSpec.free(), U, n_states=7)
+            for _ in range(2))
+    np.testing.assert_array_equal(a.energies, b.energies)
+    for sa, sb in zip(a.states, b.states):
+        np.testing.assert_array_equal(sa.stacked(), sb.stacked())
+
+
+def test_banded_solve_forms_no_dense_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense path taken")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    monkeypatch.setattr(scipy.sparse.csr_matrix, "toarray", refuse)
+    g = Grid.line(-200.0, 200.0, 512, boundary="periodic")
+    res = sh.solve_spin_half_stationary(g, PotentialSpec.free(), U,
+                                        n_states=22)
+    d = res.diagnostics
+    assert d["method"] == "banded_bisection_inverse_iteration"
+    assert d["bandwidth"] == 5 and d["dim"] == 1024
+    assert d["window"] == [490, 533] and d["widenings"] == 0
+    # vectors only for the clusters of the 22 selected levels
+    assert sum(d["clusters"]) >= 22 and d["banded_solves"] >= len(d["clusters"])
+    assert d["max_residual"] == max(d["residuals"]) < 1e-10
+
+
+def test_unconverged_inverse_iteration_is_a_typed_error(monkeypatch, tmp_path,
+                                                        capsys):
+    # a residual bound no vector can meet stands in for a stalled cluster
+    monkeypatch.setattr(sh, "_ROUNDING", 0.0)
+    monkeypatch.setattr(sh, "_RESIDUAL_TOL", 0.0)
+    g = Grid.line(0.0, 5.0, 48, boundary="periodic")
+    with pytest.raises(NonConvergenceError) as info:
+        sh.solve_massless(g, PotentialSpec.free(), U, n_states=2)
+    assert len(info.value.history) == sh._MAX_SWEEPS
+    assert info.value.exit_code == 3
+    cfg = tmp_path / "spin.yaml"
+    cfg.write_text("equation: spin_half_stationary\n"
+                   "grid: {kind: line, x_min: -4.0, x_max: 4.0, n_points: 64}\n"
+                   "potential: {variant: free}\nsolver: {n_states: 2}\n")
+    assert cli.main(["solve", "--config", str(cfg)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NonConvergenceError"
+    assert len(err["iterate_history"]) == sh._MAX_SWEEPS
 
 
 def test_spinor_field_stacking_roundtrip():
