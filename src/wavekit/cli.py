@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration error, 3 solver non-convergence,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -39,7 +40,7 @@ def _write_report(report: RunReport, out: str | None, fmt: str, quiet: bool):
         kind = report.payload.get("kind")
         text = spectrum_csv(report) if kind == "spectrum" else frames_csv(report)
     else:
-        text = canonical_json(report.to_dict())
+        text = report.to_json()
     if out:
         _write(out, text)
         if not quiet:
@@ -140,11 +141,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--quiet", action="store_true")
         return p
 
-    for command, what in (("solve", "stationary spectra"),
-                          ("propagate", "time-dependent evolution"),
-                          ("dispersion", "plane-wave residual audit")):
+    # CSV tables exist for spectra and trajectories, not residual tables
+    for command, what, formats in (
+            ("solve", "stationary spectra", ("json", "csv")),
+            ("propagate", "time-dependent evolution", ("json", "csv")),
+            ("dispersion", "plane-wave residual audit", ("json",))):
         p = common(sub.add_parser(command, help=what))
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--frame-stride", type=int, default=None,
                        help="keep every n-th time step in memory and emit "
                             "it as a frame (overrides output.frame_stride)")
@@ -165,10 +168,15 @@ COMMANDS = {"solve": cmd_scenario, "propagate": cmd_scenario,
             "sweep": cmd_sweep}
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code else EXIT_OK
     return COMMANDS[args.command](args)

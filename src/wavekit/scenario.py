@@ -67,9 +67,20 @@ class RunReport:
     version: str
     input_digest: str
     payload_digest: str  # sha256 of canonical_json({"scenario", "payload"})
+    # canonical_json texts of the members the run has encoded already
+    encoded: dict = field(default_factory=dict, repr=False)
 
     def to_dict(self) -> dict:
-        return dict(vars(self))
+        members = dict(vars(self))
+        del members["encoded"]
+        return members
+
+    def to_json(self) -> str:
+        """``canonical_json(self.to_dict())``, the text of a report file;
+        a member in ``encoded`` is spliced in, not encoded again."""
+        return join_canonical({
+            name: self.encoded.get(name) or canonical_json(value)
+            for name, value in self.to_dict().items()})
 
 
 def canonical_json(obj) -> str:
@@ -77,6 +88,13 @@ def canonical_json(obj) -> str:
     JSON file the CLI writes."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
                       allow_nan=True, default=_jsonable)
+
+
+def join_canonical(members: dict) -> str:
+    """``canonical_json`` of an object given its members' canonical_json
+    texts by key: the same text, with no member encoded again."""
+    return "{" + ",".join(f"{canonical_json(key)}:{members[key]}"
+                          for key in sorted(members)) + "}"
 
 
 def _sha256(text: str) -> str:
@@ -467,9 +485,13 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
     diagnostics["wall_time_s"] = time.perf_counter() - t0
     echo = canonical_json(config.raw)
     scenario = json.loads(echo)
+    # the payload is encoded once, for its digest and for the report file;
+    # the scenario is re-encoded (a raw key that is no string comes back
+    # as one, so the echo need not be the text of ``scenario``)
+    encoded = {"scenario": canonical_json(scenario),
+               "payload": canonical_json(payload)}
     return RunReport(scenario, payload, diagnostics, __version__, _sha256(echo),
-                     _sha256(canonical_json({"scenario": scenario,
-                                             "payload": payload})))
+                     _sha256(join_canonical(encoded)), encoded)
 
 
 def error_object(exc: WavekitError) -> dict:
@@ -557,6 +579,7 @@ def run_sweep(base_doc: dict, parameter: str, values, jobs: int = 1):
     def one(doc, value):
         try:
             report = run_scenario(validate_scenario(doc))
+            report.encoded.clear()  # a sweep writes no report file
             return {"value": value, "status": "ok", "report": report}
         except WavekitError as exc:
             return {"value": value, "status": "error",

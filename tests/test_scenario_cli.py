@@ -1,5 +1,7 @@
 import copy
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -346,6 +348,103 @@ def test_cli_report_is_canonical_json_with_a_recomputable_digest(tmp_path,
     assert cli.main(["solve", "--config", cfg]) == 0
     printed = json.loads(capsys.readouterr().out)
     assert printed["payload_digest"] == doc["payload_digest"]
+
+
+PERIODIC = ("grid: {kind: line, x_min: 0.0, x_max: 6.283185307179586, "
+            "n_points: 32, boundary: periodic}\n")
+
+#: One small config per equation id, by the payload kind it reports.
+EACH_EQUATION = {
+    "schrodinger": BOX,
+    "modified_nr_stationary": """\
+equation: modified_nr_stationary
+grid: {kind: line, x_min: -8.0, x_max: 8.0, n_points: 200}
+potential: {variant: square_well, depth: 6.0, half_width: 1.0}
+solver: {method: shooting, e_bracket: [-5.99, -0.01]}
+""",
+    "modified_nr_timedep": "equation: modified_nr_timedep\n" + PERIODIC
+                           + "solver: {dt: 1.0e-3, steps: 25}\n",
+    "modified_rel_stationary": """\
+equation: modified_rel_stationary
+units: {c: 1.0}
+grid: {kind: line, x_min: 0.0, x_max: 2.0, n_points: 100}
+potential: {variant: piecewise_constant, breakpoints: [], values: [0.2]}
+solver: {e_bracket: [1.2000001, 8.0]}
+""",
+    "modified_rel_timedep": "equation: modified_rel_timedep\nunits: {c: 1.0}\n"
+                            + PERIODIC + "solver: {dt: 1.0e-3, steps: 25}\n",
+    "spin_half_stationary": "equation: spin_half_stationary\nunits: {c: 10.0}\n"
+                            + PERIODIC + "solver: {n_states: 4}\n",
+    "massless_spin_half": "equation: massless_spin_half\nunits: {c: 10.0}\n"
+                          + PERIODIC + "solver: {n_states: 4}\n",
+    "dispersion_audit": """\
+equation: dispersion_audit
+solver: {momenta: [0.5, 2.0], potential_value: 0.3}
+""",
+}
+
+
+@pytest.mark.parametrize("equation, nonfinite", [
+    *((equation, False) for equation in EACH_EQUATION),
+    ("schrodinger", True)],
+    ids=[*EACH_EQUATION, "non-finite diagnostics"])
+def test_cli_report_of_each_payload_kind_is_canonical_json(
+        tmp_path, monkeypatch, equation, nonfinite):
+    if nonfinite:
+        solve = scenario.solve_schrodinger_stationary
+
+        def solve_with_non_finite_diagnostics(*args):
+            res = solve(*args)
+            res.diagnostics.update(condition=float("inf"), drift=float("nan"))
+            return res
+        monkeypatch.setattr(scenario, "solve_schrodinger_stationary",
+                            solve_with_non_finite_diagnostics)
+    config = EACH_EQUATION[equation]
+    command = scenario.EQUATIONS[equation].command
+    cfg = _write(tmp_path, "run.yaml", config)
+    out = tmp_path / "report.json"
+    assert cli.main([command, "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 0
+    text = out.read_text()
+    doc = json.loads(text)
+    assert text == scenario.canonical_json(doc)
+    if nonfinite:
+        assert '"condition":Infinity' in text and '"drift":NaN' in text
+    blob = scenario.canonical_json({"scenario": doc["scenario"],
+                                    "payload": doc["payload"]})
+    assert doc["payload_digest"] == hashlib.sha256(blob.encode()).hexdigest()
+    # a one-cell sweep of the same document lists the same digest
+    sweep_cfg = _write(tmp_path, "sweep.yaml", config + f"""\
+sweep: {{parameter: equation, values: [{equation}]}}
+""")
+    table = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--config", sweep_cfg, "--out", str(table),
+                     "--quiet"]) == 0
+    (row,) = list(csv.DictReader(io.StringIO(table.read_text())))
+    assert row["status"] == "ok"
+    assert row["payload_digest"] == doc["payload_digest"]
+
+
+def test_cli_solve_encodes_the_payload_once(tmp_path, monkeypatch):
+    cfg = _write(tmp_path, "spin.yaml", """\
+equation: spin_half_stationary
+units: {c: 10.0}
+grid: {kind: line, x_min: -30.0, x_max: 30.0, n_points: 96, boundary: periodic}
+potential: {variant: free}
+solver: {n_states: 10}
+""")
+    dumps, encoded = json.dumps, []
+
+    def counting_dumps(*args, **kwargs):
+        text = dumps(*args, **kwargs)
+        encoded.append(len(text))
+        return text
+    monkeypatch.setattr(json, "dumps", counting_dumps)
+    out = tmp_path / "report.json"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 0
+    # the digest and the file share one encoding of the payload
+    assert sum(encoded) <= 1.1 * len(out.read_text())
 
 
 def test_cli_compare_of_an_undecodable_report_exits_2(tmp_path, capsys):
@@ -772,3 +871,23 @@ def test_cli_csv_of_a_residual_table_exits_2(tmp_path):
     cfg = _write(tmp_path, "audit.yaml", "equation: dispersion_audit\n")
     assert cli.main(["dispersion", "--config", cfg, "--format", "csv",
                      "--quiet"]) == 2
+
+
+def test_cli_csv_of_a_residual_table_is_refused_before_the_audit_runs(
+        tmp_path, monkeypatch, capsys):
+    audit = scenario.EQUATIONS["dispersion_audit"]
+    runs = []
+
+    def counted(config):
+        runs.append(config)
+        return audit.run(config)
+    monkeypatch.setitem(scenario.EQUATIONS, "dispersion_audit",
+                        audit._replace(run=counted))
+    cfg = _write(tmp_path, "audit.yaml", "equation: dispersion_audit\n")
+    assert cli.main(["dispersion", "--config", cfg, "--quiet"]) == 0
+    assert len(runs) == 1
+    capsys.readouterr()
+    assert cli.main(["dispersion", "--config", cfg, "--format", "csv",
+                     "--quiet"]) == 2
+    assert len(runs) == 1
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
