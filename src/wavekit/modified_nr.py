@@ -235,8 +235,9 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
     on V sampled and the kinetic operator built once per solve, and on
     Dirichlet grids solves each iterate for the eigenvalue alone;
     ``backend='exact'`` uses closed-form piecewise-constant linear shooting,
-    so the converged energy is free of discretization error and comparable
-    with :func:`solve_stationary_shooting` at 1e-8. Under the ``reject``
+    its Sturm bracket seeded at the iterate, so the converged energy is
+    free of discretization error and comparable with
+    :func:`solve_stationary_shooting` at 1e-8. Under the ``reject``
     guard every iterate and every linearized eigenvalue is checked for
     E = V(x) inside the domain. The state of the result, the eigenvector
     or shot at the returned energy, is computed when first read.
@@ -275,7 +276,7 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
         if backend == "grid":
             mu, state = _grid_eigenpair(lap, factor, w, state_index)
         else:
-            mu = linear_bound_state_energy(edges, w, state_index, units)
+            mu = linear_bound_state_energy(edges, w, state_index, units, e_k)
             state = None
         residual = abs(mu - e_k)
         if residual <= tol:

@@ -62,14 +62,15 @@ class PotentialSpec:
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"unknown potential variant {self.variant!r}")
         for name in _SCALAR_FIELDS:
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                    and math.isfinite(value)):
+            if not _is_finite_real(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be a finite number")
         for name in _LIST_FIELDS:
             _check_finite_list(name, getattr(self, name))
         if self.variant == SQUARE_WELL and (self.depth <= 0 or self.half_width <= 0):
             raise ConfigurationError("square_well needs depth > 0 and half_width > 0")
+        if self.variant == HARMONIC and not math.isfinite(_stiffness(self)):
+            raise ConfigurationError(
+                "harmonic omega is too large: 0.5 mass omega^2 overflows")
         if self.variant == BARRIER and not self.left < self.right:
             raise ConfigurationError("barrier needs left < right")
         if self.variant == PIECEWISE_CONSTANT:
@@ -128,6 +129,25 @@ _SCALAR_FIELDS = ("center", "depth", "half_width", "height", "edge", "left",
 _LIST_FIELDS = ("breakpoints", "values", "sample_x", "sample_v")
 
 
+def _is_finite_real(value) -> bool:
+    """A real number, not a bool, whose float is finite (an int past the
+    float range has none)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _stiffness(spec: PotentialSpec) -> float:
+    """0.5 mass omega^2 of a harmonic spec, inf where it overflows."""
+    try:
+        return 0.5 * spec.mass * spec.omega**2
+    except OverflowError:
+        return math.inf
+
+
 def _check_finite_list(name: str, seq):
     try:
         x = np.asarray(seq, dtype=float)
@@ -171,7 +191,7 @@ def evaluate(spec: PotentialSpec, x):
     elif v == BARRIER:
         out = np.where((x >= spec.left) & (x <= spec.right), spec.height, 0.0)
     elif v == HARMONIC:
-        out = 0.5 * spec.mass * spec.omega**2 * (x - spec.center) ** 2
+        out = _stiffness(spec) * (x - spec.center) ** 2
     elif v == COULOMB:
         if np.any(x <= 0.0):
             raise DomainError("coulomb potential requires x > 0")

@@ -86,10 +86,15 @@ def _step(psi, dpsi, w, width):
     return _apply(psi, dpsi, *_transfer(w, width))
 
 
+def _scale(psi, dpsi):
+    """max(|psi|, |psi'|), floored at 1e-280 where both are 0."""
+    return np.maximum(np.maximum(np.abs(psi), np.abs(dpsi)), 1e-280)
+
+
 def _renormalized(psi, dpsi):
-    """Divide by max(|psi|, |psi'|): a positive factor, so zeros and signs
-    are unchanged while the state stays clear of overflow."""
-    scale = np.maximum(np.maximum(np.abs(psi), np.abs(dpsi)), 1e-280)
+    """Divide by :func:`_scale`: a positive factor, so zeros and signs are
+    unchanged while the state stays clear of overflow."""
+    scale = _scale(psi, dpsi)
     return psi / scale, dpsi / scale
 
 
@@ -133,10 +138,13 @@ def sturm_count(widths, coeffs, final_crossing: bool = True) -> np.ndarray:
     coefficient the count is N(E), the number of Dirichlet eigenvalues below
     E (oscillation theorem). Zeros of R cos(k xi - phi) are counted
     analytically in oscillatory regions; an exponential or linear region
-    holds at most one, read from the signs at its two ends. With
-    ``final_crossing=False`` a sign change across a non-oscillatory last
-    region is not counted: near an eigenvalue its endpoint is the matching
-    residual, not the field.
+    holds at most one, read from the signs at its two ends. The analytic
+    count leaves out a zero within 1e-12 pi rad of a region end, so it lags
+    just above an eigenvalue whose last region oscillates; psi at the right
+    wall has the sign (-1)^N, which restores the missed zero. With
+    ``final_crossing=False`` neither that nor a sign change across a
+    non-oscillatory last region is counted: near an eigenvalue the endpoint
+    is the matching residual, not the field.
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
     osc = coeffs > 0
@@ -154,6 +162,8 @@ def sturm_count(widths, coeffs, final_crossing: bool = True) -> np.ndarray:
         if j == last and not final_crossing:
             crossing[:] = False
         total += np.where(osc[:, j], waves, crossing)
+    if final_crossing:
+        total += np.sign(end_psi) * (-1.0) ** total < 0
     return total
 
 
@@ -187,9 +197,9 @@ def sample_shot(edges, coeffs, x) -> np.ndarray:
     with np.errstate(over="ignore"):
         over = np.isinf(kappa * np.sinh(np.minimum(grow, _GROW_CLAMP)))
     drop = np.where(over, grow, np.maximum(grow - _GROW_CLAMP, 0.0))
-    # e-folds to the next start: max(|psi|, |psi'|) of an end is the factor
-    # that _renormalized divides out (its 1e-280 floor binds only at zero)
-    f = np.log(np.maximum(np.abs(psi1), np.abs(dpsi1))) + drop
+    # e-folds to the next start: the factor that _renormalized divides out
+    # (floored, so an end state that cancels to (0, 0) stays finite)
+    f = np.log(_scale(psi1, dpsi1)) + drop
     j = np.searchsorted(edges[1:-1], x, side="right")
     offset = x - edges[j]
     psi, _ = _step(psi0[j], dpsi0[j], coeffs[j], offset)
@@ -250,6 +260,9 @@ def shot_state(grid: Grid, edges, coeffs) -> WaveField:
 _BISECT_BATCH = 64
 _STEPS = np.arange(1, _BISECT_BATCH + 1)
 _SCAN_BISECTIONS = 64  # bracketed_roots: halvings of each sign-change cell
+#: linear_bound_state_energy: offsets of the trials next to a guess, in
+#: units of the box level
+_GUESS_RUNGS = 4.0 ** -np.arange(32)
 
 
 def _interior(lo: float, hi: float) -> np.ndarray:
@@ -282,7 +295,7 @@ def _bisect_sign_change(matching, lo: float, hi: float, s_lo: float) -> float:
 
 
 def linear_bound_state_energy(edges, region_potentials, state_index: int,
-                              units):
+                              units, guess=None):
     """Energy of the ``state_index``-th Dirichlet eigenstate of the standard
     operator -hbar^2/2m psi'' + U psi on a piecewise-constant profile U.
 
@@ -295,6 +308,12 @@ def linear_bound_state_energy(edges, region_potentials, state_index: int,
     refined by batched bisection on its sign: the matching function is
     nearly a step across the root (the shot grows through forbidden outer
     regions), so one vectorized march per round beats a scalar root finder.
+
+    A ``guess`` near the eigenvalue E (a fixed-point iterate) adds the
+    rungs guess +- unit 4^-j, j < 32, to the first count batch, so the
+    count bracket is about 3 |E - guess| wide and the sign bisection starts
+    there. The counts still pick the state: a poor, non-finite or
+    out-of-range guess only costs the extra trials.
     """
     widths = np.diff(np.asarray(edges, dtype=float))
     u = np.asarray(region_potentials, dtype=float)
@@ -318,6 +337,11 @@ def linear_bound_state_energy(edges, region_potentials, state_index: int,
     top = float(np.max(u)) + 2.0 * (k + 1) ** 2 * unit
     n_double = int(np.ceil(np.log2((top - lo) / unit))) + 1
     trial = lo + unit * 2.0 ** np.arange(n_double)
+    if guess is not None:
+        rungs = unit * _GUESS_RUNGS
+        near = float(guess) + np.concatenate([-rungs, rungs])
+        near = near[(near > lo) & (near < top)]  # drops NaN and inf too
+        trial = np.unique(np.concatenate([trial, near]))
     for _ in range(64):
         # keep N(lo) <= k < N(hi) with the closest trial energies
         counts = sturm_count(widths, coeffs(trial))

@@ -377,9 +377,9 @@ def test_exact_fixed_point_applies_the_clamp_policy(monkeypatch):
     seen = []
     linear = mnr.linear_bound_state_energy
 
-    def spy(edges, w, index, units):
+    def spy(edges, w, index, units, *guess):
         seen.append(np.array(w))
-        return linear(edges, w, index, units)
+        return linear(edges, w, index, units, *guess)
 
     monkeypatch.setattr(mnr, "linear_bound_state_energy", spy)
     with pytest.raises(NonConvergenceError):

@@ -687,6 +687,25 @@ potential: {potential}
     assert any("strictly increasing" in f for f in failures)
 
 
+@pytest.mark.parametrize("omega", ["1.0e+160", "1.0e+200", "1.0e+300",
+                                   "1" + "0" * 400],
+                         ids=["1e160", "1e200", "1e300", "int_10^400"])
+def test_cli_harmonic_omega_whose_stiffness_overflows_exits_2(tmp_path,
+                                                              omega):
+    # the last is a YAML int past the float range
+    cfg = _write(tmp_path, "stiff.yaml", f"""\
+equation: schrodinger
+grid: {{kind: line, x_min: -4.0, x_max: 4.0, n_points: 16}}
+potential: {{variant: harmonic, omega: {omega}}}
+""")
+    out = tmp_path / "err.json"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 2
+    err = json.loads(out.read_text())
+    assert err["error"] == "ConfigurationError" and err["exit_code"] == 2
+    assert any("omega" in f for f in err["failures"])
+
+
 STATIONARY = """\
 equation: modified_nr_stationary
 grid: {kind: line, x_min: -8.0, x_max: 8.0, n_points: 400}

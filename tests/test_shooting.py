@@ -1,14 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from wavekit import modified_nr as mnr
+from wavekit import shooting
 from wavekit.errors import UsageError
 from wavekit.numgrid import Grid
+from wavekit.potentials import PotentialSpec
 from wavekit.shooting import (_BISECT_BATCH, _MARCH_ROWS, _interior,
-                              _renormalized, _step, count_shot_nodes,
+                              _renormalized, _step, _walk, count_shot_nodes,
                               linear_bound_state_energy, march_endpoint,
-                              sample_shot, shot_state, sturm_count)
+                              piecewise_regions, sample_shot, shot_state,
+                              sturm_count)
 from wavekit.units import UnitSystem
 
 U = UnitSystem()
@@ -103,6 +108,70 @@ def test_deep_well_states_are_indexed_by_node_count():
     assert -2.7e5 < mus[0] and mus[-1] < 0.0
 
 
+@pytest.mark.parametrize("length", [1.0, 2.0, 3.5, 5.0, 8.0, 16.0])
+def test_flat_box_levels_on_the_count_ladder_are_found(length):
+    # min(U) + 2^j unit is a level of a flat box for k = 0, 1, 3, 7: a trial
+    # lands on the eigenvalue, where the analytic count lags the sign of
+    # psi at the wall; the count bracket must still hold the matching root
+    unit = (np.pi / length) ** 2 / SCALE
+    for u0 in (-12.0, -4.0, 0.0, 1.0, 7.5, 305.74369284):
+        for k in (0, 1, 3, 7):
+            mu = linear_bound_state_energy(np.array([0.0, length]),
+                                           np.array([u0]), k, U)
+            assert mu == pytest.approx(u0 + (k + 1) ** 2 * unit, rel=1e-12)
+
+
+def _level_profile(rng):
+    """1-6 regions of width 0.1-3 and |U| from 0.1 to 1000 of either sign:
+    boxes, wells and barriers, with the last region allowed or forbidden."""
+    n_regions = int(rng.integers(1, 7))
+    edges = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 3.0,
+                                                         n_regions))])
+    u = rng.choice([-1.0, 1.0], n_regions) * 10.0 ** rng.uniform(-1.0, 3.0,
+                                                                n_regions)
+    return edges, u
+
+
+def test_seeded_linear_eigenvalue_equals_unseeded():
+    # the guess only adds trials to the Sturm batch: near, far, on the next
+    # level, below min(U) or non-finite, it picks the same state
+    rng = np.random.default_rng(11)
+    for i in range(300):
+        edges, u = _level_profile(rng)
+        k = i % 6
+        mu = linear_bound_state_energy(edges, u, k, U)
+        gap = linear_bound_state_energy(edges, u, k + 1, U) - mu
+        # the march sees E - U_j: energies resolve to the float spacing of
+        # the largest of them, which is |mu|'s where |mu| dominates
+        ulp = np.spacing(np.max(np.abs(mu - np.append(u, 0.0))))
+        for guess in (mu, mu - 1e-12 * abs(mu), mu + 1e-12 * abs(mu),
+                      mu - 0.3 * gap, mu + 0.3 * gap, mu + gap,
+                      np.min(u) - 1.0, 1e6, np.nan, np.inf, -np.inf):
+            got = linear_bound_state_energy(edges, u, k, U, guess)
+            assert abs(got - mu) <= 4.0 * ulp, (i, guess)
+            near = np.array([got - 1e-6 * gap, got + 1e-6 * gap])
+            counts = sturm_count(np.diff(edges), SCALE * (near[:, None] - u))
+            assert counts[0] == k < counts[1], (i, guess)
+
+
+def test_seeded_linear_eigenvalue_takes_fewer_marches(monkeypatch):
+    edges, u = np.array([-8.0, -1.0, 1.0, 8.0]), np.array([0.0, -12.0, 0.0])
+    calls = []
+
+    def counted(widths, coeffs):
+        calls.append(len(coeffs))
+        return march_endpoint(widths, coeffs)
+
+    monkeypatch.setattr(shooting, "march_endpoint", counted)
+    for k in range(3):
+        calls.clear()
+        mu = linear_bound_state_energy(edges, u, k, U)
+        unseeded = len(calls)
+        calls.clear()
+        assert linear_bound_state_energy(edges, u, k, U, mu) == mu
+        assert len(calls) <= 5 < unseeded
+
+
 def test_linear_eigenvalue_rejects_non_finite_profile():
     edges = np.array([0.0, 1.0, 2.0])
     with pytest.raises(UsageError):
@@ -143,6 +212,33 @@ def test_sample_shot_puts_an_overflowing_region_on_one_scale(e):
     np.testing.assert_allclose(p, _ref_shot(edges, coeffs, x), rtol=0.0,
                                atol=1e-12)
     assert np.max(np.abs(p[x > 1.0])) == 1.0
+
+
+def test_sample_shot_of_an_end_state_that_cancels_to_zero():
+    # the 7-node root of this well ends its last region at exactly (0, 0);
+    # its e-fold count takes the renormalization's floor, not log(0). (The
+    # shots near the right wall carry the root's residual, grown through
+    # the forbidden region, so only the peaks are compared with _ref_shot.)
+    depth = 6.171612836240812
+    grid = Grid.line(-8.0, 8.0, 400)
+    spec = PotentialSpec.square_well(depth, 1.0)
+    roots = mnr.solve_stationary_shooting(
+        grid, spec, (-depth * (1.0 - 1e-3), -depth * 1e-3), U)
+    edges, v = piecewise_regions(spec, grid.x_min, grid.x_max)
+    cancelled = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in roots:
+            coeffs = mnr._nonlinear_coefficient(r.energy, v, U)[0]
+            *_, (_, end) = _walk(np.diff(edges), coeffs)
+            if end == (0.0, 0.0):
+                cancelled.append((r.energy, r.node_count))
+            p = sample_shot(edges, coeffs, grid.x)
+            want = _ref_shot(edges, coeffs, grid.x)
+            assert np.argmax(np.abs(p)) == np.argmax(np.abs(want))
+            assert np.max(np.abs(p)) == 1.0
+            assert np.all(np.isfinite(r.state.values))
+    assert cancelled == [(-5.417626239013455, 7)]
 
 
 @pytest.mark.parametrize("w_barrier", [-1e6, -4e5])
