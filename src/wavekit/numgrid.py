@@ -17,18 +17,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from .errors import ConfigurationError, UsageError
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 LINE = "line"
 RADIAL = "radial"
 DIRICHLET = "dirichlet"
 PERIODIC = "periodic"
 _NODE_FLOOR = 1e-8  # count_nodes: samples below it (relative) carry no sign
+
+
+def _has_finite_inverse_square(h: float) -> bool:
+    """h**2 and 1/h**2 are finite and nonzero (the stencils divide by h**2)."""
+    h_sq = h * h
+    return 0.0 < h_sq < np.inf and 1.0 / h_sq < np.inf
 
 
 @dataclass(frozen=True)
@@ -51,6 +59,11 @@ class Grid:
             failures.append("n_points must be >= 8")
         if not self.x_max > self.x_min:
             failures.append("x_max must exceed x_min")
+        elif not np.isfinite(self.x_max - self.x_min):
+            failures.append("x_max - x_min must be a finite number")
+        elif self.n_points >= 8 and not _has_finite_inverse_square(self.h):
+            failures.append(f"grid spacing h = {self.h!r}: h**2 or 1/h**2 "
+                            "is out of the float range")
         if self.kind == RADIAL:
             if self.x_min <= 0.0:
                 failures.append("radial grids require x_min > 0 (origin excluded)")
@@ -131,6 +144,8 @@ class BandedOperator:
 
     @cached_property
     def matrix(self) -> scipy.sparse.csr_matrix:
+        import scipy.sparse  # loaded by the solves that need it, not at import
+
         offsets = sorted(self.diagonals)
         return scipy.sparse.diags(
             [self.diagonals[k] for k in offsets], offsets,
@@ -303,6 +318,8 @@ def dirichlet_eigenvalue(kinetic: BandedOperator, kinetic_factor: float,
         raise ConfigurationError("dirichlet_eigenvalue needs a Dirichlet grid")
     if index < 0:
         raise ConfigurationError("index must be >= 0")
+    import scipy.linalg  # loaded by the eigensolves, not at import
+
     return float(scipy.linalg.eig_banded(
         _dirichlet_band(kinetic, kinetic_factor, potential, index), lower=True,
         eigvals_only=True, select="i", select_range=(index, index))[0])
@@ -326,6 +343,8 @@ def lowest_eigenpairs(kinetic: BandedOperator, kinetic_factor: float,
     if first < 0:
         raise ConfigurationError("first must be >= 0")
     last = first + n_states - 1
+    import scipy.linalg  # loaded by the eigensolves, not at import
+
     if grid.boundary == DIRICHLET:
         lo, m = dirichlet_block(grid)
         vals, vecs = scipy.linalg.eig_banded(

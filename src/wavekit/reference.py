@@ -8,8 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import ConfigurationError
 from .numgrid import (Grid, RADIAL, WaveField, build_laplacian,
@@ -41,6 +39,8 @@ def solve_schrodinger_stationary(grid: Grid, V: PotentialSpec, n_states: int,
                                  units: UnitSystem = UnitSystem(), l: int = 0,
                                  order: int = 2) -> SpectrumResult:
     """Lowest eigenpairs of -hbar^2/2m Laplacian + V by banded eigensolve."""
+    import scipy.sparse  # loaded by the solves that need it, not at import
+
     factor, lap = kinetic_operator(grid, units, l, order)
     v_samples = np.asarray(evaluate(V, grid.x), dtype=float)
     energies, states = lowest_eigenpairs(lap, factor, v_samples, n_states)
@@ -60,6 +60,8 @@ def propagate_schrodinger(psi0: WaveField, V: PotentialSpec, dt: float, steps: i
     """Crank-Nicolson propagation; unitary in exact arithmetic."""
     if dt <= 0:
         raise ConfigurationError("dt must be > 0")
+    import scipy.sparse.linalg  # loaded by the solves that need it, not at import
+
     grid = psi0.grid
     factor, lap = kinetic_operator(grid, units, 0, order)
     h_mat = (factor * lap.matrix

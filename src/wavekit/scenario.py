@@ -14,6 +14,7 @@ import difflib
 import hashlib
 import io
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -117,26 +118,31 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    """A number whose float is finite (an int past the float range has none)."""
+    try:
+        return _is_number(value) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _is_integer(value) -> bool:
     """An integer, also when written as an integral float."""
-    return _is_number(value) and float(value).is_integer()
-
-
-def _is_finite(value) -> bool:
-    return _is_number(value) and bool(np.isfinite(value))
+    return _is_finite(value) and float(value).is_integer()
 
 
 def _is_bracket(value) -> bool:
-    """Two finite numbers in increasing order."""
+    """Two finite numbers in increasing order, a finite distance apart."""
     return (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(_is_finite(v) for v in value) and value[0] < value[1])
+            and all(_is_finite(v) for v in value) and value[0] < value[1]
+            and math.isfinite(float(value[1]) - float(value[0])))
 
 
 def _one_of(*choices):
     return (lambda v: v in choices), " or ".join(choices)
 
 
-_POSITIVE = (lambda v: _is_number(v) and 0 < v < np.inf), "a number > 0"
+_POSITIVE = (lambda v: _is_finite(v) and v > 0), "a number > 0"
 _FINITE = _is_finite, "a finite number"
 _FINITE_OR_NULL = (lambda v: v is None or _is_finite(v)), "null or a finite number"
 _COUNT = (lambda v: _is_integer(v) and v >= 1), "an integer >= 1"
@@ -175,7 +181,8 @@ SCHEMAS = {
         "method": ("fixed_point", *_one_of("fixed_point", "shooting")),
         "backend": ("grid", *_one_of("grid", "exact")),
         "e_bracket": (None, lambda v: v is None or _is_bracket(v),
-                      "null or two finite increasing numbers"),
+                      "null or two finite increasing numbers a finite "
+                      "distance apart"),
         "momenta": ([0.5, 1.0, 2.0],
                     lambda v: isinstance(v, list) and all(map(_is_finite, v)),
                     "a list of finite numbers"),
@@ -273,6 +280,11 @@ def validate_scenario(doc: dict) -> ScenarioConfig:
     grid = _config_block("grid", doc.get("grid"), failures)
     solver = _config_block("solver", doc.get("solver"), failures)
     output = _config_block("output", doc.get("output"), failures)
+    if units is not None:
+        try:
+            units = UnitSystem(**units)
+        except ConfigurationError as exc:
+            failures.append(f"units: {exc}")
     if grid is not None:
         try:
             grid = Grid(grid["kind"], float(grid["x_min"]), float(grid["x_max"]),
@@ -282,8 +294,8 @@ def validate_scenario(doc: dict) -> ScenarioConfig:
     if failures:
         raise ConfigurationError(
             "invalid scenario: " + "; ".join(failures), failures)
-    return ScenarioConfig(equation, UnitSystem(**units), potential, grid,
-                          solver, output, raw=doc)
+    return ScenarioConfig(equation, units, potential, grid, solver, output,
+                          raw=doc)
 
 
 def parse_sweep(text: str):

@@ -10,10 +10,9 @@ checks only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from .errors import (ConfigurationError, InvalidScenarioError,
                      NonConvergenceError, StabilityError, UsageError)
@@ -22,6 +21,9 @@ from .numgrid import (BandedOperator, Grid, PERIODIC, _laplacian_diagonals,
 from .potentials import PotentialSpec, evaluate
 from .reference import SpectrumResult
 from .units import UnitSystem
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -106,6 +108,8 @@ def clifford_check(cs: CliffordSet) -> dict:
 
 def _derivative_matrix(grid: Grid) -> scipy.sparse.csr_matrix:
     """Centered first difference; periodic wrap or Dirichlet ghost zeros."""
+    import scipy.sparse  # loaded by the solves that need it, not at import
+
     n, h = grid.n_points, grid.h
     off = np.full(n - 1, 0.5 / h)
     diags = {1: off, -1: -off}
@@ -132,6 +136,8 @@ def real_dirac_operator(grid: Grid, units: UnitSystem, wilson_r: float = 0.0,
     the Wilson doubling suppressor. ``massless`` drops the M blocks. A
     spinor (v1, v2) of this operator is (up, down) = (v1, i v2) of H.
     """
+    import scipy.sparse  # loaded by the solves that need it, not at import
+
     kin = units.hbar * units.c * _derivative_matrix(grid)
     mass = None
     if not massless:
@@ -178,6 +184,8 @@ def _folded_band(op: scipy.sparse.csr_matrix, inv_root_w: np.ndarray,
     folded operator is exactly symmetric and the band holds its entries
     bit for bit.
     """
+    import scipy.sparse  # loaded by the solves that need it, not at import
+
     n = op.shape[0] // 2
     sites = ring_fold_order(n, boundary)
     pos = np.empty(2 * n, dtype=np.intp)
@@ -210,6 +218,8 @@ def _cluster_vectors(folded, band: np.ndarray, scale: float,
     is kept only if each residual is within _RESIDUAL_TOL * max(1, |E|),
     else NonConvergenceError carries the residual of every sweep.
     """
+    import scipy.linalg  # loaded by the eigensolves, not at import
+
     bw = band.shape[0] // 2
     middle = 0.5 * (levels[0] + levels[-1])
     shifted = band.copy()
@@ -266,6 +276,8 @@ def _weighted_spectrum(grid: Grid, V: PotentialSpec, units: UnitSystem,
     n = grid.n_points
     if n_states < 1 or n_states > 2 * n:
         raise ConfigurationError("n_states out of range")
+    import scipy.linalg  # loaded by the eigensolves, not at import
+
     v = np.asarray(evaluate(V, grid.x), dtype=float)
     _check_weight(v, units)
     op = real_dirac_operator(grid, units, wilson_r, massless)

@@ -30,17 +30,19 @@ JUNK = st.sampled_from([None, "x", -1, 0, 2.5, 64.7, math.nan, math.inf,
                         [], [1.0], [2.0, 1.0], {"a": 1}, True])
 
 #: Valid values per block and key, kept small: n_points <= 64, steps <= 20.
+#: The extremes (1e-200 and 1e200 constants, +-1e308 grid bounds) are valid
+#: values whose derived scales leave the float range.
 VALID = {
     "units": {
-        "hbar": st.sampled_from([1.0, 0.5]),
-        "m": st.sampled_from([1.0, 2.0]),
-        "c": st.sampled_from([1.0, 10.0, 137.035999]),
+        "hbar": st.sampled_from([1.0, 0.5, 1e-200, 1e200]),
+        "m": st.sampled_from([1.0, 2.0, 1e-200, 1e200]),
+        "c": st.sampled_from([1.0, 10.0, 137.035999, 1e-200, 1e200]),
         "e": st.sampled_from([1.0, -1.0]),
     },
     "grid": {
         "kind": st.sampled_from(["line", "radial"]),
-        "x_min": st.sampled_from([-4.0, 0.0, 0.5]),
-        "x_max": st.sampled_from([1.0, 4.0, 2 * math.pi]),
+        "x_min": st.sampled_from([-4.0, 0.0, 0.5, -1e308]),
+        "x_max": st.sampled_from([1.0, 4.0, 2 * math.pi, 1e308]),
         "n_points": st.integers(8, 64),
         "boundary": st.sampled_from(["dirichlet", "periodic"]),
     },

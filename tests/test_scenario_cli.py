@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -485,17 +486,83 @@ def test_cli_compare_of_a_document_that_is_no_report_exits_2(
         assert capsys.readouterr().err.startswith("cannot load report")
 
 
-def test_cli_import_leaves_the_integration_modules_unloaded():
-    # only additional_term_report integrates or interpolates; the CLI's
-    # start-up should not pay for loading those SciPy modules
+#: Runs ``cli.main`` on each (name, argv) pair of the JSON list in argv[1]
+#: and prints, per name, the exit code and the SciPy modules then loaded,
+#: and the threads that loaded a SciPy module.
+SCIPY_PROBE = """\
+import json, sys, threading
+threads = set()
+def hook(event, args):
+    if event == "import" and str(args[0]).split(".")[0] == "scipy":
+        threads.add(threading.current_thread().name)
+sys.addaudithook(hook)
+import wavekit.cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+loaded = {"import wavekit.cli": [0, scipy_modules()]}
+for name, argv in json.loads(sys.argv[1]):
+    loaded[name] = [wavekit.cli.main(argv), scipy_modules()]
+print(json.dumps({"loaded": loaded, "threads": sorted(threads)}))
+"""
+
+
+def _scipy_probe(runs):
+    """The probe's output for ``runs`` in a fresh interpreter."""
     src = str(Path(wavekit.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = ("import sys, wavekit.cli; print(sorted(m for m in "
-             "('scipy.integrate', 'scipy.interpolate') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(runs)],
+                         env=env, check=True, capture_output=True, text=True)
+    return json.loads(out.stdout)
+
+
+def test_cli_loads_scipy_only_for_the_runs_that_call_it(tmp_path):
+    # shooting, the exact backend, the audit and compare call no SciPy, so
+    # the CLI imports it where an eigensolve or propagate first needs it
+    def solve(name, text):
+        cfg = _write(tmp_path, f"{name}.yaml", text)
+        return [name, ["solve", "--config", cfg, "--out",
+                       str(tmp_path / f"{name}.json"), "--quiet"]]
+
+    report = str(tmp_path / "nr_shooting.json")
+    audit = _write(tmp_path, "audit.yaml", EACH_EQUATION["dispersion_audit"])
+    runs = [
+        solve("nr_shooting", EACH_EQUATION["modified_nr_stationary"]),
+        solve("rel_shooting", EACH_EQUATION["modified_rel_stationary"]),
+        solve("exact_fixed_point", """\
+equation: modified_nr_stationary
+grid: {kind: line, x_min: -6.0, x_max: 6.0, n_points: 2000}
+potential: {variant: square_well, depth: 1.26, half_width: 1.28}
+solver: {backend: exact, state_index: 3, e_init: -0.91, tol: 1.0e-8}
+"""),
+        ["compare", ["compare", report, report, "--quiet"]],
+        ["dispersion", ["dispersion", "--config", audit, "--quiet"]],
+        solve("bad_config", STATIONARY + "solver: {method: bogus}\n"),
+        solve("schrodinger", BOX),
+    ]
+    loaded = _scipy_probe(runs)["loaded"]
+    assert {name: code for name, (code, _) in loaded.items()} == {
+        "import wavekit.cli": 0, "nr_shooting": 0, "rel_shooting": 0,
+        "exact_fixed_point": 0, "compare": 0, "dispersion": 0,
+        "bad_config": 2, "schrodinger": 0}
+    *without, (_, last) = loaded.values()
+    assert [modules for _, modules in without] == [[]] * len(without)
+    assert "scipy.linalg" in last  # the probe sees a load
+
+
+def test_cli_sweep_imports_scipy_in_its_worker_threads(tmp_path):
+    cfg = _write(tmp_path, "sweep.yaml", BOX + """\
+sweep:
+  parameter: grid.n_points
+  values: [64, 128, 256, 96]
+""")
+    out = {jobs: str(tmp_path / f"jobs{jobs}.csv") for jobs in (1, 2)}
+    probe = _scipy_probe([["sweep", ["sweep", "--config", cfg, "--out", out[2],
+                                     "--quiet", "--jobs", "2"]]])
+    assert probe["loaded"]["sweep"][0] == 0
+    assert probe["threads"] and "MainThread" not in probe["threads"]
+    assert cli.main(["sweep", "--config", cfg, "--out", out[1], "--quiet"]) == 0
+    assert Path(out[2]).read_text() == Path(out[1]).read_text()
 
 
 def test_cli_compare_writes_into_a_new_nested_directory(tmp_path):
@@ -713,6 +780,53 @@ potential: {variant: square_well, depth: 12.0, half_width: 1.0}
 """
 
 
+@pytest.mark.parametrize("command, text, key", [
+    ("solve", STATIONARY + "units: {hbar: 1.0e-200}\n"
+     "solver: {method: shooting, e_bracket: [-11.0, -1.0]}\n", "hbar = 1e-200"),
+    ("solve", STATIONARY + "units: {hbar: 1.0e+200}\n"
+     "solver: {backend: exact, e_init: -11.0}\n", "hbar = 1e+200"),
+    ("solve", "equation: modified_rel_stationary\nunits: {c: 1.0e+200}\n"
+     "grid: {kind: line, x_min: -8.0, x_max: 8.0, n_points: 400}\n"
+     "potential: {variant: square_well, depth: 1.0, half_width: 1.0}\n"
+     "solver: {e_bracket: [0.5, 2.0]}\n", "c = 1e+200"),
+    ("dispersion", "equation: dispersion_audit\nunits: {c: 1.0e+300}\n",
+     "c = 1e+300"),
+    ("solve", "equation: schrodinger\n"
+     "grid: {kind: line, x_min: -1.0e+308, x_max: 1.0e+308, n_points: 16}\n"
+     "potential: {variant: free}\nsolver: {n_states: 2}\n", "x_max - x_min"),
+    ("solve", STATIONARY + "solver: {method: shooting, "
+     "e_bracket: [-1.0e+308, 1.0e+308]}\n", "solver.e_bracket"),
+    ("solve", BOX.replace("x_max: 1.0", "x_max: 1.0e+300"), "grid spacing"),
+    ("solve", BOX.replace("x_max: 1.0", "x_max: 1.0e-300"), "grid spacing"),
+    ("dispersion", EACH_EQUATION["dispersion_audit"]
+     + "units: {m: 1.0e-200}\n", "m = 1e-200"),
+    ("dispersion", EACH_EQUATION["dispersion_audit"]
+     + "units: {m: 1.0e+200}\n", "m = 1e+200"),
+    ("propagate", "equation: modified_rel_timedep\n" + PERIODIC
+     + "units: {c: 1.0e+100, hbar: 1.0e+100, m: 1.0e-120}\n", "(hbar*c)**2"),
+    ("propagate", "equation: modified_rel_timedep\n" + PERIODIC
+     + "units: {c: 1.0, hbar: 1.0e-100, m: 1.0e+100}\n", "(m*c**2/hbar)**2"),
+], ids=["shooting_hbar_1e-200", "exact_fixed_point_hbar_1e200",
+        "rel_stationary_c_1e200", "dispersion_c_1e300", "grid_span_overflows",
+        "e_bracket_width_overflows", "h_squared_overflows",
+        "h_squared_underflows", "dispersion_E0_squared_underflows",
+        "dispersion_E0_squared_overflows", "rel_timedep_hbar_c_overflows",
+        "rel_timedep_E0_over_hbar_overflows"])
+def test_cli_scales_past_the_float_range_exit_2(tmp_path, command, text, key):
+    # a scale the solvers form (from the unit constants, the grid span and
+    # spacing, the bracket width) leaves the float range; before the checks
+    # these ended in tracebacks, a spectrum of zeros or NoRootError
+    cfg = _write(tmp_path, "extreme.yaml", text)
+    out = tmp_path / "err.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow RuntimeWarning either
+        assert cli.main([command, "--config", cfg, "--out", str(out),
+                         "--quiet"]) == 2
+    err = json.loads(out.read_text())
+    assert err["error"] == "ConfigurationError" and err["exit_code"] == 2
+    assert any(key in f for f in err["failures"])
+
+
 @pytest.mark.parametrize("block, key", [
     ("solver: {e_bracket: 3}", "solver.e_bracket"),
     ("solver: {e_bracket: [-1.0]}", "solver.e_bracket"),
@@ -831,6 +945,11 @@ potential: {{variant: free}}
     (GRID64 + "units: {hbar: .nan}", "units.hbar must be a number > 0, got nan"),
     (GRID64 + "units: {c: .inf}", "units.c must be a number > 0, got inf"),
     (GRID64 + "units: {e: x}", "units.e must be a finite number, got 'x'"),
+    pytest.param("grid: {kind: line, x_min: -1" + "0" * 400
+                 + ", x_max: 1.0, n_points: 64}",
+                 "grid.x_min must be a finite number", id="x_min_int_10^400"),
+    pytest.param(GRID64 + "units: {hbar: 1" + "0" * 400 + "}",
+                 "units.hbar must be a number > 0", id="hbar_int_10^400"),
 ])
 def test_cli_malformed_grid_and_units_exit_2(tmp_path, block, failure):
     code, failures = _failures(tmp_path, "solve", f"""\
