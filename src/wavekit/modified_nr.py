@@ -25,9 +25,9 @@ from .numgrid import (DIRICHLET, Grid, WaveField, build_laplacian,
                       lowest_eigenpairs)
 from .potentials import E_EQUALS_V, PotentialSpec, evaluate, find_singular_set
 from .reference import kinetic_operator
-from .shooting import (bracketed_roots, linear_bound_state_energy,
-                       march_endpoint, piecewise_regions, shot_state,
-                       sturm_count)
+from .shooting import (bracketed_roots, is_index,
+                       linear_bound_state_energy, march_endpoint,
+                       piecewise_regions, shot_state, sturm_count)
 from .units import UnitSystem
 
 REJECT = "reject"
@@ -242,8 +242,9 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
     E = V(x) inside the domain. The state of the result, the eigenvector
     or shot at the returned energy, is computed when first read.
     """
-    if state_index < 0:
-        raise ConfigurationError("state_index must be >= 0")
+    if not is_index(state_index):
+        raise ConfigurationError(
+            f"state_index must be an integer >= 0, got {state_index!r}")
     if not 0.0 < damping <= 1.0:
         raise ConfigurationError("damping must lie in (0, 1]")
     if backend not in ("grid", "exact"):
@@ -402,8 +403,7 @@ def leapfrog(state0: TimeDepState, accel, dt: float, steps: int, limit: float,
     first step whose norm exceeds ``max_growth`` times the initial norm.
     """
     for name, value, least in (("stride", stride, 1), ("steps", steps, 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-                or value < least:
+        if not is_index(value, least):
             raise ConfigurationError(
                 f"{name} must be an integer >= {least}, got {value!r}")
     if dt <= 0 or dt > limit:

@@ -308,11 +308,6 @@ def parse_sweep(text: str):
     return doc, sweep["parameter"], sweep["values"]
 
 
-def emit_scenario(config: ScenarioConfig) -> str:
-    """YAML text whose parse reproduces the config (round-trip)."""
-    return yaml.safe_dump(config.raw, sort_keys=True)
-
-
 # -- runners: config -> (payload, diagnostics) ------------------------------
 
 def _spectrum_payload(energies, states, node_counts, residuals):

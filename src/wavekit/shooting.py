@@ -5,13 +5,16 @@ regions: oscillatory (w > 0), exponential (w < 0) or linear (w = 0).
 Marching starts from psi = 0, psi' = 1 at the left wall; the Dirichlet
 matching function is psi at the right wall. The marchers are vectorized
 over a whole array of trial energies so that dense scans and batched
-bisection stay cheap; the Sturm count of the same closed forms picks
-linear eigenvalues by node count. The march, the count and the sampled
-shot share one region walk, which evaluates the transfer coefficients of
-every (trial, region) pair once, then only applies them and renormalizes.
+bisection stay cheap; the Sturm count of the same closed forms, for the
+shots from both walls, picks linear eigenvalues by node count. The march,
+the counts and the sampled shot share one region walk, which evaluates
+the transfer coefficients of every (trial, region) pair once, then only
+applies them and renormalizes.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -131,6 +134,32 @@ def march_endpoint(widths, coeffs) -> np.ndarray:
     return ends[0] if len(ends) == 1 else np.concatenate(ends)
 
 
+def _states(widths, coeffs):
+    """(psi, psi') at the start and the end of each region of the walk:
+    four arrays shaped like ``coeffs``, regions on the last axis."""
+    states = np.array([(*start, *end) for start, end in _walk(widths, coeffs)])
+    return states.transpose(1, *range(2, states.ndim), 0)
+
+
+def _zeros(widths, coeffs, final_crossing: bool = True):
+    """:func:`sturm_count` for ``coeffs`` of any leading shape, and the
+    shot's end (psi, psi')."""
+    psi, dpsi, end_psi, end_dpsi = _states(widths, coeffs)
+    osc = coeffs > 0
+    k = np.sqrt(np.where(osc, coeffs, 1.0))
+    phi = np.arctan2(dpsi / k, psi)
+    # zeros at xi = (phi + pi/2 + m pi)/k inside (0, d)
+    m_lo = np.ceil((-phi - np.pi / 2) / np.pi + 1e-12)
+    m_hi = np.floor((k * widths - phi - np.pi / 2) / np.pi - 1e-12)
+    crossing = np.sign(end_psi) * np.sign(psi) < 0
+    crossing[..., -1] &= final_crossing
+    total = np.where(osc, np.maximum(m_hi - m_lo + 1.0, 0.0), crossing)
+    total = total.sum(axis=-1).astype(int)
+    if final_crossing:
+        total += np.sign(end_psi[..., -1]) * (-1.0) ** total < 0
+    return total, (end_psi[..., -1], end_dpsi[..., -1])
+
+
 def sturm_count(widths, coeffs, final_crossing: bool = True) -> np.ndarray:
     """Zeros of the left shot inside the open interval, one count per trial.
 
@@ -147,24 +176,39 @@ def sturm_count(widths, coeffs, final_crossing: bool = True) -> np.ndarray:
     is the matching residual, not the field.
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
-    osc = coeffs > 0
-    k = np.sqrt(np.where(osc, coeffs, 1.0))
-    kd = k * widths
-    total = np.zeros(coeffs.shape[0], dtype=int)
-    last = coeffs.shape[1] - 1
-    for j, ((psi, dpsi), (end_psi, _)) in enumerate(_walk(widths, coeffs)):
-        phi = np.arctan2(dpsi / k[:, j], psi)
-        # zeros at xi = (phi + pi/2 + m pi)/k inside (0, d)
-        m_lo = np.ceil((-phi - np.pi / 2) / np.pi + 1e-12)
-        m_hi = np.floor((kd[:, j] - phi - np.pi / 2) / np.pi - 1e-12)
-        waves = np.maximum(0.0, m_hi - m_lo + 1.0).astype(int)
-        crossing = np.sign(end_psi) * np.sign(psi) < 0
-        if j == last and not final_crossing:
-            crossing[:] = False
-        total += np.where(osc[:, j], waves, crossing)
-    if final_crossing:
-        total += np.sign(end_psi) * (-1.0) ** total < 0
-    return total
+    return _zeros(widths, coeffs, final_crossing)[0]
+
+
+def _sides(widths, u):
+    """Widths and U of the shots from either wall to c, the left edge of the
+    lowest region (the right one mirrored), padded to one length with
+    zero-width regions, which transfer as the identity: shapes (2, 1, n)."""
+    m, n = int(np.argmin(u)), len(u)
+    w2, u2 = np.zeros((2, 1, max(m, n - m))), np.full((2, 1, max(m, n - m)), u[m])
+    w2[0, 0, :m], u2[0, 0, :m] = widths[:m], u[:m]
+    w2[1, 0, :n - m], u2[1, 0, :n - m] = widths[m:][::-1], u[m:][::-1]
+    return w2, u2
+
+
+def _match(widths2, coeffs2, count: bool = True):
+    """Count N(E) (None unless ``count``) and D(E) per trial from one walk
+    of both shots of :func:`_sides`. With Pruefer angles theta_L, theta_R
+    at c, N = ceil((theta_L + theta_R)/pi) - 1 is :func:`sturm_count`: the
+    zeros of both shots, plus one where the phases left over pass pi.
+    D = psi_L psi_R' + psi_L' psi_R of the unit-normalized states (psi_R'
+    along the right shot) is sin(theta_L + theta_R): smooth across each
+    eigenvalue, of sign (-1)^N."""
+    if count:
+        zeros, (psi, dpsi) = _zeros(widths2, coeffs2)
+    else:
+        *_, (_, (psi, dpsi)) = _walk(widths2, coeffs2)
+    norm = np.maximum(np.hypot(psi, dpsi), 1e-280)
+    psi, dpsi = psi / norm, dpsi / norm
+    d = psi[0] * dpsi[1] + dpsi[0] * psi[1]
+    if not count:
+        return None, d
+    n = zeros[0] + zeros[1]
+    return n + (d * (-1.0) ** n < 0), d
 
 
 def count_shot_nodes(edges, coeffs) -> int:
@@ -188,8 +232,7 @@ def sample_shot(edges, coeffs, x) -> np.ndarray:
     Past the growth clamp a position's own growth e^g stays in log space."""
     edges, coeffs, x = (np.asarray(a, dtype=float) for a in (edges, coeffs, x))
     widths = np.diff(edges)
-    psi0, dpsi0, psi1, dpsi1 = np.array(
-        [(*start, *end) for start, end in _walk(widths, coeffs)]).T
+    psi0, dpsi0, psi1, dpsi1 = _states(widths, coeffs)
     # the transfer leaves e^-drop off a region's end state: G - 700 past the
     # clamp of G = kappa width, G where kappa sinh(clamped G) overflows
     kappa = np.sqrt(np.maximum(-coeffs, 0.0))
@@ -256,42 +299,26 @@ def shot_state(grid: Grid, edges, coeffs) -> WaveField:
                      grid).normalized()
 
 
-#: Trial energies per round of the batched bisections (one march each).
-_BISECT_BATCH = 64
-_STEPS = np.arange(1, _BISECT_BATCH + 1)
 _SCAN_BISECTIONS = 64  # bracketed_roots: halvings of each sign-change cell
-#: linear_bound_state_energy: offsets of the trials next to a guess, in
-#: units of the box level
-_GUESS_RUNGS = 4.0 ** -np.arange(32)
+#: linear_bound_state_energy: offsets -1, 1, -1/4, 1/4, ... (4^-j) of the
+#: trials next to a guess or a secant root; steps of the resolution around
+#: a secant root; fractions of a bracket that holds more than one level
+_RUNGS = np.repeat(4.0 ** -np.arange(32), 2) * np.tile([-1.0, 1.0], 32)
+_WINDOW = np.arange(-32.0, 33.0)
+_SPLIT = np.arange(1.0, 65.0) / 65.0
 
 
-def _interior(lo: float, hi: float) -> np.ndarray:
-    """``_BISECT_BATCH`` evenly spaced energies strictly between lo and hi:
-    lo plus i times the step (hi - lo)/(_BISECT_BATCH + 1), the same floats
-    as ``np.linspace(lo, hi, _BISECT_BATCH + 2)[1:-1]`` (unless the step
-    underflows to 0) without its per-call set-up."""
-    return lo + _STEPS * ((hi - lo) / (_BISECT_BATCH + 1))
+def _rungs(center, size, floor):
+    """center -+ size 4^-j (j < 32) for the offsets of at least ``floor``."""
+    ratio = size / floor
+    n = 32 if ratio >= 4.0**31 else int(math.log(ratio, 4)) + 1 if ratio >= 1 else 0
+    return center + size * _RUNGS[:2 * n]
 
 
-def _bisect_sign_change(matching, lo: float, hi: float, s_lo: float) -> float:
-    """Root of a vectorized ``matching`` that changes sign once on
-    [lo, hi], where it has sign ``s_lo`` at ``lo``, narrowed to
-    neighbouring floats.
-
-    Each round marches ``_BISECT_BATCH`` interior energies in one call and
-    keeps the cell where the sign first differs from ``s_lo``.
-    """
-    while True:
-        trial = _interior(lo, hi)
-        trial = trial[(trial > lo) & (trial < hi)]
-        if trial.size == 0:
-            return 0.5 * (lo + hi)
-        flips = np.flatnonzero(np.sign(matching(trial)) != s_lo)
-        i = flips[0] if flips.size else trial.size
-        if i > 0:
-            lo = float(trial[i - 1])
-        if i < trial.size:
-            hi = float(trial[i])
+def is_index(value, least: int = 0) -> bool:
+    """An int or NumPy integer >= ``least``, and not a bool."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= least)
 
 
 def linear_bound_state_energy(edges, region_potentials, state_index: int,
@@ -299,65 +326,82 @@ def linear_bound_state_energy(edges, region_potentials, state_index: int,
     """Energy of the ``state_index``-th Dirichlet eigenstate of the standard
     operator -hbar^2/2m psi'' + U psi on a piecewise-constant profile U.
 
-    The eigenvalue is bracketed by the Sturm count N(E) of
-    :func:`sturm_count`, so the state is selected by its node count, not by
-    the order of matching roots on a scan (in deep wells neighbouring roots
-    share scan cells). N(min U) = 0; the upper end doubles until
-    N > ``state_index``; batched bisection on N narrows the bracket to
-    N(lo) = k, N(hi) = k + 1. The single matching root inside it is then
-    refined by batched bisection on its sign: the matching function is
-    nearly a step across the root (the shot grows through forbidden outer
-    regions), so one vectorized march per round beats a scalar root finder.
+    Each round is one walk of the shots from either wall to the left edge
+    of the lowest region, for every trial energy (:func:`_match`). The
+    count N(E) picks the state by its node count, not by the order of
+    matching roots on a scan (in deep wells neighbouring roots share scan
+    cells); D(E) is smooth across the root, where a one-sided endpoint or
+    phase is nearly a step if its last region is forbidden. The first round
+    holds min U + unit 2^j up to a bound on E_k; the bracket keeps
+    N(lo) <= k < N(hi) at the closest trials. While it holds more levels,
+    a round splits it in 65; with one, the sign of D is the count, and a
+    round takes the secant root e of D, e +- j resolution steps (j <= 32),
+    the rungs e +- width 4^-j and every eighth of the bracket, on the grid
+    of steps. The walk sees E - U_j, so E resolves to the float spacing
+    s of the largest |E - U_j| (and |E|): the energy is the middle of the
+    cell [m s, (m + 1) s] that holds the bracket.
 
     A ``guess`` near the eigenvalue E (a fixed-point iterate) adds the
-    rungs guess +- unit 4^-j, j < 32, to the first count batch, so the
-    count bracket is about 3 |E - guess| wide and the sign bisection starts
-    there. The counts still pick the state: a poor, non-finite or
-    out-of-range guess only costs the extra trials.
+    rungs guess +- unit 4^-j to the first round, so the bracket is about
+    3 |E - guess| wide and one secant round closes it. The counts still
+    pick the state: a poor, non-finite or out-of-range guess only costs
+    the extra trials.
     """
-    widths = np.diff(np.asarray(edges, dtype=float))
-    u = np.asarray(region_potentials, dtype=float)
-    if not np.all(np.isfinite(u)):
+    edges = np.asarray(edges, dtype=float)
+    widths, u = edges[1:] - edges[:-1], np.asarray(region_potentials, dtype=float)
+    if not is_index(state_index):
+        raise UsageError(
+            f"state_index must be an integer >= 0, got {state_index!r}")
+    if len(widths) != len(u) or not (widths > 0).all():
+        raise UsageError("edges must increase, one region per potential")
+    if not np.isfinite(u).all():
         raise UsageError("region potentials must be finite")
-    scale = 2.0 * units.m / units.hbar**2
-    k = state_index
+    scale, k = 2.0 * units.m / units.hbar**2, state_index
+    widths2, u2 = _sides(widths, u)
+    levels = [*u.tolist(), 0.0]
 
-    def coeffs(e_arr):
-        return scale * (e_arr[:, None] - u[None, :])
-
-    def matching(e_arr):
-        return march_endpoint(widths, coeffs(e_arr))
+    def resolution(e):  # the float spacing of the largest |E - U_j|, |E|
+        return math.ulp(max(abs(e - v) for v in levels))
 
     # lowest level of a box spanning the interval: the spectral spacing scale
-    unit = (np.pi / np.sum(widths)) ** 2 / scale
-    # comparison with the constant profile max(U) puts E_k below
-    # max(U) + (k+1)^2 unit, so every doubling is known up front: one batch
-    lo, n_lo = float(np.min(u)), 0
-    hi = None
-    top = float(np.max(u)) + 2.0 * (k + 1) ** 2 * unit
-    n_double = int(np.ceil(np.log2((top - lo) / unit))) + 1
-    trial = lo + unit * 2.0 ** np.arange(n_double)
+    unit = (np.pi / widths.sum()) ** 2 / scale
+    # comparison with the constant profiles min(U) and max(U) puts E_k
+    # between min(U) + unit and max(U) + (k+1)^2 unit: one walk
+    lo, n_lo, d_lo, hi = min(levels[:-1]), 0, math.nan, None
+    top = max(levels[:-1]) + 2.0 * (k + 1) ** 2 * unit
+    doublings = math.ceil(math.log2((top - lo) / unit)) + 1
+    trial = lo + np.ldexp(unit, np.arange(-1, doublings))
     if guess is not None:
-        rungs = unit * _GUESS_RUNGS
-        near = float(guess) + np.concatenate([-rungs, rungs])
-        near = near[(near > lo) & (near < top)]  # drops NaN and inf too
-        trial = np.unique(np.concatenate([trial, near]))
+        near = _rungs(float(guess), unit, resolution(float(guess)))
+        near = near[(near > lo) & (near < top)]  # a far guess adds no trials
+        trial = np.sort(np.concatenate([trial, near]))
+    one = False
     for _ in range(64):
-        # keep N(lo) <= k < N(hi) with the closest trial energies
-        counts = sturm_count(widths, coeffs(trial))
-        above = np.flatnonzero(counts > k)
-        i = above[0] if above.size else trial.size
+        n, d = _match(widths2, scale * (trial[:, None] - u2), not one)
+        # with one level in the bracket, the sign of D, (-1)^N, counts
+        above = d * (-1.0) ** k < 0 if one else n > k
+        i = int(above.argmax()) if above.any() else len(above)
         if i > 0:
-            lo, n_lo = float(trial[i - 1]), counts[i - 1]
-        if i < trial.size:
-            hi, n_hi = float(trial[i]), counts[i]
+            lo, d_lo = float(trial[i - 1]), float(d[i - 1])
+            n_lo = k if one else n[i - 1]
+        if i < len(above):
+            hi, d_hi = float(trial[i]), float(d[i])
+            n_hi = k + 1 if one else n[i]
         if hi is None:
             break
-        if n_lo == k and n_hi == k + 1:
-            ends = np.sign(matching(np.array([lo, hi])))
-            if ends[0] * ends[1] <= 0:
-                return _bisect_sign_change(matching, lo, hi, ends[0])
-            # same sign at both ends: the root sits within rounding of one
-            # of them, so narrow the count bracket further
-        trial = _interior(lo, hi)
+        width, one, step = hi - lo, n_lo == k and n_hi == k + 1, resolution(lo)
+        cell = math.floor(lo / step)
+        if one and hi <= (cell + 1) * step:
+            return (cell + 0.5) * step
+        if math.nextafter(lo, hi) == hi:
+            break  # levels closer than the float spacing
+        if not one:
+            trial = lo + width * _SPLIT
+            continue
+        e = (lo * d_hi - hi * d_lo) / (d_hi - d_lo) if d_hi != d_lo else math.nan
+        e = min(max(e, lo), hi) if math.isfinite(e) else 0.5 * (lo + hi)
+        trial = np.concatenate([e + step * _WINDOW, _rungs(e, width, 32 * step),
+                                lo + width * _SPLIT[7::8]])
+        trial = np.round(trial / step) * step
+        trial = np.sort(trial[(trial > lo) & (trial < hi)])
     raise NoRootError(f"could not isolate linear eigenstate {state_index}")

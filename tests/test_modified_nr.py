@@ -369,6 +369,15 @@ def test_exact_fixed_point_reject_energies_equal_inline_w(index, e_init):
         grid, spec, index, e_init, 1e-9)
 
 
+@pytest.mark.parametrize("backend", ["grid", "exact"])
+@pytest.mark.parametrize("index", [1.5, 2.0, True, -1])
+def test_fixed_point_rejects_a_bad_state_index(backend, index):
+    grid, spec = WALLED_WELL
+    with pytest.raises(ConfigurationError, match="state_index"):
+        mnr.solve_stationary_fixed_point(grid, spec, index, -3.5, units=U,
+                                         backend=backend)
+
+
 def test_exact_fixed_point_applies_the_clamp_policy(monkeypatch):
     # E = -4 is the well bottom: E - V = 0 there. Under clamp the
     # denominator is floored at the guard, as on the grid backend, and the

@@ -6,11 +6,11 @@ import pytest
 
 from wavekit import modified_nr as mnr
 from wavekit import shooting
-from wavekit.errors import UsageError
+from wavekit.errors import NoRootError, UsageError
 from wavekit.numgrid import Grid
 from wavekit.potentials import PotentialSpec
-from wavekit.shooting import (_BISECT_BATCH, _MARCH_ROWS, _interior,
-                              _renormalized, _step, _walk, count_shot_nodes,
+from wavekit.shooting import (_MARCH_ROWS, _match, _renormalized, _sides,
+                              _step, _walk, count_shot_nodes,
                               linear_bound_state_energy, march_endpoint,
                               piecewise_regions, sample_shot, shot_state,
                               sturm_count)
@@ -154,22 +154,144 @@ def test_seeded_linear_eigenvalue_equals_unseeded():
             assert counts[0] == k < counts[1], (i, guess)
 
 
-def test_seeded_linear_eigenvalue_takes_fewer_marches(monkeypatch):
+def test_seeded_linear_eigenvalue_takes_two_walks(monkeypatch):
+    # the count bracket from the guess rungs, then one secant round of D
     edges, u = np.array([-8.0, -1.0, 1.0, 8.0]), np.array([0.0, -12.0, 0.0])
-    calls = []
+    walk, walks = shooting._walk, []
 
     def counted(widths, coeffs):
-        calls.append(len(coeffs))
-        return march_endpoint(widths, coeffs)
+        walks.append(coeffs.shape)
+        return walk(widths, coeffs)
 
-    monkeypatch.setattr(shooting, "march_endpoint", counted)
+    monkeypatch.setattr(shooting, "_walk", counted)
     for k in range(3):
-        calls.clear()
+        walks.clear()
         mu = linear_bound_state_energy(edges, u, k, U)
-        unseeded = len(calls)
-        calls.clear()
-        assert linear_bound_state_energy(edges, u, k, U, mu) == mu
-        assert len(calls) <= 5 < unseeded
+        unseeded = len(walks)
+        for guess in (mu, mu * (1.0 - 1e-9), mu * (1.0 + 1e-12)):
+            walks.clear()
+            got = linear_bound_state_energy(edges, u, k, U, guess)
+            assert got == mu and len(walks) <= 2 < unseeded, (k, guess)
+    # a deep well resolves E only to 8-64 of its floats (the spacing of
+    # E - U_mid): the secant round's trials sit on that grid, so it still
+    # closes the bracket at once in most solves
+    edges, u = np.array([-8.0, -0.7, 0.7, 8.0]), np.array([0.0, -5.0e4, 0.0])
+    walks.clear()
+    seeded = 0
+    for k in range(133, 141):
+        mu = linear_bound_state_energy(edges, u, k, U)
+        for guess in (mu, mu * (1.0 - 1e-9), mu * (1.0 + 1e-12)):
+            start = len(walks)
+            assert linear_bound_state_energy(edges, u, k, U, guess) == mu
+            seeded += len(walks) - start
+    assert seeded <= 2.25 * 24
+
+
+def test_two_sided_count_equals_sturm_count():
+    # the count of both shots at the lowest region's left edge is the
+    # one-sided count, and D has its sign (-1)^N; on flat boxes the ladder
+    # rungs min(U) + 2^j unit land on the levels
+    rng = np.random.default_rng(12)
+    cases = [_level_profile(rng) for _ in range(200)]
+    cases += [(np.array([0.0, length]), np.array([u0]))
+              for length in (1.0, 3.5, 16.0) for u0 in (-12.0, 0.0, 305.74369284)]
+    for edges, u in cases:
+        widths = np.diff(edges)
+        unit = (np.pi / widths.sum()) ** 2 / SCALE
+        es = np.concatenate([rng.uniform(u.min() - 1.0, u.max() + 300.0, 40),
+                             u.min() + np.ldexp(unit, np.arange(-1, 12))])
+        widths2, u2 = _sides(widths, u)
+        counts, d = _match(widths2, SCALE * (es[:, None] - u2))
+        np.testing.assert_array_equal(
+            counts, sturm_count(widths, SCALE * (es[:, None] - u)))
+        assert np.all((np.sign(d) == (-1.0) ** counts) | (d == 0.0))
+
+
+def test_linear_eigenvalue_is_a_sign_change_of_the_march():
+    # the march endpoint psi(b), the root function of the one-sided solve,
+    # changes sign within 4 resolution steps of every energy
+    rng = np.random.default_rng(11)
+    for i in range(300):
+        edges, u = _level_profile(rng)
+        k = i % 6
+        mu = linear_bound_state_energy(edges, u, k, U)
+        ulp = np.spacing(np.max(np.abs(mu - np.append(u, 0.0))))
+        for guess in (None, mu, mu * (1.0 + 1e-9), mu - 1e-3, np.nan):
+            got = linear_bound_state_energy(edges, u, k, U, guess)
+            es = got + ulp * np.arange(-4.0, 5.0)
+            ends = np.sign(march_endpoint(np.diff(edges),
+                                          SCALE * (es[:, None] - u)))
+            assert np.any(ends[:-1] * ends[1:] <= 0), (i, guess)
+
+
+def test_linear_eigenvalue_is_the_exact_root_to_the_resolution():
+    # a 60-digit transfer-matrix root of psi(b) on the same float profile:
+    # within 2.5 steps of the resolution (the worst of the 300 profiles
+    # above reads 2.4, before and after the two-sided solve)
+    mp = pytest.importorskip("mpmath")
+
+    def endpoint(e, widths, u):
+        psi, dpsi = mp.mpf(0), mp.mpf(1)
+        for width, level in zip(widths, u):
+            w = 2 * (e - level) * mp.mpf(U.m) / mp.mpf(U.hbar) ** 2
+            k = mp.sqrt(abs(w))
+            if w > 0:
+                c, s = mp.cos(k * width), mp.sin(k * width)
+                psi, dpsi = c * psi + s / k * dpsi, -k * s * psi + c * dpsi
+            elif w < 0:
+                c, s = mp.cosh(k * width), mp.sinh(k * width)
+                psi, dpsi = c * psi + s / k * dpsi, k * s * psi + c * dpsi
+            else:
+                psi += width * dpsi
+        return psi
+
+    rng = np.random.default_rng(11)
+    for i in range(300):
+        edges, u = _level_profile(rng)
+        if i % 10:
+            continue
+        mu = linear_bound_state_energy(edges, u, i % 6, U)
+        ulp = float(np.spacing(np.max(np.abs(mu - np.append(u, 0.0)))))
+        with mp.workdps(60):
+            widths = [mp.mpf(float(w)) for w in np.diff(edges)]
+            levels = [mp.mpf(float(v)) for v in u]
+            lo, hi = mp.mpf(mu) - 64 * ulp, mp.mpf(mu) + 64 * ulp
+            sign = mp.sign(endpoint(lo, widths, levels))
+            assert sign * endpoint(hi, widths, levels) < 0, i
+            for _ in range(60):
+                mid = (lo + hi) / 2
+                if sign * endpoint(mid, widths, levels) > 0:
+                    lo = mid
+                else:
+                    hi = mid
+            assert abs(mp.mpf(mu) - lo) <= 2.5 * ulp, i
+
+
+def test_levels_split_below_the_float_spacing_raise_no_root_error():
+    # xval_wells seed 901: square_well(27.18054458022681, 0.7049193521336624)
+    # in walls at +-8, W = 3V - V^2/(E - V) at the fixed-point iterate
+    # E = -27.1848, a 1.7e5 barrier between two equal boxes whose levels
+    # pair up with splits of about e^-830, far below the float spacing
+    half = 0.7049193521336624
+    edges = np.array([-8.0, -half, half, 8.0])
+    v = np.array([0.0, -27.18054458022681, 0.0])
+    e = float.fromhex("-0x1.b2f4dd7ddc758p+4")
+    w = 3.0 * v - v**2 / (e - v)
+    for guess in (None, e):
+        with pytest.raises(NoRootError):
+            linear_bound_state_energy(edges, w, 165, U, guess)
+
+
+@pytest.mark.parametrize("k", [-1, 2.5, 2.0, True, np.float64(1.0), "1"])
+def test_linear_eigenvalue_rejects_a_bad_state_index(k):
+    with pytest.raises(UsageError, match="state_index"):
+        linear_bound_state_energy(np.array([0.0, 1.0]), np.array([0.0]), k, U)
+
+
+@pytest.mark.parametrize("edges", [[1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0]])
+def test_linear_eigenvalue_rejects_edges_that_do_not_increase(edges):
+    with pytest.raises(UsageError, match="edges"):
+        linear_bound_state_energy(np.array(edges), np.array([0.0, 1.0]), 0, U)
 
 
 def test_linear_eigenvalue_rejects_non_finite_profile():
@@ -366,16 +488,3 @@ def test_marchers_equal_region_by_region_references():
     coeffs = np.resize(coeffs, (5 * _MARCH_ROWS // 2, coeffs.shape[1]))
     assert np.array_equal(march_endpoint(widths, coeffs),
                           _ref_march(widths, coeffs))
-
-
-def test_bisection_trials_equal_linspace():
-    rng = np.random.default_rng(5)
-    lo = rng.uniform(-1e5, 1e5, 2000) * 10.0 ** rng.integers(-12, 3, 2000)
-    hi = lo + np.abs(rng.normal(size=2000)) * 10.0 ** rng.integers(-14, 4, 2000)
-    for a, b in zip(lo, hi):
-        a, b = float(a), float(b)
-        want = np.linspace(a, b, _BISECT_BATCH + 2)[1:-1]
-        assert np.array_equal(_interior(a, b), want)
-    # neighbouring floats leave no interior trial energy either way
-    b = float(np.nextafter(1.0, 2.0))
-    assert np.array_equal(_interior(1.0, b), np.linspace(1.0, b, 66)[1:-1])
