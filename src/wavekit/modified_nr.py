@@ -20,8 +20,7 @@ from .errors import (ConfigurationError, NonConvergenceError,
                      NonHyperbolicRegimeError, NoRootError,
                      SingularCoefficientError, SingularRegionError,
                      StabilityError, StateTrackingError, UsageError)
-from .numgrid import (DIRICHLET, Grid, WaveField, build_laplacian,
-                      count_nodes, dirichlet_block, dirichlet_eigenvalue,
+from .numgrid import (Grid, WaveField, build_laplacian, eigenvalue,
                       lowest_eigenpairs)
 from .potentials import E_EQUALS_V, PotentialSpec, evaluate, find_singular_set
 from .reference import kinetic_operator
@@ -189,37 +188,23 @@ def solve_stationary_shooting(grid: Grid, V: PotentialSpec, e_bracket,
 
 
 def _grid_eigenpair(lap, factor, w_samples, state_index):
-    """Eigenvalue ``state_index`` of -hbar^2/2m Laplacian + W and a
-    callable that returns its normalized state.
+    """Eigenvalue ``state_index`` of -hbar^2/2m Laplacian + W, computed
+    alone, and a callable that solves for its normalized state.
 
-    On Dirichlet grids the operator is a Jacobi matrix (symmetric
-    tridiagonal with negative off-diagonals), whose k-th eigenvector has
-    exactly k sign changes (Gantmacher-Krein): the eigenvalue index is the
-    node count, so that eigenvalue alone is computed, and its eigenvector
-    only when the callable is called. Periodic wrap terms break that
-    structure; there the state is picked among the lowest ones by its node
-    count, so the pairs are computed up front.
+    The eigenvalue index is the state on every grid. On Dirichlet grids it
+    is the node count too (a Jacobi matrix's k-th eigenvector has k sign
+    changes, Gantmacher-Krein); on periodic ones the node counts of a
+    degenerate pair depend on the basis LAPACK returns, the index does not.
     """
-    grid = lap.grid
-    if grid.boundary == DIRICHLET:
-        m = dirichlet_block(grid)[1]
-        if state_index >= m:
-            raise StateTrackingError(
-                f"state {state_index} exceeds the {m} unknowns of the grid")
+    if state_index >= len(lap.unknowns):
+        raise StateTrackingError(f"state {state_index} exceeds the "
+                                 f"{len(lap.unknowns)} unknowns of the grid")
 
-        def state():
-            states = lowest_eigenpairs(lap, factor, w_samples, 1,
-                                       first=state_index)[1]
-            return WaveField(states[:, 0], grid).normalized()
-        return dirichlet_eigenvalue(lap, factor, w_samples, state_index), state
-    n_ask = min(state_index + 4, grid.n_points - 2)
-    energies, states = lowest_eigenpairs(lap, factor, w_samples, n_ask)
-    for j in range(n_ask):
-        if count_nodes(states[:, j]) == state_index:
-            found = WaveField(states[:, j], grid)
-            return float(energies[j]), found.normalized
-    raise StateTrackingError(
-        f"no eigenstate with node count {state_index} among the lowest {n_ask}")
+    def state():
+        states = lowest_eigenpairs(lap, factor, w_samples, 1,
+                                   first=state_index)[1]
+        return WaveField(states[:, 0], lap.grid).normalized()
+    return eigenvalue(lap, factor, w_samples, state_index), state
 
 
 def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
@@ -228,19 +213,21 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
                                  units: UnitSystem = UnitSystem(),
                                  guard: GuardPolicy = GuardPolicy(),
                                  backend: str = "grid") -> ModifiedEigenResult:
-    """Damped self-consistent iteration on E: linearize at W(E_k), take the
-    eigenvalue whose state carries ``state_index`` nodes, relax toward it.
+    """Damped self-consistent iteration on E: linearize at W(E_k), take
+    eigenvalue ``state_index`` of the linear problem, relax toward it.
 
-    ``backend='grid'`` uses the discrete banded eigensolve (any potential),
-    on V sampled and the kinetic operator built once per solve, and on
-    Dirichlet grids solves each iterate for the eigenvalue alone;
-    ``backend='exact'`` uses closed-form piecewise-constant linear shooting,
-    its Sturm bracket seeded at the iterate, so the converged energy is
-    free of discretization error and comparable with
-    :func:`solve_stationary_shooting` at 1e-8. Under the ``reject``
-    guard every iterate and every linearized eigenvalue is checked for
-    E = V(x) inside the domain. The state of the result, the eigenvector
-    or shot at the returned energy, is computed when first read.
+    ``backend='grid'`` uses the discrete banded eigensolve (any potential,
+    any boundary) on V sampled and the kinetic operator built once per
+    solve; each iterate asks for eigenvalue ``state_index`` alone
+    (:func:`_grid_eigenpair`), on Dirichlet grids the state with
+    ``state_index`` nodes. ``backend='exact'`` uses closed-form
+    piecewise-constant linear shooting, its Sturm bracket seeded at the
+    iterate, so the converged energy is free of discretization error and
+    comparable with :func:`solve_stationary_shooting` at 1e-8. Under the
+    ``reject`` guard every iterate and every linearized eigenvalue is
+    checked for E = V(x) inside the domain. The state of the result, the
+    eigenvector or shot at the returned energy, is computed when first
+    read.
     """
     if not is_index(state_index):
         raise ConfigurationError(

@@ -139,7 +139,6 @@ class BandedOperator:
     """
 
     grid: Grid
-    bandwidth: int
     diagonals: dict
 
     @cached_property
@@ -151,6 +150,38 @@ class BandedOperator:
             [self.diagonals[k] for k in offsets], offsets,
             shape=(self.grid.n_points, self.grid.n_points), format="csr",
         )
+
+    @cached_property
+    def unknowns(self) -> np.ndarray:
+        """The nodes an eigenproblem solves for, in band order: every node
+        but the pinned ends of a Dirichlet line grid, visited in
+        :func:`ring_fold_order`."""
+        grid = self.grid
+        lo = 1 if grid.kind == LINE and grid.boundary == DIRICHLET else 0
+        return lo + ring_fold_order(grid.n_points - 2 * lo, grid.boundary)
+
+    @cached_property
+    def lower_band(self) -> np.ndarray:
+        """Read-only LAPACK lower band storage of the operator on its
+        :attr:`unknowns` u: ``band[d, p] = M[u[p + d], u[p]]``.
+
+        The operator is symmetric there, so its upper diagonals give every
+        entry. The band reaches the farthest entry from the diagonal: the
+        stencil's half-width in the natural order of Dirichlet and radial
+        grids, twice that in the ring-fold order of periodic ones.
+        """
+        sites = self.unknowns
+        pos = np.full(self.grid.n_points, -1)  # band position; -1 if pinned
+        pos[sites] = np.arange(len(sites))
+        p, q, vals = (np.concatenate(a) for a in zip(*[
+            (pos[: len(row)], pos[k : k + len(row)], row)
+            for k, row in self.diagonals.items() if k >= 0]))
+        keep = (p >= 0) & (q >= 0)
+        d, col = np.abs(p - q)[keep], np.minimum(p, q)[keep]
+        band = np.zeros((int(np.max(d)) + 1, len(sites)))
+        band[d, col] = vals[keep]
+        band.flags.writeable = False
+        return band
 
     def apply(self, field: WaveField) -> WaveField:
         if field.grid is not self.grid and field.grid != self.grid:
@@ -214,7 +245,7 @@ def build_laplacian(grid: Grid, order: int = 2) -> BandedOperator:
     """Centered-difference second-derivative operator of the given order."""
     diags = _laplacian_diagonals(grid.n_points, grid.h, order, grid.boundary,
                                  ghost_walls=(grid.kind == RADIAL))
-    return BandedOperator(grid, order // 2, diags)
+    return BandedOperator(grid, diags)
 
 
 def build_radial_laplacian(grid: Grid, l: int, order: int = 2) -> BandedOperator:
@@ -228,7 +259,7 @@ def build_radial_laplacian(grid: Grid, l: int, order: int = 2) -> BandedOperator
     if l > 0:
         main = diags[0] - l * (l + 1) / grid.x**2
         diags = {**diags, 0: main}
-    return BandedOperator(grid, order // 2, diags)
+    return BandedOperator(grid, diags)
 
 
 def inner_product(a: WaveField, b: WaveField) -> complex:
@@ -249,37 +280,6 @@ def count_nodes(values: np.ndarray) -> int:
     if v.size < 2:
         return 0
     return int(np.sum(np.signbit(v[:-1]) != np.signbit(v[1:])))
-
-
-def dirichlet_block(grid: Grid):
-    """First node and size of the unknowns block of a Dirichlet grid.
-
-    Line grids pin the end nodes (walls on the grid); radial grids put the
-    walls one spacing outside, so every node is an unknown.
-    """
-    if grid.kind == RADIAL:
-        return 0, grid.n_points
-    return 1, grid.n_points - 2
-
-
-def _dirichlet_band(kinetic: BandedOperator, kinetic_factor: float,
-                    potential: np.ndarray, last: int) -> np.ndarray:
-    """Lower band storage of ``kinetic_factor * L + diag(potential)`` on
-    the unknowns block of a Dirichlet grid, checked to hold eigenvalue
-    index ``last``."""
-    lo, m = dirichlet_block(kinetic.grid)
-    if last >= m:
-        raise ConfigurationError(
-            f"eigenpairs up to index {last} exceed interior size {m}")
-    bw = kinetic.bandwidth
-    band = np.zeros((bw + 1, m))
-    for k in range(bw + 1):
-        row = kinetic.diagonals.get(k)
-        if row is None:
-            continue
-        band[k, : m - k] = kinetic_factor * row[lo : lo + m - k]
-    band[0] += potential[lo : lo + m]
-    return band
 
 
 def ring_fold_order(n: int, boundary: str) -> np.ndarray:
@@ -305,24 +305,35 @@ def band_storage(matrix: scipy.sparse.spmatrix) -> np.ndarray:
     return ab
 
 
-def dirichlet_eigenvalue(kinetic: BandedOperator, kinetic_factor: float,
-                         potential: np.ndarray, index: int) -> float:
+def _band(kinetic: BandedOperator, kinetic_factor: float,
+          potential: np.ndarray, first: int, last: int) -> np.ndarray:
+    """Lower band storage of ``kinetic_factor * L + diag(potential)`` on
+    the unknowns of the grid (:attr:`BandedOperator.lower_band`), checked
+    to hold eigenvalue indices ``first`` .. ``last``."""
+    m = len(kinetic.unknowns)
+    if not 0 <= first <= last < m:
+        raise ConfigurationError(
+            f"eigenvalue indices {first} .. {last} must lie in 0 .. {m - 1}")
+    band = kinetic_factor * kinetic.lower_band
+    band[0] += potential[kinetic.unknowns]
+    return band
+
+
+def eigenvalue(kinetic: BandedOperator, kinetic_factor: float,
+               potential: np.ndarray, index: int) -> float:
     """Eigenvalue ``index`` (ascending) of ``kinetic_factor * L +
-    diag(potential)`` on a Dirichlet grid, without its eigenvector.
+    diag(potential)``, without its eigenvector.
 
     The same banded solve as :func:`lowest_eigenpairs` asked for no
     vectors: LAPACK bisects the same tridiagonal form either way, so the
     eigenvalue carries the same bits as the one it returns.
     """
-    if kinetic.grid.boundary != DIRICHLET:
-        raise ConfigurationError("dirichlet_eigenvalue needs a Dirichlet grid")
-    if index < 0:
-        raise ConfigurationError("index must be >= 0")
+    band = _band(kinetic, kinetic_factor, potential, index, index)
     import scipy.linalg  # loaded by the eigensolves, not at import
 
     return float(scipy.linalg.eig_banded(
-        _dirichlet_band(kinetic, kinetic_factor, potential, index), lower=True,
-        eigvals_only=True, select="i", select_range=(index, index))[0])
+        band, lower=True, eigvals_only=True, select="i",
+        select_range=(index, index))[0])
 
 
 def lowest_eigenpairs(kinetic: BandedOperator, kinetic_factor: float,
@@ -330,41 +341,38 @@ def lowest_eigenpairs(kinetic: BandedOperator, kinetic_factor: float,
     """Eigenpairs ``first`` .. ``first + n_states - 1`` (ascending) of
     ``kinetic_factor * L + diag(potential)``; the lowest ones by default.
 
-    Dirichlet/radial grids use a symmetric banded solve on the interior
-    block, which computes only the requested index window; periodic grids
-    fall back to a dense symmetric solve. Returned states live on the full
-    grid (end values zero for Dirichlet) and are normalized under
-    trapezoidal quadrature.
+    One symmetric banded solve on every boundary (LAPACK ``dsbevx``), on
+    the unknowns in band order (:attr:`BandedOperator.lower_band`), which
+    computes only the requested index window. Returned states live on the
+    full grid (end values zero for Dirichlet line grids) and are
+    normalized under trapezoidal quadrature. Within a degenerate level the
+    states are one basis of its eigenspace, the one LAPACK returns.
     """
-    grid = kinetic.grid
-    n = grid.n_points
-    if n_states < 1:
-        raise ConfigurationError("n_states must be >= 1")
-    if first < 0:
-        raise ConfigurationError("first must be >= 0")
     last = first + n_states - 1
+    band = _band(kinetic, kinetic_factor, potential, first, last)
     import scipy.linalg  # loaded by the eigensolves, not at import
 
-    if grid.boundary == DIRICHLET:
-        lo, m = dirichlet_block(grid)
-        vals, vecs = scipy.linalg.eig_banded(
-            _dirichlet_band(kinetic, kinetic_factor, potential, last), lower=True,
-            select="i", select_range=(first, last))
-        states = np.zeros((n, n_states))
-        states[lo : lo + m, :] = vecs
-    else:
-        if last >= n:
-            raise ConfigurationError(
-                f"eigenpairs up to index {last} exceed grid size {n}")
-        dense = kinetic_factor * kinetic.to_dense() + np.diag(potential)
-        vals, vecs = scipy.linalg.eigh(dense)
-        vals, states = vals[first : last + 1], vecs[:, first : last + 1]
+    vals, vecs = scipy.linalg.eig_banded(band, lower=True, select="i",
+                                         select_range=(first, last))
+    grid = kinetic.grid
+    states = np.zeros((grid.n_points, n_states))
+    states[kinetic.unknowns] = vecs
     w = grid.trapezoid_weights
-    norms = np.sqrt(np.einsum("i,ij->j", w, states**2))
-    states = states / norms
+    states /= np.sqrt(np.einsum("i,ij->j", w, states**2))
     # deterministic sign: largest-magnitude sample positive
-    for j in range(states.shape[1]):
-        k = int(np.argmax(np.abs(states[:, j])))
-        if states[k, j] < 0:
-            states[:, j] = -states[:, j]
+    peak = states[np.argmax(np.abs(states), axis=0), np.arange(n_states)]
+    states[:, peak < 0] *= -1.0
     return np.asarray(vals, dtype=float), states
+
+
+# Levels closer than this, relative to the operator scale ||A|| (largest
+# absolute row sum), share one cluster: their vectors are a basis choice.
+_CLUSTER_GAP = 1e-9
+
+
+def _clusters(vals: np.ndarray, scale: float):
+    """Index ranges [a, b) of the runs of ascending ``vals`` whose
+    neighbours lie within _CLUSTER_GAP * scale of each other."""
+    cuts = np.flatnonzero(np.diff(vals) > _CLUSTER_GAP * scale) + 1
+    edges = [0, *cuts.tolist(), len(vals)]
+    return list(zip(edges[:-1], edges[1:]))

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .numgrid import (Grid, RADIAL, WaveField, build_laplacian,
+from .numgrid import (Grid, RADIAL, WaveField, _clusters, build_laplacian,
                       build_radial_laplacian, count_nodes, lowest_eigenpairs)
 from .potentials import PotentialSpec, evaluate
 from .units import UnitSystem
@@ -38,7 +38,9 @@ def kinetic_operator(grid: Grid, units: UnitSystem, l: int = 0, order: int = 2):
 def solve_schrodinger_stationary(grid: Grid, V: PotentialSpec, n_states: int,
                                  units: UnitSystem = UnitSystem(), l: int = 0,
                                  order: int = 2) -> SpectrumResult:
-    """Lowest eigenpairs of -hbar^2/2m Laplacian + V by banded eigensolve."""
+    """Lowest eigenpairs of -hbar^2/2m Laplacian + V by banded eigensolve.
+    ``diagnostics`` records the residuals, the band's half-bandwidth and
+    the sizes of the ``clusters`` of levels (numgrid._clusters)."""
     import scipy.sparse  # loaded by the solves that need it, not at import
 
     factor, lap = kinetic_operator(grid, units, l, order)
@@ -51,8 +53,12 @@ def solve_schrodinger_stationary(grid: Grid, V: PotentialSpec, n_states: int,
         for e, f in zip(energies, fields)
     ]
     nodes = tuple(count_nodes(f.values) for f in fields)
+    scale = float(abs(h_mat).sum(axis=1).max())  # ||A||, largest row sum
     return SpectrumResult(energies, fields, nodes,
-                          {"residuals": residuals, "method": "banded_eigensolve"})
+                          {"residuals": residuals, "method": "banded_eigensolve",
+                           "bandwidth": lap.lower_band.shape[0] - 1,
+                           "clusters": [b - a for a, b in
+                                        _clusters(energies, scale)]})
 
 
 def propagate_schrodinger(psi0: WaveField, V: PotentialSpec, dt: float, steps: int,

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import NoRootError, UsageError
+from .errors import NoRootError, StateTrackingError, UsageError
 from .numgrid import Grid, WaveField
 from .potentials import PotentialSpec, evaluate, region_edges
 
@@ -368,8 +368,12 @@ def linear_bound_state_energy(edges, region_potentials, state_index: int,
     # comparison with the constant profiles min(U) and max(U) puts E_k
     # between min(U) + unit and max(U) + (k+1)^2 unit: one walk
     lo, n_lo, d_lo, hi = min(levels[:-1]), 0, math.nan, None
-    top = max(levels[:-1]) + 2.0 * (k + 1) ** 2 * unit
-    doublings = math.ceil(math.log2((top - lo) / unit)) + 1
+    try:
+        top = max(levels[:-1]) + 2.0 * (k + 1) ** 2 * unit
+        doublings = math.ceil(math.log2((top - lo) / unit)) + 1
+    except OverflowError:  # (k + 1)**2 or the bound past the float range
+        raise StateTrackingError(f"the energy bound of state {k} leaves "
+                                 "the float range") from None
     trial = lo + np.ldexp(unit, np.arange(-1, doublings))
     if guess is not None:
         near = _rungs(float(guess), unit, resolution(float(guess)))

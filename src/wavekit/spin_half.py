@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import (ConfigurationError, InvalidScenarioError,
                      NonConvergenceError, StabilityError, UsageError)
-from .numgrid import (BandedOperator, Grid, PERIODIC, _laplacian_diagonals,
-                      band_storage, count_nodes, ring_fold_order)
+from .numgrid import (BandedOperator, Grid, PERIODIC, _clusters,
+                      _laplacian_diagonals, band_storage, count_nodes,
+                      ring_fold_order)
 from .potentials import PotentialSpec, evaluate
 from .reference import SpectrumResult
 from .units import UnitSystem
@@ -144,7 +145,7 @@ def real_dirac_operator(grid: Grid, units: UnitSystem, wilson_r: float = 0.0,
         mass = units.E0 * scipy.sparse.identity(grid.n_points, format="csr")
         if wilson_r != 0.0:
             # the order-2 Laplacian with walls one spacing outside the grid
-            lap = BandedOperator(grid, 1, _laplacian_diagonals(
+            lap = BandedOperator(grid, _laplacian_diagonals(
                 grid.n_points, grid.h, 2, grid.boundary, ghost_walls=True))
             mass = mass - 0.5 * units.hbar * units.c * wilson_r * grid.h \
                 * lap.matrix
@@ -164,9 +165,8 @@ def free_dirac_matrix(grid: Grid, units: UnitSystem,
     return h
 
 
-# Clusters, shifts and residual targets are set against the operator scale
-# ||A|| (largest absolute row sum), the scale of every rounding error here.
-_CLUSTER_GAP = 1e-9   # neighbouring levels closer than this share one block
+# Shifts and residual targets, like the clusters, are set against ||A||
+# (largest absolute row sum), the scale of every rounding error here.
 _SHIFT_NUDGE = 2.0**-46  # offset of the shift from a cluster's middle
 _ROUNDING = 64 * np.finfo(float).eps  # residual that ends the iteration
 _RESIDUAL_TOL = 1e-9  # residual bound relative to max(1, |E|), or rounding
@@ -196,14 +196,6 @@ def _folded_band(op: scipy.sparse.csr_matrix, inv_root_w: np.ndarray,
     folded = scipy.sparse.csr_matrix((data, (pos[coo.row], pos[coo.col])),
                                      shape=op.shape)
     return folded, band_storage(folded), pos
-
-
-def _clusters(vals: np.ndarray, scale: float):
-    """Index ranges [a, b) of the runs of ascending ``vals`` whose
-    neighbours lie within _CLUSTER_GAP * scale of each other."""
-    cuts = np.flatnonzero(np.diff(vals) > _CLUSTER_GAP * scale) + 1
-    edges = [0, *cuts.tolist(), len(vals)]
-    return list(zip(edges[:-1], edges[1:]))
 
 
 def _cluster_vectors(folded, band: np.ndarray, scale: float,

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from wavekit import modified_nr as mnr
 from wavekit import modified_rel as mrel
@@ -170,12 +171,49 @@ def test_grid_fixed_point_is_eigenvalue_index_k_of_the_frozen_operator(
 
 
 @pytest.mark.parametrize("grid, index", [(Grid.line(-1.0, 1.0, 10), 8),
-                                         (Grid.radial(2.0, 10), 10)])
+                                         (Grid.radial(2.0, 10), 10),
+                                         (Grid.line(-1.0, 1.0, 10, "periodic"),
+                                          10)])
 def test_grid_fixed_point_state_beyond_the_grid_is_a_tracking_error(grid,
                                                                    index):
     spec = PotentialSpec.square_well(1.0, 0.5, center=0.5 * grid.x_max)
     with pytest.raises(StateTrackingError):
         mnr.solve_stationary_fixed_point(grid, spec, index, -0.5, units=U)
+
+
+def test_free_ring_state_1_is_the_same_level_on_every_grid():
+    # the k = 1 level of the ring [0, 2 pi) is a degenerate pair at
+    # E = 1/2; the node counts of its computed states depend on the basis
+    # LAPACK returns, the eigenvalue index does not
+    for n in (64, 400, 1000):
+        g = Grid.line(0.0, 2.0 * np.pi, n, boundary="periodic")
+        res = mnr.solve_stationary_fixed_point(g, PotentialSpec.free(), 1, 0.4,
+                                               units=U)
+        assert abs(res.energy - 0.5) < 1e-3
+
+
+def test_periodic_solves_form_no_dense_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense path taken")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    monkeypatch.setattr(scipy.sparse.csr_matrix, "toarray", refuse)
+    g = Grid.line(-8.0, 8.0, 400, boundary="periodic")
+    spec = PotentialSpec.harmonic(1.0)
+    spectrum = solve_schrodinger_stationary(g, spec, 5, U)
+    np.testing.assert_allclose(spectrum.energies, np.arange(5) + 0.5,
+                               rtol=1e-3)
+    assert spectrum.diagnostics["bandwidth"] == 2
+    assert spectrum.diagnostics["clusters"] == [1] * 5
+    # a barrier on the ring leaves one well of width 6 around x = 4 = -4
+    barrier = PotentialSpec.barrier(40.0, -1.0, 1.0)
+    res = mnr.solve_stationary_fixed_point(g, barrier, 1, 1.0, units=U)
+    factor, lap = kinetic_operator(g, U)
+    w = mnr.effective_potential(barrier, res.energy, g)
+    psi = res.state.values
+    assert res.state.norm() == pytest.approx(1.0)
+    h_psi = factor * (lap.matrix @ psi) + w * psi
+    assert np.max(np.abs(h_psi - res.energy * psi)) < 1e-8
 
 
 def test_fixed_point_surfaces_singular_linearized_eigenvalue():

@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 from wavekit.errors import ConfigurationError
 from wavekit.numgrid import (Grid, WaveField, build_laplacian,
                              build_radial_laplacian, count_nodes,
-                             dirichlet_eigenvalue, inner_product,
-                             lowest_eigenpairs)
+                             eigenvalue, inner_product, lowest_eigenpairs)
 
 
 def test_grid_validation_collects_all_failures():
@@ -126,26 +125,33 @@ def test_lowest_eigenpairs_box_energies():
         assert count_nodes(states[:, j]) == j
 
 
+GRIDS = {"line": lambda n: Grid.line(-3.0, 3.0, n),
+         "radial": lambda n: Grid.radial(6.0, n),
+         "periodic": lambda n: Grid.line(-3.0, 3.0, n, "periodic")}
+
+
 @pytest.mark.parametrize("order", [2, 4])
-@pytest.mark.parametrize("kind", ["line", "radial"])
+@pytest.mark.parametrize("kind", ["line", "radial", "periodic"])
 def test_dirichlet_eigenvalue_has_the_bits_of_the_eigenpair_solve(kind, order):
     # the banded solve without vectors bisects the same tridiagonal form
-    # (Jacobi bands for order 2, pentadiagonal ones for order 4)
+    # (Jacobi bands for order 2, pentadiagonal ones for order 4, twice as
+    # wide on periodic grids in ring-fold order), and its energies are
+    # those of the dense operator on the unknowns
     rng = np.random.default_rng([order, len(kind)])
     for n in rng.integers(8, 400, size=25):
-        g = (Grid.line(-3.0, 3.0, int(n)) if kind == "line"
-             else Grid.radial(6.0, int(n)))
+        g = GRIDS[kind](int(n))
         lap = build_laplacian(g, order)
         factor = -rng.uniform(0.1, 2.0)
         v = rng.normal(scale=rng.uniform(0.1, 50.0), size=g.n_points)
         index = int(rng.integers(0, g.n_points - 2))
         vals, _ = lowest_eigenpairs(lap, factor, v, 1, first=index)
-        assert dirichlet_eigenvalue(lap, factor, v, index) == vals[0]
+        assert eigenvalue(lap, factor, v, index) == vals[0]
+        u = lap.unknowns
+        dense = (factor * lap.to_dense() + np.diag(v))[np.ix_(u, u)]
+        scale = np.max(np.sum(np.abs(dense), axis=1))
+        assert abs(vals[0] - np.linalg.eigvalsh(dense)[index]) <= 1e-12 * scale
     with pytest.raises(ConfigurationError):
-        dirichlet_eigenvalue(lap, factor, v, g.n_points)
-    periodic = build_laplacian(Grid.line(0.0, 1.0, 16, "periodic"))
-    with pytest.raises(ConfigurationError):
-        dirichlet_eigenvalue(periodic, -0.5, np.zeros(16), 0)
+        eigenvalue(lap, factor, v, g.n_points)
 
 
 def test_inner_product_sesquilinear():

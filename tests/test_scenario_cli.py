@@ -277,14 +277,26 @@ def test_cli_bad_config_exits_2(tmp_path):
     assert cli.main(["solve", "--config", cfg, "--quiet"]) == 2
 
 
-def test_cli_nonconvergence_exits_3(tmp_path):
-    cfg = _write(tmp_path, "stall.yaml", """\
+@pytest.mark.parametrize("solver, error", [
+    ("{e_init: -11.0, state_index: 0, max_iter: 3, tol: 1.0e-14}",
+     "NonConvergenceError"),
+    # an index past the grid's unknowns, or one whose energy bound leaves
+    # the float range (the exact backend once overflowed in a traceback)
+    ("{e_init: -11.0, state_index: 1.0e+300}", "StateTrackingError"),
+    ("{backend: exact, e_init: -11.0, state_index: 1.0e+300}",
+     "StateTrackingError"),
+], ids=["stall", "grid_index_1e300", "exact_index_1e300"])
+def test_cli_nonconvergence_exits_3(tmp_path, solver, error):
+    cfg = _write(tmp_path, "stall.yaml", f"""\
 equation: modified_nr_stationary
-grid: {kind: line, x_min: -4.0, x_max: 4.0, n_points: 200}
-potential: {variant: square_well, depth: 20.0, half_width: 1.0}
-solver: {e_init: -11.0, state_index: 0, max_iter: 3, tol: 1.0e-14}
+grid: {{kind: line, x_min: -4.0, x_max: 4.0, n_points: 200}}
+potential: {{variant: square_well, depth: 20.0, half_width: 1.0}}
+solver: {solver}
 """)
-    assert cli.main(["solve", "--config", cfg, "--quiet"]) == 3
+    out = tmp_path / "err.json"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 3
+    assert json.loads(out.read_text())["error"] == error
 
 
 def test_cli_singular_region_exits_4_with_locations(tmp_path):
