@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import copy
 import csv
-import difflib
 import hashlib
 import io
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -28,7 +26,7 @@ from . import __version__
 from .errors import (EXIT_CONFIG, EXIT_NONCONVERGENCE, EXIT_OK,  # noqa: F401
                      EXIT_SINGULAR, ConfigurationError, UsageError,
                      WavekitError)
-from .numgrid import Grid, WaveField
+from .numgrid import PERIODIC, Grid, WaveField, count_nodes
 from .potentials import PotentialSpec
 from .planewave import (PlaneWaveState, constant_A, constant_A_prime,
                         constant_B, constant_B_prime, constant_D,
@@ -205,6 +203,8 @@ SCENARIO_BLOCKS = ("equation", "potential", "units", "grid", "solver", "output")
 
 def _unknown(what: str, name, known) -> str:
     """Failure text for an unknown name, with the nearest known one."""
+    import difflib  # only a failing config reads it: kept off import time
+
     near = difflib.get_close_matches(str(name), list(known), n=1)
     hint = f" (did you mean {near[0]!r}?)" if near else ""
     return f"unknown {what} {name!r}{hint}"
@@ -378,12 +378,16 @@ def _run_nr_stationary(config: ScenarioConfig):
             raise ConfigurationError("shooting requires solver.e_bracket")
         return _modified_spectrum(solve_stationary_shooting(
             config.grid, config.potential, solver["e_bracket"], config.units))
-    return _modified_spectrum([solve_stationary_fixed_point(
+    res = solve_stationary_fixed_point(
         config.grid, config.potential, int(solver["state_index"]),
         float(solver["e_init"]), float(solver["tol"]),
         int(solver["max_iter"]), float(solver["damping"]), config.units,
         GuardPolicy(solver["policy"], solver["guard_floor"]),
-        backend=solver["backend"])])
+        backend=solver["backend"])
+    payload, diagnostics = _modified_spectrum([res])
+    if config.grid.boundary == PERIODIC:  # the index is no node count there:
+        payload["node_counts"] = [count_nodes(res.state.values)]  # count it
+    return payload, diagnostics
 
 
 def _run_rel_stationary(config: ScenarioConfig):
@@ -595,6 +599,8 @@ def run_sweep(base_doc: dict, parameter: str, values, jobs: int = 1):
     if jobs <= 1:
         cells = [one(d, v) for d, v in zip(docs, values)]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # off import time
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             cells = list(pool.map(one, docs, values))
     return cells

@@ -3,13 +3,9 @@
 All stationary 1D problems here reduce to psi'' = -w_j psi on constant
 regions: oscillatory (w > 0), exponential (w < 0) or linear (w = 0).
 Marching starts from psi = 0, psi' = 1 at the left wall; the Dirichlet
-matching function is psi at the right wall. The marchers are vectorized
-over a whole array of trial energies so that dense scans and batched
-bisection stay cheap; the Sturm count of the same closed forms, for the
-shots from both walls, picks linear eigenvalues by node count. The march,
-the counts and the sampled shot share one region walk, which evaluates
-the transfer coefficients of every (trial, region) pair once, then only
-applies them and renormalizes.
+matching function is psi at the right wall. The march, the Sturm count and
+the sampled shot share one region walk, vectorized over trial energies; a
+linear eigenvalue takes one scalar walk of the same closed forms per energy.
 """
 
 from __future__ import annotations
@@ -142,9 +138,8 @@ def _states(widths, coeffs):
 
 
 def _zeros(widths, coeffs, final_crossing: bool = True):
-    """:func:`sturm_count` for ``coeffs`` of any leading shape, and the
-    shot's end (psi, psi')."""
-    psi, dpsi, end_psi, end_dpsi = _states(widths, coeffs)
+    """:func:`sturm_count` for ``coeffs`` of any leading shape."""
+    psi, dpsi, end_psi, _ = _states(widths, coeffs)
     osc = coeffs > 0
     k = np.sqrt(np.where(osc, coeffs, 1.0))
     phi = np.arctan2(dpsi / k, psi)
@@ -157,7 +152,7 @@ def _zeros(widths, coeffs, final_crossing: bool = True):
     total = total.sum(axis=-1).astype(int)
     if final_crossing:
         total += np.sign(end_psi[..., -1]) * (-1.0) ** total < 0
-    return total, (end_psi[..., -1], end_dpsi[..., -1])
+    return total
 
 
 def sturm_count(widths, coeffs, final_crossing: bool = True) -> np.ndarray:
@@ -176,39 +171,42 @@ def sturm_count(widths, coeffs, final_crossing: bool = True) -> np.ndarray:
     is the matching residual, not the field.
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
-    return _zeros(widths, coeffs, final_crossing)[0]
+    return _zeros(widths, coeffs, final_crossing)
 
 
-def _sides(widths, u):
-    """Widths and U of the shots from either wall to c, the left edge of the
-    lowest region (the right one mirrored), padded to one length with
-    zero-width regions, which transfer as the identity: shapes (2, 1, n)."""
-    m, n = int(np.argmin(u)), len(u)
-    w2, u2 = np.zeros((2, 1, max(m, n - m))), np.full((2, 1, max(m, n - m)), u[m])
-    w2[0, 0, :m], u2[0, 0, :m] = widths[:m], u[:m]
-    w2[1, 0, :n - m], u2[1, 0, :n - m] = widths[m:][::-1], u[m:][::-1]
-    return w2, u2
-
-
-def _match(widths2, coeffs2, count: bool = True):
-    """Count N(E) (None unless ``count``) and D(E) per trial from one walk
-    of both shots of :func:`_sides`. With Pruefer angles theta_L, theta_R
-    at c, N = ceil((theta_L + theta_R)/pi) - 1 is :func:`sturm_count`: the
-    zeros of both shots, plus one where the phases left over pass pi.
-    D = psi_L psi_R' + psi_L' psi_R of the unit-normalized states (psi_R'
-    along the right shot) is sin(theta_L + theta_R): smooth across each
-    eigenvalue, of sign (-1)^N."""
-    if count:
-        zeros, (psi, dpsi) = _zeros(widths2, coeffs2)
-    else:
-        *_, (_, (psi, dpsi)) = _walk(widths2, coeffs2)
-    norm = np.maximum(np.hypot(psi, dpsi), 1e-280)
-    psi, dpsi = psi / norm, dpsi / norm
-    d = psi[0] * dpsi[1] + dpsi[0] * psi[1]
-    if not count:
-        return None, d
-    n = zeros[0] + zeros[1]
-    return n + (d * (-1.0) ** n < 0), d
+def _wronskian(sides, scale, e):
+    """D(E) = psi_L psi_R' + psi_L' psi_R of the unit-normalized left and
+    mirrored right shots (psi_R' along the right shot) at c, the left edge
+    of the lowest region, walked for one energy in plain ``math`` with
+    :func:`_transfer`'s closed forms, growth clamp (first: ``math.sinh``
+    raises past it) and overflow branch. With Pruefer angles theta_L,
+    theta_R at c, D = sin(theta_L + theta_R): smooth across each eigenvalue
+    and of the sign (-1)^N of the Sturm count N(E) (:func:`sturm_count`)."""
+    ends = []
+    for regions in sides:
+        psi, dpsi = 0.0, 1.0
+        for width, level in regions:
+            w = scale * (e - level)
+            k = math.sqrt(abs(w))
+            if w > 0.0:
+                s, c = math.sin(k * width), math.cos(k * width)
+                psi, dpsi = c * psi + s / k * dpsi, -k * s * psi + c * dpsi
+            else:
+                ch, to_psi, to_dpsi = 1.0, width, 0.0
+                if w < 0.0:
+                    grow = min(k * width, _GROW_CLAMP)
+                    ch, sh = math.cosh(grow), math.sinh(grow)
+                    to_psi, to_dpsi = sh / k, k * sh
+                    if to_dpsi == math.inf:
+                        half_gap = 0.5 * (1.0 - math.exp(-2.0 * grow))
+                        ch, to_psi, to_dpsi = 1.0 - half_gap, half_gap / k, half_gap * k
+                psi, dpsi = ch * psi + to_psi * dpsi, to_dpsi * psi + ch * dpsi
+            size = max(abs(psi), abs(dpsi), 1e-280)
+            psi, dpsi = psi / size, dpsi / size
+        size = max(math.hypot(psi, dpsi), 1e-280)
+        ends.append((psi / size, dpsi / size))
+    (psi_l, dpsi_l), (psi_r, dpsi_r) = ends
+    return psi_l * dpsi_r + dpsi_l * psi_r
 
 
 def count_shot_nodes(edges, coeffs) -> int:
@@ -300,19 +298,6 @@ def shot_state(grid: Grid, edges, coeffs) -> WaveField:
 
 
 _SCAN_BISECTIONS = 64  # bracketed_roots: halvings of each sign-change cell
-#: linear_bound_state_energy: offsets -1, 1, -1/4, 1/4, ... (4^-j) of the
-#: trials next to a guess or a secant root; steps of the resolution around
-#: a secant root; fractions of a bracket that holds more than one level
-_RUNGS = np.repeat(4.0 ** -np.arange(32), 2) * np.tile([-1.0, 1.0], 32)
-_WINDOW = np.arange(-32.0, 33.0)
-_SPLIT = np.arange(1.0, 65.0) / 65.0
-
-
-def _rungs(center, size, floor):
-    """center -+ size 4^-j (j < 32) for the offsets of at least ``floor``."""
-    ratio = size / floor
-    n = 32 if ratio >= 4.0**31 else int(math.log(ratio, 4)) + 1 if ratio >= 1 else 0
-    return center + size * _RUNGS[:2 * n]
 
 
 def is_index(value, least: int = 0) -> bool:
@@ -326,86 +311,90 @@ def linear_bound_state_energy(edges, region_potentials, state_index: int,
     """Energy of the ``state_index``-th Dirichlet eigenstate of the standard
     operator -hbar^2/2m psi'' + U psi on a piecewise-constant profile U.
 
-    Each round is one walk of the shots from either wall to the left edge
-    of the lowest region, for every trial energy (:func:`_match`). The
-    count N(E) picks the state by its node count, not by the order of
-    matching roots on a scan (in deep wells neighbouring roots share scan
-    cells); D(E) is smooth across the root, where a one-sided endpoint or
-    phase is nearly a step if its last region is forbidden. The first round
-    holds min U + unit 2^j up to a bound on E_k; the bracket keeps
-    N(lo) <= k < N(hi) at the closest trials. While it holds more levels,
-    a round splits it in 65; with one, the sign of D is the count, and a
-    round takes the secant root e of D, e +- j resolution steps (j <= 32),
-    the rungs e +- width 4^-j and every eighth of the bracket, on the grid
-    of steps. The walk sees E - U_j, so E resolves to the float spacing
-    s of the largest |E - U_j| (and |E|): the energy is the middle of the
-    cell [m s, (m + 1) s] that holds the bracket.
-
-    A ``guess`` near the eigenvalue E (a fixed-point iterate) adds the
-    rungs guess +- unit 4^-j to the first round, so the bracket is about
-    3 |E - guess| wide and one secant round closes it. The counts still
-    pick the state: a poor, non-finite or out-of-range guess only costs
-    the extra trials.
+    The Sturm count N(E) (:func:`sturm_count`) picks the state by its node
+    count, not by the order of roots on a scan (in deep wells neighbouring
+    roots share scan cells). One batch of counts at the doubling ladder
+    min U + unit 2^j (up to a bound on E_k) and, with a ``guess`` (a
+    fixed-point iterate), at guess +- unit 4^-j, then batches at 64 inner
+    points, each taking the lowest count past k, narrow the bracket until
+    N(lo) = k and N(hi) = k + 1; a seeded bracket is about 3 |E - guess|
+    wide. There the sign of D(E) (:func:`_wronskian`, one scalar walk per
+    energy) counts, and Illinois regula falsi on D, on the grid of steps s,
+    the float spacing of the largest |E - U_j| and |E|, closes it to a cell
+    [m s, (m + 1) s], whose middle is returned, seeded or not. D is smooth
+    across the root, where a one-sided endpoint is a near step behind a
+    forbidden last region. An index whose levels lie closer together than
+    the float spacing at their bound is refused; a poor or non-finite guess
+    only costs trials.
     """
     edges = np.asarray(edges, dtype=float)
     widths, u = edges[1:] - edges[:-1], np.asarray(region_potentials, dtype=float)
+    w_list, u_list = widths.tolist(), u.tolist()
     if not is_index(state_index):
-        raise UsageError(
-            f"state_index must be an integer >= 0, got {state_index!r}")
-    if len(widths) != len(u) or not (widths > 0).all():
+        raise UsageError(f"state_index must be an integer >= 0, got {state_index!r}")
+    if len(w_list) != len(u_list) or not all(w > 0.0 for w in w_list):
         raise UsageError("edges must increase, one region per potential")
-    if not np.isfinite(u).all():
+    if not all(map(math.isfinite, u_list)):
         raise UsageError("region potentials must be finite")
-    scale, k = 2.0 * units.m / units.hbar**2, state_index
-    widths2, u2 = _sides(widths, u)
-    levels = [*u.tolist(), 0.0]
+    scale, k, m = 2.0 * units.m / units.hbar**2, state_index, u_list.index(min(u_list))
+    sides = list(zip(w_list[:m], u_list[:m])), list(zip(w_list[m:], u_list[m:]))[::-1]
+    low, high = min(0.0, *u_list), max(0.0, *u_list)
 
     def resolution(e):  # the float spacing of the largest |E - U_j|, |E|
-        return math.ulp(max(abs(e - v) for v in levels))
+        return math.ulp(max(e - low, high - e))
 
     # lowest level of a box spanning the interval: the spectral spacing scale
-    unit = (np.pi / widths.sum()) ** 2 / scale
+    unit = (math.pi / sum(w_list)) ** 2 / scale
     # comparison with the constant profiles min(U) and max(U) puts E_k
-    # between min(U) + unit and max(U) + (k+1)^2 unit: one walk
-    lo, n_lo, d_lo, hi = min(levels[:-1]), 0, math.nan, None
+    # between min(U) + unit and max(U) + (k+1)^2 unit
+    lo, n_lo, hi, n_hi = min(u_list), 0, None, None
     try:
-        top = max(levels[:-1]) + 2.0 * (k + 1) ** 2 * unit
+        top = max(u_list) + 2.0 * (k + 1) ** 2 * unit
         doublings = math.ceil(math.log2((top - lo) / unit)) + 1
+        if (2 * k + 1) * unit < math.ulp(top):  # a flat box's level spacing
+            raise StateTrackingError(f"the levels near state {k} lie closer together "
+                                     "than the float spacing at their bound")
     except OverflowError:  # (k + 1)**2 or the bound past the float range
         raise StateTrackingError(f"the energy bound of state {k} leaves "
                                  "the float range") from None
-    trial = lo + np.ldexp(unit, np.arange(-1, doublings))
-    if guess is not None:
-        near = _rungs(float(guess), unit, resolution(float(guess)))
-        near = near[(near > lo) & (near < top)]  # a far guess adds no trials
-        trial = np.sort(np.concatenate([trial, near]))
-    one = False
+    trial = [lo + math.ldexp(unit, j) for j in range(-1, doublings)]
+    g = float(guess) if guess is not None else math.nan
+    if lo < g < top:  # rungs down to the resolution; a far guess adds none
+        floor = max(resolution(g), math.ldexp(unit, -62))
+        trial += [e for j in range(32) if unit * 0.25**j >= floor
+                  for e in (g - unit * 0.25**j, g + unit * 0.25**j) if lo < e < top]
+        trial.sort()
+    trial = np.array(trial)
     for _ in range(64):
-        n, d = _match(widths2, scale * (trial[:, None] - u2), not one)
-        # with one level in the bracket, the sign of D, (-1)^N, counts
-        above = d * (-1.0) ** k < 0 if one else n > k
-        i = int(above.argmax()) if above.any() else len(above)
+        n = sturm_count(widths, scale * (trial[:, None] - u))
+        i = int((n > k).argmax()) if (n > k).any() else len(n)
         if i > 0:
-            lo, d_lo = float(trial[i - 1]), float(d[i - 1])
-            n_lo = k if one else n[i - 1]
-        if i < len(above):
-            hi, d_hi = float(trial[i]), float(d[i])
-            n_hi = k + 1 if one else n[i]
-        if hi is None:
+            lo, n_lo = float(trial[i - 1]), int(n[i - 1])
+        if i < len(n):
+            hi, n_hi = float(trial[i]), int(n[i])
+        if hi is None or n_lo == k and n_hi == k + 1 or math.nextafter(lo, hi) == hi:
             break
-        width, one, step = hi - lo, n_lo == k and n_hi == k + 1, resolution(lo)
+        trial = lo + (hi - lo) * (np.arange(1.0, 65.0) / 65.0)
+    if hi is None or not (n_lo == k and n_hi == k + 1):
+        raise NoRootError(f"could not isolate linear eigenstate {state_index}")
+    # one level in the bracket: the sign of D counts
+    sign, side = (-1.0) ** k, None
+    d_lo, d_hi = _wronskian(sides, scale, lo), _wronskian(sides, scale, hi)
+    for _ in range(4096):  # a bound: each walk narrows the bracket
+        step = resolution(lo)
         cell = math.floor(lo / step)
-        if one and hi <= (cell + 1) * step:
+        if hi <= (cell + 1) * step:
             return (cell + 0.5) * step
-        if math.nextafter(lo, hi) == hi:
-            break  # levels closer than the float spacing
-        if not one:
-            trial = lo + width * _SPLIT
-            continue
+        # Illinois regula falsi on the grid of steps, strictly inside
         e = (lo * d_hi - hi * d_lo) / (d_hi - d_lo) if d_hi != d_lo else math.nan
-        e = min(max(e, lo), hi) if math.isfinite(e) else 0.5 * (lo + hi)
-        trial = np.concatenate([e + step * _WINDOW, _rungs(e, width, 32 * step),
-                                lo + width * _SPLIT[7::8]])
-        trial = np.round(trial / step) * step
-        trial = np.sort(trial[(trial > lo) & (trial < hi)])
+        e = e if lo <= e <= hi else 0.5 * (lo + hi)
+        e = min(max(round(e / step), cell + 1), math.ceil(hi / step) - 1) * step
+        d = _wronskian(sides, scale, e)
+        # the end that stays put twice running has its D halved
+        above = d * sign < 0
+        twice, side = (0.5 if side == above else 1.0), above
+        if above:
+            hi, d_hi, d_lo = e, d, twice * d_lo
+        else:
+            lo, d_lo, d_hi = e, d, twice * d_hi
     raise NoRootError(f"could not isolate linear eigenstate {state_index}")

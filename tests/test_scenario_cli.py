@@ -18,7 +18,7 @@ from wavekit import cli, errors, scenario
 from wavekit import modified_nr as mnr
 from wavekit import modified_rel as mrel
 from wavekit.errors import ConfigurationError
-from wavekit.numgrid import WaveField
+from wavekit.numgrid import WaveField, count_nodes
 from wavekit.potentials import E_EQUALS_V, SingularSet
 from wavekit.units import ATOMIC_C
 
@@ -190,6 +190,25 @@ def test_spectrum_csv_header_and_rows():
     np.testing.assert_allclose(float(first[1]), np.pi**2 / 2.0, rtol=1e-4)
 
 
+@pytest.mark.parametrize("n_points", [64, 400])
+@pytest.mark.parametrize("index", [1, 2])
+def test_periodic_fixed_point_reports_the_nodes_of_its_state(n_points, index):
+    # on a ring the state index is the eigenvalue index; the degenerate
+    # pair at E = 1/2 has states of 2 and 1 nodes in LAPACK's basis, and
+    # the payload counts the nodes of the state it holds
+    text = f"""\
+equation: modified_nr_stationary
+grid: {{kind: line, x_min: 0.0, x_max: 6.283185307179586, n_points: {n_points}, boundary: periodic}}
+potential: {{variant: free}}
+solver: {{state_index: {index}, e_init: 0.4}}
+"""
+    payload = scenario.run_scenario(scenario.parse_scenario(text)).payload
+    state = payload["states"][0]
+    values = np.array(state["re"]) + 1j * np.array(state["im"])
+    assert payload["node_counts"] == [count_nodes(values)]
+    assert abs(payload["energies"][0] - 0.5) < 1e-3
+
+
 def test_frames_csv_header():
     text = """\
 equation: modified_nr_timedep
@@ -297,6 +316,28 @@ solver: {solver}
     assert cli.main(["solve", "--config", cfg, "--out", str(out),
                      "--quiet"]) == 3
     assert json.loads(out.read_text())["error"] == error
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("index", ["1.0e+17", "1.0e+20", "1.0e+30", "1.0e+100",
+                                   "1.0e+150"])
+def test_cli_exact_index_past_the_float_resolution_exits_3(tmp_path, index):
+    # the levels of such an index lie closer together than the float
+    # spacing at their bound: refused up front with a typed error, where a
+    # walk once ended in NoRootError or, from 1e20, in a cast warning that
+    # -W error made a traceback
+    cfg = _write(tmp_path, "huge.yaml", f"""\
+equation: modified_nr_stationary
+grid: {{kind: line, x_min: -8.0, x_max: 8.0, n_points: 400}}
+potential: {{variant: square_well, depth: 4.0, half_width: 1.0}}
+solver: {{backend: exact, e_init: -3.0, state_index: {index}}}
+""")
+    out = tmp_path / "err.json"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 3
+    error = json.loads(out.read_text())
+    assert error["error"] == "StateTrackingError"
+    assert "float spacing" in error["message"]
 
 
 def test_cli_singular_region_exits_4_with_locations(tmp_path):
@@ -500,7 +541,8 @@ def test_cli_compare_of_a_document_that_is_no_report_exits_2(
 
 #: Runs ``cli.main`` on each (name, argv) pair of the JSON list in argv[1]
 #: and prints, per name, the exit code and the SciPy modules then loaded,
-#: and the threads that loaded a SciPy module.
+#: the threads that loaded a SciPy module, and the deferred standard
+#: modules (``difflib``, ``concurrent.futures``) that the import loaded.
 SCIPY_PROBE = """\
 import json, sys, threading
 threads = set()
@@ -511,10 +553,12 @@ sys.addaudithook(hook)
 import wavekit.cli
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+deferred = sorted({"difflib", "concurrent.futures"} & set(sys.modules))
 loaded = {"import wavekit.cli": [0, scipy_modules()]}
 for name, argv in json.loads(sys.argv[1]):
     loaded[name] = [wavekit.cli.main(argv), scipy_modules()]
-print(json.dumps({"loaded": loaded, "threads": sorted(threads)}))
+print(json.dumps({"loaded": loaded, "threads": sorted(threads),
+                  "deferred": deferred}))
 """
 
 
@@ -530,7 +574,9 @@ def _scipy_probe(runs):
 
 def test_cli_loads_scipy_only_for_the_runs_that_call_it(tmp_path):
     # shooting, the exact backend, the audit and compare call no SciPy, so
-    # the CLI imports it where an eigensolve or propagate first needs it
+    # the CLI imports it where an eigensolve or propagate first needs it;
+    # the sweep's thread pool and the unknown-key hint's difflib are
+    # imported where they are used, not by ``import wavekit.cli``
     def solve(name, text):
         cfg = _write(tmp_path, f"{name}.yaml", text)
         return [name, ["solve", "--config", cfg, "--out",
@@ -552,7 +598,9 @@ solver: {backend: exact, state_index: 3, e_init: -0.91, tol: 1.0e-8}
         solve("bad_config", STATIONARY + "solver: {method: bogus}\n"),
         solve("schrodinger", BOX),
     ]
-    loaded = _scipy_probe(runs)["loaded"]
+    probe = _scipy_probe(runs)
+    assert probe["deferred"] == []
+    loaded = probe["loaded"]
     assert {name: code for name, (code, _) in loaded.items()} == {
         "import wavekit.cli": 0, "nr_shooting": 0, "rel_shooting": 0,
         "exact_fixed_point": 0, "compare": 0, "dispersion": 0,

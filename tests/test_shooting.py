@@ -6,11 +6,11 @@ import pytest
 
 from wavekit import modified_nr as mnr
 from wavekit import shooting
-from wavekit.errors import NoRootError, UsageError
+from wavekit.errors import NoRootError, StateTrackingError, UsageError
 from wavekit.numgrid import Grid
 from wavekit.potentials import PotentialSpec
-from wavekit.shooting import (_MARCH_ROWS, _match, _renormalized, _sides,
-                              _step, _walk, count_shot_nodes,
+from wavekit.shooting import (_MARCH_ROWS, _renormalized, _step, _walk,
+                              _wronskian, count_shot_nodes,
                               linear_bound_state_energy, march_endpoint,
                               piecewise_regions, sample_shot, shot_state,
                               sturm_count)
@@ -154,43 +154,53 @@ def test_seeded_linear_eigenvalue_equals_unseeded():
             assert counts[0] == k < counts[1], (i, guess)
 
 
-def test_seeded_linear_eigenvalue_takes_two_walks(monkeypatch):
-    # the count bracket from the guess rungs, then one secant round of D
+def test_seeded_linear_eigenvalue_takes_one_count_and_few_walks(monkeypatch):
+    # the guess rungs give a one-level count bracket in one batch, then
+    # Illinois steps on D, one scalar walk each, close it
     edges, u = np.array([-8.0, -1.0, 1.0, 8.0]), np.array([0.0, -12.0, 0.0])
-    walk, walks = shooting._walk, []
+    wronskian, count = shooting._wronskian, shooting.sturm_count
+    walks, batches = [], []
 
-    def counted(widths, coeffs):
-        walks.append(coeffs.shape)
-        return walk(widths, coeffs)
+    def walked(*args):
+        walks.append(args[2])
+        return wronskian(*args)
 
-    monkeypatch.setattr(shooting, "_walk", counted)
+    def counted(*args, **kwargs):
+        batches.append(len(args[1]))
+        return count(*args, **kwargs)
+
+    monkeypatch.setattr(shooting, "_wronskian", walked)
+    monkeypatch.setattr(shooting, "sturm_count", counted)
     for k in range(3):
         walks.clear()
         mu = linear_bound_state_energy(edges, u, k, U)
         unseeded = len(walks)
         for guess in (mu, mu * (1.0 - 1e-9), mu * (1.0 + 1e-12)):
             walks.clear()
+            batches.clear()
             got = linear_bound_state_energy(edges, u, k, U, guess)
-            assert got == mu and len(walks) <= 2 < unseeded, (k, guess)
+            assert got == mu and len(batches) == 1, (k, guess)
+            assert len(walks) <= 5 < unseeded, (k, guess)
     # a deep well resolves E only to 8-64 of its floats (the spacing of
-    # E - U_mid): the secant round's trials sit on that grid, so it still
-    # closes the bracket at once in most solves
+    # E - U_mid): the Illinois steps sit on that grid and still close the
+    # bracket in a few walks
     edges, u = np.array([-8.0, -0.7, 0.7, 8.0]), np.array([0.0, -5.0e4, 0.0])
-    walks.clear()
-    seeded = 0
+    seeded = []
     for k in range(133, 141):
         mu = linear_bound_state_energy(edges, u, k, U)
         for guess in (mu, mu * (1.0 - 1e-9), mu * (1.0 + 1e-12)):
-            start = len(walks)
+            walks.clear()
+            batches.clear()
             assert linear_bound_state_energy(edges, u, k, U, guess) == mu
-            seeded += len(walks) - start
-    assert seeded <= 2.25 * 24
+            seeded.append((len(batches), len(walks)))
+    assert all(n == 1 for n, _ in seeded) and sum(w for _, w in seeded) <= 5 * 24
 
 
-def test_two_sided_count_equals_sturm_count():
-    # the count of both shots at the lowest region's left edge is the
-    # one-sided count, and D has its sign (-1)^N; on flat boxes the ladder
-    # rungs min(U) + 2^j unit land on the levels
+def test_scalar_wronskian_has_the_sign_of_the_sturm_count():
+    # D of the shots from both walls, met at the lowest region's left edge,
+    # is the Wronskian of the batched walk's end states and has the sign
+    # (-1)^N of the one-sided count; on flat boxes the ladder rungs
+    # min(U) + 2^j unit land on the levels
     rng = np.random.default_rng(12)
     cases = [_level_profile(rng) for _ in range(200)]
     cases += [(np.array([0.0, length]), np.array([u0]))
@@ -200,11 +210,24 @@ def test_two_sided_count_equals_sturm_count():
         unit = (np.pi / widths.sum()) ** 2 / SCALE
         es = np.concatenate([rng.uniform(u.min() - 1.0, u.max() + 300.0, 40),
                              u.min() + np.ldexp(unit, np.arange(-1, 12))])
-        widths2, u2 = _sides(widths, u)
-        counts, d = _match(widths2, SCALE * (es[:, None] - u2))
-        np.testing.assert_array_equal(
-            counts, sturm_count(widths, SCALE * (es[:, None] - u)))
-        assert np.all((np.sign(d) == (-1.0) ** counts) | (d == 0.0))
+        m = int(np.argmin(u))
+        regions = list(zip(widths.tolist(), u.tolist()))
+        sides = regions[:m], regions[m:][::-1]
+        counts = sturm_count(widths, SCALE * (es[:, None] - u))
+        for e, count in zip(es.tolist(), counts):
+            d = _wronskian(sides, SCALE, e)
+            assert math.copysign(1.0, d) == (-1.0) ** count or d == 0.0, e
+            ends = []
+            for side in sides:
+                if not side:  # the wall state of an empty side
+                    ends.append((0.0, 1.0))
+                    continue
+                w, v = np.array(side).T
+                *_, (_, end) = _walk(w, SCALE * (e - v)[None, :])
+                ends.append(np.array(end)[:, 0] / np.hypot(*end)[0])
+            (psi_l, dpsi_l), (psi_r, dpsi_r) = ends
+            assert d == pytest.approx(psi_l * dpsi_r + dpsi_l * psi_r,
+                                      abs=1e-9), e
 
 
 def test_linear_eigenvalue_is_a_sign_change_of_the_march():
@@ -280,6 +303,18 @@ def test_levels_split_below_the_float_spacing_raise_no_root_error():
     for guess in (None, e):
         with pytest.raises(NoRootError):
             linear_bound_state_energy(edges, w, 165, U, guess)
+
+
+def test_linear_eigenvalue_refuses_levels_closer_than_the_float_spacing():
+    # a flat box's levels u0 + (k+1)^2 unit lie (2k+3) unit apart: from
+    # about k = 1e16 that is below the float spacing at the bound on E_k
+    edges, u = np.array([0.0, 1.0]), np.array([0.0])
+    unit = np.pi**2 / SCALE
+    mu = linear_bound_state_energy(edges, u, 10**6, U)
+    assert mu == pytest.approx((10**6 + 1) ** 2 * unit, rel=1e-12)
+    for k in (10**16, 10**17, 10**150):
+        with pytest.raises(StateTrackingError, match="float spacing"):
+            linear_bound_state_energy(edges, u, k, U)
 
 
 @pytest.mark.parametrize("k", [-1, 2.5, 2.0, True, np.float64(1.0), "1"])
