@@ -21,7 +21,7 @@ from .errors import (ConfigurationError, NonConvergenceError,
                      SingularCoefficientError, SingularRegionError,
                      StabilityError, StateTrackingError, UsageError)
 from .numgrid import (Grid, WaveField, build_laplacian, eigenvalue,
-                      lowest_eigenpairs)
+                      lowest_eigenpairs, matvec)
 from .potentials import E_EQUALS_V, PotentialSpec, evaluate, find_singular_set
 from .reference import kinetic_operator
 from .shooting import (bracketed_roots, is_index,
@@ -356,15 +356,20 @@ def additional_term_report(psi_ref: WaveField, E_ref: float, V: PotentialSpec,
 def timedep_speed_squared(V: PotentialSpec, E: float, epsilon: float,
                           grid: Grid, units: UnitSystem) -> np.ndarray:
     """Coefficient s(x) = (eps^2/2m) (E - V)/(E - 2V)^2 of the wave form
-    psi_tt = s psi_xx. Raises when singular or non-hyperbolic."""
+    psi_tt = s psi_xx. Raises when singular or non-hyperbolic, and
+    ConfigurationError when a factor of s leaves the float range."""
     v = np.asarray(evaluate(V, grid.x), dtype=float)
-    denom = E - 2.0 * v
-    scale = max(1.0, abs(E))
-    if np.any(np.abs(denom) < 1e-12 * scale):
-        bad = grid.x[np.abs(denom) < 1e-12 * scale]
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = E - 2.0 * v
+        numerator, denom_sq = (epsilon**2 / (2.0 * units.m)) * (E - v), denom**2
+    singular = np.abs(denom) < 1e-12 * max(1.0, abs(E))
+    if np.any(singular):
         raise SingularCoefficientError(
-            f"E = 2V on the grid near x = {bad[:5]}")
-    s = (epsilon**2 / (2.0 * units.m)) * (E - v) / denom**2
+            f"E = 2V on the grid near x = {grid.x[singular][:5]}")
+    if not (np.isfinite(numerator).all() and np.isfinite(denom_sq).all()):
+        raise ConfigurationError(f"epsilon = {epsilon!r}, E = {E!r}: s = (eps^2/2m) "
+                                 "(E - V)/(E - 2V)^2 leaves the float range")
+    s = numerator / denom_sq
     if np.any(s <= 0.0):
         bad = grid.x[s <= 0.0]
         raise NonHyperbolicRegimeError(
@@ -396,6 +401,8 @@ def leapfrog(state0: TimeDepState, accel, dt: float, steps: int, limit: float,
     if dt <= 0 or dt > limit:
         raise ConfigurationError(
             f"dt={dt} violates the stability bound {limit:.3e}")
+    if dt * dt == 0.0:  # the step would divide by 2 dt and drop dt**2 terms
+        raise ConfigurationError(f"dt={dt}: dt**2 underflows to 0")
     if steps == 0:
         return [state0]
     grid, t0 = state0.psi.grid, state0.t
@@ -448,11 +455,12 @@ def propagate_timedep(state0: TimeDepState, V: PotentialSpec, dt: float,
     state."""
     grid = state0.psi.grid
     s = timedep_speed_squared(V, state0.E, state0.epsilon, grid, units)
-    # one cast to the field dtype, not an upcast inside every matvec
-    lap = build_laplacian(grid).matrix.astype(state0.psi.values.dtype)
+    # cast once to the field dtype, not inside every product
+    lap = {k: row.astype(state0.psi.values.dtype)
+           for k, row in build_laplacian(grid).diagonals.items()}
 
     def accel(psi):
-        acc = lap @ psi
+        acc = matvec(lap, psi)
         return np.multiply(s, acc, out=acc)
 
     return leapfrog(state0, accel, dt, steps, stability_limit(s, grid.h),

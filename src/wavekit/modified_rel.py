@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidScenarioError, OutOfScopeError
-from .numgrid import Grid, WaveField, build_laplacian
+from .numgrid import Grid, WaveField, build_laplacian, matvec
 from .potentials import PotentialSpec, evaluate
 from .shooting import piecewise_regions
 from .units import UnitSystem
@@ -96,11 +96,12 @@ def propagate_rel_timedep(phi0: WaveField, dphi0_dt: WaveField,
     """
     units = scenario.units
     inv_factor_sq = 1.0 / (1.0 + scenario.potential_samples / units.E0) ** 2
-    lap = build_laplacian(scenario.grid).matrix
+    lap = {k: row.astype(phi0.values.dtype)
+           for k, row in build_laplacian(scenario.grid).diagonals.items()}
     mass_sq = (units.E0 / units.hbar) ** 2
 
     def accel(phi):
-        return inv_factor_sq * (units.c**2 * (lap @ phi) - mass_sq * phi)
+        return inv_factor_sq * (units.c**2 * matvec(lap, phi) - mass_sq * phi)
 
     return leapfrog(TimeDepState(phi0, dphi0_dt, 0.0, 0.0, 0.0), accel, dt,
                     steps, rel_stability_limit(scenario), stride, max_growth=10)

@@ -17,14 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
-
-if TYPE_CHECKING:
-    import scipy.sparse
 
 LINE = "line"
 RADIAL = "radial"
@@ -129,27 +125,71 @@ class WaveField:
         return WaveField(self.values / n, self.grid)
 
 
+def matvec(diagonals: dict, x: np.ndarray) -> np.ndarray:
+    """``M @ x`` for the operator M with these diagonals, ``x`` a vector or
+    a block of columns: from zeros, the products of each diagonal are added
+    in ascending offset order, so each row sums over ascending columns from
+    0 as a CSR product does, with the same bits. A periodic wrap (at most
+    two entries) is added to a vector entry by entry, in floats."""
+    n = len(x)
+    if x.ndim > 1:  # a block: each coefficient scales a row of it
+        diagonals = {k: row[:, None] for k, row in diagonals.items()}
+    offsets = sorted(diagonals)
+    out = np.zeros(x.shape, np.result_type(x, diagonals[offsets[0]]))
+    for k in offsets:
+        row = diagonals[k]
+        if len(row) <= 2 and x.ndim == 1:
+            for i, a in enumerate(row.tolist(), max(-k, 0)):
+                out[i] = out.item(i) + a * x.item(i + k)
+        elif k >= 0:
+            o = out[:n - k]
+            o += row * x[k:]
+        else:
+            o = out[-k:]
+            o += row * x[:n + k]
+    return out
+
+
+def dense_matrix(diagonals: dict) -> np.ndarray:
+    """The dense array of the square operator with these diagonals."""
+    k, row = next(iter(diagonals.items()))
+    dense = np.zeros((len(row) + abs(k),) * 2, row.dtype)
+    for k, row in diagonals.items():
+        i = np.arange(len(row)) + max(-k, 0)
+        dense[i, i + k] = row
+    return dense
+
+
+def general_band(diagonals: dict, order: np.ndarray) -> np.ndarray:
+    """LAPACK general band storage, ``band[b + p - q, q] = M[order[p],
+    order[q]]``, of the operator with these diagonals on the unknowns
+    ``order``; b is the distance of its farthest nonzero entry."""
+    k, row = next(iter(diagonals.items()))
+    pos = np.full(len(row) + abs(k), -1)  # band position; -1 off the band
+    pos[order] = np.arange(len(order))
+    p, q, vals = (np.concatenate(a) for a in zip(*[
+        (pos[t + max(-k, 0)], pos[t + max(k, 0)], row[t])
+        for k, row in diagonals.items() for t in [np.flatnonzero(row)]]))
+    keep = (p >= 0) & (q >= 0)  # entries between unknowns
+    p, q, vals = p[keep], q[keep], vals[keep]
+    b = int(np.max(np.abs(p - q), initial=0))
+    band = np.zeros((2 * b + 1, len(order)), vals.dtype)
+    band[b + p - q, q] = vals
+    return band
+
+
 @dataclass(frozen=True, eq=False)
 class BandedOperator:
     """Real banded operator tied to a grid.
 
     ``diagonals`` maps offsets to coefficient rows; offset k holds the
-    entries ``M[i, i+k]``. Periodic wrap terms appear as long offsets
-    (+-(n-1), ...) with short rows.
+    entries ``M[i, i+k]``, indexed by ``min(i, i+k)``. Periodic wrap terms
+    appear as long offsets (+-(n-1), ...) with short rows. It is the one
+    operator format (:func:`matvec`, :func:`general_band`).
     """
 
     grid: Grid
     diagonals: dict
-
-    @cached_property
-    def matrix(self) -> scipy.sparse.csr_matrix:
-        import scipy.sparse  # loaded by the solves that need it, not at import
-
-        offsets = sorted(self.diagonals)
-        return scipy.sparse.diags(
-            [self.diagonals[k] for k in offsets], offsets,
-            shape=(self.grid.n_points, self.grid.n_points), format="csr",
-        )
 
     @cached_property
     def unknowns(self) -> np.ndarray:
@@ -163,33 +203,21 @@ class BandedOperator:
     @cached_property
     def lower_band(self) -> np.ndarray:
         """Read-only LAPACK lower band storage of the operator on its
-        :attr:`unknowns` u: ``band[d, p] = M[u[p + d], u[p]]``.
-
-        The operator is symmetric there, so its upper diagonals give every
-        entry. The band reaches the farthest entry from the diagonal: the
-        stencil's half-width in the natural order of Dirichlet and radial
-        grids, twice that in the ring-fold order of periodic ones.
-        """
-        sites = self.unknowns
-        pos = np.full(self.grid.n_points, -1)  # band position; -1 if pinned
-        pos[sites] = np.arange(len(sites))
-        p, q, vals = (np.concatenate(a) for a in zip(*[
-            (pos[: len(row)], pos[k : k + len(row)], row)
-            for k, row in self.diagonals.items() if k >= 0]))
-        keep = (p >= 0) & (q >= 0)
-        d, col = np.abs(p - q)[keep], np.minimum(p, q)[keep]
-        band = np.zeros((int(np.max(d)) + 1, len(sites)))
-        band[d, col] = vals[keep]
+        :attr:`unknowns` u, where it is symmetric: ``band[d, p] = M[u[p +
+        d], u[p]]``; d reaches the stencil's half-width, twice that on the
+        ring fold of a periodic grid."""
+        band = general_band(self.diagonals, self.unknowns)
+        band = band[band.shape[0] // 2:]
         band.flags.writeable = False
         return band
 
     def apply(self, field: WaveField) -> WaveField:
         if field.grid is not self.grid and field.grid != self.grid:
             raise UsageError("field grid does not match operator grid")
-        return WaveField(self.matrix @ field.values, self.grid)
+        return WaveField(matvec(self.diagonals, field.values), self.grid)
 
     def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
+        return dense_matrix(self.diagonals)
 
 
 def _laplacian_diagonals(n: int, h: float, order: int, boundary: str,
@@ -204,41 +232,25 @@ def _laplacian_diagonals(n: int, h: float, order: int, boundary: str,
     """
     inv = 1.0 / h**2
     if order == 2:
-        main = np.full(n, -2.0 * inv)
-        off = np.full(n - 1, inv)
-        if boundary == PERIODIC:
-            wrap = np.array([inv])
-            return {0: main, 1: off.copy(), -1: off.copy(),
-                    n - 1: wrap.copy(), -(n - 1): wrap.copy()}
-        if ghost_walls:
-            return {0: main, 1: off.copy(), -1: off.copy()}
-        main[0] = main[-1] = 0.0
-        up = off.copy(); up[0] = 0.0        # row 0
-        lo = off.copy(); lo[-1] = 0.0       # row n-1
-        return {0: main, 1: up, -1: lo}
-    if order == 4:
-        c0, c1, c2 = -30.0 / 12.0 * inv, 16.0 / 12.0 * inv, -1.0 / 12.0 * inv
-        main = np.full(n, c0)
-        d1 = np.full(n - 1, c1)
-        d2 = np.full(n - 2, c2)
-        if boundary == PERIODIC:
-            return {0: main, 1: d1.copy(), -1: d1.copy(), 2: d2.copy(), -2: d2.copy(),
-                    n - 1: np.full(1, c1), -(n - 1): np.full(1, c1),
-                    n - 2: np.full(2, c2), -(n - 2): np.full(2, c2)}
-        if ghost_walls:
-            main[0] += -c2
-            main[-1] += -c2
-            return {0: main, 1: d1.copy(), -1: d1.copy(),
-                    2: d2.copy(), -2: d2.copy()}
-        main[0] = main[-1] = 0.0
-        main[1] += -c2
-        main[-2] += -c2
-        up1 = d1.copy(); up1[0] = 0.0
-        lo1 = d1.copy(); lo1[-1] = 0.0
-        up2 = d2.copy(); up2[0] = 0.0
-        lo2 = d2.copy(); lo2[-1] = 0.0
-        return {0: main, 1: up1, -1: lo1, 2: up2, -2: lo2}
-    raise ConfigurationError(f"unsupported stencil order {order} (use 2 or 4)")
+        coef = (-2.0 * inv, inv)  # at offsets 0 and +-1
+    elif order == 4:
+        coef = (-30.0 / 12.0 * inv, 16.0 / 12.0 * inv, -1.0 / 12.0 * inv)
+    else:
+        raise ConfigurationError(f"unsupported stencil order {order} (use 2 or 4)")
+    w = len(coef) - 1
+    diags = {k: np.full(n - abs(k), coef[abs(k)]) for k in range(-w, w + 1)}
+    if boundary == PERIODIC:  # the wrap: offsets +-(n - d) hold d entries
+        for d in range(1, w + 1):
+            diags[n - d], diags[d - n] = np.full(d, coef[d]), np.full(d, coef[d])
+        return diags
+    if order == 4:  # odd reflection: a ghost across a wall is minus its mirror
+        edge = 0 if ghost_walls else 1
+        diags[0][edge] += -coef[2]
+        diags[0][n - 1 - edge] += -coef[2]
+    if not ghost_walls:  # the rows of the end nodes are zero
+        for k in range(w + 1):
+            diags[k][0] = diags[-k][-1] = 0.0
+    return diags
 
 
 def build_laplacian(grid: Grid, order: int = 2) -> BandedOperator:
@@ -256,9 +268,7 @@ def build_radial_laplacian(grid: Grid, l: int, order: int = 2) -> BandedOperator
         raise ConfigurationError("angular momentum l must be >= 0")
     diags = _laplacian_diagonals(grid.n_points, grid.h, order, grid.boundary,
                                  ghost_walls=True)
-    if l > 0:
-        main = diags[0] - l * (l + 1) / grid.x**2
-        diags = {**diags, 0: main}
+    diags[0] = diags[0] - l * (l + 1) / grid.x**2
     return BandedOperator(grid, diags)
 
 
@@ -290,19 +300,6 @@ def ring_fold_order(n: int, boundary: str) -> np.ndarray:
     if boundary != PERIODIC:
         return k
     return np.where(k % 2 == 0, k // 2, n - 1 - k // 2)
-
-
-def band_storage(matrix: scipy.sparse.spmatrix) -> np.ndarray:
-    """LAPACK general band storage (``ab[b + i - j, j] = M[i, j]``, b sub-
-    and b super-diagonals) of a sparse matrix, copied from its stored
-    entries; b is the distance of the farthest stored entry from the
-    diagonal. For a symmetric matrix, ``ab[b:]`` is its lower band storage.
-    """
-    coo = matrix.tocoo()
-    b = int(np.max(np.abs(coo.row - coo.col), initial=0))
-    ab = np.zeros((2 * b + 1, matrix.shape[0]))
-    ab[b + coo.row - coo.col, coo.col] = coo.data
-    return ab
 
 
 def _band(kinetic: BandedOperator, kinetic_factor: float,

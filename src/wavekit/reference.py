@@ -10,9 +10,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .numgrid import (Grid, RADIAL, WaveField, _clusters, build_laplacian,
-                      build_radial_laplacian, count_nodes, lowest_eigenpairs)
+from .numgrid import (BandedOperator, Grid, RADIAL, WaveField, _clusters,
+                      build_laplacian, build_radial_laplacian, count_nodes,
+                      general_band, lowest_eigenpairs, matvec)
 from .potentials import PotentialSpec, evaluate
+from .shooting import bracketed_roots
 from .units import UnitSystem
 
 
@@ -28,11 +30,16 @@ class SpectrumResult:
 
 def kinetic_operator(grid: Grid, units: UnitSystem, l: int = 0, order: int = 2):
     """(-hbar^2 / 2m) and the matching Laplacian for the grid kind."""
-    if grid.kind == RADIAL:
-        lap = build_radial_laplacian(grid, l, order)
-    else:
-        lap = build_laplacian(grid, order)
+    lap = (build_radial_laplacian(grid, l, order) if grid.kind == RADIAL
+           else build_laplacian(grid, order))
     return -units.hbar**2 / (2.0 * units.m), lap
+
+
+def hamiltonian(lap: BandedOperator, factor: float, v: np.ndarray) -> dict:
+    """Diagonals of ``factor * L + diag(v)``."""
+    h = {k: factor * row for k, row in lap.diagonals.items()}
+    h[0] = h[0] + v
+    return h
 
 
 def solve_schrodinger_stationary(grid: Grid, V: PotentialSpec, n_states: int,
@@ -41,45 +48,45 @@ def solve_schrodinger_stationary(grid: Grid, V: PotentialSpec, n_states: int,
     """Lowest eigenpairs of -hbar^2/2m Laplacian + V by banded eigensolve.
     ``diagnostics`` records the residuals, the band's half-bandwidth and
     the sizes of the ``clusters`` of levels (numgrid._clusters)."""
-    import scipy.sparse  # loaded by the solves that need it, not at import
-
     factor, lap = kinetic_operator(grid, units, l, order)
     v_samples = np.asarray(evaluate(V, grid.x), dtype=float)
     energies, states = lowest_eigenpairs(lap, factor, v_samples, n_states)
     fields = [WaveField(states[:, j], grid) for j in range(n_states)]
-    h_mat = factor * lap.matrix + scipy.sparse.diags(v_samples)
-    residuals = [
-        float(np.max(np.abs(h_mat @ f.values - e * f.values)))
-        for e, f in zip(energies, fields)
-    ]
+    h = hamiltonian(lap, factor, v_samples)
+    residuals = [float(np.max(np.abs(matvec(h, f.values) - e * f.values)))
+                 for e, f in zip(energies, fields)]
     nodes = tuple(count_nodes(f.values) for f in fields)
-    scale = float(abs(h_mat).sum(axis=1).max())  # ||A||, largest row sum
+    scale = float(np.max(matvec({k: np.abs(row) for k, row in h.items()},
+                                np.ones(grid.n_points))))  # largest row sum
     return SpectrumResult(energies, fields, nodes,
                           {"residuals": residuals, "method": "banded_eigensolve",
                            "bandwidth": lap.lower_band.shape[0] - 1,
-                           "clusters": [b - a for a, b in
-                                        _clusters(energies, scale)]})
+                           "clusters": [b - a for a, b in _clusters(energies, scale)]})
 
 
 def propagate_schrodinger(psi0: WaveField, V: PotentialSpec, dt: float, steps: int,
                           units: UnitSystem = UnitSystem(), order: int = 2):
-    """Crank-Nicolson propagation; unitary in exact arithmetic."""
+    """Crank-Nicolson propagation; unitary in exact arithmetic. Each step
+    is one banded solve of (1 + z H) psi' = (1 - z H) psi, z = i dt / 2
+    hbar, on the unknowns of the grid in band order (the ring fold on
+    periodic grids); the pinned end nodes of a Dirichlet line grid stay 0.
+    """
     if dt <= 0:
         raise ConfigurationError("dt must be > 0")
-    import scipy.sparse.linalg  # loaded by the solves that need it, not at import
+    import scipy.linalg  # loaded by the solves that need it, not at import
 
     grid = psi0.grid
     factor, lap = kinetic_operator(grid, units, 0, order)
-    h_mat = (factor * lap.matrix
-             + scipy.sparse.diags(np.asarray(evaluate(V, grid.x), dtype=float)))
-    ident = scipy.sparse.identity(grid.n_points, format="csc")
-    z = 0.5j * dt / units.hbar
-    solver = scipy.sparse.linalg.splu((ident + z * h_mat).tocsc())
-    rhs_mat = (ident - z * h_mat).tocsr()
-    trajectory = [psi0]
-    psi = psi0.values
+    h = hamiltonian(lap, factor, np.asarray(evaluate(V, grid.x), dtype=float))
+    z, sites = 0.5j * dt / units.hbar, lap.unknowns
+    band = general_band({k: z * row + (k == 0)  # the band of 1 + z H
+                         for k, row in h.items()}, sites)
+    b, trajectory, psi = band.shape[0] // 2, [psi0], psi0.values
     for _ in range(steps):
-        psi = solver.solve(rhs_mat @ psi)
+        rhs = (psi - z * matvec(h, psi))[sites]
+        psi = np.zeros_like(psi)
+        psi[sites] = scipy.linalg.solve_banded((b, b), band, rhs,
+                                               check_finite=False)
         trajectory.append(WaveField(psi, grid))
     return trajectory
 
@@ -142,22 +149,6 @@ def finite_well_bound_energies(depth: float, half_width: float,
         return k_in(E) * np.cos(k_in(E) * half_width) + kappa(E) * np.sin(
             k_in(E) * half_width)
 
-    roots = []
     es = np.linspace(-depth * (1 - 1e-9), -depth * 1e-9, n_scan)
-    for f in (even, odd):
-        fs = f(es)
-        idx = np.flatnonzero(np.sign(fs[:-1]) * np.sign(fs[1:]) < 0)
-        for i in idx:
-            lo, hi = es[i], es[i + 1]
-            flo = f(lo)
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                fm = f(mid)
-                if flo * fm <= 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-                if hi - lo < 1e-14 * depth:
-                    break
-            roots.append(0.5 * (lo + hi))
-    return sorted(roots)
+    roots = [bracketed_roots(f, es) for f in (even, odd)]
+    return sorted(np.concatenate(roots).tolist())

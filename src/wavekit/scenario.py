@@ -345,10 +345,25 @@ def _modified_spectrum(results):
                      "method": results[0].method}
 
 
+def _solver_scale(config: ScenarioConfig, key: str, label: str, compute):
+    """``compute()``, a number formed from ``solver.<key>``; unless it is a
+    finite float, a ConfigurationError that names the key."""
+    try:
+        value = compute()
+    except OverflowError:  # a float ** past the float range
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    raise ConfigurationError(f"solver.{key} = {config.solver[key]!r}: {label} "
+                             f"= {value!r} is out of the float range")
+
+
 def _initial_wave(config: ScenarioConfig):
     """Initial data for time-dependent runs: a plane-wave mode by default."""
     grid = config.grid
     k = 2.0 * np.pi * int(config.solver["mode"]) / (grid.x_max - grid.x_min)
+    _solver_scale(config, "mode", "the phase k * x",
+                  lambda: k * max(abs(grid.x_min), abs(grid.x_max)))
     return WaveField(np.exp(1j * k * grid.x), grid), k
 
 
@@ -400,9 +415,13 @@ def _run_rel_stationary(config: ScenarioConfig):
 def _run_nr_timedep(config: ScenarioConfig):
     solver, units, grid = config.solver, config.units, config.grid
     psi0, k = _initial_wave(config)
-    eps = solver["epsilon"]
+    eps, key = solver["epsilon"], "epsilon"
     if eps is None:
-        eps = (units.hbar * k) ** 2 / (2.0 * units.m)
+        key = "mode"
+        eps = _solver_scale(config, key, "epsilon = (hbar k)**2/2m",
+                            lambda: (units.hbar * k) ** 2 / (2.0 * units.m))
+    _solver_scale(config, key, "epsilon**2 + |epsilon/hbar|",
+                  lambda: eps**2 + abs(eps / units.hbar))
     E = float(eps if solver["E"] is None else solver["E"])
     dpsi0 = WaveField(-1j * eps / units.hbar * psi0.values, grid)
     state0 = TimeDepState(psi0, dpsi0, 0.0, E, float(eps))
@@ -415,7 +434,10 @@ def _run_rel_timedep(config: ScenarioConfig):
     units, grid = config.units, config.grid
     psi0, k = _initial_wave(config)
     scen = RelScenario(units, config.potential, grid)
-    E = float(np.sqrt((units.c * units.hbar * k) ** 2 + units.E0**2))
+    E = _solver_scale(config, "mode", "E = sqrt((c hbar k)**2 + E0**2)",
+                      lambda: math.sqrt((units.c * units.hbar * k) ** 2
+                                        + units.E0**2))
+    _solver_scale(config, "mode", "E/hbar", lambda: E / units.hbar)
     dpsi0 = WaveField(-1j * E / units.hbar * psi0.values, grid)
     return _trajectory(config, propagate_rel_timedep(
         psi0, dpsi0, scen, float(config.solver["dt"]),

@@ -10,21 +10,17 @@ checks only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import (ConfigurationError, InvalidScenarioError,
                      NonConvergenceError, StabilityError, UsageError)
-from .numgrid import (BandedOperator, Grid, PERIODIC, _clusters,
-                      _laplacian_diagonals, band_storage, count_nodes,
+from .numgrid import (Grid, PERIODIC, _clusters, _laplacian_diagonals,
+                      count_nodes, dense_matrix, general_band, matvec,
                       ring_fold_order)
 from .potentials import PotentialSpec, evaluate
 from .reference import SpectrumResult
 from .units import UnitSystem
-
-if TYPE_CHECKING:
-    import scipy.sparse
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -107,18 +103,13 @@ def clifford_check(cs: CliffordSet) -> dict:
     return report
 
 
-def _derivative_matrix(grid: Grid) -> scipy.sparse.csr_matrix:
+def _derivative_diagonals(grid: Grid) -> dict:
     """Centered first difference; periodic wrap or Dirichlet ghost zeros."""
-    import scipy.sparse  # loaded by the solves that need it, not at import
-
-    n, h = grid.n_points, grid.h
-    off = np.full(n - 1, 0.5 / h)
-    diags = {1: off, -1: -off}
+    n, c = grid.n_points, 0.5 / grid.h
+    diags = {1: np.full(n - 1, c), -1: np.full(n - 1, -c)}
     if grid.boundary == PERIODIC:
-        diags[n - 1] = np.array([-0.5 / h])
-        diags[-(n - 1)] = np.array([0.5 / h])
-    return scipy.sparse.diags([diags[k] for k in sorted(diags)], sorted(diags),
-                              shape=(n, n), format="csr")
+        diags.update({n - 1: np.array([-c]), 1 - n: np.array([c])})
+    return diags
 
 
 def _check_weight(v: np.ndarray, units: UnitSystem):
@@ -129,28 +120,29 @@ def _check_weight(v: np.ndarray, units: UnitSystem):
 
 
 def real_dirac_operator(grid: Grid, units: UnitSystem, wilson_r: float = 0.0,
-                        massless: bool = False) -> scipy.sparse.csr_matrix:
-    """Sparse real symmetric U^H H U of the Dirac operator
-    H = -i hbar c alpha d/dx + beta M with U = diag(1, i):
+                        massless: bool = False) -> dict:
+    """Diagonals of the 2n-point real symmetric U^H H U of the Dirac
+    operator H = -i hbar c alpha d/dx + beta M with U = diag(1, i):
     [[M, hbar c D], [hbar c D^T, -M]], where D is the (antisymmetric)
     centered difference and M = m c^2 - (hbar c r h / 2) Laplacian carries
     the Wilson doubling suppressor. ``massless`` drops the M blocks. A
     spinor (v1, v2) of this operator is (up, down) = (v1, i v2) of H.
     """
-    import scipy.sparse  # loaded by the solves that need it, not at import
-
-    kin = units.hbar * units.c * _derivative_matrix(grid)
-    mass = None
-    if not massless:
-        mass = units.E0 * scipy.sparse.identity(grid.n_points, format="csr")
-        if wilson_r != 0.0:
-            # the order-2 Laplacian with walls one spacing outside the grid
-            lap = BandedOperator(grid, _laplacian_diagonals(
-                grid.n_points, grid.h, 2, grid.boundary, ghost_walls=True))
-            mass = mass - 0.5 * units.hbar * units.c * wilson_r * grid.h \
-                * lap.matrix
-    return scipy.sparse.bmat([[mass, kin], [kin.T, None if mass is None else -mass]],
-                             format="csr")
+    n = grid.n_points
+    mass = {} if massless else {0: np.full(n, units.E0)}
+    if mass and wilson_r != 0.0:
+        # the order-2 Laplacian with walls one spacing outside the grid
+        lap = _laplacian_diagonals(n, grid.h, 2, grid.boundary, ghost_walls=True)
+        scale = 0.5 * units.hbar * units.c * wilson_r * grid.h
+        mass = {k: mass.get(k, 0.0) - scale * row for k, row in lap.items()}
+    op = {k: np.concatenate([row, np.zeros(abs(k)), -row])  # [[M, .], [., -M]]
+          for k, row in mass.items()}
+    for k, row in _derivative_diagonals(grid).items():
+        # D[i, i + k] is A[i, n + i + k] and A[n + i + k, i]: offsets +-(n + k)
+        for big in (n + k, -n - k):
+            diag = op.setdefault(big, np.zeros(2 * n - abs(big)))
+            diag[max(-k, 0):max(-k, 0) + len(row)] = units.hbar * units.c * row
+    return dict(sorted(op.items()))
 
 
 def free_dirac_matrix(grid: Grid, units: UnitSystem,
@@ -158,7 +150,7 @@ def free_dirac_matrix(grid: Grid, units: UnitSystem,
     """Dense Hermitian 2n x 2n matrix of -i hbar c alpha d/dx + m c^2 beta,
     plus the Wilson doubling suppressor -(hbar c r h / 2) beta Laplacian."""
     n = grid.n_points
-    h = real_dirac_operator(grid, units, wilson_r).toarray().astype(complex)
+    h = dense_matrix(real_dirac_operator(grid, units, wilson_r)).astype(complex)
     # undo the conjugation by U = diag(1, i)
     h[:n, n:] *= -1j
     h[n:, :n] *= 1j
@@ -173,29 +165,23 @@ _RESIDUAL_TOL = 1e-9  # residual bound relative to max(1, |E|), or rounding
 _MAX_SWEEPS = 10      # inverse-iteration sweeps per cluster
 
 
-def _folded_band(op: scipy.sparse.csr_matrix, inv_root_w: np.ndarray,
-                 boundary: str):
+def _folded_band(op: dict, inv_root_w: np.ndarray, boundary: str):
     """The folded operator W^-1/2 A W^-1/2 with its unknowns reordered to a
     narrow band: the two components interleaved site by site, the sites in
-    :func:`ring_fold_order`. Returns the reordered sparse operator, its
-    :func:`band_storage` and ``pos``, the band position of each unknown.
-
-    Each entry is ``a_ij * (s_i * s_j)`` with ``s = inv_root_w``, so the
-    folded operator is exactly symmetric and the band holds its entries
-    bit for bit.
+    :func:`ring_fold_order` (half-bandwidth 5 on periodic grids, 3 on
+    Dirichlet ones). Returns its diagonals in band order, their
+    :func:`general_band` and ``pos``, the band position of each unknown.
+    Each entry is ``a_ij * (s_i * s_j)``, ``s = inv_root_w``: exactly symmetric.
     """
-    import scipy.sparse  # loaded by the solves that need it, not at import
-
-    n = op.shape[0] // 2
-    sites = ring_fold_order(n, boundary)
-    pos = np.empty(2 * n, dtype=np.intp)
-    pos[sites] = 2 * np.arange(n)
-    pos[sites + n] = 2 * np.arange(n) + 1
-    coo = op.tocoo()
-    data = coo.data * (inv_root_w[coo.row] * inv_root_w[coo.col])
-    folded = scipy.sparse.csr_matrix((data, (pos[coo.row], pos[coo.col])),
-                                     shape=op.shape)
-    return folded, band_storage(folded), pos
+    m, s = len(inv_root_w), inv_root_w
+    sites = ring_fold_order(m // 2, boundary)
+    order = np.stack([sites, sites + m // 2], axis=1).ravel()
+    band = general_band({k: row * (s[max(-k, 0):m - max(k, 0)]
+                                   * s[max(k, 0):m + min(k, 0)])
+                         for k, row in op.items()}, order)
+    b = band.shape[0] // 2
+    folded = {d: band[b - d, max(d, 0):m + min(d, 0)] for d in range(-b, b + 1)}
+    return folded, band, np.argsort(order)
 
 
 def _cluster_vectors(folded, band: np.ndarray, scale: float,
@@ -228,7 +214,7 @@ def _cluster_vectors(folded, band: np.ndarray, scale: float,
                 f"inverse iteration at E = {middle:.12g}: the shifted band "
                 "is exactly singular", history) from None
         q = np.linalg.qr(x)[0]
-        aq = folded @ q
+        aq = matvec(folded, q)
         theta, z = np.linalg.eigh(0.5 * (q.T @ aq + aq.T @ q))
         x = q @ z
         res = np.max(np.abs(aq @ z - x * theta), axis=0) / np.max(np.abs(x), axis=0)
@@ -259,11 +245,10 @@ def _weighted_spectrum(grid: Grid, V: PotentialSpec, units: UnitSystem,
     n_states - 1. The window is still checked against its edge eigenvalues
     and widened until it provably holds them.
 
-    The folded operator is reordered to a band (half-bandwidth 5 on
-    periodic grids, 3 on Dirichlet ones); a permutation is a similarity
-    transform, so the index window is unchanged. The window's energies come
-    from banded bisection, and vectors only for the clusters of the
-    selected levels, by :func:`_cluster_vectors`.
+    The folded operator is reordered to a band (:func:`_folded_band`), a
+    similarity transform that keeps the window. Its energies come from
+    banded bisection, vectors only for the clusters of the selected levels
+    (:func:`_cluster_vectors`).
     """
     n = grid.n_points
     if n_states < 1 or n_states > 2 * n:
@@ -303,7 +288,7 @@ def _weighted_spectrum(grid: Grid, V: PotentialSpec, units: UnitSystem,
             solves += sweeps
     vecs = inv_root_w[:, None] * window_vecs[pos][:, order]
     vecs /= np.sqrt(grid.trapezoid_weights @ (vecs[:n] ** 2 + vecs[n:] ** 2))
-    residuals = np.max(np.abs(op @ vecs - energies * weight[:, None] * vecs),
+    residuals = np.max(np.abs(matvec(op, vecs) - energies * weight[:, None] * vecs),
                        axis=0) / np.max(np.abs(vecs), axis=0)
     states = [SpinorField(vec[:n], 1j * vec[n:], grid) for vec in vecs.T]
     return SpectrumResult(energies, states,
@@ -312,9 +297,10 @@ def _weighted_spectrum(grid: Grid, V: PotentialSpec, units: UnitSystem,
                            "method": "banded_bisection_inverse_iteration",
                            "dim": 2 * n, "bandwidth": bw,
                            "window": [lo, hi], "widenings": widenings,
-                           "clusters": sizes,
-                           "banded_solves": solves,
-                           "max_residual": float(np.max(residuals))})
+                           "clusters": sizes, "banded_solves": solves,
+                           "max_residual": float(np.max(residuals)),
+                           **({"massless": True} if massless
+                              else {"wilson_r": wilson_r})})
 
 
 def solve_spin_half_stationary(grid: Grid, V: PotentialSpec, units: UnitSystem,
@@ -322,9 +308,7 @@ def solve_spin_half_stationary(grid: Grid, V: PotentialSpec, units: UnitSystem,
                                n_states: int = 8) -> SpectrumResult:
     """Generalized eigenproblem H_D psi = E (1 + V/E0) psi with the
     Wilson-stabilized Dirac operator, sorted by |E|."""
-    res = _weighted_spectrum(grid, V, units, n_states, wilson_r, massless=False)
-    res.diagnostics["wilson_r"] = wilson_r
-    return res
+    return _weighted_spectrum(grid, V, units, n_states, wilson_r, massless=False)
 
 
 def solve_massless(grid: Grid, V: PotentialSpec, units: UnitSystem,
@@ -332,9 +316,7 @@ def solve_massless(grid: Grid, V: PotentialSpec, units: UnitSystem,
     """Stationary massless problem -i hbar c sigma d/dx psi = E (1+V/E0) psi:
     the spin-1/2 solver without a mass block (naive centered difference,
     no mass to attach a Wilson term to), sorted by |E|."""
-    res = _weighted_spectrum(grid, V, units, n_states, 0.0, massless=True)
-    res.diagnostics["massless"] = True
-    return res
+    return _weighted_spectrum(grid, V, units, n_states, 0.0, massless=True)
 
 
 def propagate_massless(psi0: SpinorField, V: PotentialSpec, dt: float,
@@ -349,15 +331,13 @@ def propagate_massless(psi0: SpinorField, V: PotentialSpec, dt: float,
     grid = psi0.grid
     v = np.asarray(evaluate(V, grid.x), dtype=float)
     _check_weight(v, units)
-    d = _derivative_matrix(grid)
+    d = _derivative_diagonals(grid)
     pref = 1.0 / (1.0 + v / units.E0)
     coeff = -units.c  # from (1/(i hbar)) * (-i hbar c) = -c
 
     def rhs(vec):
-        n = grid.n_points
-        up, down = vec[:n], vec[n:]
-        return np.concatenate([coeff * pref * (d @ down),
-                               coeff * pref * (d @ up)])
+        d_up, d_down = matvec(d, vec.reshape(2, -1).T).T
+        return np.concatenate([coeff * pref * d_down, coeff * pref * d_up])
 
     vec = psi0.stacked()
     norm0 = psi0.norm()

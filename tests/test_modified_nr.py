@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 
 from wavekit import modified_nr as mnr
 from wavekit import modified_rel as mrel
@@ -12,7 +11,8 @@ from wavekit.errors import (ConfigurationError, NoRootError,
                             NonConvergenceError, NonHyperbolicRegimeError,
                             SingularRegionError, StabilityError,
                             StateTrackingError)
-from wavekit.numgrid import Grid, WaveField, lowest_eigenpairs
+from wavekit.numgrid import (BandedOperator, Grid, WaveField, lowest_eigenpairs,
+                             matvec)
 from wavekit.potentials import PotentialSpec, evaluate
 from wavekit.reference import (hydrogen_ground_state, infinite_well_energy,
                                kinetic_operator, solve_schrodinger_stationary)
@@ -197,7 +197,7 @@ def test_periodic_solves_form_no_dense_matrix(monkeypatch):
         raise AssertionError("dense path taken")
 
     monkeypatch.setattr(scipy.linalg, "eigh", refuse)
-    monkeypatch.setattr(scipy.sparse.csr_matrix, "toarray", refuse)
+    monkeypatch.setattr(BandedOperator, "to_dense", refuse)
     g = Grid.line(-8.0, 8.0, 400, boundary="periodic")
     spec = PotentialSpec.harmonic(1.0)
     spectrum = solve_schrodinger_stationary(g, spec, 5, U)
@@ -212,7 +212,7 @@ def test_periodic_solves_form_no_dense_matrix(monkeypatch):
     w = mnr.effective_potential(barrier, res.energy, g)
     psi = res.state.values
     assert res.state.norm() == pytest.approx(1.0)
-    h_psi = factor * (lap.matrix @ psi) + w * psi
+    h_psi = factor * matvec(lap.diagonals, psi) + w * psi
     assert np.max(np.abs(h_psi - res.energy * psi)) < 1e-8
 
 

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wavekit import spin_half
 from wavekit.errors import ConfigurationError
-from wavekit.numgrid import (Grid, WaveField, build_laplacian,
+from wavekit.numgrid import (BandedOperator, Grid, WaveField, build_laplacian,
                              build_radial_laplacian, count_nodes,
-                             eigenvalue, inner_product, lowest_eigenpairs)
+                             eigenvalue, inner_product, lowest_eigenpairs,
+                             matvec)
+from wavekit.units import UnitSystem
 
 
 def test_grid_validation_collects_all_failures():
@@ -152,6 +155,76 @@ def test_dirichlet_eigenvalue_has_the_bits_of_the_eigenpair_solve(kind, order):
         assert abs(vals[0] - np.linalg.eigvalsh(dense)[index]) <= 1e-12 * scale
     with pytest.raises(ConfigurationError):
         eigenvalue(lap, factor, v, g.n_points)
+
+
+def _csr_product(diagonals, x):
+    """Row i of M @ x as a CSR product forms it: from 0, add M[i, j] x[j]
+    for the stored (nonzero) entries of row i in ascending column order."""
+    entries = [[] for _ in range(len(x))]
+    for k, row in diagonals.items():
+        for t, a in enumerate(row):
+            if a != 0.0:
+                entries[t + max(-k, 0)].append((t + max(-k, 0) + k, a))
+    out = np.zeros(x.shape, np.result_type(x, row))
+    for i, row_entries in enumerate(entries):
+        total = np.zeros(x.shape[1:], out.dtype)
+        for j, a in sorted(row_entries):
+            total = total + a * x[j]
+        out[i] = total
+    return out
+
+
+def _random_diagonals(grid, order, rng):
+    """The offsets of the grid's Laplacian with random coefficients, in a
+    shuffled order (the product must not depend on it)."""
+    lap = (build_radial_laplacian(grid, 1, order) if grid.kind == "radial"
+           else build_laplacian(grid, order))
+    offsets = rng.permutation(list(lap.diagonals))
+    return {int(k): rng.standard_normal(len(lap.diagonals[k]))
+            for k in offsets}
+
+
+def _dirac(grid, massless):
+    return spin_half.real_dirac_operator(grid, UnitSystem(c=10.0),
+                                         0.0 if massless else 0.7, massless)
+
+
+@pytest.mark.parametrize("n", [8, 9, 37, 300])
+@pytest.mark.parametrize("operator", [
+    *((kind, order) for kind in ("dirichlet", "periodic", "radial")
+      for order in (2, 4)),
+    ("dirac", "massive"), ("dirac", "massless")],
+    ids=lambda operator: "-".join(map(str, operator)))
+@pytest.mark.parametrize("field", ["real", "complex", "block"])
+def test_matvec_has_the_bits_of_the_csr_product(n, operator, field):
+    rng = np.random.default_rng([n, len(operator[0]), len(field)])
+    kind, variant = operator
+    if kind == "radial":
+        grid = Grid.radial(5.0, n)
+    else:
+        grid = Grid.line(-3.7, 5.1, n, boundary=kind if kind != "dirac" else
+                         "periodic" if n % 2 else "dirichlet")
+    if kind == "dirac":
+        diagonals = _dirac(grid, variant == "massless")
+    else:
+        diagonals = _random_diagonals(grid, variant, rng)
+    size = len(next(iter(diagonals.values()))) + abs(next(iter(diagonals)))
+    shape = (size, 3) if field == "block" else (size,)
+
+    def samples():  # a quarter of them signed zeros, which the sums must keep
+        x = rng.standard_normal(shape)
+        return np.where(rng.random(shape) < 0.25, np.copysign(0.0, x), x)
+
+    x = samples()
+    if field == "complex":
+        x = x + 1j * samples()
+    got, want = matvec(diagonals, x), _csr_product(diagonals, x)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    if kind != "dirac" and field != "block":  # apply: a complex field
+        got = BandedOperator(grid, diagonals).apply(WaveField(x, grid)).values
+        want = _csr_product(diagonals, x.astype(complex))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_inner_product_sesquilinear():

@@ -573,21 +573,24 @@ def _scipy_probe(runs):
 
 
 def test_cli_loads_scipy_only_for_the_runs_that_call_it(tmp_path):
-    # shooting, the exact backend, the audit and compare call no SciPy, so
-    # the CLI imports it where an eigensolve or propagate first needs it;
-    # the sweep's thread pool and the unknown-key hint's difflib are
-    # imported where they are used, not by ``import wavekit.cli``
-    def solve(name, text):
+    # shooting, the exact backend, the audit, compare and both time-dependent
+    # propagates call no SciPy, so the CLI imports it where an eigensolve
+    # first needs it; no run loads scipy.sparse, since every grid operator
+    # is a band of diagonals; the sweep's thread pool and the unknown-key
+    # hint's difflib are imported where they are used, not by
+    # ``import wavekit.cli``
+    def run(name, text):
         cfg = _write(tmp_path, f"{name}.yaml", text)
-        return [name, ["solve", "--config", cfg, "--out",
+        command = scenario.EQUATIONS[yaml.safe_load(text)["equation"]].command
+        return [name, [command, "--config", cfg, "--out",
                        str(tmp_path / f"{name}.json"), "--quiet"]]
 
     report = str(tmp_path / "nr_shooting.json")
     audit = _write(tmp_path, "audit.yaml", EACH_EQUATION["dispersion_audit"])
     runs = [
-        solve("nr_shooting", EACH_EQUATION["modified_nr_stationary"]),
-        solve("rel_shooting", EACH_EQUATION["modified_rel_stationary"]),
-        solve("exact_fixed_point", """\
+        run("nr_shooting", EACH_EQUATION["modified_nr_stationary"]),
+        run("rel_shooting", EACH_EQUATION["modified_rel_stationary"]),
+        run("exact_fixed_point", """\
 equation: modified_nr_stationary
 grid: {kind: line, x_min: -6.0, x_max: 6.0, n_points: 2000}
 potential: {variant: square_well, depth: 1.26, half_width: 1.28}
@@ -595,8 +598,12 @@ solver: {backend: exact, state_index: 3, e_init: -0.91, tol: 1.0e-8}
 """),
         ["compare", ["compare", report, report, "--quiet"]],
         ["dispersion", ["dispersion", "--config", audit, "--quiet"]],
-        solve("bad_config", STATIONARY + "solver: {method: bogus}\n"),
-        solve("schrodinger", BOX),
+        run("bad_config", STATIONARY + "solver: {method: bogus}\n"),
+        run("nr_timedep", EACH_EQUATION["modified_nr_timedep"]),
+        run("rel_timedep", EACH_EQUATION["modified_rel_timedep"]),
+        run("schrodinger", BOX),
+        run("spin_half", EACH_EQUATION["spin_half_stationary"]),
+        run("massless", EACH_EQUATION["massless_spin_half"]),
     ]
     probe = _scipy_probe(runs)
     assert probe["deferred"] == []
@@ -604,10 +611,13 @@ solver: {backend: exact, state_index: 3, e_init: -0.91, tol: 1.0e-8}
     assert {name: code for name, (code, _) in loaded.items()} == {
         "import wavekit.cli": 0, "nr_shooting": 0, "rel_shooting": 0,
         "exact_fixed_point": 0, "compare": 0, "dispersion": 0,
-        "bad_config": 2, "schrodinger": 0}
-    *without, (_, last) = loaded.values()
+        "bad_config": 2, "nr_timedep": 0, "rel_timedep": 0, "schrodinger": 0,
+        "spin_half": 0, "massless": 0}
+    *without, (_, first), _, (_, last) = loaded.values()
     assert [modules for _, modules in without] == [[]] * len(without)
-    assert "scipy.linalg" in last  # the probe sees a load
+    assert "scipy.linalg" in first  # the probe sees a load
+    # the modules pile up from run to run, so the last list has them all
+    assert [m for m in last if m.startswith("scipy.sparse")] == []
 
 
 def test_cli_sweep_imports_scipy_in_its_worker_threads(tmp_path):
@@ -866,12 +876,27 @@ potential: {variant: square_well, depth: 12.0, half_width: 1.0}
      + "units: {c: 1.0e+100, hbar: 1.0e+100, m: 1.0e-120}\n", "(hbar*c)**2"),
     ("propagate", "equation: modified_rel_timedep\n" + PERIODIC
      + "units: {c: 1.0, hbar: 1.0e-100, m: 1.0e+100}\n", "(m*c**2/hbar)**2"),
+    *(("propagate", f"equation: {equation}\n" + PERIODIC
+       + f"solver: {{{solver}}}\n", key) for equation, solver, key in [
+        ("modified_nr_timedep", "mode: 1.0e+150", "solver.mode"),
+        ("modified_nr_timedep", "mode: 1.0e+300", "solver.mode"),
+        ("modified_nr_timedep", "epsilon: 1.0e+200", "solver.epsilon"),
+        ("modified_nr_timedep", "epsilon: 1.0e+100, E: 1.0e+200",
+         "E = 1e+200"),
+        ("modified_nr_timedep", "E: 1.0e+300", "E = 1e+300"),
+        ("modified_nr_timedep", "dt: 1.0e-320", "dt=1e-320"),
+        ("modified_rel_timedep", "mode: 1.0e+160", "solver.mode"),
+        ("modified_rel_timedep", "mode: 1.0e+300", "solver.mode")]),
 ], ids=["shooting_hbar_1e-200", "exact_fixed_point_hbar_1e200",
         "rel_stationary_c_1e200", "dispersion_c_1e300", "grid_span_overflows",
         "e_bracket_width_overflows", "h_squared_overflows",
         "h_squared_underflows", "dispersion_E0_squared_underflows",
         "dispersion_E0_squared_overflows", "rel_timedep_hbar_c_overflows",
-        "rel_timedep_E0_over_hbar_overflows"])
+        "rel_timedep_E0_over_hbar_overflows", "nr_timedep_mode_1e150",
+        "nr_timedep_mode_1e300", "nr_timedep_epsilon_1e200",
+        "nr_timedep_epsilon_1e100_E_1e200", "nr_timedep_E_1e300",
+        "nr_timedep_dt_squared_underflows", "rel_timedep_mode_1e160",
+        "rel_timedep_mode_1e300"])
 def test_cli_scales_past_the_float_range_exit_2(tmp_path, command, text, key):
     # a scale the solvers form (from the unit constants, the grid span and
     # spacing, the bracket width) leaves the float range; before the checks

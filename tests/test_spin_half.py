@@ -3,12 +3,11 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 
 from wavekit import cli, scenario
 from wavekit import spin_half as sh
 from wavekit.errors import NonConvergenceError
-from wavekit.numgrid import Grid
+from wavekit.numgrid import BandedOperator, Grid, dense_matrix
 from wavekit.potentials import PotentialSpec, evaluate
 from wavekit.reference import dirac_free_energies
 from wavekit.units import UnitSystem
@@ -50,7 +49,7 @@ def test_real_operator_is_the_conjugated_dirac_matrix(boundary, massless):
         h[:n, :n] = h[n:, n:] = 0.0
     u = np.diag(np.concatenate([np.ones(n), 1j * np.ones(n)]))
     conj = u.conj().T @ h @ u
-    op = sh.real_dirac_operator(g, U, 1.0, massless).toarray()
+    op = dense_matrix(sh.real_dirac_operator(g, U, 1.0, massless))
     assert op.dtype == np.float64
     assert np.max(np.abs(conj.imag)) == 0.0
     assert np.array_equal(conj.real, op)
@@ -138,16 +137,16 @@ def test_band_unpermutes_to_the_folded_operator(n, boundary, massless):
         j = np.arange(max(0, -d), min(m, m - d))
         dense[j + d, j] = band[bw + d, j]
         assert not np.any(np.delete(band[bw + d], j))  # padding stays zero
-    want = op.toarray() * np.outer(s, s)
+    want = dense_matrix(op) * np.outer(s, s)
     np.testing.assert_array_equal(dense[np.ix_(pos, pos)], want)
-    np.testing.assert_array_equal(folded.toarray()[np.ix_(pos, pos)], want)
+    np.testing.assert_array_equal(dense_matrix(folded)[np.ix_(pos, pos)], want)
 
 
 def _dense_folded(g, V, massless):
     op = sh.real_dirac_operator(g, U, 0.0 if massless else 1.0, massless)
     v = evaluate(V, g.x)
     s = 1.0 / np.sqrt(np.concatenate([1.0 + v / U.E0, 1.0 + v / U.E0]))
-    return op.toarray() * np.outer(s, s), s
+    return dense_matrix(op) * np.outer(s, s), s
 
 
 def _random_potential(rng, kind):
@@ -243,7 +242,8 @@ def test_banded_solve_forms_no_dense_matrix(monkeypatch):
         raise AssertionError("dense path taken")
 
     monkeypatch.setattr(scipy.linalg, "eigh", refuse)
-    monkeypatch.setattr(scipy.sparse.csr_matrix, "toarray", refuse)
+    monkeypatch.setattr(BandedOperator, "to_dense", refuse)
+    monkeypatch.setattr(sh, "dense_matrix", refuse)
     g = Grid.line(-200.0, 200.0, 512, boundary="periodic")
     res = sh.solve_spin_half_stationary(g, PotentialSpec.free(), U,
                                         n_states=22)
@@ -310,7 +310,7 @@ def test_wilson_mass_block_is_the_three_point_laplacian(n, boundary):
     if boundary == "periodic":
         lap[0, -1] = lap[-1, 0] = inv
     mass = U.E0 * np.eye(n) - 0.5 * U.hbar * U.c * 0.7 * g.h * lap
-    op = sh.real_dirac_operator(g, U, 0.7).toarray()
+    op = dense_matrix(sh.real_dirac_operator(g, U, 0.7))
     np.testing.assert_array_equal(op[:n, :n], mass)
     np.testing.assert_array_equal(op[n:, n:], -mass)
 
