@@ -411,7 +411,11 @@ def leapfrog(state0: TimeDepState, accel, dt: float, steps: int, limit: float,
                                  1e-300) + 1e-300
 
     def guard(psi, k):
-        if max_growth is not None and float(np.linalg.norm(psi)) > bound:
+        if max_growth is None:
+            return
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = float(np.linalg.norm(psi))
+        if not norm <= bound:  # an overflowing (inf or nan) norm grew too
             raise StabilityError(
                 f"norm grew beyond {max_growth}x at step {k}; reduce dt below "
                 f"{limit:.3e}")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidScenarioError, OutOfScopeError
+from .errors import ConfigurationError, InvalidScenarioError, OutOfScopeError
 from .numgrid import Grid, WaveField, build_laplacian, matvec
 from .potentials import PotentialSpec, evaluate
 from .shooting import piecewise_regions
@@ -39,12 +39,22 @@ class RelScenario:
 
 def rel_coefficient(e, region_values: np.ndarray, units: UnitSystem) -> np.ndarray:
     """Region coefficient w with psi'' = -w psi for the stationary modified
-    relativistic equation: w = [(E-V)^2 - E0^2](1 + V/E0)^2 / (c hbar)^2."""
+    relativistic equation: w = [(E-V)^2 - E0^2](1 + V/E0)^2 / (c hbar)^2;
+    a ConfigurationError where w leaves the float range."""
     e = np.atleast_1d(np.asarray(e, dtype=float))[:, None]
     v = region_values[None, :]
     E0 = units.E0
-    g = ((e - v) ** 2 - E0**2) * (1.0 + v / E0) ** 2
-    return g / (units.c * units.hbar) ** 2
+    with np.errstate(over="ignore"):
+        w = ((e - v) ** 2 - E0**2) * (1.0 + v / E0) ** 2 / (units.c * units.hbar) ** 2
+    return _in_range(w, "w = [(E - V)**2 - E0**2](1 + V/E0)**2/(c hbar)**2")
+
+
+def _in_range(values: np.ndarray, label: str) -> np.ndarray:
+    """``values``, formed under ``np.errstate(over="ignore")``; unless all
+    are finite, a ConfigurationError naming the potential."""
+    if np.isfinite(values).all():
+        return values
+    raise ConfigurationError(f"potential: {label} leaves the float range")
 
 
 def rel_box_energy(n: int, L: float, V: float, units: UnitSystem) -> float:
@@ -95,7 +105,9 @@ def propagate_rel_timedep(phi0: WaveField, dphi0_dt: WaveField,
     StabilityError once the norm grows beyond 10x its initial value.
     """
     units = scenario.units
-    inv_factor_sq = 1.0 / (1.0 + scenario.potential_samples / units.E0) ** 2
+    with np.errstate(over="ignore"):
+        factor_sq = (1.0 + scenario.potential_samples / units.E0) ** 2
+    inv_factor_sq = 1.0 / _in_range(factor_sq, "(1 + V/E0)**2")
     lap = {k: row.astype(phi0.values.dtype)
            for k, row in build_laplacian(scenario.grid).diagonals.items()}
     mass_sq = (units.E0 / units.hbar) ** 2

@@ -4,8 +4,8 @@ All stationary 1D problems here reduce to psi'' = -w_j psi on constant
 regions: oscillatory (w > 0), exponential (w < 0) or linear (w = 0).
 Marching starts from psi = 0, psi' = 1 at the left wall; the Dirichlet
 matching function is psi at the right wall. The march, the Sturm count and
-the sampled shot share one region walk, vectorized over trial energies; a
-linear eigenvalue takes one scalar walk of the same closed forms per energy.
+the sampled shot share one region walk, vectorized over trial energies; the
+linear eigensolve walks one energy at a time in scalars, counting as it goes.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ from .potentials import PotentialSpec, evaluate, region_edges
 
 def piecewise_regions(spec: PotentialSpec, x_min: float, x_max: float):
     """Breakpoints and region values of a piecewise-constant potential
-    restricted to [x_min, x_max]. Returns (edges, values) with
-    len(edges) == len(values) + 1.
-    """
+    restricted to [x_min, x_max]: (edges, values), one more edge than values."""
     if not spec.is_piecewise_constant:
         raise UsageError(f"potential variant {spec.variant!r} is not piecewise-constant")
     edges = region_edges(spec, x_min, x_max)
@@ -42,15 +40,13 @@ def _transfer(w, width):
     (psi, psi') at the start of a region to its end.
 
     Mask-free, so the arguments broadcast (trials x regions, or sample
-    offsets for one energy). Each branch gets a zero argument where it is
-    not selected, so sin = sinh = 0 and cos = cosh = 1 there and the two
-    transfer matrices combine by plain arithmetic; w = 0 is their common
-    k -> 0 limit, except that psi' carries into psi by the width. The
-    overflow guard clamps only the cosh/sinh argument: oscillatory phases,
-    thousands of radians in deep wells, stay exact. Past a decay rate of
-    about 3.6e4, kappa sinh of the clamped argument still overflows; those
-    cells get the matrix times e^-grow instead, a positive factor that the
-    marchers' renormalization absorbs.
+    offsets for one energy): a branch not selected gets a zero argument, so
+    sin = sinh = 0 and cos = cosh = 1 there, and w = 0 is the common k -> 0
+    limit, except that psi' carries into psi by the width. Only the
+    cosh/sinh argument is clamped: oscillatory phases, thousands of radians
+    in deep wells, stay exact. Past a decay rate of about 3.6e4 kappa sinh
+    of the clamped argument still overflows; those cells get the matrix
+    times e^-grow, a positive factor the marchers' renormalization absorbs.
     """
     w = np.asarray(w, dtype=float)
     k = np.sqrt(np.abs(w))
@@ -99,8 +95,7 @@ def _renormalized(psi, dpsi):
 
 def _walk(widths, coeffs):
     """Start and end (psi, psi') in each region of the left shot psi(0)=0,
-    psi'(0)=1, per trial row of ``coeffs`` (or for one trial); a start is
-    the previous end :func:`_renormalized`."""
+    psi'(0)=1, per row of ``coeffs``; a start is the last end :func:`_renormalized`."""
     diag, to_psi, to_dpsi = _transfer(coeffs, widths)
     start = np.zeros(coeffs.shape[:-1]), np.ones(coeffs.shape[:-1])
     for j in range(coeffs.shape[-1]):
@@ -122,11 +117,8 @@ def march_endpoint(widths, coeffs) -> np.ndarray:
     to dodge overflow (positive factors, so root locations are unchanged).
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
-    ends = []
-    for i in range(0, max(len(coeffs), 1), _MARCH_ROWS):
-        for _, end in _walk(widths, coeffs[i:i + _MARCH_ROWS]):
-            pass
-        ends.append(_renormalized(*end)[0])
+    ends = [_renormalized(*list(_walk(widths, coeffs[i:i + _MARCH_ROWS]))[-1][1])[0]
+            for i in range(0, max(len(coeffs), 1), _MARCH_ROWS)]
     return ends[0] if len(ends) == 1 else np.concatenate(ends)
 
 
@@ -135,24 +127,6 @@ def _states(widths, coeffs):
     four arrays shaped like ``coeffs``, regions on the last axis."""
     states = np.array([(*start, *end) for start, end in _walk(widths, coeffs)])
     return states.transpose(1, *range(2, states.ndim), 0)
-
-
-def _zeros(widths, coeffs, final_crossing: bool = True):
-    """:func:`sturm_count` for ``coeffs`` of any leading shape."""
-    psi, dpsi, end_psi, _ = _states(widths, coeffs)
-    osc = coeffs > 0
-    k = np.sqrt(np.where(osc, coeffs, 1.0))
-    phi = np.arctan2(dpsi / k, psi)
-    # zeros at xi = (phi + pi/2 + m pi)/k inside (0, d)
-    m_lo = np.ceil((-phi - np.pi / 2) / np.pi + 1e-12)
-    m_hi = np.floor((k * widths - phi - np.pi / 2) / np.pi - 1e-12)
-    crossing = np.sign(end_psi) * np.sign(psi) < 0
-    crossing[..., -1] &= final_crossing
-    total = np.where(osc, np.maximum(m_hi - m_lo + 1.0, 0.0), crossing)
-    total = total.sum(axis=-1).astype(int)
-    if final_crossing:
-        total += np.sign(end_psi[..., -1]) * (-1.0) ** total < 0
-    return total
 
 
 def sturm_count(widths, coeffs, final_crossing: bool = True) -> np.ndarray:
@@ -171,25 +145,46 @@ def sturm_count(widths, coeffs, final_crossing: bool = True) -> np.ndarray:
     is the matching residual, not the field.
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
-    return _zeros(widths, coeffs, final_crossing)
+    psi, dpsi, end_psi, _ = _states(widths, coeffs)
+    osc = coeffs > 0
+    k = np.sqrt(np.where(osc, coeffs, 1.0))
+    phi = np.arctan2(dpsi / k, psi)
+    # zeros at xi = (phi + pi/2 + m pi)/k inside (0, d)
+    m_lo = np.ceil((-phi - np.pi / 2) / np.pi + 1e-12)
+    m_hi = np.floor((k * widths - phi - np.pi / 2) / np.pi - 1e-12)
+    crossing = np.sign(end_psi) * np.sign(psi) < 0
+    crossing[..., -1] &= final_crossing
+    total = np.where(osc, np.maximum(m_hi - m_lo + 1.0, 0.0), crossing)
+    total = total.sum(axis=-1).astype(int)
+    if final_crossing:
+        total += np.sign(end_psi[..., -1]) * (-1.0) ** total < 0
+    return total
 
 
 def _wronskian(sides, scale, e):
-    """D(E) = psi_L psi_R' + psi_L' psi_R of the unit-normalized left and
-    mirrored right shots (psi_R' along the right shot) at c, the left edge
-    of the lowest region, walked for one energy in plain ``math`` with
-    :func:`_transfer`'s closed forms, growth clamp (first: ``math.sinh``
+    """N(E) and D(E) = psi_L psi_R' + psi_L' psi_R of the unit-normalized
+    left and mirrored right shots (psi_R' along the right shot) at c, the
+    left edge of the lowest region, walked for one energy in plain ``math``
+    with :func:`_transfer`'s closed forms, growth clamp (first: ``math.sinh``
     raises past it) and overflow branch. With Pruefer angles theta_L,
-    theta_R at c, D = sin(theta_L + theta_R): smooth across each eigenvalue
-    and of the sign (-1)^N of the Sturm count N(E) (:func:`sturm_count`)."""
-    ends = []
+    theta_R at c, D = sin(theta_L + theta_R) is smooth across each
+    eigenvalue, and N = ceil((theta_L + theta_R)/pi) - 1 is the Sturm count:
+    each shot's zeros, counted per region as :func:`sturm_count` counts
+    them, plus one where D has the sign -(-1)^zeros."""
+    ends, zeros = [], 0
     for regions in sides:
-        psi, dpsi = 0.0, 1.0
+        psi, dpsi, before = 0.0, 1.0, zeros
         for width, level in regions:
             w = scale * (e - level)
             k = math.sqrt(abs(w))
             if w > 0.0:
-                s, c = math.sin(k * width), math.cos(k * width)
+                # zeros at k xi = phi + pi/2 + m pi inside (0, width); the end
+                # margin outgrows a long phase's rounding: the count only lags
+                phase, phi = k * width, math.atan2(dpsi / k, psi)
+                zeros += max(math.floor((phase - phi - math.pi / 2) / math.pi
+                                        - 1e-12 * max(1.0, phase))
+                             - math.ceil((-phi - math.pi / 2) / math.pi + 1e-12) + 1, 0)
+                s, c = math.sin(phase), math.cos(phase)
                 psi, dpsi = c * psi + s / k * dpsi, -k * s * psi + c * dpsi
             else:
                 ch, to_psi, to_dpsi = 1.0, width, 0.0
@@ -200,24 +195,25 @@ def _wronskian(sides, scale, e):
                     if to_dpsi == math.inf:
                         half_gap = 0.5 * (1.0 - math.exp(-2.0 * grow))
                         ch, to_psi, to_dpsi = 1.0 - half_gap, half_gap / k, half_gap * k
-                psi, dpsi = ch * psi + to_psi * dpsi, to_dpsi * psi + ch * dpsi
+                end = ch * psi + to_psi * dpsi
+                zeros += end < 0.0 < psi or psi < 0.0 < end
+                psi, dpsi = end, to_dpsi * psi + ch * dpsi
             size = max(abs(psi), abs(dpsi), 1e-280)
             psi, dpsi = psi / size, dpsi / size
+        # psi at c has the sign (-1)^zeros: a lagging count is made up here
+        zeros += psi < 0.0 if (zeros - before) % 2 == 0 else psi > 0.0
         size = max(math.hypot(psi, dpsi), 1e-280)
         ends.append((psi / size, dpsi / size))
     (psi_l, dpsi_l), (psi_r, dpsi_r) = ends
-    return psi_l * dpsi_r + dpsi_l * psi_r
+    d = psi_l * dpsi_r + dpsi_l * psi_r
+    return zeros + (d * (-1.0) ** zeros < 0.0), d
 
 
 def count_shot_nodes(edges, coeffs) -> int:
-    """Interior zeros of the left shot, straight from the closed forms.
-
-    Sampling-based counting is unreliable here: in a forbidden outer region
-    the residual of an imperfect root grows like e^{kappa L} and either
-    drowns the oscillatory amplitude or reads as a fake crossing. Counting
-    zeros analytically per region (:func:`sturm_count`, without the final
-    region's residual crossing) avoids both.
-    """
+    """Interior zeros of the left shot, counted per region from the closed
+    forms (:func:`sturm_count` without the final region's residual crossing):
+    sampled, the residual of an imperfect root that grows like e^{kappa L} in
+    a forbidden outer region drowns the oscillation or reads as a crossing."""
     widths = np.diff(np.asarray(edges, dtype=float))
     return int(sturm_count(widths, coeffs, final_crossing=False)[0])
 
@@ -278,10 +274,8 @@ def bracketed_roots(matching, e_scan: np.ndarray, skip_mask=None):
     idx = np.flatnonzero(sign[:-1] * sign[1:] < 0)
     if idx.size == 0:
         return np.empty(0)
-    lo = e_scan[idx].copy()
-    hi = e_scan[idx + 1].copy()
-    flo = vals[idx].copy()
-    for _ in range(_SCAN_BISECTIONS):
+    lo, hi, flo = e_scan[idx], e_scan[idx + 1], vals[idx]  # copies
+    for _ in range(64):  # halvings of each sign-change cell
         mid = 0.5 * (lo + hi)
         fm = matching(mid)
         left = flo * fm <= 0
@@ -297,9 +291,6 @@ def shot_state(grid: Grid, edges, coeffs) -> WaveField:
                      grid).normalized()
 
 
-_SCAN_BISECTIONS = 64  # bracketed_roots: halvings of each sign-change cell
-
-
 def is_index(value, least: int = 0) -> bool:
     """An int or NumPy integer >= ``least``, and not a bool."""
     return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -311,75 +302,84 @@ def linear_bound_state_energy(edges, region_potentials, state_index: int,
     """Energy of the ``state_index``-th Dirichlet eigenstate of the standard
     operator -hbar^2/2m psi'' + U psi on a piecewise-constant profile U.
 
-    The Sturm count N(E) (:func:`sturm_count`) picks the state by its node
-    count, not by the order of roots on a scan (in deep wells neighbouring
-    roots share scan cells). One batch of counts at the doubling ladder
-    min U + unit 2^j (up to a bound on E_k) and, with a ``guess`` (a
-    fixed-point iterate), at guess +- unit 4^-j, then batches at 64 inner
-    points, each taking the lowest count past k, narrow the bracket until
-    N(lo) = k and N(hi) = k + 1; a seeded bracket is about 3 |E - guess|
-    wide. There the sign of D(E) (:func:`_wronskian`, one scalar walk per
-    energy) counts, and Illinois regula falsi on D, on the grid of steps s,
-    the float spacing of the largest |E - U_j| and |E|, closes it to a cell
-    [m s, (m + 1) s], whose middle is returned, seeded or not. D is smooth
-    across the root, where a one-sided endpoint is a near step behind a
-    forbidden last region. An index whose levels lie closer together than
-    the float spacing at their bound is refused; a poor or non-finite guess
-    only costs trials.
+    The Sturm count N(E) picks the state by its node count, not by the
+    order of roots on a scan (in deep wells neighbouring roots share scan
+    cells); one scalar walk (:func:`_wronskian`) per energy gives N(E) and
+    D(E). A ``guess`` (a fixed-point iterate) is walked first, then rungs
+    guess +- unit 4^j toward the level, nearest first, skipping those short
+    of the secant root of D; without one the doubling ladder min U + unit 2^j
+    (up to a bound on E_k) brackets the level. Rounds take the lowest of 64
+    inner points past k until N(lo) = k and N(hi) = k + 1. Then the sign of
+    D counts, and Illinois regula falsi on D, on the grid of steps s, the
+    float spacing of the largest |E - U_j| and |E|, closes the bracket to a
+    cell [m s, (m + 1) s], whose middle is returned, seeded or not. Levels
+    closer together than the float spacing at their bound are refused.
     """
-    edges = np.asarray(edges, dtype=float)
-    widths, u = edges[1:] - edges[:-1], np.asarray(region_potentials, dtype=float)
-    w_list, u_list = widths.tolist(), u.tolist()
+    x, u = list(map(float, edges)), list(map(float, region_potentials))
+    widths = [b - a for a, b in zip(x, x[1:])]
     if not is_index(state_index):
         raise UsageError(f"state_index must be an integer >= 0, got {state_index!r}")
-    if len(w_list) != len(u_list) or not all(w > 0.0 for w in w_list):
+    if len(widths) != len(u) or not all(w > 0.0 for w in widths):
         raise UsageError("edges must increase, one region per potential")
-    if not all(map(math.isfinite, u_list)):
+    if not all(map(math.isfinite, u)):
         raise UsageError("region potentials must be finite")
-    scale, k, m = 2.0 * units.m / units.hbar**2, state_index, u_list.index(min(u_list))
-    sides = list(zip(w_list[:m], u_list[:m])), list(zip(w_list[m:], u_list[m:]))[::-1]
-    low, high = min(0.0, *u_list), max(0.0, *u_list)
+    scale, k, bottom = 2.0 * units.m / units.hbar**2, state_index, min(u)
+    m = u.index(bottom)
+    sides = list(zip(widths[:m], u[:m])), list(zip(widths[m:], u[m:]))[::-1]
+    low, high = min(0.0, bottom), max(0.0, *u)
 
     def resolution(e):  # the float spacing of the largest |E - U_j|, |E|
         return math.ulp(max(e - low, high - e))
 
     # lowest level of a box spanning the interval: the spectral spacing scale
-    unit = (math.pi / sum(w_list)) ** 2 / scale
+    unit = (math.pi / sum(widths)) ** 2 / scale
     # comparison with the constant profiles min(U) and max(U) puts E_k
     # between min(U) + unit and max(U) + (k+1)^2 unit
-    lo, n_lo, hi, n_hi = min(u_list), 0, None, None
     try:
-        top = max(u_list) + 2.0 * (k + 1) ** 2 * unit
-        doublings = math.ceil(math.log2((top - lo) / unit)) + 1
+        top = max(u) + 2.0 * (k + 1) ** 2 * unit
+        doublings = math.ceil(math.log2((top - bottom) / unit)) + 1
         if (2 * k + 1) * unit < math.ulp(top):  # a flat box's level spacing
             raise StateTrackingError(f"the levels near state {k} lie closer together "
                                      "than the float spacing at their bound")
     except OverflowError:  # (k + 1)**2 or the bound past the float range
         raise StateTrackingError(f"the energy bound of state {k} leaves "
                                  "the float range") from None
-    trial = [lo + math.ldexp(unit, j) for j in range(-1, doublings)]
+    ends = [(bottom, 0, None), None]  # (E, N, D) with N <= k (N = 0 at min U), N > k
+
+    def walk(e):  # e becomes the bracket end on its side; is N(e) > k?
+        point = (e, *_wronskian(sides, scale, e))
+        ends[point[1] > k] = point
+        return point[1] > k
+
     g = float(guess) if guess is not None else math.nan
-    if lo < g < top:  # rungs down to the resolution; a far guess adds none
-        floor = max(resolution(g), math.ldexp(unit, -62))
-        trial += [e for j in range(32) if unit * 0.25**j >= floor
-                  for e in (g - unit * 0.25**j, g + unit * 0.25**j) if lo < e < top]
-        trial.sort()
-    trial = np.array(trial)
-    for _ in range(64):
-        n = sturm_count(widths, scale * (trial[:, None] - u))
-        i = int((n > k).argmax()) if (n > k).any() else len(n)
-        if i > 0:
-            lo, n_lo = float(trial[i - 1]), int(n[i - 1])
-        if i < len(n):
-            hi, n_hi = float(trial[i]), int(n[i])
-        if hi is None or n_lo == k and n_hi == k + 1 or math.nextafter(lo, hi) == hi:
+    if bottom < g < top:  # rungs from the resolution out to the bounds
+        up = not walk(g)
+        d_g, near = ends[not up][2], max(resolution(g), math.ldexp(unit, -62))
+        for r in (unit * 0.25**j for j in range(31, -32, -1)):
+            if r < near:
+                continue
+            e = g + r if up else g - r
+            if not bottom < e < top or walk(e) == up:  # out of range or past
+                break
+            # the next rung lies past the root of the secant of D through g, e
+            d_e = ends[not up][2]
+            near = r * d_g / (d_g - d_e) if 0.0 < d_e * d_g < d_g * d_g else r
+    for e in (bottom + math.ldexp(unit, j) for j in range(-1, doublings)):
+        if ends[1] is not None or e > ends[0][0] and walk(e):  # the ladder
             break
-        trial = lo + (hi - lo) * (np.arange(1.0, 65.0) / 65.0)
-    if hi is None or not (n_lo == k and n_hi == k + 1):
+    else:
         raise NoRootError(f"could not isolate linear eigenstate {state_index}")
+    while True:  # rounds to one level, with both ends walked
+        (lo, n_lo, d_lo), (hi, n_hi, d_hi) = ends
+        if d_lo is not None and (n_lo, n_hi) == (k, k + 1):
+            break
+        if math.nextafter(lo, hi) == hi:  # levels split below the float spacing
+            raise NoRootError(f"could not isolate linear eigenstate {state_index}")
+        for j in range(1, 65):  # the lowest of 64 inner points past level k
+            if walk(lo + (hi - lo) * (j / 65.0)):
+                break
     # one level in the bracket: the sign of D counts
     sign, side = (-1.0) ** k, None
-    d_lo, d_hi = _wronskian(sides, scale, lo), _wronskian(sides, scale, hi)
     for _ in range(4096):  # a bound: each walk narrows the bracket
         step = resolution(lo)
         cell = math.floor(lo / step)
@@ -389,7 +389,7 @@ def linear_bound_state_energy(edges, region_potentials, state_index: int,
         e = (lo * d_hi - hi * d_lo) / (d_hi - d_lo) if d_hi != d_lo else math.nan
         e = e if lo <= e <= hi else 0.5 * (lo + hi)
         e = min(max(round(e / step), cell + 1), math.ceil(hi / step) - 1) * step
-        d = _wronskian(sides, scale, e)
+        d = _wronskian(sides, scale, e)[1]
         # the end that stays put twice running has its D halved
         above = d * sign < 0
         twice, side = (0.5 if side == above else 1.0), above

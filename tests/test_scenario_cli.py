@@ -887,6 +887,14 @@ potential: {variant: square_well, depth: 12.0, half_width: 1.0}
         ("modified_nr_timedep", "dt: 1.0e-320", "dt=1e-320"),
         ("modified_rel_timedep", "mode: 1.0e+160", "solver.mode"),
         ("modified_rel_timedep", "mode: 1.0e+300", "solver.mode")]),
+    *((command, f"equation: {equation}\n" + grid + "units: {c: 1.0}\n"
+       "potential: {variant: piecewise_constant, breakpoints: [1.0, 2.0], "
+       "values: [0.0, 1.0e+300, 0.0]}\n" + solver, "potential")
+      for command, equation, grid, solver in [
+          ("solve", "modified_rel_stationary",
+           "grid: {kind: line, x_min: 0.0, x_max: 6.0, n_points: 64}\n",
+           "solver: {e_bracket: [1.5, 3.0]}\n"),
+          ("propagate", "modified_rel_timedep", PERIODIC, "")]),
 ], ids=["shooting_hbar_1e-200", "exact_fixed_point_hbar_1e200",
         "rel_stationary_c_1e200", "dispersion_c_1e300", "grid_span_overflows",
         "e_bracket_width_overflows", "h_squared_overflows",
@@ -896,11 +904,13 @@ potential: {variant: square_well, depth: 12.0, half_width: 1.0}
         "nr_timedep_mode_1e300", "nr_timedep_epsilon_1e200",
         "nr_timedep_epsilon_1e100_E_1e200", "nr_timedep_E_1e300",
         "nr_timedep_dt_squared_underflows", "rel_timedep_mode_1e160",
-        "rel_timedep_mode_1e300"])
+        "rel_timedep_mode_1e300", "rel_stationary_potential_1e300",
+        "rel_timedep_potential_1e300"])
 def test_cli_scales_past_the_float_range_exit_2(tmp_path, command, text, key):
     # a scale the solvers form (from the unit constants, the grid span and
-    # spacing, the bracket width) leaves the float range; before the checks
-    # these ended in tracebacks, a spectrum of zeros or NoRootError
+    # spacing, the bracket width, the relativistic factor (1 + V/E0)**2)
+    # leaves the float range; before the checks these ended in tracebacks,
+    # a spectrum of zeros or NoRootError
     cfg = _write(tmp_path, "extreme.yaml", text)
     out = tmp_path / "err.json"
     with warnings.catch_warnings():
@@ -910,6 +920,22 @@ def test_cli_scales_past_the_float_range_exit_2(tmp_path, command, text, key):
     err = json.loads(out.read_text())
     assert err["error"] == "ConfigurationError" and err["exit_code"] == 2
     assert any(key in f for f in err["failures"])
+
+
+def test_cli_relativistic_norm_past_the_float_range_exits_3(tmp_path):
+    # E/hbar dt of about 1e157: psi overflows the norm's dot product after one
+    # step, which is growth past the bound, not an overflow warning
+    cfg = _write(tmp_path, "fast.yaml", "equation: modified_rel_timedep\n"
+                 + PERIODIC + "units: {c: 1.0, hbar: 1.0e-150, m: 1.0e-150}\n"
+                 "potential: {variant: free}\n"
+                 "solver: {mode: 1.0e+160, dt: 1.0e-3}\n")
+    out = tmp_path / "err.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["propagate", "--config", cfg, "--out", str(out),
+                         "--quiet"]) == 3
+    err = json.loads(out.read_text())
+    assert err["error"] == "StabilityError" and err["exit_code"] == 3
 
 
 @pytest.mark.parametrize("block, key", [

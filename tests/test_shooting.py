@@ -154,53 +154,47 @@ def test_seeded_linear_eigenvalue_equals_unseeded():
             assert counts[0] == k < counts[1], (i, guess)
 
 
-def test_seeded_linear_eigenvalue_takes_one_count_and_few_walks(monkeypatch):
-    # the guess rungs give a one-level count bracket in one batch, then
-    # Illinois steps on D, one scalar walk each, close it
-    edges, u = np.array([-8.0, -1.0, 1.0, 8.0]), np.array([0.0, -12.0, 0.0])
-    wronskian, count = shooting._wronskian, shooting.sturm_count
-    walks, batches = [], []
+def test_seeded_linear_eigenvalue_takes_few_scalar_walks(monkeypatch):
+    # the solve is scalar walks alone, no Sturm batch, march or batched
+    # walk: the guess and the rungs toward the level bracket it, then
+    # Illinois steps on D close it, one walk each
+    def batched(*args, **kwargs):
+        raise AssertionError("the linear eigensolve called a NumPy batch")
+
+    wronskian, walks, seeded = shooting._wronskian, [], []
 
     def walked(*args):
         walks.append(args[2])
         return wronskian(*args)
 
-    def counted(*args, **kwargs):
-        batches.append(len(args[1]))
-        return count(*args, **kwargs)
-
+    for name in ("sturm_count", "march_endpoint", "_walk"):
+        monkeypatch.setattr(shooting, name, batched)
     monkeypatch.setattr(shooting, "_wronskian", walked)
-    monkeypatch.setattr(shooting, "sturm_count", counted)
-    for k in range(3):
-        walks.clear()
-        mu = linear_bound_state_energy(edges, u, k, U)
-        unseeded = len(walks)
-        for guess in (mu, mu * (1.0 - 1e-9), mu * (1.0 + 1e-12)):
-            walks.clear()
-            batches.clear()
-            got = linear_bound_state_energy(edges, u, k, U, guess)
-            assert got == mu and len(batches) == 1, (k, guess)
-            assert len(walks) <= 5 < unseeded, (k, guess)
     # a deep well resolves E only to 8-64 of its floats (the spacing of
     # E - U_mid): the Illinois steps sit on that grid and still close the
     # bracket in a few walks
-    edges, u = np.array([-8.0, -0.7, 0.7, 8.0]), np.array([0.0, -5.0e4, 0.0])
-    seeded = []
-    for k in range(133, 141):
-        mu = linear_bound_state_energy(edges, u, k, U)
-        for guess in (mu, mu * (1.0 - 1e-9), mu * (1.0 + 1e-12)):
+    for edges, u, states in [
+            (np.array([-8.0, -1.0, 1.0, 8.0]), np.array([0.0, -12.0, 0.0]), range(3)),
+            (np.array([-8.0, -0.7, 0.7, 8.0]), np.array([0.0, -5.0e4, 0.0]),
+             range(133, 141))]:
+        for k in states:
             walks.clear()
-            batches.clear()
-            assert linear_bound_state_energy(edges, u, k, U, guess) == mu
-            seeded.append((len(batches), len(walks)))
-    assert all(n == 1 for n, _ in seeded) and sum(w for _, w in seeded) <= 5 * 24
+            mu = linear_bound_state_energy(edges, u, k, U)
+            unseeded = len(walks)
+            for guess in (mu, mu * (1.0 - 1e-9), mu * (1.0 + 1e-12)):
+                walks.clear()
+                got = linear_bound_state_energy(edges, u, k, U, guess)
+                assert got == mu, (k, guess)
+                assert len(walks) <= 8 and len(walks) < unseeded, (k, guess)
+                seeded.append(len(walks))
+    assert len(seeded) == 33 and sum(seeded[9:]) <= 5 * 24
 
 
 def test_scalar_wronskian_has_the_sign_of_the_sturm_count():
-    # D of the shots from both walls, met at the lowest region's left edge,
-    # is the Wronskian of the batched walk's end states and has the sign
-    # (-1)^N of the one-sided count; on flat boxes the ladder rungs
-    # min(U) + 2^j unit land on the levels
+    # the count N of the shots from both walls, met at the lowest region's
+    # left edge, is the one-sided count; D is the Wronskian of the batched
+    # walk's end states and has the sign (-1)^N; on flat boxes the ladder
+    # rungs min(U) + 2^j unit land on the levels
     rng = np.random.default_rng(12)
     cases = [_level_profile(rng) for _ in range(200)]
     cases += [(np.array([0.0, length]), np.array([u0]))
@@ -215,7 +209,8 @@ def test_scalar_wronskian_has_the_sign_of_the_sturm_count():
         sides = regions[:m], regions[m:][::-1]
         counts = sturm_count(widths, SCALE * (es[:, None] - u))
         for e, count in zip(es.tolist(), counts):
-            d = _wronskian(sides, SCALE, e)
+            n, d = _wronskian(sides, SCALE, e)
+            assert n == count, e
             assert math.copysign(1.0, d) == (-1.0) ** count or d == 0.0, e
             ends = []
             for side in sides:
@@ -315,6 +310,21 @@ def test_linear_eigenvalue_refuses_levels_closer_than_the_float_spacing():
     for k in (10**16, 10**17, 10**150):
         with pytest.raises(StateTrackingError, match="float spacing"):
             linear_bound_state_energy(edges, u, k, U)
+
+
+def test_guess_on_a_level_of_a_long_phase_is_counted_once():
+    # a flat box's level 1e6 lies at a phase of 1e6 pi, where the rounding
+    # of the phase passes the 1e-12 pi end margin: the count next to the
+    # level must still be k or k + 1 (the seeded solve walks its guess
+    # first), and a guess on the level or a float off it finds the level
+    edges, u, k = np.array([0.0, 1.0]), np.array([0.0]), 10**6
+    mu = linear_bound_state_energy(edges, u, k, U)
+    assert mu == pytest.approx((k + 1) ** 2 * np.pi**2 / SCALE, rel=1e-12)
+    near = (mu + np.spacing(mu) * np.arange(-8.0, 9.0)).tolist()
+    counts = [_wronskian(([], [(1.0, 0.0)]), SCALE, e)[0] for e in near]
+    assert set(counts) == {k, k + 1} and counts == sorted(counts), counts
+    for guess in (mu, np.nextafter(mu, 0.0), np.nextafter(mu, np.inf)):
+        assert linear_bound_state_energy(edges, u, k, U, guess) == mu, guess
 
 
 @pytest.mark.parametrize("k", [-1, 2.5, 2.0, True, np.float64(1.0), "1"])
