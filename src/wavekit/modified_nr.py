@@ -10,6 +10,7 @@ genuinely singular wherever E = V(x).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable
@@ -22,7 +23,8 @@ from .errors import (ConfigurationError, NonConvergenceError,
                      StabilityError, StateTrackingError, UsageError)
 from .numgrid import (Grid, WaveField, build_laplacian, eigenvalue,
                       lowest_eigenpairs, matvec)
-from .potentials import E_EQUALS_V, PotentialSpec, evaluate, find_singular_set
+from .potentials import (E_EQUALS_V, PotentialSpec, evaluate, find_singular_set,
+                         region_table)
 from .reference import kinetic_operator
 from .shooting import (bracketed_roots, is_index,
                        linear_bound_state_energy, march_endpoint,
@@ -110,6 +112,25 @@ def _effective_samples(v: np.ndarray, E: float, guard: GuardPolicy) -> np.ndarra
         denom = np.where(small, np.where(denom >= 0, guard.floor, -guard.floor),
                          denom)
     return 3.0 * v - v**2 / denom
+
+
+def _effective_levels(v: list, E: float, guard: GuardPolicy) -> list:
+    """:func:`_effective_samples` on a list of Python floats, in its
+    operations and order: inf or nan where NumPy gives them, with no
+    warning."""
+    floor = float(guard.floor)
+    w = []
+    for level in v:
+        denom = E - level
+        if guard.mode == CLAMP and abs(denom) < floor:
+            denom = floor if denom >= 0 else -floor
+        square = level * level
+        if denom:
+            w.append(3.0 * level - square / denom)
+        else:  # x/0 as NumPy gives it, where Python raises
+            w.append(3.0 * level - (math.copysign(math.inf, denom) if square
+                                    else math.nan))
+    return w
 
 
 def _reject_singular(V: PotentialSpec, E: float, grid: Grid, what: str):
@@ -223,8 +244,10 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
     ``state_index`` nodes. ``backend='exact'`` uses closed-form
     piecewise-constant linear shooting, its Sturm bracket seeded at the
     iterate, so the converged energy is free of discretization error and
-    comparable with :func:`solve_stationary_shooting` at 1e-8. Under the
-    ``reject`` guard every iterate and every linearized eigenvalue is
+    comparable with :func:`solve_stationary_shooting` at 1e-8; it runs on
+    the region table (:func:`region_table`) in Python floats and makes no
+    NumPy call before the state is read. Under the ``reject`` guard every
+    iterate, and on the grid backend every linearized eigenvalue, is
     checked for E = V(x) inside the domain. The state of the result, the
     eigenvector or shot at the returned energy, is computed when first
     read.
@@ -236,19 +259,21 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
         raise ConfigurationError("damping must lie in (0, 1]")
     if backend not in ("grid", "exact"):
         raise ConfigurationError(f"unknown backend {backend!r}")
-    reject = guard.mode == REJECT
-    # V as the exact backend's region values or the grid backend's samples
-    if backend == "exact":
-        edges, v = piecewise_regions(V, grid.x_min, grid.x_max)
+    reject, exact = guard.mode == REJECT, backend == "exact"
+    # V as the exact backend's region values, Python floats up to the
+    # state, or the grid backend's samples
+    if exact:
+        edges, v = region_table(V, grid.x_min, grid.x_max)
     else:
         factor, lap = kinetic_operator(grid, units)
         v = np.asarray(evaluate(V, grid.x), dtype=float)
+    effective = _effective_levels if exact else _effective_samples
 
     def result(energy, state, iterations, residual):
         if state is None:  # exact backend: the shot, already normalized
             def state():
-                return shot_state(grid, edges,
-                                  _nonlinear_coefficient(energy, v, units)[0])
+                return shot_state(grid, edges, _nonlinear_coefficient(
+                    energy, np.asarray(v), units)[0])
         return ModifiedEigenResult(
             energy=float(energy), build_state=state, iterations=iterations,
             self_consistency_residual=residual, node_count=state_index,
@@ -260,21 +285,22 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
         # surfacing singularities is part of the contract: check every iterate
         if reject:
             _reject_singular(V, e_k, grid, "iterate")
-        w = _effective_samples(v, e_k, guard)
-        if backend == "grid":
-            mu, state = _grid_eigenpair(lap, factor, w, state_index)
-        else:
+        w = effective(v, e_k, guard)
+        if exact:
             mu = linear_bound_state_energy(edges, w, state_index, units, e_k)
             state = None
+        else:
+            mu, state = _grid_eigenpair(lap, factor, w, state_index)
         residual = abs(mu - e_k)
         if residual <= tol:
             return result(e_k, state, it, residual)
         # when W does not actually depend on E (free case, or an iterate
         # landing where the profile is stationary), mu is already the exact
         # fixed point: re-solving at mu would reproduce the same operator
-        if reject and backend == "grid":
+        if reject and not exact:
             _reject_singular(V, mu, grid, "linearized eigenvalue")
-        if np.array_equal(_effective_samples(v, mu, guard), w):
+        moved = effective(v, mu, guard)
+        if (moved == w) if exact else np.array_equal(moved, w):
             return result(mu, state, it, 0.0)
         e_k = (1.0 - damping) * e_k + damping * mu
         history.append(e_k)

@@ -4,6 +4,7 @@ V = -E0 that the modified equations introduce through their denominators.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 from dataclasses import dataclass
@@ -158,24 +159,43 @@ def _check_finite_list(name: str, seq):
 
 
 def _check_increasing(name: str, seq):
-    """``evaluate`` and ``region_edges`` read positions in ascending order."""
+    """``evaluate`` and ``region_table`` read positions in ascending order."""
     if not np.all(np.diff(np.asarray(seq, dtype=float)) > 0):
         raise ConfigurationError(f"{name} must be strictly increasing")
 
 
-def region_edges(spec: PotentialSpec, x_min: float, x_max: float) -> np.ndarray:
-    """x_min, the jumps of a piecewise-constant ``spec`` strictly inside
-    (x_min, x_max) in the order the spec lists them, and x_max; V is
-    constant between neighbouring edges."""
-    if spec.variant == SQUARE_WELL:
-        breaks = [spec.center - spec.half_width, spec.center + spec.half_width]
-    elif spec.variant == STEP:
-        breaks = [spec.edge]
-    elif spec.variant == BARRIER:
-        breaks = [spec.left, spec.right]
-    else:
-        breaks = list(spec.breakpoints)
-    return np.asarray([x_min] + [b for b in breaks if x_min < b < x_max] + [x_max])
+def _profile(spec: PotentialSpec):
+    """The jumps of a piecewise-constant ``spec`` in the order it lists
+    them, and V at a point, in Python floats read from the spec's fields
+    with :func:`evaluate`'s comparisons, so a jump takes the value
+    :func:`evaluate` gives it."""
+    v = spec.variant
+    if v == FREE:
+        return [], lambda x: 0.0
+    if v == SQUARE_WELL:
+        c, h, bottom = float(spec.center), float(spec.half_width), -float(spec.depth)
+        return [c - h, c + h], lambda x: bottom if abs(x - c) <= h else 0.0
+    if v == STEP:
+        edge, height = float(spec.edge), float(spec.height)
+        return [edge], lambda x: height if x >= edge else 0.0
+    if v == BARRIER:
+        left, right, height = float(spec.left), float(spec.right), float(spec.height)
+        return [left, right], lambda x: height if left <= x <= right else 0.0
+    if v == PIECEWISE_CONSTANT:
+        breaks, values = list(map(float, spec.breakpoints)), list(map(float, spec.values))
+        return breaks, lambda x: values[bisect.bisect_right(breaks, x)]
+    raise UsageError(f"potential variant {v!r} is not piecewise-constant")
+
+
+def region_table(spec: PotentialSpec, x_min: float, x_max: float):
+    """The regions of a piecewise-constant ``spec`` on [x_min, x_max] in
+    Python floats: the edges (x_min, the jumps strictly inside in the order
+    the spec lists them, x_max) and one level per region, V at the region
+    midpoint bit for bit as :func:`evaluate` gives it."""
+    x_min, x_max = float(x_min), float(x_max)
+    breaks, level = _profile(spec)
+    edges = [x_min, *(b for b in breaks if x_min < b < x_max), x_max]
+    return edges, [level(0.5 * (a + b)) for a, b in zip(edges, edges[1:])]
 
 
 def evaluate(spec: PotentialSpec, x):
@@ -226,15 +246,21 @@ class SingularSet:
         return len(self.locations) == 0
 
 
-def _condition(spec: PotentialSpec, E: float, kind: str):
+def _level_condition(E: float, kind: str):
+    """The singularity condition as a function of the value of V."""
     if kind == E_EQUALS_V:
-        return lambda x: E - evaluate(spec, x)
+        return lambda v: E - v
     if kind == E_EQUALS_2V:
-        return lambda x: E - 2.0 * evaluate(spec, x)
+        return lambda v: E - 2.0 * v
     if kind == V_EQUALS_MINUS_E0:
         # E carries the rest energy E0 here: zeros of V(x) + E0
-        return lambda x: evaluate(spec, x) + E
+        return lambda v: v + E
     raise UsageError(f"unknown singularity kind {kind!r}")
+
+
+def _condition(spec: PotentialSpec, E: float, kind: str):
+    g = _level_condition(E, kind)
+    return lambda x: g(evaluate(spec, x))
 
 
 def find_singular_set(spec: PotentialSpec, E: float, kind: str,
@@ -246,22 +272,22 @@ def find_singular_set(spec: PotentialSpec, E: float, kind: str,
     changes without zeros; those are filtered by a residual check.
 
     On a piecewise-constant profile the condition takes one level per
-    region, read at the region midpoints in one call, and at the two
-    domain ends, where a breakpoint on an end gives that node the outer
-    level. Unless one of these levels is within the residual tolerance of
-    zero, the set is empty and no scan is made: every scan sample would
-    be one of them, and every sign change a jump that fails the residual
-    check.
+    region (:func:`region_table`) and one at each domain end, where a
+    breakpoint on or next to an end can give that node another level;
+    all are read in Python floats. Unless one of these levels is within
+    the residual tolerance of zero, the set is empty and no scan is made:
+    every scan sample would be one of them, and every sign change a jump
+    that fails the residual check.
     """
-    if not np.isfinite(E):
+    if not math.isfinite(E):
         raise UsageError("E must be finite")
     f = _condition(spec, E, kind)
     tol_val = 1e-9 * max(1.0, abs(E))
     if spec.is_piecewise_constant:
-        edges = np.sort(region_edges(spec, grid.x_min, grid.x_max))
-        levels = f(np.concatenate([0.5 * (edges[:-1] + edges[1:]),
-                                   edges[[0, -1]]]))
-        if np.all(np.abs(levels) > tol_val):
+        g, level = _level_condition(float(E), kind), _profile(spec)[1]
+        ends = float(grid.x_min), float(grid.x_max)
+        levels = region_table(spec, *ends)[1] + list(map(level, ends))
+        if all(abs(g(v)) > tol_val for v in levels):
             return SingularSet(kind, (), float("inf"))
     xs = np.linspace(grid.x_min, grid.x_max, _SCAN_FACTOR * grid.n_points)
     fs = np.asarray(f(xs), dtype=float)

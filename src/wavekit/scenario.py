@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import copy
 import csv
-import hashlib
 import io
 import json
 import math
@@ -97,6 +96,8 @@ def join_canonical(members: dict) -> str:
 
 
 def _sha256(text: str) -> str:
+    import hashlib  # loads OpenSSL: kept off import time
+
     return hashlib.sha256(text.encode()).hexdigest()
 
 

@@ -16,16 +16,15 @@ import numpy as np
 
 from .errors import NoRootError, StateTrackingError, UsageError
 from .numgrid import Grid, WaveField
-from .potentials import PotentialSpec, evaluate, region_edges
+from .potentials import PotentialSpec, region_table
 
 
 def piecewise_regions(spec: PotentialSpec, x_min: float, x_max: float):
     """Breakpoints and region values of a piecewise-constant potential
-    restricted to [x_min, x_max]: (edges, values), one more edge than values."""
-    if not spec.is_piecewise_constant:
-        raise UsageError(f"potential variant {spec.variant!r} is not piecewise-constant")
-    edges = region_edges(spec, x_min, x_max)
-    return edges, evaluate(spec, 0.5 * (edges[:-1] + edges[1:]))
+    restricted to [x_min, x_max] as arrays (:func:`region_table`):
+    (edges, values), one more edge than values."""
+    edges, values = region_table(spec, x_min, x_max)
+    return np.asarray(edges), np.asarray(values)
 
 
 #: Largest cosh/sinh argument of a transfer; decay rates below
@@ -137,8 +136,10 @@ def sturm_count(widths, coeffs, final_crossing: bool = True) -> np.ndarray:
     E (oscillation theorem). Zeros of R cos(k xi - phi) are counted
     analytically in oscillatory regions; an exponential or linear region
     holds at most one, read from the signs at its two ends. The analytic
-    count leaves out a zero within 1e-12 pi rad of a region end, so it lags
-    just above an eigenvalue whose last region oscillates; psi at the right
+    count leaves out a zero within 1e-12 pi rad of a region's start and
+    1e-12 max(1, k d) pi rad of its end, a margin that outgrows the
+    rounding of a long phase k d, so it only lags, just above an
+    eigenvalue whose last region oscillates; psi at the right
     wall has the sign (-1)^N, which restores the missed zero. With
     ``final_crossing=False`` neither that nor a sign change across a
     non-oscillatory last region is counted: near an eigenvalue the endpoint
@@ -150,8 +151,10 @@ def sturm_count(widths, coeffs, final_crossing: bool = True) -> np.ndarray:
     k = np.sqrt(np.where(osc, coeffs, 1.0))
     phi = np.arctan2(dpsi / k, psi)
     # zeros at xi = (phi + pi/2 + m pi)/k inside (0, d)
+    phase = k * widths
     m_lo = np.ceil((-phi - np.pi / 2) / np.pi + 1e-12)
-    m_hi = np.floor((k * widths - phi - np.pi / 2) / np.pi - 1e-12)
+    m_hi = np.floor((phase - phi - np.pi / 2) / np.pi
+                    - 1e-12 * np.maximum(1.0, phase))
     crossing = np.sign(end_psi) * np.sign(psi) < 0
     crossing[..., -1] &= final_crossing
     total = np.where(osc, np.maximum(m_hi - m_lo + 1.0, 0.0), crossing)

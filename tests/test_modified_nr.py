@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -51,6 +52,26 @@ def test_effective_potential_clamp_is_finite():
     guard = mnr.GuardPolicy(mode="clamp", floor=1e-6)
     w = mnr.effective_potential(PotentialSpec.harmonic(1.0), 1.0, g, guard)
     assert np.all(np.isfinite(w))
+
+
+@pytest.mark.parametrize("policy", ["reject", "clamp"])
+def test_effective_levels_equal_the_array_samples_bit_for_bit(policy):
+    # the exact backend's scalar W against the array one: E on a level, a
+    # float off it, inside and at the clamp floor, and W past the float
+    # range (inf or nan where NumPy gives them, whatever the sign of nan)
+    guard = mnr.GuardPolicy(policy, 1e-6)
+    v = [0.0, -0.0, -4.0, 3.5, 1e-200, -1e-200, 1e200, 1e300, -1e300]
+    energies = [0.0, -0.0, 1e300, -1e308]
+    for level in v:
+        energies += [level, np.nextafter(level, np.inf), level - 1e-6,
+                     level + 5e-7, level - 2e-6]
+    for e in energies:
+        with np.errstate(all="ignore"):
+            want = mnr._effective_samples(np.array(v), float(e), guard)
+        got = mnr._effective_levels(v, float(e), guard)
+        assert all(type(w) is float for w in got)
+        assert [w.hex() if w == w else "nan" for w in got] == \
+            [float(w).hex() if w == w else "nan" for w in want], e
 
 
 # -- shooting ---------------------------------------------------------------
@@ -435,6 +456,54 @@ def test_exact_fixed_point_applies_the_clamp_policy(monkeypatch):
             guard=mnr.GuardPolicy("clamp", 1e-6))
     np.testing.assert_array_equal(seen[0], [0.0, -12.0 - 16.0 / 1e-6, 0.0])
     assert all(np.all(np.isfinite(w)) for w in seen)
+
+
+def _numpy_calls(run):
+    """What ``run()`` returned or raised, and the NumPy functions it called
+    as a profile hook sees them: Python functions of the numpy package and
+    its builtins and builtin methods (a ufunc call raises no event)."""
+    calls = []
+
+    def hook(frame, event, arg):
+        if event == "call":
+            module = frame.f_globals.get("__name__", "")
+        elif event == "c_call":
+            module = (getattr(arg, "__module__", None)
+                      or type(getattr(arg, "__self__", None)).__module__)
+        else:
+            return
+        if module.split(".")[0] == "numpy":
+            calls.append(f"{module}.{getattr(arg, '__name__', frame.f_code.co_name)}")
+
+    sys.setprofile(hook)
+    try:
+        outcome = run()
+    except NonConvergenceError as exc:
+        outcome = exc
+    finally:
+        sys.setprofile(None)
+    return outcome, calls
+
+
+@pytest.mark.parametrize("grid, spec, index, e_init, tol, policy", [
+    (*WALLED_WELL, 6, -3.5851220539340374, 1e-9, "reject"),  # converges
+    (*WALLED_WELL, 0, -4.0, 1e-10, "clamp"),    # on the well bottom, misses
+    (*SQUARE_WELL_12, 1, -6.0, 1e-10, "reject"),             # misses
+    (Grid.line(-3.0, 4.0, 200), PotentialSpec.barrier(6.0, -1.0, 0.5), 3,
+     3.3744233953230385, 1e-8, "reject"),
+    (Grid.line(-3.0, 4.0, 200), PotentialSpec.piecewise_constant(
+        [-1.0, 0.5, 1.5], [0.0, -6.0, -2.5, 0.0]), 38, -5.988600405981291,
+     1e-8, "clamp"),
+])
+def test_exact_fixed_point_makes_no_numpy_call_before_the_state_is_read(
+        grid, spec, index, e_init, tol, policy):
+    res, calls = _numpy_calls(lambda: mnr.solve_stationary_fixed_point(
+        grid, spec, index, e_init, tol, units=U, backend="exact",
+        guard=mnr.GuardPolicy(policy)))
+    assert calls == []
+    if isinstance(res, mnr.ModifiedEigenResult):  # the hook sees the state's
+        state, calls = _numpy_calls(lambda: res.state)
+        assert calls and state.grid == grid
 
 
 def test_free_scaling_covariance():

@@ -138,12 +138,13 @@ def evaluate_calls(monkeypatch):
 def test_step_profile_jumps_are_rejected_without_bisection(
         spec, kind, factor, evaluate_calls):
     # E halfway between the region values -10 and 0: the condition changes
-    # sign at every jump to or from -10 but is never near zero, so one
-    # evaluation of the region levels and end values decides the empty set
+    # sign at every jump to or from -10 but is never near zero, so the
+    # region levels and end values, read in Python floats with no call to
+    # evaluate, decide the empty set
     g = Grid.line(-4.0, 4.0, 400)
     s = find_singular_set(spec, factor * -5.0, kind, g)
     assert (s.locations, s.proximity) == ((), float("inf"))
-    assert len(evaluate_calls) == 1
+    assert evaluate_calls == []
 
 
 @pytest.mark.parametrize("kind, factor", SINGULAR_AT)
@@ -233,3 +234,113 @@ def test_singular_set_of_random_piecewise_profiles_equals_the_full_scan(
         want = _full_scan_singular_set(spec, E, kind, g)
         assert (got.locations, got.proximity) == (want.locations,
                                                   want.proximity), (spec, E)
+
+
+PIECEWISE_VARIANTS = ("free", "square_well", "step", "barrier",
+                      "piecewise_constant")
+DOMAINS = (Grid.line(-2.0, 2.0, 16), Grid.line(-1.3, 2.7, 16))
+
+
+def _random_piecewise_spec(rng, variant, grid):
+    """A seeded profile of ``variant`` whose jumps lie on either domain end,
+    a float inside or outside it, or anywhere around the domain."""
+    def jump():
+        if rng.uniform() < 0.6:
+            end = float(rng.choice([grid.x_min, grid.x_max]))
+            return float(rng.choice([end, np.nextafter(end, -np.inf),
+                                     np.nextafter(end, np.inf)]))
+        return float(rng.uniform(grid.x_min - 1.0, grid.x_max + 1.0))
+
+    def level():
+        return float(rng.choice([-10.0, -4.0, -0.0, 0.0, 3.5, 20.0]))
+
+    def two_jumps():
+        a, b = jump(), jump()
+        return (a, b) if a < b else two_jumps()
+
+    if variant == "free":
+        return PotentialSpec.free()
+    if variant == "square_well":
+        a, b = two_jumps()
+        if rng.uniform() < 0.5:  # one edge placed, the other off by rounding
+            h = float(rng.uniform(0.1, 2.0))
+            return PotentialSpec.square_well(float(rng.uniform(0.5, 20.0)), h,
+                                              a + h)
+        return PotentialSpec.square_well(float(rng.uniform(0.5, 20.0)),
+                                          0.5 * (b - a), 0.5 * (a + b))
+    if variant == "step":
+        return PotentialSpec.step(level(), jump())
+    if variant == "barrier":
+        return PotentialSpec.barrier(level(), *two_jumps())
+    breaks = sorted({jump() for _ in range(int(rng.integers(0, 5)))})
+    return PotentialSpec.piecewise_constant(breaks,
+                                            [level() for _ in range(len(breaks) + 1)])
+
+
+def _region_edges(spec, x_min, x_max):
+    """Reference: x_min, the jumps strictly inside (x_min, x_max) in the
+    order the spec lists them, and x_max, as a NumPy array."""
+    if spec.variant == "square_well":
+        breaks = [spec.center - spec.half_width, spec.center + spec.half_width]
+    elif spec.variant == "step":
+        breaks = [spec.edge]
+    elif spec.variant == "barrier":
+        breaks = [spec.left, spec.right]
+    else:
+        breaks = list(spec.breakpoints)
+    return np.asarray([x_min] + [b for b in breaks if x_min < b < x_max] + [x_max])
+
+
+@pytest.mark.parametrize("variant", PIECEWISE_VARIANTS)
+def test_region_table_levels_are_evaluate_at_the_midpoints(variant):
+    # bit for bit, -0.0 included, in Python floats; the shooting arrays
+    # are the same table
+    from wavekit.shooting import piecewise_regions
+    rng = np.random.default_rng(sum(map(ord, variant)))
+    for grid in DOMAINS:
+        for _ in range(40):
+            spec = _random_piecewise_spec(rng, variant, grid)
+            edges, levels = potentials.region_table(spec, grid.x_min, grid.x_max)
+            want = _region_edges(spec, grid.x_min, grid.x_max)
+            mids = evaluate(spec, 0.5 * (want[:-1] + want[1:]))
+            assert all(type(x) is float for x in edges + levels), spec
+            assert [x.hex() for x in edges] == [float(x).hex() for x in want]
+            assert [v.hex() for v in levels] == [float(v).hex() for v in mids]
+            arrays = piecewise_regions(spec, grid.x_min, grid.x_max)
+            np.testing.assert_array_equal(arrays[0], edges)
+            np.testing.assert_array_equal(arrays[1], levels)
+
+
+def _numpy_shortcut_singular_set(spec, E, kind, grid):
+    """Reference: the singular set with the region levels read by NumPy,
+    the condition at the sorted edges' midpoints and at the two domain
+    ends in one call, before the full scan."""
+    f = potentials._condition(spec, E, kind)
+    if spec.is_piecewise_constant:
+        edges = np.sort(_region_edges(spec, grid.x_min, grid.x_max))
+        levels = f(np.concatenate([0.5 * (edges[:-1] + edges[1:]),
+                                   edges[[0, -1]]]))
+        if np.all(np.abs(levels) > 1e-9 * max(1.0, abs(E))):
+            return potentials.SingularSet(kind, (), float("inf"))
+    return _full_scan_singular_set(spec, E, kind, grid)
+
+
+@pytest.mark.parametrize("variant", PIECEWISE_VARIANTS)
+def test_singular_set_equals_the_numpy_level_reference(variant):
+    # E on each level the profile takes at a region midpoint or a domain
+    # end (for each kind), within the 1e-9 residual tolerance of it, and
+    # just past it; jumps on, next to and off the domain ends
+    rng = np.random.default_rng(sum(map(ord, variant)) + 1)
+    for grid in DOMAINS:
+        for _ in range(20):
+            spec = _random_piecewise_spec(rng, variant, grid)
+            edges = _region_edges(spec, grid.x_min, grid.x_max)
+            points = np.append(0.5 * (edges[:-1] + edges[1:]), edges[[0, -1]])
+            for v in set(evaluate(spec, points).tolist()):
+                for kind, factor in SINGULAR_AT:
+                    base = factor * v
+                    for offset in (0.0, 0.5, -0.999, 0.999, -1.001, 1.001):
+                        E = base + offset * 1e-9 * max(1.0, abs(base))
+                        assert find_singular_set(spec, E, kind, grid) == \
+                            _numpy_shortcut_singular_set(spec, E, kind, grid), \
+                            (spec, E, kind)

@@ -542,7 +542,8 @@ def test_cli_compare_of_a_document_that_is_no_report_exits_2(
 #: Runs ``cli.main`` on each (name, argv) pair of the JSON list in argv[1]
 #: and prints, per name, the exit code and the SciPy modules then loaded,
 #: the threads that loaded a SciPy module, and the deferred standard
-#: modules (``difflib``, ``concurrent.futures``) that the import loaded.
+#: modules (``difflib``, ``concurrent.futures``, ``hashlib``) that the
+#: import loaded.
 SCIPY_PROBE = """\
 import json, sys, threading
 threads = set()
@@ -553,7 +554,7 @@ sys.addaudithook(hook)
 import wavekit.cli
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-deferred = sorted({"difflib", "concurrent.futures"} & set(sys.modules))
+deferred = sorted({"difflib", "concurrent.futures", "hashlib"} & set(sys.modules))
 loaded = {"import wavekit.cli": [0, scipy_modules()]}
 for name, argv in json.loads(sys.argv[1]):
     loaded[name] = [wavekit.cli.main(argv), scipy_modules()]
@@ -576,9 +577,9 @@ def test_cli_loads_scipy_only_for_the_runs_that_call_it(tmp_path):
     # shooting, the exact backend, the audit, compare and both time-dependent
     # propagates call no SciPy, so the CLI imports it where an eigensolve
     # first needs it; no run loads scipy.sparse, since every grid operator
-    # is a band of diagonals; the sweep's thread pool and the unknown-key
-    # hint's difflib are imported where they are used, not by
-    # ``import wavekit.cli``
+    # is a band of diagonals; the sweep's thread pool, the unknown-key
+    # hint's difflib and the digests' hashlib are imported where they are
+    # used, not by ``import wavekit.cli``
     def run(name, text):
         cfg = _write(tmp_path, f"{name}.yaml", text)
         command = scenario.EQUATIONS[yaml.safe_load(text)["equation"]].command

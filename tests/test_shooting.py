@@ -327,6 +327,39 @@ def test_guess_on_a_level_of_a_long_phase_is_counted_once():
         assert linear_bound_state_energy(edges, u, k, U, guess) == mu, guess
 
 
+def test_sturm_count_end_margin_scales_with_a_long_phase():
+    # 2 floats below level 10^6 (from 0) of the flat unit box the phase is
+    # 3.1e6 rad, whose rounding passes a fixed 1e-12 pi end margin: the
+    # count ran ahead (1000002 with the final crossing, 1000001 without).
+    # Scaled with the phase, it reads 10^6 either way, and near the level
+    # it equals the scalar walk's count or, without the final crossing,
+    # lags it
+    widths, k = np.array([1.0]), 10**6
+    for final_crossing in (True, False):
+        assert sturm_count(widths, [[SCALE * 4934812070154.014]],
+                           final_crossing)[0] == k
+    mu = linear_bound_state_energy(np.array([0.0, 1.0]), np.array([0.0]), k, U)
+    near = mu + np.spacing(mu) * np.arange(-8.0, 9.0)
+    walked = [_wronskian(([], [(1.0, 0.0)]), SCALE, e)[0] for e in near.tolist()]
+    np.testing.assert_array_equal(sturm_count(widths, SCALE * near[:, None]),
+                                  walked)
+    lagging = sturm_count(widths, SCALE * near[:, None], final_crossing=False)
+    assert np.all((walked - lagging >= 0) & (walked - lagging <= 1)), lagging
+
+
+def test_scalar_count_restores_each_lagging_side_at_a_node_on_c():
+    # [0, 1] + [1, 2] with U = (5e-324, 0): the shots meet at c = 1, where
+    # every even level of the flat box has its node, so just off such a
+    # level both sides can lag at once; each side's parity check restores
+    # its own zero, and the count stays n - 1 or n next to level n
+    sides = [(1.0, 5e-324)], [(1.0, 0.0)]
+    for n in range(1, 200):
+        level = (n * math.pi / 2.0) ** 2 / 2.0
+        counts = {_wronskian(sides, SCALE, level * (1.0 + k * 1e-15))[0]
+                  for k in range(-100, 101)}
+        assert counts <= {n - 1, n}, (n, counts)
+
+
 @pytest.mark.parametrize("k", [-1, 2.5, 2.0, True, np.float64(1.0), "1"])
 def test_linear_eigenvalue_rejects_a_bad_state_index(k):
     with pytest.raises(UsageError, match="state_index"):
