@@ -104,14 +104,16 @@ def effective_potential(V: PotentialSpec, E: float, grid: Grid,
 
 
 def _effective_samples(v: np.ndarray, E: float, guard: GuardPolicy) -> np.ndarray:
-    """W(E, x) from samples ``v`` of V; under ``clamp`` the denominator
-    E - V is floored in magnitude at ``guard.floor``, sign preserved."""
+    """W(E, x) from samples ``v`` of V, inf or nan past the float range
+    with no warning; under ``clamp`` the denominator E - V is floored in
+    magnitude at ``guard.floor``, sign preserved."""
     denom = E - v
     if guard.mode == CLAMP:
         small = np.abs(denom) < guard.floor
         denom = np.where(small, np.where(denom >= 0, guard.floor, -guard.floor),
                          denom)
-    return 3.0 * v - v**2 / denom
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 3.0 * v - v**2 / denom
 
 
 def _effective_levels(v: list, E: float, guard: GuardPolicy) -> list:
@@ -131,6 +133,16 @@ def _effective_levels(v: list, E: float, guard: GuardPolicy) -> list:
             w.append(3.0 * level - (math.copysign(math.inf, denom) if square
                                     else math.nan))
     return w
+
+
+def _in_range(values, label: str):
+    """``values``, an array formed under ``np.errstate(over="ignore")`` or
+    a list of Python floats; unless all are finite, a ConfigurationError
+    naming the potential."""
+    if (all(map(math.isfinite, values)) if isinstance(values, list)
+            else np.isfinite(values).all()):
+        return values
+    raise ConfigurationError(f"potential: {label} leaves the float range")
 
 
 def _reject_singular(V: PotentialSpec, E: float, grid: Grid, what: str):
@@ -285,7 +297,7 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
         # surfacing singularities is part of the contract: check every iterate
         if reject:
             _reject_singular(V, e_k, grid, "iterate")
-        w = effective(v, e_k, guard)
+        w = _in_range(effective(v, e_k, guard), "W = 3V - V**2/(E - V)")
         if exact:
             mu = linear_bound_state_energy(edges, w, state_index, units, e_k)
             state = None
@@ -403,17 +415,26 @@ def timedep_speed_squared(V: PotentialSpec, E: float, epsilon: float,
     return s
 
 
-def stability_limit(s: np.ndarray, h: float) -> float:
-    """Largest stable leapfrog step h/sqrt(max s), times the safety factor
-    0.9."""
-    return 0.9 * h / float(np.sqrt(np.max(s)))
+def step_bound(inv_m: np.ndarray, a: dict) -> float:
+    """Largest leapfrog step 2/omega for M psi_tt = A psi, times the safety
+    factor 0.9: omega**2 = max(M^-1) times the largest absolute row sum of
+    A bounds the spectrum of M^-1 A (Gershgorin). ``inv_m`` is the diagonal
+    of M^-1 and ``a`` holds the diagonals of A; omega is formed as a
+    product of square roots, finite where omega**2 need not be, and a row
+    sum past the float range gives the bound 0."""
+    with np.errstate(over="ignore"):
+        rows = matvec({k: np.abs(row) for k, row in a.items()},
+                      np.ones(len(inv_m)))
+    omega = math.sqrt(float(np.max(inv_m))) * math.sqrt(float(np.max(rows)))
+    return 0.9 * 2.0 / omega
 
 
-def leapfrog(state0: TimeDepState, accel, dt: float, steps: int, limit: float,
-             stride: int = 1, max_growth=None):
-    """Leapfrog evolution of psi_tt = accel(psi) from ``state0`` with a
-    step ``dt`` in (0, ``limit``]; ``accel`` returns a new array, which
-    the loop scales in place.
+def leapfrog(state0: TimeDepState, inv_m: np.ndarray, a: dict, dt: float,
+             steps: int, stride: int = 1, max_growth=None):
+    """Leapfrog evolution of M psi_tt = A psi from ``state0``, with
+    ``inv_m`` the diagonal of M^-1 and ``a`` the diagonals of A in the
+    field's dtype: psi_tt = inv_m * (A psi). The step ``dt`` must lie in
+    (0, :func:`step_bound`].
 
     Returns the states at steps 0, stride, 2 stride, ... and the final
     step; the default keeps every state, and zero steps keep ``state0``
@@ -424,6 +445,7 @@ def leapfrog(state0: TimeDepState, accel, dt: float, steps: int, limit: float,
         if not is_index(value, least):
             raise ConfigurationError(
                 f"{name} must be an integer >= {least}, got {value!r}")
+    limit = step_bound(inv_m, a)
     if dt <= 0 or dt > limit:
         raise ConfigurationError(
             f"dt={dt} violates the stability bound {limit:.3e}")
@@ -453,7 +475,7 @@ def leapfrog(state0: TimeDepState, accel, dt: float, steps: int, limit: float,
     dt2 = dt**2
     psi_prev = state0.psi.values.copy()  # the loop reuses it as a buffer
     vel = state0.dpsi_dt.values
-    acc = accel(psi_prev)
+    acc = np.multiply(inv_m, matvec(a, psi_prev))
     psi = psi_prev + dt * vel + 0.5 * dt2 * acc
     guard(psi, 1)
     trajectory = [state0]
@@ -461,8 +483,9 @@ def leapfrog(state0: TimeDepState, accel, dt: float, steps: int, limit: float,
         trajectory.append(state(psi.copy(), vel + dt * acc, t0 + dt))
     psi_next = np.empty_like(psi)
     for k in range(2, steps + 1):
-        # psi_next = 2 psi - psi_prev + dt^2 accel(psi), in place
-        acc = accel(psi)
+        # psi_next = 2 psi - psi_prev + dt^2 inv_m (A psi), in place
+        acc = matvec(a, psi)
+        np.multiply(inv_m, acc, out=acc)
         np.multiply(dt2, acc, out=acc)
         np.multiply(2.0, psi, out=psi_next)
         psi_next -= psi_prev
@@ -480,30 +503,15 @@ def propagate_timedep(state0: TimeDepState, V: PotentialSpec, dt: float,
                       steps: int, units: UnitSystem = UnitSystem(),
                       stride: int = 1):
     """Leapfrog evolution (:func:`leapfrog`) of psi_tt = s(x) psi_xx with s
-    from the modified time-dependent equation. Returns the states at steps
-    0, stride, 2 stride, ... and the final step; the default keeps every
-    state."""
+    from the modified time-dependent equation: M^-1 = s, A = the Laplacian.
+    Returns the states at steps 0, stride, 2 stride, ... and the final
+    step; the default keeps every state."""
     grid = state0.psi.grid
     s = timedep_speed_squared(V, state0.E, state0.epsilon, grid, units)
     # cast once to the field dtype, not inside every product
     lap = {k: row.astype(state0.psi.values.dtype)
            for k, row in build_laplacian(grid).diagonals.items()}
-
-    def accel(psi):
-        acc = matvec(lap, psi)
-        return np.multiply(s, acc, out=acc)
-
-    return leapfrog(state0, accel, dt, steps, stability_limit(s, grid.h),
-                    stride)
-
-
-def wave_energy(state: TimeDepState, s: np.ndarray) -> float:
-    """Discrete wave-energy functional sum |psi_t|^2/s + |D psi|^2 (up to a
-    constant factor); conserved to O(dt^2) for constant coefficients."""
-    grid = state.psi.grid
-    d = np.diff(state.psi.values) / grid.h
-    return float(np.sum(np.abs(state.dpsi_dt.values) ** 2 / s) * grid.h
-                 + np.sum(np.abs(d) ** 2) * grid.h)
+    return leapfrog(state0, s, lap, dt, steps, stride)
 
 
 def separated_solution(psi_n: WaveField, epsilon: float, B1: complex, B2: complex,

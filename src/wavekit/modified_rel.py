@@ -10,12 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidScenarioError, OutOfScopeError
-from .numgrid import Grid, WaveField, build_laplacian, matvec
+from .errors import InvalidScenarioError, OutOfScopeError
+from .numgrid import Grid, WaveField, build_laplacian
 from .potentials import PotentialSpec, evaluate
 from .shooting import piecewise_regions
 from .units import UnitSystem
-from .modified_nr import TimeDepState, leapfrog, shooting_spectrum
+from .modified_nr import TimeDepState, _in_range, leapfrog, shooting_spectrum
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,14 +49,6 @@ def rel_coefficient(e, region_values: np.ndarray, units: UnitSystem) -> np.ndarr
     return _in_range(w, "w = [(E - V)**2 - E0**2](1 + V/E0)**2/(c hbar)**2")
 
 
-def _in_range(values: np.ndarray, label: str) -> np.ndarray:
-    """``values``, formed under ``np.errstate(over="ignore")``; unless all
-    are finite, a ConfigurationError naming the potential."""
-    if np.isfinite(values).all():
-        return values
-    raise ConfigurationError(f"potential: {label} leaves the float range")
-
-
 def rel_box_energy(n: int, L: float, V: float, units: UnitSystem) -> float:
     """Closed-form inversion of the stationary dispersion for mode n in a
     Dirichlet box of width L at constant V:
@@ -82,22 +74,12 @@ def solve_rel_stationary(scenario: RelScenario, e_bracket,
         e_bracket, n_scan)
 
 
-def rel_stability_limit(scenario: RelScenario) -> float:
-    """Leapfrog step bound from the maximal wave speed c/(1 + min V/E0) and
-    the mass-term frequency, times the safety factor 0.9."""
-    grid, units = scenario.grid, scenario.units
-    factor = 1.0 + scenario.potential_samples / units.E0
-    fmin = float(np.min(factor))
-    omega_max = np.sqrt((units.c**2 * 4.0 / grid.h**2
-                         + (units.E0 / units.hbar) ** 2) / fmin**2)
-    return 0.9 * 2.0 / omega_max
-
-
 def propagate_rel_timedep(phi0: WaveField, dphi0_dt: WaveField,
                           scenario: RelScenario, dt: float, steps: int,
                           stride: int = 1):
     """Leapfrog evolution (:func:`~wavekit.modified_nr.leapfrog`) of
-    phi_tt = (c^2 Laplacian phi - (E0/hbar)^2 phi) / (1 + V/E0)^2.
+    (1 + V/E0)^2 phi_tt = c^2 Laplacian phi - (E0/hbar)^2 phi: M^-1 =
+    1/(1 + V/E0)^2, A = c^2 Laplacian - (E0/hbar)^2 on its diagonals.
 
     With V = 0 the update is the discrete Klein-Gordon step (unit factor,
     same code path). Returns the states at steps 0, stride, 2 stride, ...
@@ -107,16 +89,13 @@ def propagate_rel_timedep(phi0: WaveField, dphi0_dt: WaveField,
     units = scenario.units
     with np.errstate(over="ignore"):
         factor_sq = (1.0 + scenario.potential_samples / units.E0) ** 2
-    inv_factor_sq = 1.0 / _in_range(factor_sq, "(1 + V/E0)**2")
-    lap = {k: row.astype(phi0.values.dtype)
-           for k, row in build_laplacian(scenario.grid).diagonals.items()}
-    mass_sq = (units.E0 / units.hbar) ** 2
-
-    def accel(phi):
-        return inv_factor_sq * (units.c**2 * matvec(lap, phi) - mass_sq * phi)
-
-    return leapfrog(TimeDepState(phi0, dphi0_dt, 0.0, 0.0, 0.0), accel, dt,
-                    steps, rel_stability_limit(scenario), stride, max_growth=10)
+        inv_m = 1.0 / _in_range(factor_sq, "(1 + V/E0)**2")
+        # an entry of A past the float range gives the step bound 0
+        a = {k: (units.c**2 * row).astype(phi0.values.dtype)
+             for k, row in build_laplacian(scenario.grid).diagonals.items()}
+        a[0] -= (units.E0 / units.hbar) ** 2
+    return leapfrog(TimeDepState(phi0, dphi0_dt, 0.0, 0.0, 0.0), inv_m, a, dt,
+                    steps, stride, max_growth=10)
 
 
 def electrostatic_invariant_potential(phi: float, epsilon: float, e: float,

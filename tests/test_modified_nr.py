@@ -12,8 +12,8 @@ from wavekit.errors import (ConfigurationError, NoRootError,
                             NonConvergenceError, NonHyperbolicRegimeError,
                             SingularRegionError, StabilityError,
                             StateTrackingError)
-from wavekit.numgrid import (BandedOperator, Grid, WaveField, lowest_eigenpairs,
-                             matvec)
+from wavekit.numgrid import (BandedOperator, Grid, WaveField, build_laplacian,
+                             lowest_eigenpairs, matvec)
 from wavekit.potentials import PotentialSpec, evaluate
 from wavekit.reference import (hydrogen_ground_state, infinite_well_energy,
                                kinetic_operator, solve_schrodinger_stationary)
@@ -598,15 +598,50 @@ def test_propagation_standing_wave():
     assert np.max(np.abs(traj[-1].psi.values - exact)) < 1e-6
 
 
+def _closed_form_bound(s, h):
+    """The leapfrog step bound of psi_tt = s psi_xx in closed form, 0.9
+    times 2/omega with omega**2 = max s * 4/h**2."""
+    return 0.9 * h / float(np.sqrt(np.max(s)))
+
+
+def _laplacian(grid):
+    return {k: row.astype(complex)
+            for k, row in build_laplacian(grid).diagonals.items()}
+
+
 def test_propagation_rejects_unstable_step():
     g = Grid.line(0.0, np.pi, 400)
     psi0 = WaveField(np.sin(g.x).astype(complex), g)
     state = mnr.TimeDepState(psi0, WaveField(np.zeros(400, complex), g),
                              0.0, 3.0, 1.3)
     s = mnr.timedep_speed_squared(PotentialSpec.free(), 3.0, 1.3, g, U)
-    limit = mnr.stability_limit(s, g.h)
+    limit = _closed_form_bound(s, g.h)
     with pytest.raises(ConfigurationError):
         mnr.propagate_timedep(state, PotentialSpec.free(), 2.0 * limit, 10, U)
+
+
+def test_step_bound_is_the_closed_form_of_the_wave_equation():
+    # the Gershgorin bound of the pair (s, Laplacian) is max s * 4/h**2,
+    # to within rounding, on either boundary; the stepper accepts a step
+    # just inside the closed form and refuses one just past it
+    rng = np.random.default_rng(22)
+    for trial in range(150):
+        n = int(rng.integers(8, 300))
+        x_min = float(rng.uniform(-5.0, 0.0))
+        g = Grid.line(x_min, x_min + float(rng.uniform(0.5, 20.0)), n,
+                      ("dirichlet", "periodic")[trial % 2])
+        cuts = np.sort(rng.uniform(g.x_min, g.x_max, 2))
+        V = PotentialSpec.piecewise_constant(cuts, rng.uniform(-2.0, 0.4, 3))
+        E, eps = float(rng.uniform(1.0, 3.0)), float(rng.uniform(0.1, 5.0))
+        s = mnr.timedep_speed_squared(V, E, eps, g, U)
+        want = _closed_form_bound(s, g.h)
+        assert abs(mnr.step_bound(s, _laplacian(g)) - want) \
+            <= 4 * np.spacing(want), trial
+        zero = WaveField(np.zeros(n), g)
+        state = mnr.TimeDepState(zero, zero, 0.0, E, eps)
+        assert mnr.propagate_timedep(state, V, want * (1 - 1e-14), 0, U)
+        with pytest.raises(ConfigurationError, match="stability bound"):
+            mnr.propagate_timedep(state, V, want * (1 + 1e-14), 0, U)
 
 
 def _plane_wave_state(n):
@@ -667,17 +702,15 @@ def test_leapfrog_growth_guard_stops_at_first_step_past_the_bound(amplitude):
     state = mnr.TimeDepState(WaveField(np.full(16, amplitude), g),
                              WaveField(np.ones(16), g), 0.0, 0.0, 0.0)
 
-    def accel(psi):
-        return 4.0 * psi
-
-    free = mnr.leapfrog(state, accel, 0.01, 200, limit=1.0)
+    inv_m, a = np.ones(16), {0: np.full(16, 4.0 + 0j)}
+    free = mnr.leapfrog(state, inv_m, a, 0.01, 200)
     assert len(free) == 201
     norm0 = np.linalg.norm(state.psi.values)
     first = next(k for k, s in enumerate(free)
                  if np.linalg.norm(s.psi.values) > 10 * norm0)
     assert (first == 1) == (amplitude < 1.0)
     with pytest.raises(StabilityError, match=f"beyond 10x at step {first};"):
-        mnr.leapfrog(state, accel, 0.01, 200, limit=1.0, max_growth=10)
+        mnr.leapfrog(state, inv_m, a, 0.01, 200, max_growth=10)
 
 
 def test_strided_propagation_holds_only_kept_states():
@@ -694,7 +727,10 @@ def test_strided_propagation_holds_only_kept_states():
     assert peak < 16e6
 
 
-def test_wave_energy_conserved():
+def test_leapfrog_conserves_its_discrete_energy():
+    # leapfrog on M psi_tt = A psi, with M = 1/s and A = L symmetric on the
+    # unknowns, conserves E^(n+1/2) = (d psi)^H M (d psi)/dt**2
+    # - Re psi^(n+1)^H A psi^n, d psi = psi^(n+1) - psi^n, to rounding
     g = Grid.line(0.0, np.pi, 400)
     ref = solve_schrodinger_stationary(g, PotentialSpec.free(), 1, U)
     s = mnr.timedep_speed_squared(PotentialSpec.free(), 3.0, 1.3, g, U)
@@ -702,10 +738,17 @@ def test_wave_energy_conserved():
     psi0 = WaveField(ref.states[0].values.astype(complex), g)
     dpsi0 = WaveField(-1j * omega * psi0.values, g)
     state = mnr.TimeDepState(psi0, dpsi0, 0.0, 3.0, 1.3)
-    traj = mnr.propagate_timedep(state, PotentialSpec.free(), 1e-3, 300, U)
-    e0 = mnr.wave_energy(traj[0], s)
-    e1 = mnr.wave_energy(traj[-1], s)
-    assert e1 == pytest.approx(e0, rel=1e-4)
+    dt = 1e-3
+    traj = mnr.propagate_timedep(state, PotentialSpec.free(), dt, 4000, U)
+    lap = _laplacian(g)
+    energies = []
+    for prev, cur in zip(traj, traj[1:]):
+        d = cur.psi.values - prev.psi.values
+        energies.append(np.vdot(d, d / s).real / dt**2
+                        - np.vdot(cur.psi.values,
+                                  matvec(lap, prev.psi.values)).real)
+    drift = np.abs(np.array(energies) / energies[0] - 1.0)
+    assert len(energies) == 4000 and np.max(drift) <= 1e-12
 
 
 def test_separated_solution_and_constant():

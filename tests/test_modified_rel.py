@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from wavekit import modified_nr as mnr
 from wavekit import modified_rel as mrel
 from wavekit.errors import (ConfigurationError, InvalidScenarioError,
                             OutOfScopeError, StabilityError)
-from wavekit.numgrid import Grid, WaveField
+from wavekit.numgrid import Grid, WaveField, build_laplacian
 from wavekit.potentials import PotentialSpec
 from wavekit.units import UnitSystem
 
@@ -14,6 +15,16 @@ U = UnitSystem(c=10.0)
 def scenario(potential=None, n=2000):
     return mrel.RelScenario(U, potential or PotentialSpec.free(),
                             Grid.line(0.0, 1.0, n))
+
+
+def rel_limit(sc):
+    """The leapfrog step bound in closed form: 0.9 times 2/omega, from the
+    largest wave speed c/(1 + min V/E0) and the mass-term frequency."""
+    units = sc.units
+    fmin = float(np.min(1.0 + sc.potential_samples / units.E0))
+    omega = np.sqrt((units.c**2 * 4.0 / sc.grid.h**2
+                     + (units.E0 / units.hbar) ** 2) / fmin**2)
+    return 0.9 * 2.0 / omega
 
 
 def test_scenario_rejects_potential_below_minus_rest_energy():
@@ -55,7 +66,7 @@ def test_free_reduction_is_klein_gordon_leapfrog():
     rng = np.random.default_rng(5)
     phi0 = WaveField(np.sin(np.pi * g.x) * rng.uniform(0.5, 1.0), g)
     dphi0 = WaveField(np.zeros(n, complex), g)
-    dt = mrel.rel_stability_limit(sc) * 0.5
+    dt = rel_limit(sc) * 0.5
     steps = 50
     traj = mrel.propagate_rel_timedep(phi0, dphi0, sc, dt, steps)
 
@@ -82,7 +93,7 @@ def test_strided_propagation_keeps_every_stride_th_and_final_state(steps,
     g = sc.grid
     phi0 = WaveField(np.sin(np.pi * g.x).astype(complex), g)
     dphi0 = WaveField(np.zeros(128, complex), g)
-    dt = 0.5 * mrel.rel_stability_limit(sc)
+    dt = 0.5 * rel_limit(sc)
     full = mrel.propagate_rel_timedep(phi0, dphi0, sc, dt, steps)
     kept = mrel.propagate_rel_timedep(phi0, dphi0, sc, dt, steps, stride)
     want = full[::stride]
@@ -104,7 +115,7 @@ def _sine_start(n):
 def test_zero_steps_keep_only_phi0():
     phi0, dphi0, sc = _sine_start(64)
     (only,) = mrel.propagate_rel_timedep(phi0, dphi0, sc,
-                                         0.5 * mrel.rel_stability_limit(sc), 0)
+                                         0.5 * rel_limit(sc), 0)
     assert only.t == 0.0 and np.array_equal(only.psi.values, phi0.values)
 
 
@@ -113,7 +124,7 @@ def test_propagation_rejects_bad_steps(steps):
     phi0, dphi0, sc = _sine_start(64)
     with pytest.raises(ConfigurationError, match="steps must be an integer"):
         mrel.propagate_rel_timedep(phi0, dphi0, sc,
-                                   0.5 * mrel.rel_stability_limit(sc), steps)
+                                   0.5 * rel_limit(sc), steps)
 
 
 def test_plane_wave_frequency_matches_dispersion():
@@ -123,7 +134,7 @@ def test_plane_wave_frequency_matches_dispersion():
     om = np.sqrt((U.c * k) ** 2 + (U.E0 / U.hbar) ** 2)
     phi0 = WaveField(np.sin(k * g.x).astype(complex), g)
     dphi0 = WaveField(-1j * om * phi0.values, g)
-    dt = mrel.rel_stability_limit(sc) * 0.5
+    dt = rel_limit(sc) * 0.5
     traj = mrel.propagate_rel_timedep(phi0, dphi0, sc, dt, 1000)
     mid = g.n_points // 2
     phase = np.unwrap(np.angle([s.psi.values[mid] for s in traj]))
@@ -138,7 +149,7 @@ def test_propagation_rejects_oversized_step():
     dphi0 = WaveField(np.zeros(256, complex), g)
     with pytest.raises(ConfigurationError):
         mrel.propagate_rel_timedep(phi0, dphi0, sc,
-                                   2.0 * mrel.rel_stability_limit(sc), 10)
+                                   2.0 * rel_limit(sc), 10)
 
 
 def test_propagation_stops_on_norm_growth_past_10x():
@@ -150,13 +161,43 @@ def test_propagation_stops_on_norm_growth_past_10x():
     with pytest.raises(StabilityError, match="beyond 10x at step"):
         mrel.propagate_rel_timedep(WaveField(1e-2 * mode, g),
                                    WaveField(100.0 * mode, g), sc,
-                                   0.01 * mrel.rel_stability_limit(sc), 500)
+                                   0.01 * rel_limit(sc), 500)
 
 
 def test_stability_limit_scales_with_grid():
-    fine = scenario(n=4000)
-    coarse = scenario(n=1000)
-    assert mrel.rel_stability_limit(fine) < mrel.rel_stability_limit(coarse)
+    # a step the coarse grid takes is past the bound of the fine one
+    dt = 0.99 * rel_limit(scenario(n=1000))
+    assert len(mrel.propagate_rel_timedep(*_sine_start(1000), dt, 1)) == 2
+    with pytest.raises(ConfigurationError, match="stability bound"):
+        mrel.propagate_rel_timedep(*_sine_start(4000), dt, 1)
+
+
+def test_step_bound_is_the_closed_form_of_the_relativistic_equation():
+    # the Gershgorin bound of the pair (1/(1 + V/E0)**2, c**2 L - (E0/hbar)**2)
+    # is the closed form to within rounding, on either boundary: the
+    # stepper accepts a step just inside it and refuses one just past it
+    rng = np.random.default_rng(22)
+    for trial in range(150):
+        units = UnitSystem(c=float(rng.uniform(0.5, 50.0)),
+                           m=float(rng.uniform(0.2, 5.0)))
+        n = int(rng.integers(8, 300))
+        g = Grid.line(0.0, float(rng.uniform(0.5, 20.0)), n,
+                      ("dirichlet", "periodic")[trial % 2])
+        cuts = np.sort(rng.uniform(g.x_min, g.x_max, 2))
+        V = PotentialSpec.piecewise_constant(
+            cuts, units.E0 * rng.uniform(-0.9, 3.0, 3))
+        sc = mrel.RelScenario(units, V, g)
+        want = rel_limit(sc)
+        a = {k: units.c**2 * row.astype(complex)
+             for k, row in build_laplacian(g).diagonals.items()}
+        a[0] -= (units.E0 / units.hbar) ** 2
+        inv_m = 1.0 / (1.0 + sc.potential_samples / units.E0) ** 2
+        assert abs(mnr.step_bound(inv_m, a) - want) <= 4 * np.spacing(want), \
+            trial
+        zero = WaveField(np.zeros(n), g)
+        assert mrel.propagate_rel_timedep(zero, zero, sc, want * (1 - 1e-14), 0)
+        with pytest.raises(ConfigurationError, match="stability bound"):
+            mrel.propagate_rel_timedep(zero, zero, sc, want * (1 + 1e-14), 0)
 
 
 def test_electrostatic_invariant_potential():

@@ -877,6 +877,9 @@ potential: {variant: square_well, depth: 12.0, half_width: 1.0}
      + "units: {c: 1.0e+100, hbar: 1.0e+100, m: 1.0e-120}\n", "(hbar*c)**2"),
     ("propagate", "equation: modified_rel_timedep\n" + PERIODIC
      + "units: {c: 1.0, hbar: 1.0e-100, m: 1.0e+100}\n", "(m*c**2/hbar)**2"),
+    ("propagate", "equation: modified_rel_timedep\n" + PERIODIC
+     + "units: {c: 1.0e+154, hbar: 1.0e-10, m: 1.0e-300}\n",
+     "stability bound 0.000e+00"),
     *(("propagate", f"equation: {equation}\n" + PERIODIC
        + f"solver: {{{solver}}}\n", key) for equation, solver, key in [
         ("modified_nr_timedep", "mode: 1.0e+150", "solver.mode"),
@@ -888,6 +891,15 @@ potential: {variant: square_well, depth: 12.0, half_width: 1.0}
         ("modified_nr_timedep", "dt: 1.0e-320", "dt=1e-320"),
         ("modified_rel_timedep", "mode: 1.0e+160", "solver.mode"),
         ("modified_rel_timedep", "mode: 1.0e+300", "solver.mode")]),
+    ("propagate", "equation: modified_nr_timedep\n"
+     + PERIODIC.replace("n_points: 32", "n_points: 64")
+     + "solver: {epsilon: 1.0e+153, E: 1.0}\n", "stability bound 1.250e-154"),
+    *(("solve", "equation: modified_nr_stationary\n"
+       "grid: {kind: line, x_min: -8.0, x_max: 8.0, n_points: 400}\n"
+       "potential: {variant: piecewise_constant, breakpoints: [-1.0, 1.0], "
+       "values: [0.0, 1.0e+300, 0.0]}\n"
+       f"solver: {{backend: {backend}, e_init: 3.0}}\n",
+       "potential: W = 3V - V**2/(E - V)") for backend in ("grid", "exact")),
     *((command, f"equation: {equation}\n" + grid + "units: {c: 1.0}\n"
        "potential: {variant: piecewise_constant, breakpoints: [1.0, 2.0], "
        "values: [0.0, 1.0e+300, 0.0]}\n" + solver, "potential")
@@ -901,17 +913,20 @@ potential: {variant: square_well, depth: 12.0, half_width: 1.0}
         "e_bracket_width_overflows", "h_squared_overflows",
         "h_squared_underflows", "dispersion_E0_squared_underflows",
         "dispersion_E0_squared_overflows", "rel_timedep_hbar_c_overflows",
-        "rel_timedep_E0_over_hbar_overflows", "nr_timedep_mode_1e150",
+        "rel_timedep_E0_over_hbar_overflows",
+        "rel_timedep_c_sq_over_h_sq_overflows", "nr_timedep_mode_1e150",
         "nr_timedep_mode_1e300", "nr_timedep_epsilon_1e200",
         "nr_timedep_epsilon_1e100_E_1e200", "nr_timedep_E_1e300",
         "nr_timedep_dt_squared_underflows", "rel_timedep_mode_1e160",
-        "rel_timedep_mode_1e300", "rel_stationary_potential_1e300",
-        "rel_timedep_potential_1e300"])
+        "rel_timedep_mode_1e300", "nr_timedep_epsilon_1e153_ring",
+        "nr_fixed_point_grid_W_1e300", "nr_fixed_point_exact_W_1e300",
+        "rel_stationary_potential_1e300", "rel_timedep_potential_1e300"])
 def test_cli_scales_past_the_float_range_exit_2(tmp_path, command, text, key):
     # a scale the solvers form (from the unit constants, the grid span and
-    # spacing, the bracket width, the relativistic factor (1 + V/E0)**2)
-    # leaves the float range; before the checks these ended in tracebacks,
-    # a spectrum of zeros or NoRootError
+    # spacing, the bracket width, the relativistic factor (1 + V/E0)**2,
+    # the effective potential W) leaves the float range; before the checks
+    # these ended in tracebacks, a spectrum of zeros or NoRootError. The
+    # leapfrog step bound stays finite where omega**2 overflows
     cfg = _write(tmp_path, "extreme.yaml", text)
     out = tmp_path / "err.json"
     with warnings.catch_warnings():
