@@ -129,6 +129,14 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if ok else EXIT_NONCONVERGENCE
 
 
+def _at_least_one(text: str) -> int:
+    """argparse type of an integer >= 1 (``--jobs``)."""
+    value = int(text) if text.strip().lstrip("+-").isdecimal() else 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wavekit",
@@ -159,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--quiet", action="store_true")
 
     ps = common(sub.add_parser("sweep", help="one-parameter scenario sweep"))
-    ps.add_argument("--jobs", type=int, default=1)
+    ps.add_argument("--jobs", type=_at_least_one, default=1)
     return parser
 
 

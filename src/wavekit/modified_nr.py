@@ -215,6 +215,9 @@ def solve_stationary_shooting(grid: Grid, V: PotentialSpec, e_bracket,
     E = V, are the poles). Returns results sorted by energy.
     """
     edges, region_values = piecewise_regions(V, grid.x_min, grid.x_max)
+    ends = np.asarray(e_bracket, dtype=float)[:, None]
+    with np.errstate(over="ignore"):  # a parabola in E peaks at an end
+        _in_range((ends - 2.0 * region_values) ** 2, "(E - 2V)**2")
     return shooting_spectrum(
         grid, edges, lambda e: _nonlinear_coefficient(e, region_values, units),
         e_bracket, n_scan, poles=region_values)

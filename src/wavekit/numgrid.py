@@ -1,4 +1,4 @@
-"""Discretization primitives: uniform grids, finite-difference Laplacians,
+"""Discretization primitives: uniform grids, the three-point Laplacian,
 trapezoidal quadrature and banded eigensolves.
 
 Conventions
@@ -6,11 +6,9 @@ Conventions
 * Grids are uniform; dirichlet/radial grids include both endpoints while
   periodic grids identify ``x_max`` with ``x_min`` and exclude it.
 * ``dirichlet`` fields vanish at the two end nodes; the operator rows for
-  the end nodes are zero and near-boundary rows fold the odd-reflection
-  ghost values back into the stencil (exact for functions satisfying the
-  boundary condition).
+  the end nodes are zero.
 * ``radial`` grids exclude the origin (x_min > 0) and carry the reduced
-  function u(r) = r R(r) with Dirichlet behaviour at both ends.
+  function u(r) = r R(r); their walls lie one spacing off both ends.
 """
 
 from __future__ import annotations
@@ -211,64 +209,34 @@ class BandedOperator:
         band.flags.writeable = False
         return band
 
-    def apply(self, field: WaveField) -> WaveField:
-        if field.grid is not self.grid and field.grid != self.grid:
-            raise UsageError("field grid does not match operator grid")
-        return WaveField(matvec(self.diagonals, field.values), self.grid)
-
     def to_dense(self) -> np.ndarray:
         return dense_matrix(self.diagonals)
 
 
-def _laplacian_diagonals(n: int, h: float, order: int, boundary: str,
+def _laplacian_diagonals(n: int, h: float, boundary: str,
                          ghost_walls: bool = False) -> dict:
-    """Stencil diagonals.
+    """Diagonals of the three-point stencil (1, -2, 1)/h**2: offsets -1,
+    0, 1, then on periodic grids the one-entry wraps +-(n - 1).
 
     ``ghost_walls=False`` puts the Dirichlet walls on the end nodes (end
     rows zero, fields pinned there); ``ghost_walls=True`` puts them one
     spacing outside the grid, so every node is an unknown (radial
-    convention, wall at the origin). Odd reflection about the wall keeps
-    the order-4 stencil accurate and the eigenproblem block symmetric.
+    convention, wall at the origin).
     """
     inv = 1.0 / h**2
-    if order == 2:
-        coef = (-2.0 * inv, inv)  # at offsets 0 and +-1
-    elif order == 4:
-        coef = (-30.0 / 12.0 * inv, 16.0 / 12.0 * inv, -1.0 / 12.0 * inv)
-    else:
-        raise ConfigurationError(f"unsupported stencil order {order} (use 2 or 4)")
-    w = len(coef) - 1
-    diags = {k: np.full(n - abs(k), coef[abs(k)]) for k in range(-w, w + 1)}
-    if boundary == PERIODIC:  # the wrap: offsets +-(n - d) hold d entries
-        for d in range(1, w + 1):
-            diags[n - d], diags[d - n] = np.full(d, coef[d]), np.full(d, coef[d])
-        return diags
-    if order == 4:  # odd reflection: a ghost across a wall is minus its mirror
-        edge = 0 if ghost_walls else 1
-        diags[0][edge] += -coef[2]
-        diags[0][n - 1 - edge] += -coef[2]
-    if not ghost_walls:  # the rows of the end nodes are zero
-        for k in range(w + 1):
-            diags[k][0] = diags[-k][-1] = 0.0
+    diags = {-1: np.full(n - 1, inv), 0: np.full(n, -2.0 * inv),
+             1: np.full(n - 1, inv)}
+    if boundary == PERIODIC:
+        diags[n - 1], diags[1 - n] = np.full(1, inv), np.full(1, inv)
+    elif not ghost_walls:  # the rows of the end nodes are zero
+        diags[0][[0, -1]] = diags[1][0] = diags[-1][-1] = 0.0
     return diags
 
 
-def build_laplacian(grid: Grid, order: int = 2) -> BandedOperator:
-    """Centered-difference second-derivative operator of the given order."""
-    diags = _laplacian_diagonals(grid.n_points, grid.h, order, grid.boundary,
+def build_laplacian(grid: Grid) -> BandedOperator:
+    """Three-point second-derivative operator (radial: walls off the grid)."""
+    diags = _laplacian_diagonals(grid.n_points, grid.h, grid.boundary,
                                  ghost_walls=(grid.kind == RADIAL))
-    return BandedOperator(grid, diags)
-
-
-def build_radial_laplacian(grid: Grid, l: int, order: int = 2) -> BandedOperator:
-    """Reduced radial operator u -> u'' - l(l+1)/r^2 u on a radial grid."""
-    if grid.kind != RADIAL:
-        raise ConfigurationError("build_radial_laplacian requires a radial grid")
-    if l < 0:
-        raise ConfigurationError("angular momentum l must be >= 0")
-    diags = _laplacian_diagonals(grid.n_points, grid.h, order, grid.boundary,
-                                 ghost_walls=True)
-    diags[0] = diags[0] - l * (l + 1) / grid.x**2
     return BandedOperator(grid, diags)
 
 

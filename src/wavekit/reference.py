@@ -1,5 +1,5 @@
-"""Standard-equation baselines: stationary and time-dependent Schrodinger
-solvers, free Klein-Gordon / Dirac dispersion, and the analytic catalogs
+"""Standard-equation baselines: the stationary Schrodinger solver, free
+Klein-Gordon / Dirac dispersion, and the analytic catalogs
 (infinite well, harmonic, hydrogenic, finite-well roots) used as oracles.
 """
 
@@ -9,10 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .numgrid import (BandedOperator, Grid, RADIAL, WaveField, _clusters,
-                      build_laplacian, build_radial_laplacian, count_nodes,
-                      general_band, lowest_eigenpairs, matvec)
+from .numgrid import (BandedOperator, Grid, WaveField, _clusters,
+                      build_laplacian, count_nodes, lowest_eigenpairs, matvec)
 from .potentials import PotentialSpec, evaluate
 from .shooting import bracketed_roots
 from .units import UnitSystem
@@ -28,11 +26,9 @@ class SpectrumResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def kinetic_operator(grid: Grid, units: UnitSystem, l: int = 0, order: int = 2):
-    """(-hbar^2 / 2m) and the matching Laplacian for the grid kind."""
-    lap = (build_radial_laplacian(grid, l, order) if grid.kind == RADIAL
-           else build_laplacian(grid, order))
-    return -units.hbar**2 / (2.0 * units.m), lap
+def kinetic_operator(grid: Grid, units: UnitSystem):
+    """(-hbar^2 / 2m) and the Laplacian of the grid."""
+    return -units.hbar**2 / (2.0 * units.m), build_laplacian(grid)
 
 
 def hamiltonian(lap: BandedOperator, factor: float, v: np.ndarray) -> dict:
@@ -43,12 +39,11 @@ def hamiltonian(lap: BandedOperator, factor: float, v: np.ndarray) -> dict:
 
 
 def solve_schrodinger_stationary(grid: Grid, V: PotentialSpec, n_states: int,
-                                 units: UnitSystem = UnitSystem(), l: int = 0,
-                                 order: int = 2) -> SpectrumResult:
+                                 units: UnitSystem = UnitSystem()) -> SpectrumResult:
     """Lowest eigenpairs of -hbar^2/2m Laplacian + V by banded eigensolve.
     ``diagnostics`` records the residuals, the band's half-bandwidth and
     the sizes of the ``clusters`` of levels (numgrid._clusters)."""
-    factor, lap = kinetic_operator(grid, units, l, order)
+    factor, lap = kinetic_operator(grid, units)
     v_samples = np.asarray(evaluate(V, grid.x), dtype=float)
     energies, states = lowest_eigenpairs(lap, factor, v_samples, n_states)
     fields = [WaveField(states[:, j], grid) for j in range(n_states)]
@@ -62,33 +57,6 @@ def solve_schrodinger_stationary(grid: Grid, V: PotentialSpec, n_states: int,
                           {"residuals": residuals, "method": "banded_eigensolve",
                            "bandwidth": lap.lower_band.shape[0] - 1,
                            "clusters": [b - a for a, b in _clusters(energies, scale)]})
-
-
-def propagate_schrodinger(psi0: WaveField, V: PotentialSpec, dt: float, steps: int,
-                          units: UnitSystem = UnitSystem(), order: int = 2):
-    """Crank-Nicolson propagation; unitary in exact arithmetic. Each step
-    is one banded solve of (1 + z H) psi' = (1 - z H) psi, z = i dt / 2
-    hbar, on the unknowns of the grid in band order (the ring fold on
-    periodic grids); the pinned end nodes of a Dirichlet line grid stay 0.
-    """
-    if dt <= 0:
-        raise ConfigurationError("dt must be > 0")
-    import scipy.linalg  # loaded by the solves that need it, not at import
-
-    grid = psi0.grid
-    factor, lap = kinetic_operator(grid, units, 0, order)
-    h = hamiltonian(lap, factor, np.asarray(evaluate(V, grid.x), dtype=float))
-    z, sites = 0.5j * dt / units.hbar, lap.unknowns
-    band = general_band({k: z * row + (k == 0)  # the band of 1 + z H
-                         for k, row in h.items()}, sites)
-    b, trajectory, psi = band.shape[0] // 2, [psi0], psi0.values
-    for _ in range(steps):
-        rhs = (psi - z * matvec(h, psi))[sites]
-        psi = np.zeros_like(psi)
-        psi[sites] = scipy.linalg.solve_banded((b, b), band, rhs,
-                                               check_finite=False)
-        trajectory.append(WaveField(psi, grid))
-    return trajectory
 
 
 def klein_gordon_energy(p: float, E0: float, c: float) -> float:

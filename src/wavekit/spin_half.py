@@ -131,8 +131,8 @@ def real_dirac_operator(grid: Grid, units: UnitSystem, wilson_r: float = 0.0,
     n = grid.n_points
     mass = {} if massless else {0: np.full(n, units.E0)}
     if mass and wilson_r != 0.0:
-        # the order-2 Laplacian with walls one spacing outside the grid
-        lap = _laplacian_diagonals(n, grid.h, 2, grid.boundary, ghost_walls=True)
+        # the Laplacian with walls one spacing outside the grid
+        lap = _laplacian_diagonals(n, grid.h, grid.boundary, ghost_walls=True)
         scale = 0.5 * units.hbar * units.c * wilson_r * grid.h
         mass = {k: mass.get(k, 0.0) - scale * row for k, row in lap.items()}
     op = {k: np.concatenate([row, np.zeros(abs(k)), -row])  # [[M, .], [., -M]]

@@ -5,9 +5,8 @@ from hypothesis import given, settings, strategies as st
 from wavekit import spin_half
 from wavekit.errors import ConfigurationError
 from wavekit.numgrid import (BandedOperator, Grid, WaveField, build_laplacian,
-                             build_radial_laplacian, count_nodes,
-                             eigenvalue, inner_product, lowest_eigenpairs,
-                             matvec)
+                             count_nodes, eigenvalue, inner_product,
+                             lowest_eigenpairs, matvec)
 from wavekit.units import UnitSystem
 
 
@@ -40,37 +39,40 @@ def test_radial_grid_excludes_origin():
 def test_laplacian_constant_field_periodic_is_zero():
     g = Grid.line(0.0, 2.0, 32, boundary="periodic")
     L = build_laplacian(g)
-    out = L.apply(WaveField(np.ones(g.n_points), g))
-    assert np.max(np.abs(out.values)) < 1e-12
+    out = matvec(L.diagonals, np.ones(g.n_points))
+    assert np.max(np.abs(out)) < 1e-12
 
 
-@pytest.mark.parametrize("order,expected", [(2, 4.0), (4, 16.0)])
-def test_laplacian_convergence_order(order, expected):
-    # eigenvalue error ratio under grid halving; coarse grids keep the
-    # fine-grid error well above the eigensolver noise floor
+def test_laplacian_convergence_order():
+    # eigenvalue error ratio under grid halving: 4 for the second-order
+    # stencil; coarse grids keep the fine-grid error well above the
+    # eigensolver noise floor
     errs = []
     for n in (64, 128):
         g = Grid.line(0.0, np.pi, n)
-        L = build_laplacian(g, order=order)
-        vals, _ = lowest_eigenpairs(L, -0.5, np.zeros(n), 1)
+        vals, _ = lowest_eigenpairs(build_laplacian(g), -0.5, np.zeros(n), 1)
         errs.append(abs(vals[0] - 0.5))
     ratio = errs[0] / errs[1]
-    assert ratio == pytest.approx(expected, rel=0.25)
+    assert ratio == pytest.approx(4.0, rel=0.25)
+
+
+def _applied(L, values):
+    """L applied to a field on its grid, as a field."""
+    return WaveField(matvec(L.diagonals, values), L.grid)
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1),
-       st.sampled_from([2, 4]))
-def test_laplacian_symmetric_dirichlet(seed, order):
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_laplacian_symmetric_dirichlet(seed):
     rng = np.random.default_rng(seed)
     g = Grid.line(-1.0, 1.0, 24)
-    L = build_laplacian(g, order=order)
+    L = build_laplacian(g)
     a = rng.normal(size=g.n_points) + 1j * rng.normal(size=g.n_points)
     b = rng.normal(size=g.n_points) + 1j * rng.normal(size=g.n_points)
     a[0] = a[-1] = b[0] = b[-1] = 0.0  # fields satisfy the wall condition
     fa, fb = WaveField(a, g), WaveField(b, g)
-    lhs = inner_product(L.apply(fa), fb)
-    rhs = inner_product(fa, L.apply(fb))
+    lhs = inner_product(_applied(L, a), fb)
+    rhs = inner_product(fa, _applied(L, b))
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -83,22 +85,19 @@ def test_laplacian_symmetric_periodic(seed):
     a = rng.normal(size=g.n_points) + 1j * rng.normal(size=g.n_points)
     b = rng.normal(size=g.n_points) + 1j * rng.normal(size=g.n_points)
     fa, fb = WaveField(a, g), WaveField(b, g)
-    lhs = inner_product(L.apply(fa), fb)
-    rhs = inner_product(fa, L.apply(fb))
+    lhs = inner_product(_applied(L, a), fb)
+    rhs = inner_product(fa, _applied(L, b))
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
-def test_radial_l0_equals_line_operator():
+def test_radial_laplacian_has_no_zeroed_end_row():
+    # the walls lie one spacing outside the radial grid, the left one at
+    # the origin, so every node is an unknown with the full stencil
     g = Grid.radial(10.0, 64)
-    assert np.array_equal(build_radial_laplacian(g, 0).to_dense(),
-                          build_laplacian(g).to_dense())
-
-
-def test_radial_centrifugal_term():
-    g = Grid.radial(10.0, 64)
-    dense0 = build_radial_laplacian(g, 0).to_dense()
-    dense1 = build_radial_laplacian(g, 1).to_dense()
-    np.testing.assert_allclose(np.diag(dense0 - dense1), 2.0 / g.x**2)
+    dense = build_laplacian(g).to_dense()
+    inv = 1.0 / g.h**2
+    assert np.array_equal(dense, -2.0 * inv * np.eye(64)
+                          + inv * (np.eye(64, k=1) + np.eye(64, k=-1)))
 
 
 def test_count_nodes_on_sine_modes():
@@ -133,17 +132,39 @@ GRIDS = {"line": lambda n: Grid.line(-3.0, 3.0, n),
          "periodic": lambda n: Grid.line(-3.0, 3.0, n, "periodic")}
 
 
-@pytest.mark.parametrize("order", [2, 4])
+def _five_point(grid):
+    """Diagonals of the symmetric five-point stencil (-1, 16, -30, 16,
+    -1)/12h**2 on the grid: offsets -2 .. 2 and, on a periodic grid, the
+    wraps +-(n - 1) and +-(n - 2) of one and two entries. It widens the
+    bands past those of the three-point Laplacian."""
+    n, inv = grid.n_points, 1.0 / grid.h**2
+    coef = (-30.0 / 12.0 * inv, 16.0 / 12.0 * inv, -1.0 / 12.0 * inv)
+    diags = {k: np.full(n - abs(k), coef[abs(k)]) for k in range(-2, 3)}
+    if grid.boundary == "periodic":
+        for d in (1, 2):
+            diags[n - d] = diags[d - n] = np.full(d, coef[d])
+    return diags
+
+
+def _stencil(grid, span):
+    """The grid's Laplacian (span 2, three points) or the five-point
+    operator of :func:`_five_point` (span 4)."""
+    if span == 2:
+        return build_laplacian(grid)
+    return BandedOperator(grid, _five_point(grid))
+
+
+@pytest.mark.parametrize("span", [2, 4])
 @pytest.mark.parametrize("kind", ["line", "radial", "periodic"])
-def test_dirichlet_eigenvalue_has_the_bits_of_the_eigenpair_solve(kind, order):
+def test_dirichlet_eigenvalue_has_the_bits_of_the_eigenpair_solve(kind, span):
     # the banded solve without vectors bisects the same tridiagonal form
-    # (Jacobi bands for order 2, pentadiagonal ones for order 4, twice as
+    # (Jacobi bands for span 2, pentadiagonal ones for span 4, twice as
     # wide on periodic grids in ring-fold order), and its energies are
     # those of the dense operator on the unknowns
-    rng = np.random.default_rng([order, len(kind)])
+    rng = np.random.default_rng([span, len(kind)])
     for n in rng.integers(8, 400, size=25):
         g = GRIDS[kind](int(n))
-        lap = build_laplacian(g, order)
+        lap = _stencil(g, span)
         factor = -rng.uniform(0.1, 2.0)
         v = rng.normal(scale=rng.uniform(0.1, 50.0), size=g.n_points)
         index = int(rng.integers(0, g.n_points - 2))
@@ -174,14 +195,12 @@ def _csr_product(diagonals, x):
     return out
 
 
-def _random_diagonals(grid, order, rng):
-    """The offsets of the grid's Laplacian with random coefficients, in a
+def _random_diagonals(grid, span, rng):
+    """The offsets of :func:`_stencil` with random coefficients, in a
     shuffled order (the product must not depend on it)."""
-    lap = (build_radial_laplacian(grid, 1, order) if grid.kind == "radial"
-           else build_laplacian(grid, order))
-    offsets = rng.permutation(list(lap.diagonals))
-    return {int(k): rng.standard_normal(len(lap.diagonals[k]))
-            for k in offsets}
+    diagonals = _stencil(grid, span).diagonals
+    offsets = rng.permutation(list(diagonals))
+    return {int(k): rng.standard_normal(len(diagonals[k])) for k in offsets}
 
 
 def _dirac(grid, massless):
@@ -191,8 +210,8 @@ def _dirac(grid, massless):
 
 @pytest.mark.parametrize("n", [8, 9, 37, 300])
 @pytest.mark.parametrize("operator", [
-    *((kind, order) for kind in ("dirichlet", "periodic", "radial")
-      for order in (2, 4)),
+    *((kind, span) for kind in ("dirichlet", "periodic", "radial")
+      for span in (2, 4)),
     ("dirac", "massive"), ("dirac", "massless")],
     ids=lambda operator: "-".join(map(str, operator)))
 @pytest.mark.parametrize("field", ["real", "complex", "block"])
@@ -221,10 +240,6 @@ def test_matvec_has_the_bits_of_the_csr_product(n, operator, field):
     got, want = matvec(diagonals, x), _csr_product(diagonals, x)
     assert got.dtype == want.dtype
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    if kind != "dirac" and field != "block":  # apply: a complex field
-        got = BandedOperator(grid, diagonals).apply(WaveField(x, grid)).values
-        want = _csr_product(diagonals, x.astype(complex))
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_inner_product_sesquilinear():

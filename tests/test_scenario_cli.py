@@ -692,6 +692,19 @@ sweep:
                      "--frame-stride", "3"]) == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_sweep_refuses_jobs_below_one(tmp_path, capsys, jobs):
+    # these once ran one job quietly and exited 0
+    cfg = _write(tmp_path, "sweep.yaml", BOX + """\
+sweep:
+  parameter: grid.n_points
+  values: [64, 128]
+""")
+    assert cli.main(["sweep", "--config", cfg, "--quiet",
+                     f"--jobs={jobs}"]) == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("x_min", ["2001-01-01", "x"])
 def test_cli_sweep_records_a_malformed_base_value_in_every_cell(tmp_path,
                                                                 x_min):
@@ -900,6 +913,12 @@ potential: {variant: square_well, depth: 12.0, half_width: 1.0}
        "values: [0.0, 1.0e+300, 0.0]}\n"
        f"solver: {{backend: {backend}, e_init: 3.0}}\n",
        "potential: W = 3V - V**2/(E - V)") for backend in ("grid", "exact")),
+    ("solve", "equation: modified_nr_stationary\n"
+     "grid: {kind: line, x_min: -8.0, x_max: 8.0, n_points: 400}\n"
+     "potential: {variant: piecewise_constant, breakpoints: [-1.0, 1.0], "
+     "values: [0.0, 1.0e+300, 0.0]}\n"
+     "solver: {method: shooting, e_bracket: [0.1, 5.0]}\n",
+     "potential: (E - 2V)**2"),
     *((command, f"equation: {equation}\n" + grid + "units: {c: 1.0}\n"
        "potential: {variant: piecewise_constant, breakpoints: [1.0, 2.0], "
        "values: [0.0, 1.0e+300, 0.0]}\n" + solver, "potential")
@@ -920,11 +939,13 @@ potential: {variant: square_well, depth: 12.0, half_width: 1.0}
         "nr_timedep_dt_squared_underflows", "rel_timedep_mode_1e160",
         "rel_timedep_mode_1e300", "nr_timedep_epsilon_1e153_ring",
         "nr_fixed_point_grid_W_1e300", "nr_fixed_point_exact_W_1e300",
+        "nr_shooting_E_minus_2V_squared_1e300",
         "rel_stationary_potential_1e300", "rel_timedep_potential_1e300"])
 def test_cli_scales_past_the_float_range_exit_2(tmp_path, command, text, key):
     # a scale the solvers form (from the unit constants, the grid span and
     # spacing, the bracket width, the relativistic factor (1 + V/E0)**2,
-    # the effective potential W) leaves the float range; before the checks
+    # the effective potential W, the shooting coefficient's (E - 2V)**2)
+    # leaves the float range; before the checks
     # these ended in tracebacks, a spectrum of zeros or NoRootError. The
     # leapfrog step bound stays finite where omega**2 overflows
     cfg = _write(tmp_path, "extreme.yaml", text)
