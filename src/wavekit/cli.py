@@ -187,6 +187,13 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code else EXIT_OK
+    # argparse (3.11) hands an option written --name=-- an empty list and
+    # skips its type: refused here, on stderr, like a parse error
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            flag = "--" + name.replace("_", "-")
+            return _write_error(ConfigurationError(
+                f"{flag} needs a value, and '--' is not one"), None, False)
     return COMMANDS[args.command](args)
 
 

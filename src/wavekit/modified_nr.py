@@ -23,8 +23,8 @@ from .errors import (ConfigurationError, NonConvergenceError,
                      StabilityError, StateTrackingError, UsageError)
 from .numgrid import (Grid, WaveField, build_laplacian, eigenvalue,
                       lowest_eigenpairs, matvec)
-from .potentials import (E_EQUALS_V, PotentialSpec, evaluate, find_singular_set,
-                         region_table)
+from .potentials import (E_EQUALS_V, PotentialSpec, domain_levels, evaluate,
+                         find_singular_set, region_table)
 from .reference import kinetic_operator
 from .shooting import (bracketed_roots, is_index,
                        linear_bound_state_energy, march_endpoint,
@@ -153,6 +153,23 @@ def _reject_singular(V: PotentialSpec, E: float, grid: Grid, what: str):
             f"{what} E={E} has E = V(x) at {sset.locations}", sset)
 
 
+def _singular_check(V: PotentialSpec, grid: Grid):
+    """:func:`_reject_singular` for the energies of one solve. The levels
+    of a piecewise-constant V (:func:`domain_levels`) are read once, and
+    :func:`find_singular_set` runs only for an E within its residual
+    tolerance of one of them, or not finite: the same errors, found at the
+    same locations."""
+    if not V.is_piecewise_constant:
+        return lambda E, what: _reject_singular(V, E, grid, what)
+    levels = domain_levels(V, grid.x_min, grid.x_max)
+
+    def check(E, what):
+        tol = 1e-9 * max(1.0, abs(E))
+        if not (math.isfinite(E) and all(abs(E - v) > tol for v in levels)):
+            _reject_singular(V, E, grid, what)
+    return check
+
+
 def _nonlinear_coefficient(e: np.ndarray, region_values: np.ndarray,
                            units: UnitSystem) -> np.ndarray:
     """Region coefficients w with psi'' = -w psi for the modified equation:
@@ -263,9 +280,10 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
     the region table (:func:`region_table`) in Python floats and makes no
     NumPy call before the state is read. Under the ``reject`` guard every
     iterate, and on the grid backend every linearized eigenvalue, is
-    checked for E = V(x) inside the domain. The state of the result, the
-    eigenvector or shot at the returned energy, is computed when first
-    read.
+    checked for E = V(x) inside the domain; on a piecewise-constant V
+    against levels read once (:func:`_singular_check`). The state of the
+    result, the eigenvector or shot at the returned energy, is computed
+    when first read.
     """
     if not is_index(state_index):
         raise ConfigurationError(
@@ -275,6 +293,7 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
     if backend not in ("grid", "exact"):
         raise ConfigurationError(f"unknown backend {backend!r}")
     reject, exact = guard.mode == REJECT, backend == "exact"
+    singular = _singular_check(V, grid) if reject else None
     # V as the exact backend's region values, Python floats up to the
     # state, or the grid backend's samples
     if exact:
@@ -299,7 +318,7 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
     for it in range(1, max_iter + 1):
         # surfacing singularities is part of the contract: check every iterate
         if reject:
-            _reject_singular(V, e_k, grid, "iterate")
+            singular(e_k, "iterate")
         w = _in_range(effective(v, e_k, guard), "W = 3V - V**2/(E - V)")
         if exact:
             mu = linear_bound_state_energy(edges, w, state_index, units, e_k)
@@ -313,7 +332,7 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
         # landing where the profile is stationary), mu is already the exact
         # fixed point: re-solving at mu would reproduce the same operator
         if reject and not exact:
-            _reject_singular(V, mu, grid, "linearized eigenvalue")
+            singular(mu, "linearized eigenvalue")
         moved = effective(v, mu, guard)
         if (moved == w) if exact else np.array_equal(moved, w):
             return result(mu, state, it, 0.0)

@@ -198,6 +198,16 @@ def region_table(spec: PotentialSpec, x_min: float, x_max: float):
     return edges, [level(0.5 * (a + b)) for a, b in zip(edges, edges[1:])]
 
 
+def domain_levels(spec: PotentialSpec, x_min: float, x_max: float) -> list:
+    """The values of a piecewise-constant ``spec`` on [x_min, x_max] in
+    Python floats: the region levels (:func:`region_table`) and V at each
+    end, where a breakpoint on or next to an end can give the end node a
+    level of its own."""
+    level = _profile(spec)[1]
+    x_min, x_max = float(x_min), float(x_max)
+    return region_table(spec, x_min, x_max)[1] + [level(x_min), level(x_max)]
+
+
 def evaluate(spec: PotentialSpec, x):
     """V(x); accepts scalars or arrays."""
     x = np.asarray(x, dtype=float)
@@ -271,23 +281,20 @@ def find_singular_set(spec: PotentialSpec, E: float, kind: str,
     by bisection. Jump discontinuities of piecewise potentials produce sign
     changes without zeros; those are filtered by a residual check.
 
-    On a piecewise-constant profile the condition takes one level per
-    region (:func:`region_table`) and one at each domain end, where a
-    breakpoint on or next to an end can give that node another level;
-    all are read in Python floats. Unless one of these levels is within
-    the residual tolerance of zero, the set is empty and no scan is made:
-    every scan sample would be one of them, and every sign change a jump
-    that fails the residual check.
+    On a piecewise-constant profile the condition takes the levels of
+    :func:`domain_levels`. Unless one of them is within the residual
+    tolerance of zero, the set is empty and no scan is made: every scan
+    sample would be one of them, and every sign change a jump that fails
+    the residual check.
     """
     if not math.isfinite(E):
         raise UsageError("E must be finite")
     f = _condition(spec, E, kind)
     tol_val = 1e-9 * max(1.0, abs(E))
     if spec.is_piecewise_constant:
-        g, level = _level_condition(float(E), kind), _profile(spec)[1]
-        ends = float(grid.x_min), float(grid.x_max)
-        levels = region_table(spec, *ends)[1] + list(map(level, ends))
-        if all(abs(g(v)) > tol_val for v in levels):
+        g = _level_condition(float(E), kind)
+        if all(abs(g(v)) > tol_val
+               for v in domain_levels(spec, grid.x_min, grid.x_max)):
             return SingularSet(kind, (), float("inf"))
     xs = np.linspace(grid.x_min, grid.x_max, _SCAN_FACTOR * grid.n_points)
     fs = np.asarray(f(xs), dtype=float)

@@ -31,6 +31,11 @@ def piecewise_regions(spec: PotentialSpec, x_min: float, x_max: float):
 #: ``_SAFE_RATE`` keep kappa sinh of it finite.
 _GROW_CLAMP = 700.0
 _SAFE_RATE = 3.5e4
+_HALF_PI = math.pi / 2
+
+#: Grid points a seeded linear solve steps past its Newton point before it
+#: falls back on the rungs.
+_CELL_STEPS = 4
 
 
 def _transfer(w, width):
@@ -164,7 +169,7 @@ def sturm_count(widths, coeffs, final_crossing: bool = True) -> np.ndarray:
     return total
 
 
-def _wronskian(sides, scale, e):
+def _wronskian(sides, scale, e, slope=False):
     """N(E) and D(E) = psi_L psi_R' + psi_L' psi_R of the unit-normalized
     left and mirrored right shots (psi_R' along the right shot) at c, the
     left edge of the lowest region, walked for one energy in plain ``math``
@@ -173,10 +178,18 @@ def _wronskian(sides, scale, e):
     theta_R at c, D = sin(theta_L + theta_R) is smooth across each
     eigenvalue, and N = ceil((theta_L + theta_R)/pi) - 1 is the Sturm count:
     each shot's zeros, counted per region as :func:`sturm_count` counts
-    them, plus one where D has the sign -(-1)^zeros."""
-    ends, zeros = [], 0
+    them, plus one where D has the sign -(-1)^zeros.
+
+    With ``slope`` a third value is dD/dE = cos(theta_L + theta_R)
+    (theta_L' + theta_R'), theta' = (psi' dp - psi ddp)/(psi^2 + psi'^2) at
+    c, where (dp, ddp) = d(psi, psi')/dE rides through each closed form
+    (Pryce 1993). It is None past a linear region, the growth clamp or the
+    overflow branch, which have no such form here, and where it is not
+    finite."""
+    ends, zeros, turn, carry = [], 0, 0.0, slope  # turn: theta_L' + theta_R'
     for regions in sides:
         psi, dpsi, before = 0.0, 1.0, zeros
+        dp = ddp = 0.0  # d psi/dE, d psi'/dE while ``carry``
         for width, level in regions:
             w = scale * (e - level)
             k = math.sqrt(abs(w))
@@ -184,10 +197,18 @@ def _wronskian(sides, scale, e):
                 # zeros at k xi = phi + pi/2 + m pi inside (0, width); the end
                 # margin outgrows a long phase's rounding: the count only lags
                 phase, phi = k * width, math.atan2(dpsi / k, psi)
-                zeros += max(math.floor((phase - phi - math.pi / 2) / math.pi
-                                        - 1e-12 * max(1.0, phase))
-                             - math.ceil((-phi - math.pi / 2) / math.pi + 1e-12) + 1, 0)
+                inner = (math.floor((phase - phi - _HALF_PI) / math.pi
+                                    - 1e-12 * (phase if phase > 1.0 else 1.0))
+                         - math.ceil((-phi - _HALF_PI) / math.pi + 1e-12) + 1)
+                zeros += inner if inner > 0 else 0
                 s, c = math.sin(phase), math.cos(phase)
+                if carry:  # dk/dE = scale/2k, d phase = width dk
+                    dk = 0.5 * scale / k
+                    dphase = width * dk
+                    dp, ddp = (c * dp + s / k * ddp - dphase * s * psi
+                               + (c * dphase - s * dk / k) / k * dpsi,
+                               c * ddp - k * s * dp - (dk * s + k * c * dphase) * psi
+                               - dphase * s * dpsi)
                 psi, dpsi = c * psi + s / k * dpsi, -k * s * psi + c * dpsi
             else:
                 ch, to_psi, to_dpsi = 1.0, width, 0.0
@@ -198,18 +219,38 @@ def _wronskian(sides, scale, e):
                     if to_dpsi == math.inf:
                         half_gap = 0.5 * (1.0 - math.exp(-2.0 * grow))
                         ch, to_psi, to_dpsi = 1.0 - half_gap, half_gap / k, half_gap * k
+                        carry = False
+                    elif carry:  # dkappa/dE = -scale/2 kappa, short of the clamp
+                        carry = grow < _GROW_CLAMP
+                        dk = -0.5 * scale / k
+                        dgrow = width * dk
+                        dp, ddp = (ch * dp + to_psi * ddp + dgrow * sh * psi
+                                   + (ch * dgrow - sh * dk / k) / k * dpsi,
+                                   ch * ddp + to_dpsi * dp
+                                   + (dk * sh + k * ch * dgrow) * psi
+                                   + dgrow * sh * dpsi)
+                else:
+                    carry = False
                 end = ch * psi + to_psi * dpsi
                 zeros += end < 0.0 < psi or psi < 0.0 < end
                 psi, dpsi = end, to_dpsi * psi + ch * dpsi
             size = max(abs(psi), abs(dpsi), 1e-280)
             psi, dpsi = psi / size, dpsi / size
+            if carry:
+                dp, ddp = dp / size, ddp / size
         # psi at c has the sign (-1)^zeros: a lagging count is made up here
         zeros += psi < 0.0 if (zeros - before) % 2 == 0 else psi > 0.0
         size = max(math.hypot(psi, dpsi), 1e-280)
+        if carry:  # a state that cancelled to (0, 0) has no angle
+            turn += (dpsi * dp - psi * ddp) / (size * size) if psi or dpsi else math.nan
         ends.append((psi / size, dpsi / size))
     (psi_l, dpsi_l), (psi_r, dpsi_r) = ends
     d = psi_l * dpsi_r + dpsi_l * psi_r
-    return zeros + (d * (-1.0) ** zeros < 0.0), d
+    n = zeros + (d * (-1.0) ** zeros < 0.0)
+    if not slope:
+        return n, d
+    dd = (dpsi_l * dpsi_r - psi_l * psi_r) * turn if carry else math.nan
+    return n, d, dd if math.isfinite(dd) else None
 
 
 def count_shot_nodes(edges, coeffs) -> int:
@@ -308,15 +349,21 @@ def linear_bound_state_energy(edges, region_potentials, state_index: int,
     The Sturm count N(E) picks the state by its node count, not by the
     order of roots on a scan (in deep wells neighbouring roots share scan
     cells); one scalar walk (:func:`_wronskian`) per energy gives N(E) and
-    D(E). A ``guess`` (a fixed-point iterate) is walked first, then rungs
-    guess +- unit 4^j toward the level, nearest first, skipping those short
-    of the secant root of D; without one the doubling ladder min U + unit 2^j
-    (up to a bound on E_k) brackets the level. Rounds take the lowest of 64
-    inner points past k until N(lo) = k and N(hi) = k + 1. Then the sign of
-    D counts, and Illinois regula falsi on D, on the grid of steps s, the
-    float spacing of the largest |E - U_j| and |E|, closes the bracket to a
-    cell [m s, (m + 1) s], whose middle is returned, seeded or not. Levels
-    closer together than the float spacing at their bound are refused.
+    D(E), and no energy outside the bracket so far is walked. Energies
+    resolve to a grid of steps s, the float spacing of the largest
+    |E - U_j| and |E|. A ``guess`` (a fixed-point iterate) is walked first,
+    with dD/dE: a Newton step on D lands on a grid point, and grid points
+    toward the level are walked, a few at most, until a cell
+    [m s, (m + 1) s] has N = k at its lower edge and k + 1 at its upper one.
+    Without a slope, or when the step misses, rungs from the nearer end
+    +- unit 4^j toward the level follow, nearest first, skipping those short
+    of the secant root of D; without a guess the doubling ladder
+    min U + unit 2^j (up to a bound on E_k) brackets the level. Rounds take
+    the lowest of 64 inner points past k until N(lo) = k and N(hi) = k + 1.
+    Then the sign of D counts, and Illinois regula falsi on D, on the grid,
+    closes the bracket to a cell, whose middle is returned, seeded or not.
+    Levels closer together than the float spacing at their bound are
+    refused.
     """
     x, u = list(map(float, edges)), list(map(float, region_potentials))
     widths = [b - a for a, b in zip(x, x[1:])]
@@ -349,29 +396,47 @@ def linear_bound_state_energy(edges, region_potentials, state_index: int,
                                  "the float range") from None
     ends = [(bottom, 0, None), None]  # (E, N, D) with N <= k (N = 0 at min U), N > k
 
-    def walk(e):  # e becomes the bracket end on its side; is N(e) > k?
+    def past(e):  # is N(e) > k? e is walked, and an end, only inside the bracket
+        if e <= ends[0][0] or ends[1] is not None and e >= ends[1][0]:
+            return e > ends[0][0]
         point = (e, *_wronskian(sides, scale, e))
         ends[point[1] > k] = point
         return point[1] > k
 
     g = float(guess) if guess is not None else math.nan
-    if bottom < g < top:  # rungs from the resolution out to the bounds
-        up = not walk(g)
-        d_g, near = ends[not up][2], max(resolution(g), math.ldexp(unit, -62))
+    seeded, closed = bottom < g < top, False
+    if seeded:
+        n_g, d_g, slope = _wronskian(sides, scale, g, True)
+        up = n_g <= k
+        ends[not up] = (g, n_g, d_g)
+        e = g - d_g / slope if slope else math.nan
+        if bottom < e < top:  # a Newton step on D to the nearest grid point
+            step = resolution(e)
+            edge = round(e / step)
+            above = past(edge * step)
+            for _ in range(_CELL_STEPS):  # grid points toward the level
+                edge += -1 if above else 1
+                closed = past(edge * step) != above  # N = k, k + 1 at a cell's edges
+                if closed:
+                    break
+    if seeded and not closed:  # rungs from the nearer end out to the bounds
+        g, _, d_g = ends[not up]
+        near = max(resolution(g), math.ldexp(unit, -62))
         for r in (unit * 0.25**j for j in range(31, -32, -1)):
             if r < near:
                 continue
             e = g + r if up else g - r
-            if not bottom < e < top or walk(e) == up:  # out of range or past
+            if not bottom < e < top or past(e) == up:  # out of range or past
                 break
             # the next rung lies past the root of the secant of D through g, e
             d_e = ends[not up][2]
             near = r * d_g / (d_g - d_e) if 0.0 < d_e * d_g < d_g * d_g else r
-    for e in (bottom + math.ldexp(unit, j) for j in range(-1, doublings)):
-        if ends[1] is not None or e > ends[0][0] and walk(e):  # the ladder
-            break
-    else:
-        raise NoRootError(f"could not isolate linear eigenstate {state_index}")
+    if ends[1] is None:  # the ladder
+        for e in (bottom + math.ldexp(unit, j) for j in range(-1, doublings)):
+            if past(e):
+                break
+        else:
+            raise NoRootError(f"could not isolate linear eigenstate {state_index}")
     while True:  # rounds to one level, with both ends walked
         (lo, n_lo, d_lo), (hi, n_hi, d_hi) = ends
         if d_lo is not None and (n_lo, n_hi) == (k, k + 1):
@@ -379,7 +444,7 @@ def linear_bound_state_energy(edges, region_potentials, state_index: int,
         if math.nextafter(lo, hi) == hi:  # levels split below the float spacing
             raise NoRootError(f"could not isolate linear eigenstate {state_index}")
         for j in range(1, 65):  # the lowest of 64 inner points past level k
-            if walk(lo + (hi - lo) * (j / 65.0)):
+            if past(lo + (hi - lo) * (j / 65.0)):
                 break
     # one level in the bracket: the sign of D counts
     sign, side = (-1.0) ** k, None

@@ -14,7 +14,8 @@ from wavekit.errors import (ConfigurationError, NoRootError,
                             StateTrackingError)
 from wavekit.numgrid import (BandedOperator, Grid, WaveField, build_laplacian,
                              lowest_eigenpairs, matvec)
-from wavekit.potentials import PotentialSpec, evaluate
+from wavekit.potentials import (E_EQUALS_V, PotentialSpec, evaluate,
+                                find_singular_set)
 from wavekit.reference import (hydrogen_ground_state, infinite_well_energy,
                                kinetic_operator, solve_schrodinger_stationary)
 from wavekit.units import UnitSystem
@@ -248,6 +249,33 @@ def test_fixed_point_surfaces_singular_linearized_eigenvalue():
     root = np.sqrt(2.0 * mu)
     np.testing.assert_allclose(exc.value.singular_set.locations, [-root, root],
                                atol=1e-9)
+
+
+@pytest.mark.parametrize("backend", ["grid", "exact"])
+def test_fixed_point_reads_the_e_equals_v_levels_once(monkeypatch, backend):
+    # a breakpoint at x_max gives the end node a level, 5, that no region
+    # holds: an iterate on it has E = V at x_max, at the locations the scan
+    # finds; iterates clear of every level make no scan
+    g = Grid.line(-8.0, 8.0, 400)
+    spec = PotentialSpec.piecewise_constant([-1.0, 1.0, 8.0],
+                                            [0.0, -4.0, 0.0, 5.0])
+    want = find_singular_set(spec, 5.0, E_EQUALS_V, g)
+    assert want.locations == (8.0,)
+    with pytest.raises(SingularRegionError) as exc:
+        mnr.solve_stationary_fixed_point(g, spec, 0, e_init=5.0, units=U,
+                                         backend=backend)
+    assert exc.value.singular_set.locations == want.locations
+    scans = []
+
+    def counted_scan(*args, **kwargs):
+        scans.append(args[1])
+        return find_singular_set(*args, **kwargs)
+
+    monkeypatch.setattr(mnr, "find_singular_set", counted_scan)
+    with pytest.raises(NonConvergenceError) as exc:
+        mnr.solve_stationary_fixed_point(g, spec, 0, e_init=-3.0, max_iter=5,
+                                         units=U, backend=backend)
+    assert len(exc.value.history) == 6 and scans == []
 
 
 @pytest.mark.parametrize("spec, index, e_init, policy", [

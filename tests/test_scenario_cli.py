@@ -705,6 +705,27 @@ sweep:
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--config", "sweep.yaml", "--jobs=--"],
+    ["solve", "--config=--"],
+], ids=["sweep-jobs", "solve-config"])
+def test_cli_refuses_an_option_written_with_equals_dashes(tmp_path, capsys,
+                                                          monkeypatch, argv):
+    # Python 3.11's argparse hands --name=-- an empty list and skips its
+    # type; the command once took the list and ended in a TypeError
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, "sweep.yaml", BOX + """\
+sweep:
+  parameter: grid.n_points
+  values: [64, 128]
+""")
+    assert cli.main([*argv, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    if err.startswith("{"):  # the typed error; older argparse refuses '--'
+        assert json.loads(err)["error"] == "ConfigurationError"
+        assert argv[-1].split("=")[0] in json.loads(err)["message"]
+
+
 @pytest.mark.parametrize("x_min", ["2001-01-01", "x"])
 def test_cli_sweep_records_a_malformed_base_value_in_every_cell(tmp_path,
                                                                 x_min):

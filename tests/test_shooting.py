@@ -161,18 +161,21 @@ def test_seeded_linear_eigenvalue_takes_few_scalar_walks(monkeypatch):
     def batched(*args, **kwargs):
         raise AssertionError("the linear eigensolve called a NumPy batch")
 
-    wronskian, walks, seeded = shooting._wronskian, [], []
+    wronskian, walks, seeded, slopes = shooting._wronskian, [], [], []
 
-    def walked(*args):
+    def walked(*args, **kwargs):
         walks.append(args[2])
-        return wronskian(*args)
+        slopes.append(bool(args[3:] or kwargs))
+        return wronskian(*args, **kwargs)
 
     for name in ("sturm_count", "march_endpoint", "_walk"):
         monkeypatch.setattr(shooting, name, batched)
     monkeypatch.setattr(shooting, "_wronskian", walked)
     # a deep well resolves E only to 8-64 of its floats (the spacing of
-    # E - U_mid): the Illinois steps sit on that grid and still close the
-    # bracket in a few walks
+    # E - U_mid): a Newton step on D (slope walk of the guess) lands within
+    # a few cells of that grid, whose edges close the bracket; where the
+    # growth clamp leaves no slope (states 133, 134) the rungs and the
+    # Illinois steps close it in a few walks
     for edges, u, states in [
             (np.array([-8.0, -1.0, 1.0, 8.0]), np.array([0.0, -12.0, 0.0]), range(3)),
             (np.array([-8.0, -0.7, 0.7, 8.0]), np.array([0.0, -5.0e4, 0.0]),
@@ -183,11 +186,81 @@ def test_seeded_linear_eigenvalue_takes_few_scalar_walks(monkeypatch):
             unseeded = len(walks)
             for guess in (mu, mu * (1.0 - 1e-9), mu * (1.0 + 1e-12)):
                 walks.clear()
+                slopes.clear()
                 got = linear_bound_state_energy(edges, u, k, U, guess)
                 assert got == mu, (k, guess)
+                assert slopes.count(True) == 1 and slopes[0], (k, guess)
                 assert len(walks) <= 8 and len(walks) < unseeded, (k, guess)
                 seeded.append(len(walks))
-    assert len(seeded) == 33 and sum(seeded[9:]) <= 5 * 24
+    assert len(seeded) == 33 and sum(seeded[9:]) <= 92
+
+
+def _sides(edges, u):
+    """The regions of the left and the mirrored right shot, as the linear
+    eigensolve hands them to ``_wronskian``."""
+    m = int(np.argmin(u))
+    regions = list(zip(np.diff(edges).tolist(), np.asarray(u).tolist()))
+    return regions[:m], regions[m:][::-1]
+
+
+def test_wronskian_slope_matches_a_central_difference():
+    # dD/dE carried through the closed forms against a fourth-order central
+    # difference of D, on profiles where each shot crosses an oscillatory
+    # and a decaying region before it meets the other
+    rng = np.random.default_rng(13)
+    checked = 0
+    for _ in range(10000):
+        edges, u = _level_profile(rng)
+        m = int(np.argmin(u))
+        e = float(rng.uniform(u.min(), u.max()))
+        left, right = u[:m], u[m:]
+        if not (np.any(left < e) and np.any(left > e) and np.any(right > e)):
+            continue
+        sides = _sides(edges, u)
+        n, d, slope = _wronskian(sides, SCALE, e, True)
+        if slope is None:  # the growth clamp
+            continue
+        assert (n, d) == _wronskian(sides, SCALE, e), e
+        h = 1e-6 * max(1.0, abs(e))
+        diff = [(_wronskian(sides, SCALE, e + j * h)[1]
+                 - _wronskian(sides, SCALE, e - j * h)[1]) / (2 * j * h)
+                for j in (1, 2)]
+        want = (4.0 * diff[0] - diff[1]) / 3.0
+        assert slope == pytest.approx(want, rel=1e-6), e
+        checked += 1
+    assert checked >= 250
+
+
+def test_slope_is_none_without_a_closed_form():
+    # a linear region (w = 0) and a clamped growth carry no slope; N and
+    # D are the plain walk's
+    for regions, e in [([(1.0, 2.0), (1.5, -3.0)], 2.0),
+                       ([(9.0, 4.0e4), (1.5, -3.0)], 1.0)]:
+        sides = regions[:0], regions[::-1]
+        n, d, slope = _wronskian(sides, SCALE, e, True)
+        assert slope is None and (n, d) == _wronskian(sides, SCALE, e)
+
+
+def test_seeded_linear_eigenvalue_cell_edges_hold_the_count():
+    # the certificate of the Newton step: N = k at the lower edge of the
+    # returned resolution cell and k + 1 at its upper edge (the middle of a
+    # cell one float wide rounds onto an edge, so either cell may be meant)
+    rng = np.random.default_rng(14)
+    for i in range(300):
+        edges, u = _level_profile(rng)
+        k = i % 6
+        sides = _sides(edges, u)
+        mu = linear_bound_state_energy(edges, u, k, U)
+        low, high = min(0.0, u.min()), max(0.0, u.max())
+        for guess in (mu, mu * (1.0 - 1e-9), mu * (1.0 + 1e-12),
+                      mu + 1e-7 * abs(mu)):
+            got = linear_bound_state_energy(edges, u, k, U, guess)
+            step = math.ulp(max(got - low, high - got))
+            cell = math.floor(got / step)
+            cells = (cell - 1, cell) if cell * step == got else (cell,)
+            counts = [(_wronskian(sides, SCALE, c * step)[0],
+                       _wronskian(sides, SCALE, (c + 1) * step)[0]) for c in cells]
+            assert (k, k + 1) in counts, (i, guess, counts)
 
 
 def test_scalar_wronskian_has_the_sign_of_the_sturm_count():
