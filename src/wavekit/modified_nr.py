@@ -26,9 +26,9 @@ from .numgrid import (Grid, WaveField, build_laplacian, eigenvalue,
 from .potentials import (E_EQUALS_V, PotentialSpec, domain_levels, evaluate,
                          find_singular_set, region_table)
 from .reference import kinetic_operator
-from .shooting import (bracketed_roots, is_index,
-                       linear_bound_state_energy, march_endpoint,
-                       piecewise_regions, shot_state, sturm_count)
+from .shooting import (PreparedProblem, bracketed_roots, is_index,
+                       march_endpoint, piecewise_regions, shot_state,
+                       sturm_count)
 from .units import UnitSystem
 
 REJECT = "reject"
@@ -59,21 +59,28 @@ class GuardPolicy:
 class ModifiedEigenResult:
     """One self-consistent eigenpair of the modified stationary equation.
 
-    ``state`` is built by ``build_state`` the first time it is read and
-    cached from then on, so a caller that reads only the energy, residual
-    or node count never pays for the normalized state.
+    ``state`` and ``self_consistency_residual`` are built by
+    ``build_state`` and ``build_residual`` the first time they are read and
+    cached from then on, so a caller that reads only the energy or node
+    count pays neither for the normalized state nor, where a count
+    certified an exact-backend fixed point, for the linear eigenvalue
+    behind the residual.
     """
 
     energy: float
     build_state: Callable[[], WaveField] = field(repr=False)
     iterations: int
-    self_consistency_residual: float
+    build_residual: Callable[[], float] = field(repr=False)
     node_count: int
     method: str
 
     @cached_property
     def state(self) -> WaveField:
         return self.build_state()
+
+    @cached_property
+    def self_consistency_residual(self) -> float:
+        return self.build_residual()
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,15 +160,16 @@ def _reject_singular(V: PotentialSpec, E: float, grid: Grid, what: str):
             f"{what} E={E} has E = V(x) at {sset.locations}", sset)
 
 
-def _singular_check(V: PotentialSpec, grid: Grid):
+def _singular_check(V: PotentialSpec, grid: Grid, region_levels=None):
     """:func:`_reject_singular` for the energies of one solve. The levels
-    of a piecewise-constant V (:func:`domain_levels`) are read once, and
+    of a piecewise-constant V (:func:`domain_levels`, on ``region_levels``
+    when the region table is already read) are read once, and
     :func:`find_singular_set` runs only for an E within its residual
     tolerance of one of them, or not finite: the same errors, found at the
     same locations."""
     if not V.is_piecewise_constant:
         return lambda E, what: _reject_singular(V, E, grid, what)
-    levels = domain_levels(V, grid.x_min, grid.x_max)
+    levels = domain_levels(V, grid.x_min, grid.x_max, region_levels)
 
     def check(E, what):
         tol = 1e-9 * max(1.0, abs(E))
@@ -218,7 +226,7 @@ def shooting_spectrum(grid: Grid, edges, coefficient, e_bracket, n_scan: int,
     nodes = sturm_count(widths, coeffs, final_crossing=False)
     return [ModifiedEigenResult(energy=float(e),
                                 build_state=partial(shot_state, grid, edges, row),
-                                iterations=0, self_consistency_residual=float(r),
+                                iterations=0, build_residual=partial(float, r),
                                 node_count=int(n), method="shooting")
             for e, row, r, n in zip(roots, coeffs, residuals, nodes)]
 
@@ -276,14 +284,17 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
     ``state_index`` nodes. ``backend='exact'`` uses closed-form
     piecewise-constant linear shooting, its Sturm bracket seeded at the
     iterate, so the converged energy is free of discretization error and
-    comparable with :func:`solve_stationary_shooting` at 1e-8; it runs on
-    the region table (:func:`region_table`) in Python floats and makes no
-    NumPy call before the state is read. Under the ``reject`` guard every
+    comparable with :func:`solve_stationary_shooting` at 1e-8; it reads the
+    region table (:func:`region_table`) once, for W and the E = V levels,
+    prepares one linear problem (:class:`PreparedProblem`) and makes no
+    NumPy call before the state is read. Its solve gets ``tol``: where a
+    count certifies |mu - E_k| < tol it answers without resolving mu, and
+    the iteration converges at E_k. Under the ``reject`` guard every
     iterate, and on the grid backend every linearized eigenvalue, is
     checked for E = V(x) inside the domain; on a piecewise-constant V
-    against levels read once (:func:`_singular_check`). The state of the
-    result, the eigenvector or shot at the returned energy, is computed
-    when first read.
+    against levels read once (:func:`_singular_check`). The state and the
+    residual of the result, the eigenvector or shot at the returned energy
+    and |mu - E|, are computed when first read.
     """
     if not is_index(state_index):
         raise ConfigurationError(
@@ -293,24 +304,29 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
     if backend not in ("grid", "exact"):
         raise ConfigurationError(f"unknown backend {backend!r}")
     reject, exact = guard.mode == REJECT, backend == "exact"
-    singular = _singular_check(V, grid) if reject else None
     # V as the exact backend's region values, Python floats up to the
     # state, or the grid backend's samples
     if exact:
         edges, v = region_table(V, grid.x_min, grid.x_max)
+        problem = PreparedProblem(edges, units)
     else:
         factor, lap = kinetic_operator(grid, units)
         v = np.asarray(evaluate(V, grid.x), dtype=float)
+    singular = _singular_check(V, grid, v if exact else None) if reject else None
     effective = _effective_levels if exact else _effective_samples
 
     def result(energy, state, iterations, residual):
+        """The result at ``energy``; ``residual`` is a float, or a
+        callable that forms it."""
         if state is None:  # exact backend: the shot, already normalized
             def state():
                 return shot_state(grid, edges, _nonlinear_coefficient(
                     energy, np.asarray(v), units)[0])
+        if not callable(residual):
+            residual = partial(float, residual)
         return ModifiedEigenResult(
             energy=float(energy), build_state=state, iterations=iterations,
-            self_consistency_residual=residual, node_count=state_index,
+            build_residual=residual, node_count=state_index,
             method="fixed_point")
 
     e_k = float(e_init)
@@ -321,8 +337,11 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
             singular(e_k, "iterate")
         w = _in_range(effective(v, e_k, guard), "W = 3V - V**2/(E - V)")
         if exact:
-            mu = linear_bound_state_energy(edges, w, state_index, units, e_k)
+            mu = problem.solve(w, state_index, e_k, tol)
             state = None
+            if mu is None:  # a count certified |mu - e_k| < tol
+                return result(e_k, None, it,
+                              lambda: abs(problem.solve(w, state_index, e_k) - e_k))
         else:
             mu, state = _grid_eigenpair(lap, factor, w, state_index)
         residual = abs(mu - e_k)

@@ -198,14 +198,18 @@ def region_table(spec: PotentialSpec, x_min: float, x_max: float):
     return edges, [level(0.5 * (a + b)) for a, b in zip(edges, edges[1:])]
 
 
-def domain_levels(spec: PotentialSpec, x_min: float, x_max: float) -> list:
+def domain_levels(spec: PotentialSpec, x_min: float, x_max: float,
+                  region_levels=None) -> list:
     """The values of a piecewise-constant ``spec`` on [x_min, x_max] in
-    Python floats: the region levels (:func:`region_table`) and V at each
-    end, where a breakpoint on or next to an end can give the end node a
-    level of its own."""
+    Python floats: the region levels (:func:`region_table`'s, or
+    ``region_levels`` when the table is already read) and V at each end,
+    where a breakpoint on or next to an end can give the end node a level
+    of its own."""
     level = _profile(spec)[1]
     x_min, x_max = float(x_min), float(x_max)
-    return region_table(spec, x_min, x_max)[1] + [level(x_min), level(x_max)]
+    if region_levels is None:
+        region_levels = region_table(spec, x_min, x_max)[1]
+    return region_levels + [level(x_min), level(x_max)]
 
 
 def evaluate(spec: PotentialSpec, x):

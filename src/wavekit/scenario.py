@@ -351,8 +351,8 @@ def _solver_scale(config: ScenarioConfig, key: str, label: str, compute):
     finite float, a ConfigurationError that names the key."""
     try:
         value = compute()
-    except OverflowError:  # a float ** past the float range
-        value = math.inf
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf  # a float ** past the float range, or x / 0 after underflow
     if math.isfinite(value):
         return value
     raise ConfigurationError(f"solver.{key} = {config.solver[key]!r}: {label} "
@@ -461,11 +461,22 @@ def _run_dispersion_audit(config: ScenarioConfig):
     units, solver = config.units, config.solver
     rows = []
     v0, E0 = float(solver["potential_value"]), units.E0
+
+    def scale(label, compute):
+        return _solver_scale(config, "momenta", f"{label} at p = {p!r}", compute)
+
     for p in solver["momenta"]:
         p = float(p)
+        # the rows form eps = p**2/2m, the time-dependent residual's
+        # eps**2 p**2/(2m hbar**2), -4/eps**2 (for p != 0) and (c p)**2
+        K = scale("eps = p**2/2m", lambda: p**2 / (2.0 * units.m))
+        scale("eps**2 p**2/(2m hbar**2)",
+              lambda: K**2 * p**2 / (2.0 * units.m * units.hbar**2))
+        if p:
+            scale("-4/eps**2", lambda: -4.0 / K**2)
+        scale("(c p)**2", lambda: (units.c * p) ** 2)
         # each equation has its own dispersion relation at constant V;
         # pick the E that satisfies it so every residual closes
-        K = p**2 / (2.0 * units.m)
         e_nr = 0.5 * (K + 4.0 * v0 + np.sqrt(K * (K + 4.0 * v0)))
         e_rel = v0 + np.sqrt(E0**2 + (units.c * p / (1.0 + v0 / E0)) ** 2)
         e_spin = np.sqrt((units.c * p) ** 2 + E0**2) * E0 / (E0 + v0)

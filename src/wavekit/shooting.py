@@ -34,7 +34,8 @@ _SAFE_RATE = 3.5e4
 _HALF_PI = math.pi / 2
 
 #: Grid points a seeded linear solve steps past its Newton point before it
-#: falls back on the rungs.
+#: falls back on the rungs, and the resolution steps by which its count
+#: certificate stays short of ``tol``.
 _CELL_STEPS = 4
 
 
@@ -183,9 +184,10 @@ def _wronskian(sides, scale, e, slope=False):
     With ``slope`` a third value is dD/dE = cos(theta_L + theta_R)
     (theta_L' + theta_R'), theta' = (psi' dp - psi ddp)/(psi^2 + psi'^2) at
     c, where (dp, ddp) = d(psi, psi')/dE rides through each closed form
-    (Pryce 1993). It is None past a linear region, the growth clamp or the
-    overflow branch, which have no such form here, and where it is not
-    finite."""
+    (Pryce 1993). Past the growth clamp the growth is held, d grow/dE = 0:
+    the clamped transfer moves the Pruefer angle only by about e^-1400. It
+    is None past a linear region or the overflow branch, which have no such
+    form here, and where it is not finite."""
     ends, zeros, turn, carry = [], 0, 0.0, slope  # turn: theta_L' + theta_R'
     for regions in sides:
         psi, dpsi, before = 0.0, 1.0, zeros
@@ -220,10 +222,9 @@ def _wronskian(sides, scale, e, slope=False):
                         half_gap = 0.5 * (1.0 - math.exp(-2.0 * grow))
                         ch, to_psi, to_dpsi = 1.0 - half_gap, half_gap / k, half_gap * k
                         carry = False
-                    elif carry:  # dkappa/dE = -scale/2 kappa, short of the clamp
-                        carry = grow < _GROW_CLAMP
+                    elif carry:  # dkappa/dE = -scale/2 kappa; a clamped grow is held
                         dk = -0.5 * scale / k
-                        dgrow = width * dk
+                        dgrow = width * dk if grow < _GROW_CLAMP else 0.0
                         dp, ddp = (ch * dp + to_psi * ddp + dgrow * sh * psi
                                    + (ch * dgrow - sh * dk / k) / k * dpsi,
                                    ch * ddp + to_dpsi * dp
@@ -341,128 +342,172 @@ def is_index(value, least: int = 0) -> bool:
             and value >= least)
 
 
+class PreparedProblem:
+    """The operator -hbar^2/2m psi'' + U psi with Dirichlet walls at the
+    ends of ``edges``, prepared once for solves at many piecewise-constant
+    profiles U on the same regions (the iterates of a fixed point): the
+    region widths, the scale 2m/hbar^2 and ``unit``, the lowest level of a
+    box spanning the interval, the spectral spacing scale. :meth:`solve`
+    does only the walks."""
+
+    def __init__(self, edges, units):
+        x = list(map(float, edges))
+        self.widths = [b - a for a, b in zip(x, x[1:])]
+        if not (self.widths and all(w > 0.0 for w in self.widths)):
+            raise UsageError("edges must increase, one region per potential")
+        self.scale = 2.0 * units.m / units.hbar**2
+        self.unit = (math.pi / sum(self.widths)) ** 2 / self.scale
+
+    def solve(self, levels, k: int, guess=None, tol=None):
+        """Energy E_k of the ``k``-th Dirichlet eigenstate at the region
+        levels ``levels``, a list of finite Python floats, one per region.
+
+        The Sturm count N(E) picks the state by its node count, not by the
+        order of roots on a scan (in deep wells neighbouring roots share
+        scan cells); one scalar walk (:func:`_wronskian`) per energy gives
+        N(E) and D(E), and no energy outside the bracket so far is walked.
+        Energies resolve to a grid of steps s, the float spacing of the
+        largest |E - U_j| and |E|. A ``guess`` (a fixed-point iterate) is
+        walked first, with dD/dE: a Newton step on D lands on a grid point,
+        and grid points toward the level are walked, a few at most, until a
+        cell [m s, (m + 1) s] has N = k at its lower edge and k + 1 at its
+        upper one. Without a slope, or when the step misses, rungs from the
+        nearer end +- unit 4^j toward the level follow, nearest first,
+        skipping those short of the secant root of D; without a guess the
+        doubling ladder min U + unit 2^j (up to a bound on E_k) brackets
+        the level. Rounds take the lowest of 64 inner points past k until
+        N(lo) = k and N(hi) = k + 1. Then the sign of D counts, and
+        Illinois regula falsi on D, on the grid, closes the bracket to a
+        cell, whose middle is returned, seeded or not. Levels closer
+        together than the float spacing at their bound are refused.
+
+        With ``tol`` the count may answer first. When the Newton step from
+        the guess g lands within reach/2 of g, reach = tol less a few
+        resolution steps over [g - tol, g + tol], the one point g +- reach
+        on the level's side is walked: N = k at the lower of the two points
+        and k + 1 at the upper one prove |E_k - g| < tol, and the solve
+        returns None without resolving E_k. Otherwise the point stays a
+        bracket end and the solve goes on as without ``tol``.
+        """
+        u, widths, scale, unit = levels, self.widths, self.scale, self.unit
+        bottom = min(u)
+        m = u.index(bottom)
+        sides = list(zip(widths[:m], u[:m])), list(zip(widths[m:], u[m:]))[::-1]
+        low, high = min(0.0, bottom), max(0.0, *u)
+
+        def resolution(e):  # the float spacing of the largest |E - U_j|, |E|
+            return math.ulp(max(e - low, high - e))
+
+        # comparison with the constant profiles min(U) and max(U) puts E_k
+        # between min(U) + unit and max(U) + (k+1)^2 unit
+        try:
+            top = max(u) + 2.0 * (k + 1) ** 2 * unit
+            doublings = math.ceil(math.log2((top - bottom) / unit)) + 1
+            if (2 * k + 1) * unit < math.ulp(top):  # a flat box's level spacing
+                raise StateTrackingError(f"the levels near state {k} lie closer "
+                                         "together than the float spacing at "
+                                         "their bound")
+        except OverflowError:  # (k + 1)**2 or the bound past the float range
+            raise StateTrackingError(f"the energy bound of state {k} leaves "
+                                     "the float range") from None
+        # (E, N, D) with N <= k (N = 0 at min U), then with N > k
+        ends = [(bottom, 0, None), None]
+
+        def past(e):  # is N(e) > k? e is walked, and an end, only inside the bracket
+            if e <= ends[0][0] or ends[1] is not None and e >= ends[1][0]:
+                return e > ends[0][0]
+            point = (e, *_wronskian(sides, scale, e))
+            ends[point[1] > k] = point
+            return point[1] > k
+
+        g = float(guess) if guess is not None else math.nan
+        seeded, closed = bottom < g < top, False
+        if seeded:
+            n_g, d_g, slope = _wronskian(sides, scale, g, True)
+            up = n_g <= k
+            ends[not up] = (g, n_g, d_g)
+            e = g - d_g / slope if slope else math.nan
+            if tol is not None:  # the count certificate for |E_k - g| < tol
+                reach = tol - _CELL_STEPS * max(resolution(g - tol),
+                                                resolution(g + tol))
+                c = g + reach if up else g - reach
+                if abs(e - g) < 0.5 * reach and bottom < c < top:
+                    past(c)
+                    lower, upper = (g, c) if up else (c, g)
+                    if (ends[1] is not None and ends[0][:2] == (lower, k)
+                            and ends[1][:2] == (upper, k + 1)):
+                        return None
+            if bottom < e < top:  # a Newton step on D to the nearest grid point
+                step = resolution(e)
+                edge = round(e / step)
+                above = past(edge * step)
+                for _ in range(_CELL_STEPS):  # grid points toward the level
+                    edge += -1 if above else 1
+                    # N = k, k + 1 at a cell's edges
+                    closed = past(edge * step) != above
+                    if closed:
+                        break
+        if seeded and not closed:  # rungs from the nearer end out to the bounds
+            g, _, d_g = ends[not up]
+            near = max(resolution(g), math.ldexp(unit, -62))
+            for r in (unit * 0.25**j for j in range(31, -32, -1)):
+                if r < near:
+                    continue
+                e = g + r if up else g - r
+                if not bottom < e < top or past(e) == up:  # out of range or past
+                    break
+                # the next rung lies past the root of the secant of D through g, e
+                d_e = ends[not up][2]
+                near = r * d_g / (d_g - d_e) if 0.0 < d_e * d_g < d_g * d_g else r
+        if ends[1] is None:  # the ladder
+            for e in (bottom + math.ldexp(unit, j) for j in range(-1, doublings)):
+                if past(e):
+                    break
+            else:
+                raise NoRootError(f"could not isolate linear eigenstate {k}")
+        while True:  # rounds to one level, with both ends walked
+            (lo, n_lo, d_lo), (hi, n_hi, d_hi) = ends
+            if d_lo is not None and (n_lo, n_hi) == (k, k + 1):
+                break
+            if math.nextafter(lo, hi) == hi:  # levels split below the float spacing
+                raise NoRootError(f"could not isolate linear eigenstate {k}")
+            for j in range(1, 65):  # the lowest of 64 inner points past level k
+                if past(lo + (hi - lo) * (j / 65.0)):
+                    break
+        # one level in the bracket: the sign of D counts
+        sign, side = (-1.0) ** k, None
+        for _ in range(4096):  # a bound: each walk narrows the bracket
+            step = resolution(lo)
+            cell = math.floor(lo / step)
+            if hi <= (cell + 1) * step:
+                return (cell + 0.5) * step
+            # Illinois regula falsi on the grid of steps, strictly inside
+            e = (lo * d_hi - hi * d_lo) / (d_hi - d_lo) if d_hi != d_lo else math.nan
+            e = e if lo <= e <= hi else 0.5 * (lo + hi)
+            e = min(max(round(e / step), cell + 1), math.ceil(hi / step) - 1) * step
+            d = _wronskian(sides, scale, e)[1]
+            # the end that stays put twice running has its D halved
+            above = d * sign < 0
+            twice, side = (0.5 if side == above else 1.0), above
+            if above:
+                hi, d_hi, d_lo = e, d, twice * d_lo
+            else:
+                lo, d_lo, d_hi = e, d, twice * d_hi
+        raise NoRootError(f"could not isolate linear eigenstate {k}")
+
+
 def linear_bound_state_energy(edges, region_potentials, state_index: int,
                               units, guess=None):
     """Energy of the ``state_index``-th Dirichlet eigenstate of the standard
-    operator -hbar^2/2m psi'' + U psi on a piecewise-constant profile U.
-
-    The Sturm count N(E) picks the state by its node count, not by the
-    order of roots on a scan (in deep wells neighbouring roots share scan
-    cells); one scalar walk (:func:`_wronskian`) per energy gives N(E) and
-    D(E), and no energy outside the bracket so far is walked. Energies
-    resolve to a grid of steps s, the float spacing of the largest
-    |E - U_j| and |E|. A ``guess`` (a fixed-point iterate) is walked first,
-    with dD/dE: a Newton step on D lands on a grid point, and grid points
-    toward the level are walked, a few at most, until a cell
-    [m s, (m + 1) s] has N = k at its lower edge and k + 1 at its upper one.
-    Without a slope, or when the step misses, rungs from the nearer end
-    +- unit 4^j toward the level follow, nearest first, skipping those short
-    of the secant root of D; without a guess the doubling ladder
-    min U + unit 2^j (up to a bound on E_k) brackets the level. Rounds take
-    the lowest of 64 inner points past k until N(lo) = k and N(hi) = k + 1.
-    Then the sign of D counts, and Illinois regula falsi on D, on the grid,
-    closes the bracket to a cell, whose middle is returned, seeded or not.
-    Levels closer together than the float spacing at their bound are
-    refused.
+    operator -hbar^2/2m psi'' + U psi on a piecewise-constant profile U,
+    seeded at ``guess`` if given: the inputs checked, then
+    :meth:`PreparedProblem.solve` on the problem prepared from ``edges``.
     """
-    x, u = list(map(float, edges)), list(map(float, region_potentials))
-    widths = [b - a for a, b in zip(x, x[1:])]
     if not is_index(state_index):
         raise UsageError(f"state_index must be an integer >= 0, got {state_index!r}")
-    if len(widths) != len(u) or not all(w > 0.0 for w in widths):
+    u = list(map(float, region_potentials))
+    if len(edges) != len(u) + 1:
         raise UsageError("edges must increase, one region per potential")
     if not all(map(math.isfinite, u)):
         raise UsageError("region potentials must be finite")
-    scale, k, bottom = 2.0 * units.m / units.hbar**2, state_index, min(u)
-    m = u.index(bottom)
-    sides = list(zip(widths[:m], u[:m])), list(zip(widths[m:], u[m:]))[::-1]
-    low, high = min(0.0, bottom), max(0.0, *u)
-
-    def resolution(e):  # the float spacing of the largest |E - U_j|, |E|
-        return math.ulp(max(e - low, high - e))
-
-    # lowest level of a box spanning the interval: the spectral spacing scale
-    unit = (math.pi / sum(widths)) ** 2 / scale
-    # comparison with the constant profiles min(U) and max(U) puts E_k
-    # between min(U) + unit and max(U) + (k+1)^2 unit
-    try:
-        top = max(u) + 2.0 * (k + 1) ** 2 * unit
-        doublings = math.ceil(math.log2((top - bottom) / unit)) + 1
-        if (2 * k + 1) * unit < math.ulp(top):  # a flat box's level spacing
-            raise StateTrackingError(f"the levels near state {k} lie closer together "
-                                     "than the float spacing at their bound")
-    except OverflowError:  # (k + 1)**2 or the bound past the float range
-        raise StateTrackingError(f"the energy bound of state {k} leaves "
-                                 "the float range") from None
-    ends = [(bottom, 0, None), None]  # (E, N, D) with N <= k (N = 0 at min U), N > k
-
-    def past(e):  # is N(e) > k? e is walked, and an end, only inside the bracket
-        if e <= ends[0][0] or ends[1] is not None and e >= ends[1][0]:
-            return e > ends[0][0]
-        point = (e, *_wronskian(sides, scale, e))
-        ends[point[1] > k] = point
-        return point[1] > k
-
-    g = float(guess) if guess is not None else math.nan
-    seeded, closed = bottom < g < top, False
-    if seeded:
-        n_g, d_g, slope = _wronskian(sides, scale, g, True)
-        up = n_g <= k
-        ends[not up] = (g, n_g, d_g)
-        e = g - d_g / slope if slope else math.nan
-        if bottom < e < top:  # a Newton step on D to the nearest grid point
-            step = resolution(e)
-            edge = round(e / step)
-            above = past(edge * step)
-            for _ in range(_CELL_STEPS):  # grid points toward the level
-                edge += -1 if above else 1
-                closed = past(edge * step) != above  # N = k, k + 1 at a cell's edges
-                if closed:
-                    break
-    if seeded and not closed:  # rungs from the nearer end out to the bounds
-        g, _, d_g = ends[not up]
-        near = max(resolution(g), math.ldexp(unit, -62))
-        for r in (unit * 0.25**j for j in range(31, -32, -1)):
-            if r < near:
-                continue
-            e = g + r if up else g - r
-            if not bottom < e < top or past(e) == up:  # out of range or past
-                break
-            # the next rung lies past the root of the secant of D through g, e
-            d_e = ends[not up][2]
-            near = r * d_g / (d_g - d_e) if 0.0 < d_e * d_g < d_g * d_g else r
-    if ends[1] is None:  # the ladder
-        for e in (bottom + math.ldexp(unit, j) for j in range(-1, doublings)):
-            if past(e):
-                break
-        else:
-            raise NoRootError(f"could not isolate linear eigenstate {state_index}")
-    while True:  # rounds to one level, with both ends walked
-        (lo, n_lo, d_lo), (hi, n_hi, d_hi) = ends
-        if d_lo is not None and (n_lo, n_hi) == (k, k + 1):
-            break
-        if math.nextafter(lo, hi) == hi:  # levels split below the float spacing
-            raise NoRootError(f"could not isolate linear eigenstate {state_index}")
-        for j in range(1, 65):  # the lowest of 64 inner points past level k
-            if past(lo + (hi - lo) * (j / 65.0)):
-                break
-    # one level in the bracket: the sign of D counts
-    sign, side = (-1.0) ** k, None
-    for _ in range(4096):  # a bound: each walk narrows the bracket
-        step = resolution(lo)
-        cell = math.floor(lo / step)
-        if hi <= (cell + 1) * step:
-            return (cell + 0.5) * step
-        # Illinois regula falsi on the grid of steps, strictly inside
-        e = (lo * d_hi - hi * d_lo) / (d_hi - d_lo) if d_hi != d_lo else math.nan
-        e = e if lo <= e <= hi else 0.5 * (lo + hi)
-        e = min(max(round(e / step), cell + 1), math.ceil(hi / step) - 1) * step
-        d = _wronskian(sides, scale, e)[1]
-        # the end that stays put twice running has its D halved
-        above = d * sign < 0
-        twice, side = (0.5 if side == above else 1.0), above
-        if above:
-            hi, d_hi, d_lo = e, d, twice * d_lo
-        else:
-            lo, d_lo, d_hi = e, d, twice * d_hi
-    raise NoRootError(f"could not isolate linear eigenstate {state_index}")
+    return PreparedProblem(edges, units).solve(u, state_index, guess)

@@ -436,7 +436,7 @@ def _inline_w_exact_fixed_point(grid, spec, index, e, tol, max_iter=200,
     edges, v = mnr.piecewise_regions(spec, grid.x_min, grid.x_max)
     for it in range(1, max_iter + 1):
         w = 3.0 * v - v**2 / (e - v)
-        mu = mnr.linear_bound_state_energy(edges, w, index, U)
+        mu = shooting.linear_bound_state_energy(edges, w, index, U)
         if abs(mu - e) <= tol:
             return e, it
         if np.array_equal(3.0 * v - v**2 / (mu - v), w):
@@ -465,19 +465,59 @@ def test_fixed_point_rejects_a_bad_state_index(backend, index):
                                          backend=backend)
 
 
+@pytest.mark.parametrize("depth", [4.0, 12.0])
+def test_exact_confirmation_at_a_shooting_root_takes_two_walks(monkeypatch,
+                                                               depth):
+    # seeded at a shooting root, the linear solve walks the root with its
+    # slope and one point toward the level; the counts there certify
+    # |mu - E| < tol, and the fixed point converges at the root in one
+    # iterate without resolving mu. The residual, formed when first read,
+    # is the seeded solve's |mu - E| and is formed once
+    grid, spec = Grid.line(-8.0, 8.0, 400), PotentialSpec.square_well(depth, 1.0)
+    roots = mnr.solve_stationary_shooting(
+        grid, spec, (-depth * (1.0 - 1e-4), -depth * 1e-4), U)
+    edges, v = mnr.region_table(spec, grid.x_min, grid.x_max)
+    wronskian, walks = shooting._wronskian, []
+
+    def walked(*args, **kwargs):
+        walks.append(args[2])
+        return wronskian(*args, **kwargs)
+
+    monkeypatch.setattr(shooting, "_wronskian", walked)
+    confirmed = []
+    for r in roots:
+        walks.clear()
+        try:
+            fp = mnr.solve_stationary_fixed_point(
+                grid, spec, r.node_count, r.energy, tol=1e-8, max_iter=4,
+                units=U, backend="exact")
+        except NonConvergenceError:
+            continue
+        assert (fp.energy, fp.iterations, len(walks)) == (r.energy, 1, 2)
+        residual = fp.self_consistency_residual
+        walks.clear()
+        assert fp.self_consistency_residual == residual and walks == []
+        w = mnr._effective_levels(v, r.energy, mnr.GuardPolicy())
+        mu = shooting.linear_bound_state_energy(edges, w, r.node_count, U,
+                                                r.energy)
+        assert residual == abs(mu - r.energy) <= 1e-8
+        confirmed.append(r.node_count)
+    assert len(confirmed) == len(roots) - 1  # one root misses in 4 iterates
+
+
 def test_exact_fixed_point_applies_the_clamp_policy(monkeypatch):
     # E = -4 is the well bottom: E - V = 0 there. Under clamp the
     # denominator is floored at the guard, as on the grid backend, and the
     # run ends in a typed outcome, not a non-finite region potential
     grid, spec = WALLED_WELL
     seen = []
-    linear = mnr.linear_bound_state_energy
+    solve = shooting.PreparedProblem.solve
 
-    def spy(edges, w, index, units, *guess):
+    def spy(problem, w, index, *guess):
         seen.append(np.array(w))
-        return linear(edges, w, index, units, *guess)
+        return solve(problem, w, index, *guess)
 
-    monkeypatch.setattr(mnr, "linear_bound_state_energy", spy)
+    monkeypatch.setattr(shooting.PreparedProblem, "solve", spy)
     with pytest.raises(NonConvergenceError):
         mnr.solve_stationary_fixed_point(
             grid, spec, 0, -4.0, units=U, backend="exact",

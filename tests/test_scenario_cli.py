@@ -907,6 +907,9 @@ potential: {variant: square_well, depth: 12.0, half_width: 1.0}
      + "units: {m: 1.0e-200}\n", "m = 1e-200"),
     ("dispersion", EACH_EQUATION["dispersion_audit"]
      + "units: {m: 1.0e+200}\n", "m = 1e+200"),
+    *(("dispersion", "equation: dispersion_audit\n"
+       f"solver: {{momenta: [0.5, {p}]}}\n", "solver.momenta")
+      for p in ("1.0e-160", "1.0e+52", "1.0e+154", "1.0e+160")),
     ("propagate", "equation: modified_rel_timedep\n" + PERIODIC
      + "units: {c: 1.0e+100, hbar: 1.0e+100, m: 1.0e-120}\n", "(hbar*c)**2"),
     ("propagate", "equation: modified_rel_timedep\n" + PERIODIC
@@ -952,7 +955,9 @@ potential: {variant: square_well, depth: 12.0, half_width: 1.0}
         "rel_stationary_c_1e200", "dispersion_c_1e300", "grid_span_overflows",
         "e_bracket_width_overflows", "h_squared_overflows",
         "h_squared_underflows", "dispersion_E0_squared_underflows",
-        "dispersion_E0_squared_overflows", "rel_timedep_hbar_c_overflows",
+        "dispersion_E0_squared_overflows", "dispersion_momentum_1e-160",
+        "dispersion_momentum_1e52", "dispersion_momentum_1e154",
+        "dispersion_momentum_1e160", "rel_timedep_hbar_c_overflows",
         "rel_timedep_E0_over_hbar_overflows",
         "rel_timedep_c_sq_over_h_sq_overflows", "nr_timedep_mode_1e150",
         "nr_timedep_mode_1e300", "nr_timedep_epsilon_1e200",
@@ -965,8 +970,9 @@ potential: {variant: square_well, depth: 12.0, half_width: 1.0}
 def test_cli_scales_past_the_float_range_exit_2(tmp_path, command, text, key):
     # a scale the solvers form (from the unit constants, the grid span and
     # spacing, the bracket width, the relativistic factor (1 + V/E0)**2,
-    # the effective potential W, the shooting coefficient's (E - 2V)**2)
-    # leaves the float range; before the checks
+    # the effective potential W, the shooting coefficient's (E - 2V)**2,
+    # a dispersion audit momentum's eps**2) leaves the float range; before
+    # the checks
     # these ended in tracebacks, a spectrum of zeros or NoRootError. The
     # leapfrog step bound stays finite where omega**2 overflows
     cfg = _write(tmp_path, "extreme.yaml", text)
