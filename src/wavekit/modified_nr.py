@@ -26,9 +26,9 @@ from .numgrid import (Grid, WaveField, build_laplacian, eigenvalue,
 from .potentials import (E_EQUALS_V, PotentialSpec, domain_levels, evaluate,
                          find_singular_set, region_table)
 from .reference import kinetic_operator
-from .shooting import (PreparedProblem, bracketed_roots, is_index,
-                       march_endpoint, piecewise_regions, shot_state,
-                       sturm_count)
+from .shooting import (PreparedProblem, bracketed_roots, count_shot_nodes,
+                       is_index, march_endpoint, piecewise_regions,
+                       shot_state)
 from .units import UnitSystem
 
 REJECT = "reject"
@@ -223,12 +223,12 @@ def shooting_spectrum(grid: Grid, edges, coefficient, e_bracket, n_scan: int,
         raise NoRootError(f"no matching sign change in [{e_lo}, {e_hi}]")
     coeffs = coefficient(roots)
     residuals = np.abs(matching(roots))
-    nodes = sturm_count(widths, coeffs, final_crossing=False)
     return [ModifiedEigenResult(energy=float(e),
                                 build_state=partial(shot_state, grid, edges, row),
                                 iterations=0, build_residual=partial(float, r),
-                                node_count=int(n), method="shooting")
-            for e, row, r, n in zip(roots, coeffs, residuals, nodes)]
+                                node_count=count_shot_nodes(edges, row),
+                                method="shooting")
+            for e, row, r in zip(roots, coeffs, residuals)]
 
 
 def solve_stationary_shooting(grid: Grid, V: PotentialSpec, e_bracket,

@@ -462,8 +462,9 @@ def _run_dispersion_audit(config: ScenarioConfig):
     rows = []
     v0, E0 = float(solver["potential_value"]), units.E0
 
-    def scale(label, compute):
-        return _solver_scale(config, "momenta", f"{label} at p = {p!r}", compute)
+    def scale(label, compute, key="momenta"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return _solver_scale(config, key, f"{label} at p = {p!r}", compute)
 
     for p in solver["momenta"]:
         p = float(p)
@@ -476,10 +477,18 @@ def _run_dispersion_audit(config: ScenarioConfig):
             scale("-4/eps**2", lambda: -4.0 / K**2)
         scale("(c p)**2", lambda: (units.c * p) ** 2)
         # each equation has its own dispersion relation at constant V;
-        # pick the E that satisfies it so every residual closes
-        e_nr = 0.5 * (K + 4.0 * v0 + np.sqrt(K * (K + 4.0 * v0)))
-        e_rel = v0 + np.sqrt(E0**2 + (units.c * p / (1.0 + v0 / E0)) ** 2)
-        e_spin = np.sqrt((units.c * p) ** 2 + E0**2) * E0 / (E0 + v0)
+        # pick the E that satisfies it so every residual closes: a real,
+        # finite E, or the row is refused
+        if not K * (K + 4.0 * v0) >= 0.0:
+            raise ConfigurationError(
+                f"solver.potential_value = {solver['potential_value']!r}: no "
+                f"real E solves (E - 2V)**2 = K (E - V) at p = {p!r}")
+        e_nr = scale("E_nr", lambda: 0.5 * (K + 4.0 * v0 + np.sqrt(K * (K + 4.0 * v0))),
+                     "potential_value")
+        e_rel = scale("E_rel", lambda: v0 + np.sqrt(
+            E0**2 + (units.c * p / (1.0 + v0 / E0)) ** 2), "potential_value")
+        e_spin = scale("E_spin", lambda: np.sqrt((units.c * p) ** 2 + E0**2)
+                       * E0 / (E0 + v0), "potential_value")
         st_nr = PlaneWaveState(p, e_nr - v0, e_nr, v0)
         st_rel = PlaneWaveState(p, e_rel - v0, e_rel, v0)
         st_spin = PlaneWaveState(p, e_spin - v0, e_spin, v0)

@@ -3,9 +3,10 @@
 All stationary 1D problems here reduce to psi'' = -w_j psi on constant
 regions: oscillatory (w > 0), exponential (w < 0) or linear (w = 0).
 Marching starts from psi = 0, psi' = 1 at the left wall; the Dirichlet
-matching function is psi at the right wall. The march, the Sturm count and
-the sampled shot share one region walk, vectorized over trial energies; the
-linear eigensolve walks one energy at a time in scalars, counting as it goes.
+matching function is psi at the right wall. The march and the sampled shot
+share one region walk, vectorized over trial energies; every zero count
+(the Sturm count of the linear eigensolve, the node count of a shooting
+root) comes from one scalar walk of one energy, counting as it goes.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ def piecewise_regions(spec: PotentialSpec, x_min: float, x_max: float):
 _GROW_CLAMP = 700.0
 _SAFE_RATE = 3.5e4
 _HALF_PI = math.pi / 2
+#: Longest phase k d counted: past it the end margin can hold two zeros.
+_LONGEST_PHASE = 1e12
 
 #: Grid points a seeded linear solve steps past its Newton point before it
 #: falls back on the rungs, and the resolution steps by which its count
@@ -127,140 +130,124 @@ def march_endpoint(widths, coeffs) -> np.ndarray:
     return ends[0] if len(ends) == 1 else np.concatenate(ends)
 
 
-def _states(widths, coeffs):
-    """(psi, psi') at the start and the end of each region of the walk:
-    four arrays shaped like ``coeffs``, regions on the last axis."""
-    states = np.array([(*start, *end) for start, end in _walk(widths, coeffs)])
-    return states.transpose(1, *range(2, states.ndim), 0)
+def _shot(regions, scale, e, slope=False):
+    """Zeros inside the shot from psi = 0, psi' = 1 across ``regions``,
+    (width, level) pairs of psi'' = -scale (e - level) psi (a coefficient w
+    is the level -w at scale 1 and e = 0, to the bit), and its end
+    (psi, psi'), renormalized; with ``slope`` then d(psi, psi')/dE there, or
+    None past a linear region or the overflow branch. Plain ``math`` with
+    :func:`_transfer`'s closed forms, growth clamp (first: ``math.sinh``
+    raises past it) and overflow branch; the slope rides through each closed
+    form (Pryce 1993), held past the clamp (d grow/dE = 0: the clamped
+    transfer moves the Pruefer angle by about e^-1400).
 
-
-def sturm_count(widths, coeffs, final_crossing: bool = True) -> np.ndarray:
-    """Zeros of the left shot inside the open interval, one count per trial.
-
-    ``coeffs`` has shape (n_trials, n_regions). For a linear Sturm-Liouville
-    coefficient the count is N(E), the number of Dirichlet eigenvalues below
-    E (oscillation theorem). Zeros of R cos(k xi - phi) are counted
-    analytically in oscillatory regions; an exponential or linear region
-    holds at most one, read from the signs at its two ends. The analytic
-    count leaves out a zero within 1e-12 pi rad of a region's start and
-    1e-12 max(1, k d) pi rad of its end, a margin that outgrows the
-    rounding of a long phase k d, so it only lags, just above an
-    eigenvalue whose last region oscillates; psi at the right
-    wall has the sign (-1)^N, which restores the missed zero. With
-    ``final_crossing=False`` neither that nor a sign change across a
-    non-oscillatory last region is counted: near an eigenvalue the endpoint
-    is the matching residual, not the field.
-    """
-    coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
-    psi, dpsi, end_psi, _ = _states(widths, coeffs)
-    osc = coeffs > 0
-    k = np.sqrt(np.where(osc, coeffs, 1.0))
-    phi = np.arctan2(dpsi / k, psi)
-    # zeros at xi = (phi + pi/2 + m pi)/k inside (0, d)
-    phase = k * widths
-    m_lo = np.ceil((-phi - np.pi / 2) / np.pi + 1e-12)
-    m_hi = np.floor((phase - phi - np.pi / 2) / np.pi
-                    - 1e-12 * np.maximum(1.0, phase))
-    crossing = np.sign(end_psi) * np.sign(psi) < 0
-    crossing[..., -1] &= final_crossing
-    total = np.where(osc, np.maximum(m_hi - m_lo + 1.0, 0.0), crossing)
-    total = total.sum(axis=-1).astype(int)
-    if final_crossing:
-        total += np.sign(end_psi[..., -1]) * (-1.0) ** total < 0
-    return total
+    An oscillatory region's zeros are counted from the closed form, less
+    those within 1e-12 pi rad of its start and 1e-12 max(1, k d) pi rad of
+    its end, a margin that outgrows the rounding of a long phase: the count
+    lags by at most the one zero a parity check restores, and a phase past
+    1e12 rad, where the margin holds more, raises StateTrackingError. Any
+    other region holds at most one zero, read from the signs at its ends."""
+    psi, dpsi, zeros = 0.0, 1.0, 0
+    dp = ddp = 0.0  # d psi/dE, d psi'/dE while ``slope``
+    for width, level in regions:
+        w = scale * (e - level)
+        k = math.sqrt(abs(w))
+        if w > 0.0:
+            # zeros at k xi = phi + pi/2 + m pi inside (0, width)
+            phase, phi = k * width, math.atan2(dpsi / k, psi)
+            if phase > _LONGEST_PHASE:
+                raise StateTrackingError(f"a region's phase {phase:.6g} rad passes "
+                                         "1e12, past which zeros go uncounted")
+            inner = (math.floor((phase - phi - _HALF_PI) / math.pi
+                                - 1e-12 * (phase if phase > 1.0 else 1.0))
+                     - math.ceil((-phi - _HALF_PI) / math.pi + 1e-12) + 1)
+            zeros += inner if inner > 0 else 0
+            s, c = math.sin(phase), math.cos(phase)
+            if slope:  # dk/dE = scale/2k, d phase = width dk
+                dk = 0.5 * scale / k
+                dphase = width * dk
+                dp, ddp = (c * dp + s / k * ddp - dphase * s * psi
+                           + (c * dphase - s * dk / k) / k * dpsi,
+                           c * ddp - k * s * dp - (dk * s + k * c * dphase) * psi
+                           - dphase * s * dpsi)
+            psi, dpsi = c * psi + s / k * dpsi, -k * s * psi + c * dpsi
+        else:
+            ch, to_psi, to_dpsi = 1.0, width, 0.0
+            if w < 0.0:
+                grow = min(k * width, _GROW_CLAMP)
+                ch, sh = math.cosh(grow), math.sinh(grow)
+                to_psi, to_dpsi = sh / k, k * sh
+                if to_dpsi == math.inf:
+                    half_gap = 0.5 * (1.0 - math.exp(-2.0 * grow))
+                    ch, to_psi, to_dpsi = 1.0 - half_gap, half_gap / k, half_gap * k
+                    slope = False
+                elif slope:  # dkappa/dE = -scale/2 kappa; a clamped grow is held
+                    dk = -0.5 * scale / k
+                    dgrow = width * dk if grow < _GROW_CLAMP else 0.0
+                    dp, ddp = (ch * dp + to_psi * ddp + dgrow * sh * psi
+                               + (ch * dgrow - sh * dk / k) / k * dpsi,
+                               ch * ddp + to_dpsi * dp
+                               + (dk * sh + k * ch * dgrow) * psi
+                               + dgrow * sh * dpsi)
+            else:
+                slope = False
+            end = ch * psi + to_psi * dpsi
+            zeros += end < 0.0 < psi or psi < 0.0 < end
+            psi, dpsi = end, to_dpsi * psi + ch * dpsi
+        size = max(abs(psi), abs(dpsi), 1e-280)
+        psi, dpsi = psi / size, dpsi / size
+        if slope:
+            dp, ddp = dp / size, ddp / size
+    return zeros, psi, dpsi, (dp, ddp) if slope else None
 
 
 def _wronskian(sides, scale, e, slope=False):
     """N(E) and D(E) = psi_L psi_R' + psi_L' psi_R of the unit-normalized
     left and mirrored right shots (psi_R' along the right shot) at c, the
-    left edge of the lowest region, walked for one energy in plain ``math``
-    with :func:`_transfer`'s closed forms, growth clamp (first: ``math.sinh``
-    raises past it) and overflow branch. With Pruefer angles theta_L,
-    theta_R at c, D = sin(theta_L + theta_R) is smooth across each
-    eigenvalue, and N = ceil((theta_L + theta_R)/pi) - 1 is the Sturm count:
-    each shot's zeros, counted per region as :func:`sturm_count` counts
-    them, plus one where D has the sign -(-1)^zeros.
+    left edge of the lowest region: one :func:`_shot` walk per side. With
+    Pruefer angles theta_L, theta_R at c, D = sin(theta_L + theta_R) is
+    smooth across each eigenvalue, and N = ceil((theta_L + theta_R)/pi) - 1
+    is the Sturm count: each shot's zeros, plus one where psi at c lacks
+    the sign (-1)^zeros (the zero a lagging count missed), plus one where
+    D has the sign -(-1)^zeros.
 
     With ``slope`` a third value is dD/dE = cos(theta_L + theta_R)
     (theta_L' + theta_R'), theta' = (psi' dp - psi ddp)/(psi^2 + psi'^2) at
-    c, where (dp, ddp) = d(psi, psi')/dE rides through each closed form
-    (Pryce 1993). Past the growth clamp the growth is held, d grow/dE = 0:
-    the clamped transfer moves the Pruefer angle only by about e^-1400. It
-    is None past a linear region or the overflow branch, which have no such
-    form here, and where it is not finite."""
-    ends, zeros, turn, carry = [], 0, 0.0, slope  # turn: theta_L' + theta_R'
-    for regions in sides:
-        psi, dpsi, before = 0.0, 1.0, zeros
-        dp = ddp = 0.0  # d psi/dE, d psi'/dE while ``carry``
-        for width, level in regions:
-            w = scale * (e - level)
-            k = math.sqrt(abs(w))
-            if w > 0.0:
-                # zeros at k xi = phi + pi/2 + m pi inside (0, width); the end
-                # margin outgrows a long phase's rounding: the count only lags
-                phase, phi = k * width, math.atan2(dpsi / k, psi)
-                inner = (math.floor((phase - phi - _HALF_PI) / math.pi
-                                    - 1e-12 * (phase if phase > 1.0 else 1.0))
-                         - math.ceil((-phi - _HALF_PI) / math.pi + 1e-12) + 1)
-                zeros += inner if inner > 0 else 0
-                s, c = math.sin(phase), math.cos(phase)
-                if carry:  # dk/dE = scale/2k, d phase = width dk
-                    dk = 0.5 * scale / k
-                    dphase = width * dk
-                    dp, ddp = (c * dp + s / k * ddp - dphase * s * psi
-                               + (c * dphase - s * dk / k) / k * dpsi,
-                               c * ddp - k * s * dp - (dk * s + k * c * dphase) * psi
-                               - dphase * s * dpsi)
-                psi, dpsi = c * psi + s / k * dpsi, -k * s * psi + c * dpsi
-            else:
-                ch, to_psi, to_dpsi = 1.0, width, 0.0
-                if w < 0.0:
-                    grow = min(k * width, _GROW_CLAMP)
-                    ch, sh = math.cosh(grow), math.sinh(grow)
-                    to_psi, to_dpsi = sh / k, k * sh
-                    if to_dpsi == math.inf:
-                        half_gap = 0.5 * (1.0 - math.exp(-2.0 * grow))
-                        ch, to_psi, to_dpsi = 1.0 - half_gap, half_gap / k, half_gap * k
-                        carry = False
-                    elif carry:  # dkappa/dE = -scale/2 kappa; a clamped grow is held
-                        dk = -0.5 * scale / k
-                        dgrow = width * dk if grow < _GROW_CLAMP else 0.0
-                        dp, ddp = (ch * dp + to_psi * ddp + dgrow * sh * psi
-                                   + (ch * dgrow - sh * dk / k) / k * dpsi,
-                                   ch * ddp + to_dpsi * dp
-                                   + (dk * sh + k * ch * dgrow) * psi
-                                   + dgrow * sh * dpsi)
-                else:
-                    carry = False
-                end = ch * psi + to_psi * dpsi
-                zeros += end < 0.0 < psi or psi < 0.0 < end
-                psi, dpsi = end, to_dpsi * psi + ch * dpsi
-            size = max(abs(psi), abs(dpsi), 1e-280)
-            psi, dpsi = psi / size, dpsi / size
-            if carry:
-                dp, ddp = dp / size, ddp / size
-        # psi at c has the sign (-1)^zeros: a lagging count is made up here
-        zeros += psi < 0.0 if (zeros - before) % 2 == 0 else psi > 0.0
-        size = max(math.hypot(psi, dpsi), 1e-280)
-        if carry:  # a state that cancelled to (0, 0) has no angle
-            turn += (dpsi * dp - psi * ddp) / (size * size) if psi or dpsi else math.nan
-        ends.append((psi / size, dpsi / size))
-    (psi_l, dpsi_l), (psi_r, dpsi_r) = ends
+    c, where (dp, ddp) = d(psi, psi')/dE from the walk. It is None where a
+    walk has none, and where it is not finite."""
+    n_l, psi_l, dpsi_l, tangent_l = _shot(sides[0], scale, e, slope)
+    n_r, psi_r, dpsi_r, tangent_r = _shot(sides[1], scale, e, tangent_l is not None)
+    # psi at c has the sign (-1)^n: a lagging count is made up here
+    zeros = (n_l + (psi_l < 0.0 if n_l % 2 == 0 else psi_l > 0.0)
+             + n_r + (psi_r < 0.0 if n_r % 2 == 0 else psi_r > 0.0))
+    size_l = max(math.hypot(psi_l, dpsi_l), 1e-280)
+    size_r = max(math.hypot(psi_r, dpsi_r), 1e-280)
+    if tangent_r is not None:  # theta_L' + theta_R'; a state at (0, 0) has no angle
+        (dp_l, ddp_l), (dp_r, ddp_r) = tangent_l, tangent_r
+        turn = ((dpsi_l * dp_l - psi_l * ddp_l) / (size_l * size_l)
+                if psi_l or dpsi_l else math.nan)
+        turn += ((dpsi_r * dp_r - psi_r * ddp_r) / (size_r * size_r)
+                 if psi_r or dpsi_r else math.nan)
+    psi_l, dpsi_l = psi_l / size_l, dpsi_l / size_l
+    psi_r, dpsi_r = psi_r / size_r, dpsi_r / size_r
     d = psi_l * dpsi_r + dpsi_l * psi_r
     n = zeros + (d * (-1.0) ** zeros < 0.0)
     if not slope:
         return n, d
-    dd = (dpsi_l * dpsi_r - psi_l * psi_r) * turn if carry else math.nan
+    dd = (dpsi_l * dpsi_r - psi_l * psi_r) * turn if tangent_r is not None else math.nan
     return n, d, dd if math.isfinite(dd) else None
 
 
 def count_shot_nodes(edges, coeffs) -> int:
-    """Interior zeros of the left shot, counted per region from the closed
-    forms (:func:`sturm_count` without the final region's residual crossing):
-    sampled, the residual of an imperfect root that grows like e^{kappa L} in
-    a forbidden outer region drowns the oscillation or reads as a crossing."""
-    widths = np.diff(np.asarray(edges, dtype=float))
-    return int(sturm_count(widths, coeffs, final_crossing=False)[0])
+    """Interior zeros of the left shot for one trial: one :func:`_shot`
+    walk over the regions between ``edges`` at levels -w, less a last
+    region that does not oscillate. Its sign change is no node: sampled,
+    the residual of an imperfect root that grows like e^{kappa L} in a
+    forbidden outer region drowns the oscillation or reads as a crossing,
+    and for the same reason no parity check reads psi at the wall."""
+    x, w = (np.asarray(a, dtype=float).tolist() for a in (edges, coeffs))
+    regions = [(b - a, -c) for a, b, c in zip(x, x[1:], w)]
+    return _shot(regions if w[-1] > 0.0 else regions[:-1], 1.0, 0.0)[0]
 
 
 def sample_shot(edges, coeffs, x) -> np.ndarray:
@@ -271,7 +258,8 @@ def sample_shot(edges, coeffs, x) -> np.ndarray:
     Past the growth clamp a position's own growth e^g stays in log space."""
     edges, coeffs, x = (np.asarray(a, dtype=float) for a in (edges, coeffs, x))
     widths = np.diff(edges)
-    psi0, dpsi0, psi1, dpsi1 = _states(widths, coeffs)
+    psi0, dpsi0, psi1, dpsi1 = np.array([(*start, *end) for start, end
+                                         in _walk(widths, coeffs)]).T
     # the transfer leaves e^-drop off a region's end state: G - 700 past the
     # clamp of G = kappa width, G where kappa sinh(clamped G) overflows
     kappa = np.sqrt(np.maximum(-coeffs, 0.0))

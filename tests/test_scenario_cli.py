@@ -340,6 +340,54 @@ solver: {{backend: exact, e_init: -3.0, state_index: {index}}}
     assert "float spacing" in error["message"]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", [
+    *("equation: modified_nr_stationary\n"
+      "grid: {kind: line, x_min: 0.0, x_max: 1.0, n_points: 64}\n"
+      "potential: {variant: free}\n"
+      f"solver: {{backend: exact, state_index: {k}, e_init: {e!r}}}\n"
+      for k, e in [(10**12, 4.934802200554548e+24), (10**13, 4.934802200545666e+26),
+                   (10**14, 4.9348022005447775e+28)]),
+    "equation: modified_rel_stationary\n"
+    "grid: {kind: line, x_min: 0.0, x_max: 1.0, n_points: 16}\n"
+    "potential: {variant: step, height: 0.3, edge: 0.5}\n"
+    "solver: {e_bracket: [1.0e-300, 1.0e+154]}\n",
+    "equation: modified_rel_stationary\n"
+    "grid: {kind: line, x_min: -8.0, x_max: 8.0, n_points: 16}\n"
+    "potential: {variant: square_well, depth: 1.0, half_width: 1.0e+154}\n"
+    "solver: {e_bracket: [-1.0e+154, 1.0e+154]}\n",
+], ids=["exact_state_1e12", "exact_state_1e13", "exact_state_1e14",
+        "rel_step_bracket_1e154", "rel_well_half_width_1e154"])
+def test_cli_zero_count_past_its_phase_bound_exits_3(tmp_path, text):
+    # a region phase past 1e12 rad, where a zero count can drop more than
+    # the one zero its parity check restores: the exact fixed point once
+    # reported state 1e14 + 314 as state 1e14 (1e12 and 1e13 ended in
+    # NoRootError), and relativistic shooting roots with phases near 5e147
+    # once reported node counts of -2**63 (a traceback under -W error)
+    cfg = _write(tmp_path, "phase.yaml", text)
+    out = tmp_path / "err.json"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 3
+    error = json.loads(out.read_text())
+    assert error["error"] == "StateTrackingError" and "phase" in error["message"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("v0", ["-0.2", "-0.0625", "-0.999", "-1.0", "-1.0e+154"])
+def test_cli_dispersion_audit_without_a_real_energy_exits_2(tmp_path, v0):
+    # at p = 0.5, K (K + 4V) < 0: no real E solves (E - 2V)**2 = K (E - V);
+    # the row once held NaN residuals (a traceback under -W error)
+    cfg = _write(tmp_path, "disp.yaml", "equation: dispersion_audit\n"
+                 f"solver: {{momenta: [0.5], potential_value: {v0}}}\n")
+    out = tmp_path / "err.json"
+    assert cli.main(["dispersion", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 2
+    error = json.loads(out.read_text())
+    assert error["error"] == "ConfigurationError"
+    assert "solver.potential_value" in error["message"]
+    assert "p = 0.5" in error["message"]
+
+
 def test_cli_singular_region_exits_4_with_locations(tmp_path):
     cfg = _write(tmp_path, "reject.yaml", HARMONIC_REJECT)
     out = str(tmp_path / "err.json")

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import warnings
 
@@ -12,8 +14,7 @@ from wavekit.potentials import PotentialSpec
 from wavekit.shooting import (_MARCH_ROWS, _renormalized, _step, _walk,
                               _wronskian, count_shot_nodes,
                               linear_bound_state_energy, march_endpoint,
-                              piecewise_regions, sample_shot, shot_state,
-                              sturm_count)
+                              piecewise_regions, sample_shot, shot_state)
 from wavekit.units import UnitSystem
 
 U = UnitSystem()
@@ -59,14 +60,20 @@ def test_step_broadcasts_over_sample_offsets():
 
 @pytest.mark.parametrize("u0", [0.0, -7.5, 120.0])
 def test_sturm_count_is_number_of_box_levels_below(u0):
-    # three regions of one value: interfaces must neither add nor drop zeros
-    widths = np.array([0.7, 1.9, 0.4])
-    unit = (np.pi / widths.sum()) ** 2 / SCALE      # E_n = u0 + n^2 unit
+    # three regions of one value: interfaces must neither add nor drop zeros;
+    # the Sturm count N(E) and the left shot's node count both equal the
+    # number of closed-form box levels u0 + (n + 1)^2 unit below E
+    edges = np.array([0.0, 0.7, 2.6, 3.0])
+    u = np.full(3, u0)
+    unit = (np.pi / 3.0) ** 2 / SCALE
     n = np.arange(0, 60)
     energies = np.concatenate([[u0 - 5.0, u0], u0 + (n + 0.5) ** 2 * unit])
     expected = np.concatenate([[0, 0], n])
-    coeffs = SCALE * (energies[:, None] - np.full((1, 3), u0))
-    np.testing.assert_array_equal(sturm_count(widths, coeffs), expected)
+    sides = _sides(edges, u)
+    np.testing.assert_array_equal(
+        [_wronskian(sides, SCALE, e)[0] for e in energies.tolist()], expected)
+    np.testing.assert_array_equal(
+        [count_shot_nodes(edges, SCALE * (e - u)) for e in energies], expected)
 
 
 def test_sturm_count_counts_matching_roots_below_energy():
@@ -77,8 +84,9 @@ def test_sturm_count_counts_matching_roots_below_energy():
     ends = march_endpoint(widths, SCALE * (es[:, None] - u[None, :]))
     roots_below = np.concatenate(
         [[0], np.cumsum(np.sign(ends[1:]) * np.sign(ends[:-1]) < 0)])
-    counts = sturm_count(widths, SCALE * (es[:, None] - u[None, :]))
-    np.testing.assert_array_equal(counts[::50], roots_below[::50])
+    sides = _sides(edges, u)
+    counts = [_wronskian(sides, SCALE, e)[0] for e in es[::50].tolist()]
+    np.testing.assert_array_equal(counts, roots_below[::50])
 
 
 def test_linear_eigenvalues_of_a_box_are_closed_form():
@@ -96,7 +104,7 @@ def test_deep_well_states_are_indexed_by_node_count():
     # neighbouring roots into one cell
     edges = np.array([-8.0, -1.5, 1.5, 8.0])
     u = np.array([0.0, -2.7e5, 0.0])
-    n_top = int(sturm_count(np.diff(edges), SCALE * (0.0 - u))[0])
+    n_top = _wronskian(_sides(edges, u), SCALE, 0.0)[0]
     assert n_top > 600
     mus = []
     for k in range(n_top):
@@ -106,6 +114,78 @@ def test_deep_well_states_are_indexed_by_node_count():
     mus = np.array(mus)
     assert np.all(np.diff(mus) > 0)
     assert -2.7e5 < mus[0] and mus[-1] < 0.0
+
+
+def test_linear_roots_have_their_index_in_nodes():
+    # the k-th level's shot has k nodes, counted by the walk that counts
+    # N(E) for the solve, on wells of 1-3 regions in walls whose outer
+    # regions are forbidden, for every bound state above the well's levels
+    # (where the shot's residual grows in the last region alone; 1167 states)
+    rng = np.random.default_rng(15)
+    checked = 0
+    for i in range(200):
+        n = int(rng.integers(1, 4))
+        widths = np.concatenate([[rng.uniform(1.0, 6.0)],
+                                 rng.uniform(0.1, 2.0, n), [rng.uniform(1.0, 6.0)]])
+        edges = np.concatenate([[0.0], np.cumsum(widths)])
+        u = np.concatenate([[0.0], -10.0 ** rng.uniform(0.5, 3.0)
+                            * rng.uniform(0.8, 1.0, n), [0.0]])
+        for k in range(12):
+            mu = linear_bound_state_energy(edges, u, k, U)
+            if mu >= 0.0:
+                break
+            if mu > u[1:-1].max():
+                assert count_shot_nodes(edges, SCALE * (mu - u)) == k, (i, k)
+                checked += 1
+    assert checked == 1167
+
+
+def _shooting_profiles():
+    """60 seeded profiles in walls at +-8 with a bracket of each: square
+    wells of depth 1-50, and four levels from -30 to 10 with the bracket
+    from just above the lowest to 20 above the highest."""
+    rng = np.random.default_rng(27)
+    for i in range(60):
+        if i % 2 == 0:
+            depth = float(rng.uniform(1.0, 50.0))
+            spec = PotentialSpec.square_well(depth, float(rng.uniform(0.25, 1.5)))
+            yield spec, (-depth * (1.0 - 1e-4), -depth * 1e-4)
+        else:
+            values = rng.uniform(-30.0, 10.0, 4)
+            spec = PotentialSpec.piecewise_constant(
+                np.sort(rng.uniform(-6.0, 6.0, 3)).tolist(), values.tolist())
+            yield spec, (float(values.min()) + 1e-3, float(values.max()) + 20.0)
+
+
+def test_shooting_node_counts_match_the_recorded_vector_counts():
+    # the node count of every modified-equation shooting root on these
+    # profiles, as the vectorized count this walk replaced gave them: 5168
+    # roots, 482588 nodes in all
+    grid = Grid.line(-8.0, 8.0, 400)
+    counts = [[r.node_count for r in mnr.solve_stationary_shooting(
+        grid, spec, bracket, U, n_scan=2000)] for spec, bracket in _shooting_profiles()]
+    flat = [n for row in counts for n in row]
+    assert (len(flat), sum(flat)) == (5168, 482588)
+    assert hashlib.sha256(json.dumps(counts).encode()).hexdigest() == (
+        "968aac503aaad423c4fe03764846de47f1c3a6c44637d94fee7d2f4982aa7653")
+
+
+def test_counts_refuse_a_phase_past_1e12():
+    # the count's end margin, 1e-12 of the phase, can hold more than the one
+    # zero a parity check restores past a phase of 1e12 rad: state 1e14 of
+    # the unit box once came back as state 1e14 + 314 with node count 1e14.
+    # Such a walk is refused; state 1e11 is solved as before
+    edges, u = np.array([0.0, 1.0]), np.array([0.0])
+    unit = np.pi**2 / SCALE
+    mu = linear_bound_state_energy(edges, u, 10**11, U)
+    assert mu == pytest.approx((10**11 + 1) ** 2 * unit, rel=1e-12)
+    assert count_shot_nodes(edges, [SCALE * (mu - 0.5 * 10**11 * unit)]) == 10**11
+    for k in (10**12, 10**13, 10**14):
+        for guess in (None, (k + 1) ** 2 * unit):
+            with pytest.raises(StateTrackingError, match="phase"):
+                linear_bound_state_energy(edges, u, k, U, guess)
+    with pytest.raises(StateTrackingError, match="phase"):
+        count_shot_nodes(edges, [1.000001e24])
 
 
 @pytest.mark.parametrize("length", [1.0, 2.0, 3.5, 5.0, 8.0, 16.0])
@@ -134,7 +214,9 @@ def _level_profile(rng):
 
 def test_seeded_linear_eigenvalue_equals_unseeded():
     # the guess only adds trials to the Sturm batch: near, far, on the next
-    # level, below min(U) or non-finite, it picks the same state
+    # level, below min(U) or non-finite, it picks the same state, and the
+    # levels below the returned energy, the zeros of the sampled shot, are
+    # k just below it and more than k just above
     rng = np.random.default_rng(11)
     for i in range(300):
         edges, u = _level_profile(rng)
@@ -144,13 +226,15 @@ def test_seeded_linear_eigenvalue_equals_unseeded():
         # the march sees E - U_j: energies resolve to the float spacing of
         # the largest of them, which is |mu|'s where |mu| dominates
         ulp = np.spacing(np.max(np.abs(mu - np.append(u, 0.0))))
-        for guess in (mu, mu - 1e-12 * abs(mu), mu + 1e-12 * abs(mu),
-                      mu - 0.3 * gap, mu + 0.3 * gap, mu + gap,
-                      np.min(u) - 1.0, 1e6, np.nan, np.inf, -np.inf):
-            got = linear_bound_state_energy(edges, u, k, U, guess)
-            assert abs(got - mu) <= 4.0 * ulp, (i, guess)
-            near = np.array([got - 1e-6 * gap, got + 1e-6 * gap])
-            counts = sturm_count(np.diff(edges), SCALE * (near[:, None] - u))
+        guesses = (mu, mu - 1e-12 * abs(mu), mu + 1e-12 * abs(mu),
+                   mu - 0.3 * gap, mu + 0.3 * gap, mu + gap,
+                   np.min(u) - 1.0, 1e6, np.nan, np.inf, -np.inf)
+        got = [linear_bound_state_energy(edges, u, k, U, g) for g in guesses]
+        near = np.ravel([(e - 1e-6 * gap, e + 1e-6 * gap) for e in got])
+        below = _sampled_zeros(np.diff(edges),
+                               SCALE * (near[:, None] - u))[0].reshape(-1, 2)
+        for guess, e, counts in zip(guesses, got, below):
+            assert abs(e - mu) <= 4.0 * ulp, (i, guess)
             assert counts[0] == k < counts[1], (i, guess)
 
 
@@ -168,7 +252,7 @@ def test_seeded_linear_eigenvalue_takes_few_scalar_walks(monkeypatch):
         slopes.append(bool(args[3:] or kwargs))
         return wronskian(*args, **kwargs)
 
-    for name in ("sturm_count", "march_endpoint", "_walk"):
+    for name in ("march_endpoint", "_walk"):
         monkeypatch.setattr(shooting, name, batched)
     monkeypatch.setattr(shooting, "_wronskian", walked)
     # a deep well resolves E only to 8-64 of its floats (the spacing of
@@ -201,6 +285,15 @@ def _sides(edges, u):
     m = int(np.argmin(u))
     regions = list(zip(np.diff(edges).tolist(), np.asarray(u).tolist()))
     return regions[:m], regions[m:][::-1]
+
+
+def _full_count(edges, coeffs):
+    """The Sturm count of the left shot of psi'' = -w psi through
+    :func:`_wronskian`, its regions at levels -w on the left side alone: the
+    shot's zeros and, unlike :func:`count_shot_nodes`, a sign change across
+    a last region that does not oscillate."""
+    regions = list(zip(np.diff(edges).tolist(), (-np.asarray(coeffs)).tolist()))
+    return _wronskian((regions, []), 1.0, 0.0)[0]
 
 
 def test_wronskian_slope_matches_a_central_difference():
@@ -329,7 +422,8 @@ def test_seeded_linear_eigenvalue_cell_edges_hold_the_count():
 
 def test_scalar_wronskian_has_the_sign_of_the_sturm_count():
     # the count N of the shots from both walls, met at the lowest region's
-    # left edge, is the one-sided count; D is the Wronskian of the batched
+    # left edge, is the number of levels below E: the zeros of the sampled
+    # left shot (oscillation theorem); D is the Wronskian of the batched
     # walk's end states and has the sign (-1)^N; on flat boxes the ladder
     # rungs min(U) + 2^j unit land on the levels
     rng = np.random.default_rng(12)
@@ -344,7 +438,7 @@ def test_scalar_wronskian_has_the_sign_of_the_sturm_count():
         m = int(np.argmin(u))
         regions = list(zip(widths.tolist(), u.tolist()))
         sides = regions[:m], regions[m:][::-1]
-        counts = sturm_count(widths, SCALE * (es[:, None] - u))
+        counts = _sampled_zeros(widths, SCALE * (es[:, None] - u))[0]
         for e, count in zip(es.tolist(), counts):
             n, d = _wronskian(sides, SCALE, e)
             assert n == count, e
@@ -467,20 +561,22 @@ def test_guess_on_a_level_of_a_long_phase_is_counted_once():
 def test_sturm_count_end_margin_scales_with_a_long_phase():
     # 2 floats below level 10^6 (from 0) of the flat unit box the phase is
     # 3.1e6 rad, whose rounding passes a fixed 1e-12 pi end margin: the
-    # count ran ahead (1000002 with the final crossing, 1000001 without).
-    # Scaled with the phase, it reads 10^6 either way, and near the level
-    # it equals the scalar walk's count or, without the final crossing,
-    # lags it
-    widths, k = np.array([1.0]), 10**6
-    for final_crossing in (True, False):
-        assert sturm_count(widths, [[SCALE * 4934812070154.014]],
-                           final_crossing)[0] == k
-    mu = linear_bound_state_energy(np.array([0.0, 1.0]), np.array([0.0]), k, U)
+    # count ran ahead (1000002 with the parity check, 1000001 without).
+    # Scaled with the phase, it reads the 10^6 closed-form levels below
+    # either way. Near the level the count is the 10^6 levels below the
+    # window plus one where the march endpoint has the sign (-1)^(10^6 + 1)
+    # (oscillation theorem), and the node count, with no parity check,
+    # equals it or lags it by one
+    edges, u, k = np.array([0.0, 1.0]), np.array([0.0]), 10**6
+    e = 4934812070154.014
+    assert _wronskian(([], [(1.0, 0.0)]), SCALE, e)[0] == k
+    assert count_shot_nodes(edges, [SCALE * e]) == k
+    mu = linear_bound_state_energy(edges, u, k, U)
     near = mu + np.spacing(mu) * np.arange(-8.0, 9.0)
     walked = [_wronskian(([], [(1.0, 0.0)]), SCALE, e)[0] for e in near.tolist()]
-    np.testing.assert_array_equal(sturm_count(widths, SCALE * near[:, None]),
-                                  walked)
-    lagging = sturm_count(widths, SCALE * near[:, None], final_crossing=False)
+    ends = np.sign(march_endpoint(np.diff(edges), SCALE * near[:, None]))
+    np.testing.assert_array_equal(k + (ends != (-1.0) ** k), walked)
+    lagging = np.array([count_shot_nodes(edges, [SCALE * e]) for e in near])
     assert np.all((walked - lagging >= 0) & (walked - lagging <= 1)), lagging
 
 
@@ -532,8 +628,12 @@ def test_marchers_stay_finite_past_the_decay_rate_overflow():
         assert np.all(np.isfinite(got))
         assert got[0] == pytest.approx(march_endpoint(thin_widths, thin)[0],
                                        rel=1e-12)
-        assert sturm_count(widths, coeffs)[0] == sturm_count(thin_widths,
-                                                             thin)[0] == 8
+        edges = np.concatenate([[0.0], np.cumsum(widths)])
+        thin_edges = np.concatenate([[0.0], np.cumsum(thin_widths)])
+        assert (_full_count(edges, coeffs[0]) == _full_count(thin_edges, thin[0])
+                == count_shot_nodes(edges, coeffs[0])
+                == count_shot_nodes(thin_edges, thin[0]) == 8)
+        assert got[0] > 0.0  # the sign (-1)^8 of psi at the wall
 
 
 @pytest.mark.parametrize("e", [10.0 - 1e-7, 10.0 - 1e-9])
@@ -597,7 +697,8 @@ def test_shot_state_of_a_clamped_region_matches_thin_regions(w_barrier):
 
 # -- region-by-region references: the marchers evaluate the transfer
 # coefficients of all regions at once and must give the same floats; the
-# sampled shot must match its reference to 1e-12 of max |psi|
+# sampled shot must match its reference to 1e-12 of max |psi|, and the zero
+# counts the sign changes of a finely sampled shot
 
 
 def _ref_march(widths, coeffs):
@@ -607,24 +708,25 @@ def _ref_march(widths, coeffs):
     return psi
 
 
-def _ref_sturm(widths, coeffs, final_crossing):
-    psi, dpsi = np.zeros(coeffs.shape[0]), np.ones(coeffs.shape[0])
-    total = np.zeros(coeffs.shape[0], dtype=int)
-    for j, d in enumerate(widths):
-        w = coeffs[:, j]
-        end_psi, end_dpsi = _step(psi, dpsi, w, d)
-        osc = w > 0
-        k = np.sqrt(np.where(osc, w, 1.0))
-        phi = np.arctan2(dpsi / k, psi)
-        m_lo = np.ceil((-phi - np.pi / 2) / np.pi + 1e-12)
-        m_hi = np.floor((k * d - phi - np.pi / 2) / np.pi - 1e-12)
-        waves = np.maximum(0.0, m_hi - m_lo + 1.0).astype(int)
-        crossing = np.sign(end_psi) * np.sign(psi) < 0
-        if j == len(widths) - 1 and not final_crossing:
-            crossing[:] = False
-        total += np.where(osc, waves, crossing)
-        psi, dpsi = _renormalized(end_psi, end_dpsi)
-    return total
+def _sampled_zeros(widths, coeffs):
+    """Zeros of the left shot per trial, read as sign changes of psi: in an
+    oscillatory region sampled from the region's start state (the batched
+    walk) less than pi/k apart, so that no two zeros share a gap, elsewhere
+    at the region's end. Returns all of them, which by the oscillation
+    theorem is the number of levels below E for a linear coefficient, and
+    those left once a last region that does not oscillate is dropped."""
+    signs = [np.ones((coeffs.shape[0], 1))]  # psi' = 1 just past the wall
+    for j, ((psi, dpsi), (end, _)) in enumerate(_walk(widths, coeffs)):
+        w = coeffs[:, j:j + 1]
+        k = np.sqrt(np.maximum(w, 0.0))
+        n = math.ceil(np.max(k) * widths[j] / math.pi) + 1
+        x = np.linspace(0.0, widths[j], n + 1)[1:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            wave = psi[:, None] * np.cos(k * x) + dpsi[:, None] / k * np.sin(k * x)
+        signs.append(np.sign(np.where(w > 0.0, wave, end[:, None])))
+    full, nodes = (np.sum(sign[:, 1:] * sign[:, :-1] < 0, axis=1)
+                   for sign in (np.hstack(signs), np.hstack(signs[:-1])))
+    return full, np.where(coeffs[:, -1] > 0.0, full, nodes)
 
 
 def _ref_shot(edges, coeffs, x):
@@ -687,10 +789,12 @@ def test_marchers_equal_region_by_region_references():
         seen_zero |= bool(np.any(coeffs == 0))
         assert np.array_equal(march_endpoint(widths, coeffs),
                               _ref_march(widths, coeffs))
-        for final in (True, False):
-            assert np.array_equal(sturm_count(widths, coeffs, final),
-                                  _ref_sturm(widths, coeffs, final))
         edges = np.concatenate([[-1.0], -1.0 + np.cumsum(widths)])
+        # the Sturm count and the node count of each trial against zeros of
+        # the sampled shot
+        sampled = _sampled_zeros(np.diff(edges), coeffs)
+        for count, want in zip((_full_count, count_shot_nodes), sampled):
+            assert np.array_equal([count(edges, row) for row in coeffs], want)
         n = int(rng.integers(2, 250))
         x = np.sort(np.concatenate(
             [edges, positions.uniform(edges[0], edges[-1], n)]))
