@@ -7,6 +7,11 @@ class names its exit code and the extra fields of its error object.
 
 from __future__ import annotations
 
+import math
+import numbers
+
+import numpy as np
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NONCONVERGENCE = 3
@@ -34,6 +39,36 @@ class ConfigurationError(WavekitError):
 
     def fields(self):
         return {"failures": self.failures}
+
+
+def is_finite_number(value) -> bool:
+    """A real number, not a bool, whose float is finite (an int past the
+    float range has none): the test of every number a config gives."""
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:
+        return False
+
+
+def in_float_range(value, label: str):
+    """``value`` (a float, a list of Python floats or an array) where all
+    of it is finite, else a ConfigurationError naming ``label``: the check
+    of every scale derived from a config. A callable ``value`` is called
+    under ``np.errstate(all="ignore")``, and an OverflowError or
+    ZeroDivisionError from it (Python float ``**`` past the range, x / 0
+    after an underflow) counts as out of range."""
+    if callable(value):
+        with np.errstate(all="ignore"):
+            try:
+                value = value()
+            except (OverflowError, ZeroDivisionError):
+                value = math.inf
+    if (all(map(math.isfinite, value)) if isinstance(value, list)
+            else math.isfinite(value) if isinstance(value, float)
+            else np.isfinite(value).all()):
+        return value
+    raise ConfigurationError(f"{label} is out of the float range")
 
 
 class UsageError(WavekitError):

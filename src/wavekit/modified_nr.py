@@ -20,7 +20,8 @@ import numpy as np
 from .errors import (ConfigurationError, NonConvergenceError,
                      NonHyperbolicRegimeError, NoRootError,
                      SingularCoefficientError, SingularRegionError,
-                     StabilityError, StateTrackingError, UsageError)
+                     StabilityError, StateTrackingError, UsageError,
+                     in_float_range)
 from .numgrid import (Grid, WaveField, build_laplacian, eigenvalue,
                       lowest_eigenpairs, matvec)
 from .potentials import (E_EQUALS_V, PotentialSpec, domain_levels, evaluate,
@@ -142,16 +143,6 @@ def _effective_levels(v: list, E: float, guard: GuardPolicy) -> list:
     return w
 
 
-def _in_range(values, label: str):
-    """``values``, an array formed under ``np.errstate(over="ignore")`` or
-    a list of Python floats; unless all are finite, a ConfigurationError
-    naming the potential."""
-    if (all(map(math.isfinite, values)) if isinstance(values, list)
-            else np.isfinite(values).all()):
-        return values
-    raise ConfigurationError(f"potential: {label} leaves the float range")
-
-
 def _reject_singular(V: PotentialSpec, E: float, grid: Grid, what: str):
     """Raise :class:`SingularRegionError` when E = V(x) inside the domain."""
     sset = find_singular_set(V, E, E_EQUALS_V, grid)
@@ -241,8 +232,8 @@ def solve_stationary_shooting(grid: Grid, V: PotentialSpec, e_bracket,
     """
     edges, region_values = piecewise_regions(V, grid.x_min, grid.x_max)
     ends = np.asarray(e_bracket, dtype=float)[:, None]
-    with np.errstate(over="ignore"):  # a parabola in E peaks at an end
-        _in_range((ends - 2.0 * region_values) ** 2, "(E - 2V)**2")
+    in_float_range(lambda: (ends - 2.0 * region_values) ** 2,
+                   "potential: (E - 2V)**2")  # a parabola in E peaks at an end
     return shooting_spectrum(
         grid, edges, lambda e: _nonlinear_coefficient(e, region_values, units),
         e_bracket, n_scan, poles=region_values)
@@ -335,7 +326,8 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
         # surfacing singularities is part of the contract: check every iterate
         if reject:
             singular(e_k, "iterate")
-        w = _in_range(effective(v, e_k, guard), "W = 3V - V**2/(E - V)")
+        w = in_float_range(effective(v, e_k, guard),
+                           "potential: W = 3V - V**2/(E - V)")
         if exact:
             mu = problem.solve(w, state_index, e_k, tol)
             state = None
@@ -438,17 +430,14 @@ def timedep_speed_squared(V: PotentialSpec, E: float, epsilon: float,
     psi_tt = s psi_xx. Raises when singular or non-hyperbolic, and
     ConfigurationError when a factor of s leaves the float range."""
     v = np.asarray(evaluate(V, grid.x), dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        denom = E - 2.0 * v
-        numerator, denom_sq = (epsilon**2 / (2.0 * units.m)) * (E - v), denom**2
+    what = f"epsilon = {epsilon!r}, E = {E!r}: s = (eps^2/2m) (E - V)/(E - 2V)^2"
+    denom = in_float_range(lambda: E - 2.0 * v, what)
     singular = np.abs(denom) < 1e-12 * max(1.0, abs(E))
     if np.any(singular):
         raise SingularCoefficientError(
             f"E = 2V on the grid near x = {grid.x[singular][:5]}")
-    if not (np.isfinite(numerator).all() and np.isfinite(denom_sq).all()):
-        raise ConfigurationError(f"epsilon = {epsilon!r}, E = {E!r}: s = (eps^2/2m) "
-                                 "(E - V)/(E - 2V)^2 leaves the float range")
-    s = numerator / denom_sq
+    s = (in_float_range(lambda: (epsilon**2 / (2.0 * units.m)) * (E - v), what)
+         / in_float_range(lambda: denom**2, what))
     if np.any(s <= 0.0):
         bad = grid.x[s <= 0.0]
         raise NonHyperbolicRegimeError(

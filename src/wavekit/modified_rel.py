@@ -10,12 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidScenarioError, OutOfScopeError
+from .errors import InvalidScenarioError, OutOfScopeError, in_float_range
 from .numgrid import Grid, WaveField, build_laplacian
 from .potentials import PotentialSpec, evaluate
 from .shooting import piecewise_regions
 from .units import UnitSystem
-from .modified_nr import TimeDepState, _in_range, leapfrog, shooting_spectrum
+from .modified_nr import TimeDepState, leapfrog, shooting_spectrum
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,10 +43,10 @@ def rel_coefficient(e, region_values: np.ndarray, units: UnitSystem) -> np.ndarr
     a ConfigurationError where w leaves the float range."""
     e = np.atleast_1d(np.asarray(e, dtype=float))[:, None]
     v = region_values[None, :]
-    E0 = units.E0
-    with np.errstate(over="ignore"):
-        w = ((e - v) ** 2 - E0**2) * (1.0 + v / E0) ** 2 / (units.c * units.hbar) ** 2
-    return _in_range(w, "w = [(E - V)**2 - E0**2](1 + V/E0)**2/(c hbar)**2")
+    E0, c_hbar = units.E0, units.c * units.hbar
+    return in_float_range(
+        lambda: ((e - v) ** 2 - E0**2) * (1.0 + v / E0) ** 2 / c_hbar**2,
+        "potential: w = [(E - V)**2 - E0**2](1 + V/E0)**2/(c hbar)**2")
 
 
 def rel_box_energy(n: int, L: float, V: float, units: UnitSystem) -> float:
@@ -87,9 +87,11 @@ def propagate_rel_timedep(phi0: WaveField, dphi0_dt: WaveField,
     StabilityError once the norm grows beyond 10x its initial value.
     """
     units = scenario.units
+    what = "potential: (1 + V/E0)**2"
+    factor_sq = in_float_range(
+        lambda: (1.0 + scenario.potential_samples / units.E0) ** 2, what)
+    inv_m = in_float_range(lambda: 1.0 / factor_sq, what)
     with np.errstate(over="ignore"):
-        factor_sq = (1.0 + scenario.potential_samples / units.E0) ** 2
-        inv_m = 1.0 / _in_range(factor_sq, "(1 + V/E0)**2")
         # an entry of A past the float range gives the step bound 0
         a = {k: (units.c**2 * row).astype(phi0.values.dtype)
              for k, row in build_laplacian(scenario.grid).diagonals.items()}

@@ -18,19 +18,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, UsageError
+from .errors import (ConfigurationError, NonConvergenceError, UsageError,
+                     in_float_range)
 
 LINE = "line"
 RADIAL = "radial"
 DIRICHLET = "dirichlet"
 PERIODIC = "periodic"
 _NODE_FLOOR = 1e-8  # count_nodes: samples below it (relative) carry no sign
-
-
-def _has_finite_inverse_square(h: float) -> bool:
-    """h**2 and 1/h**2 are finite and nonzero (the stencils divide by h**2)."""
-    h_sq = h * h
-    return 0.0 < h_sq < np.inf and 1.0 / h_sq < np.inf
 
 
 @dataclass(frozen=True)
@@ -55,9 +50,13 @@ class Grid:
             failures.append("x_max must exceed x_min")
         elif not np.isfinite(self.x_max - self.x_min):
             failures.append("x_max - x_min must be a finite number")
-        elif self.n_points >= 8 and not _has_finite_inverse_square(self.h):
-            failures.append(f"grid spacing h = {self.h!r}: h**2 or 1/h**2 "
-                            "is out of the float range")
+        elif self.n_points >= 8:  # the stencils divide by h**2
+            what = f"grid spacing h = {self.h!r}: h**2 or 1/h**2"
+            try:
+                h_sq = in_float_range(lambda: self.h**2, what)
+                in_float_range(lambda: 1.0 / h_sq, what)
+            except ConfigurationError as exc:
+                failures.append(str(exc))
         if self.kind == RADIAL:
             if self.x_min <= 0.0:
                 failures.append("radial grids require x_min > 0 (origin excluded)")
@@ -270,18 +269,30 @@ def ring_fold_order(n: int, boundary: str) -> np.ndarray:
     return np.where(k % 2 == 0, k // 2, n - 1 - k // 2)
 
 
-def _band(kinetic: BandedOperator, kinetic_factor: float,
-          potential: np.ndarray, first: int, last: int) -> np.ndarray:
-    """Lower band storage of ``kinetic_factor * L + diag(potential)`` on
-    the unknowns of the grid (:attr:`BandedOperator.lower_band`), checked
-    to hold eigenvalue indices ``first`` .. ``last``."""
+def _solve_band(kinetic: BandedOperator, kinetic_factor: float,
+                potential: np.ndarray, first: int, last: int,
+                eigvals_only: bool):
+    """Eigenvalues ``first`` .. ``last`` (ascending), with their vectors
+    unless ``eigvals_only``, of ``kinetic_factor * L + diag(potential)``:
+    one LAPACK ``dsbevx`` solve on :attr:`BandedOperator.lower_band`, a
+    NonConvergenceError where LAPACK reports that it did not converge."""
     m = len(kinetic.unknowns)
     if not 0 <= first <= last < m:
         raise ConfigurationError(
             f"eigenvalue indices {first} .. {last} must lie in 0 .. {m - 1}")
-    band = kinetic_factor * kinetic.lower_band
-    band[0] += potential[kinetic.unknowns]
-    return band
+    with np.errstate(over="ignore", invalid="ignore"):
+        band = kinetic_factor * kinetic.lower_band
+        band[0] += potential[kinetic.unknowns]
+    in_float_range(band, "units, grid spacing and potential: the band of "
+                   "-hbar**2/2m Laplacian + V")
+    import scipy.linalg  # loaded by the eigensolves, not at import
+
+    try:
+        return scipy.linalg.eig_banded(band, lower=True, eigvals_only=eigvals_only,
+                                       select="i", select_range=(first, last))
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(
+            f"the banded eigensolve did not converge: {exc}", []) from None
 
 
 def eigenvalue(kinetic: BandedOperator, kinetic_factor: float,
@@ -293,12 +304,8 @@ def eigenvalue(kinetic: BandedOperator, kinetic_factor: float,
     vectors: LAPACK bisects the same tridiagonal form either way, so the
     eigenvalue carries the same bits as the one it returns.
     """
-    band = _band(kinetic, kinetic_factor, potential, index, index)
-    import scipy.linalg  # loaded by the eigensolves, not at import
-
-    return float(scipy.linalg.eig_banded(
-        band, lower=True, eigvals_only=True, select="i",
-        select_range=(index, index))[0])
+    return float(_solve_band(kinetic, kinetic_factor, potential, index, index,
+                             eigvals_only=True)[0])
 
 
 def lowest_eigenpairs(kinetic: BandedOperator, kinetic_factor: float,
@@ -306,19 +313,14 @@ def lowest_eigenpairs(kinetic: BandedOperator, kinetic_factor: float,
     """Eigenpairs ``first`` .. ``first + n_states - 1`` (ascending) of
     ``kinetic_factor * L + diag(potential)``; the lowest ones by default.
 
-    One symmetric banded solve on every boundary (LAPACK ``dsbevx``), on
-    the unknowns in band order (:attr:`BandedOperator.lower_band`), which
-    computes only the requested index window. Returned states live on the
+    One symmetric banded solve on every boundary (:func:`_solve_band`),
+    which computes only the requested index window. Returned states live on the
     full grid (end values zero for Dirichlet line grids) and are
     normalized under trapezoidal quadrature. Within a degenerate level the
     states are one basis of its eigenspace, the one LAPACK returns.
     """
-    last = first + n_states - 1
-    band = _band(kinetic, kinetic_factor, potential, first, last)
-    import scipy.linalg  # loaded by the eigensolves, not at import
-
-    vals, vecs = scipy.linalg.eig_banded(band, lower=True, select="i",
-                                         select_range=(first, last))
+    vals, vecs = _solve_band(kinetic, kinetic_factor, potential, first,
+                             first + n_states - 1, eigvals_only=False)
     grid = kinetic.grid
     states = np.zeros((grid.n_points, n_states))
     states[kinetic.unknowns] = vecs

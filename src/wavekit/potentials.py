@@ -6,12 +6,12 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, UsageError
+from .errors import (ConfigurationError, DomainError, UsageError,
+                     in_float_range, is_finite_number)
 from .numgrid import Grid
 
 FREE = "free"
@@ -63,15 +63,17 @@ class PotentialSpec:
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"unknown potential variant {self.variant!r}")
         for name in _SCALAR_FIELDS:
-            if not _is_finite_real(getattr(self, name)):
+            if not is_finite_number(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be a finite number")
         for name in _LIST_FIELDS:
-            _check_finite_list(name, getattr(self, name))
+            seq = getattr(self, name)
+            if not (isinstance(seq, (list, tuple)) and all(map(is_finite_number, seq))):
+                raise ConfigurationError(f"{name} must be a list of finite numbers")
         if self.variant == SQUARE_WELL and (self.depth <= 0 or self.half_width <= 0):
             raise ConfigurationError("square_well needs depth > 0 and half_width > 0")
-        if self.variant == HARMONIC and not math.isfinite(_stiffness(self)):
-            raise ConfigurationError(
-                "harmonic omega is too large: 0.5 mass omega^2 overflows")
+        if self.variant == HARMONIC:
+            in_float_range(lambda: 0.5 * self.mass * self.omega**2,
+                           f"harmonic omega = {self.omega!r}: 0.5 mass omega**2")
         if self.variant == BARRIER and not self.left < self.right:
             raise ConfigurationError("barrier needs left < right")
         if self.variant == PIECEWISE_CONSTANT:
@@ -130,37 +132,9 @@ _SCALAR_FIELDS = ("center", "depth", "half_width", "height", "edge", "left",
 _LIST_FIELDS = ("breakpoints", "values", "sample_x", "sample_v")
 
 
-def _is_finite_real(value) -> bool:
-    """A real number, not a bool, whose float is finite (an int past the
-    float range has none)."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def _stiffness(spec: PotentialSpec) -> float:
-    """0.5 mass omega^2 of a harmonic spec, inf where it overflows."""
-    try:
-        return 0.5 * spec.mass * spec.omega**2
-    except OverflowError:
-        return math.inf
-
-
-def _check_finite_list(name: str, seq):
-    try:
-        x = np.asarray(seq, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{name} must be a list of numbers") from None
-    if x.ndim != 1 or not np.all(np.isfinite(x)):
-        raise ConfigurationError(f"{name} must be a list of finite numbers")
-
-
 def _check_increasing(name: str, seq):
     """``evaluate`` and ``region_table`` read positions in ascending order."""
-    if not np.all(np.diff(np.asarray(seq, dtype=float)) > 0):
+    if not all(a < b for a, b in zip(seq, seq[1:])):
         raise ConfigurationError(f"{name} must be strictly increasing")
 
 
@@ -213,34 +187,40 @@ def domain_levels(spec: PotentialSpec, x_min: float, x_max: float,
 
 
 def evaluate(spec: PotentialSpec, x):
-    """V(x); accepts scalars or arrays."""
+    """V(x); accepts scalars or arrays. V sampled on an array is formed
+    with no warning and checked once: a ConfigurationError names the
+    potential where a sample leaves the float range."""
     x = np.asarray(x, dtype=float)
     v = spec.variant
-    if v == FREE:
-        out = np.zeros_like(x)
-    elif v == SQUARE_WELL:
-        out = np.where(np.abs(x - spec.center) <= spec.half_width, -spec.depth, 0.0)
-    elif v == STEP:
-        out = np.where(x >= spec.edge, spec.height, 0.0)
-    elif v == BARRIER:
-        out = np.where((x >= spec.left) & (x <= spec.right), spec.height, 0.0)
-    elif v == HARMONIC:
-        out = _stiffness(spec) * (x - spec.center) ** 2
-    elif v == COULOMB:
-        if np.any(x <= 0.0):
-            raise DomainError("coulomb potential requires x > 0")
-        out = -spec.strength / x
-    elif v == PIECEWISE_CONSTANT:
-        idx = np.searchsorted(np.asarray(spec.breakpoints), x, side="right")
-        out = np.asarray(spec.values, dtype=float)[idx]
-    elif v == TABULATED:
-        sx = np.asarray(spec.sample_x)
+
+    def values():
+        if v == FREE:
+            return np.zeros_like(x)
+        if v == SQUARE_WELL:
+            return np.where(np.abs(x - spec.center) <= spec.half_width,
+                            -spec.depth, 0.0)
+        if v == STEP:
+            return np.where(x >= spec.edge, spec.height, 0.0)
+        if v == BARRIER:
+            return np.where((x >= spec.left) & (x <= spec.right), spec.height, 0.0)
+        if v == HARMONIC:
+            return 0.5 * spec.mass * spec.omega**2 * (x - spec.center) ** 2
+        if v == COULOMB:
+            if np.any(x <= 0.0):
+                raise DomainError("coulomb potential requires x > 0")
+            return -spec.strength / x
+        if v == PIECEWISE_CONSTANT:
+            idx = np.searchsorted(np.asarray(spec.breakpoints), x, side="right")
+            return np.asarray(spec.values, dtype=float)[idx]
+        sx = np.asarray(spec.sample_x)  # TABULATED
         if np.any(x < sx[0] - 1e-12) or np.any(x > sx[-1] + 1e-12):
             raise DomainError("tabulated samples do not cover the requested points")
-        out = np.interp(x, sx, np.asarray(spec.sample_v))
-    else:  # pragma: no cover - guarded in __post_init__
-        raise ConfigurationError(f"unknown variant {v!r}")
-    return out if out.ndim else float(out)
+        return np.interp(x, sx, np.asarray(spec.sample_v))
+
+    if not x.ndim:
+        return float(values())
+    given = ", ".join(f"{k} = {val!r}" for k, val in vars(spec).items() if val)
+    return in_float_range(values, f"potential: V(x) of {given}")
 
 
 @dataclass(frozen=True)

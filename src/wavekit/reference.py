@@ -48,11 +48,12 @@ def solve_schrodinger_stationary(grid: Grid, V: PotentialSpec, n_states: int,
     energies, states = lowest_eigenpairs(lap, factor, v_samples, n_states)
     fields = [WaveField(states[:, j], grid) for j in range(n_states)]
     h = hamiltonian(lap, factor, v_samples)
-    residuals = [float(np.max(np.abs(matvec(h, f.values) - e * f.values)))
-                 for e, f in zip(energies, fields)]
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN: refused in a report
+        residuals = [float(np.max(np.abs(matvec(h, f.values) - e * f.values)))
+                     for e, f in zip(energies, fields)]
+        scale = float(np.max(matvec({k: np.abs(row) for k, row in h.items()},
+                                    np.ones(grid.n_points))))  # largest row sum
     nodes = tuple(count_nodes(f.values) for f in fields)
-    scale = float(np.max(matvec({k: np.abs(row) for k, row in h.items()},
-                                np.ones(grid.n_points))))  # largest row sum
     return SpectrumResult(energies, fields, nodes,
                           {"residuals": residuals, "method": "banded_eigensolve",
                            "bandwidth": lap.lower_band.shape[0] - 1,

@@ -24,7 +24,7 @@ from . import __version__
 # the EXIT_* codes are re-exported for callers that import them from here
 from .errors import (EXIT_CONFIG, EXIT_NONCONVERGENCE, EXIT_OK,  # noqa: F401
                      EXIT_SINGULAR, ConfigurationError, UsageError,
-                     WavekitError)
+                     WavekitError, in_float_range, is_finite_number)
 from .numgrid import PERIODIC, Grid, WaveField, count_nodes
 from .potentials import PotentialSpec
 from .planewave import (PlaneWaveState, constant_A, constant_A_prime,
@@ -81,11 +81,23 @@ class RunReport:
             for name, value in self.to_dict().items()})
 
 
-def canonical_json(obj) -> str:
+def canonical_json(obj, allow_nan: bool = True) -> str:
     """Compact JSON with sorted keys: the text of every digest and every
-    JSON file the CLI writes."""
+    JSON file the CLI writes; ``allow_nan=False`` refuses NaN and infinity."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      allow_nan=True, default=_jsonable)
+                      allow_nan=allow_nan, default=_jsonable)
+
+
+def _payload_json(payload: dict) -> str:
+    """``canonical_json(payload)``; a payload holds finite numbers only, so
+    a NaN or an infinity in it is a ConfigurationError that names its key."""
+    try:
+        return canonical_json(payload, allow_nan=False)
+    except ValueError:  # the first key whose text holds one
+        key = next(key for key in sorted(payload) if any(
+            token in canonical_json(payload[key]) for token in ("NaN", "Infinity")))
+        raise ConfigurationError(f"payload.{key} holds a NaN or an infinity: "
+                                 "a number out of the float range") from None
 
 
 def join_canonical(members: dict) -> str:
@@ -113,27 +125,15 @@ def _jsonable(obj):
 
 # -- config schema --------------------------------------------------------
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    """A number whose float is finite (an int past the float range has none)."""
-    try:
-        return _is_number(value) and math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 def _is_integer(value) -> bool:
     """An integer, also when written as an integral float."""
-    return _is_finite(value) and float(value).is_integer()
+    return is_finite_number(value) and float(value).is_integer()
 
 
 def _is_bracket(value) -> bool:
     """Two finite numbers in increasing order, a finite distance apart."""
     return (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(_is_finite(v) for v in value) and value[0] < value[1]
+            and all(map(is_finite_number, value)) and value[0] < value[1]
             and math.isfinite(float(value[1]) - float(value[0])))
 
 
@@ -141,9 +141,10 @@ def _one_of(*choices):
     return (lambda v: v in choices), " or ".join(choices)
 
 
-_POSITIVE = (lambda v: _is_finite(v) and v > 0), "a number > 0"
-_FINITE = _is_finite, "a finite number"
-_FINITE_OR_NULL = (lambda v: v is None or _is_finite(v)), "null or a finite number"
+_POSITIVE = (lambda v: is_finite_number(v) and v > 0), "a number > 0"
+_FINITE = is_finite_number, "a finite number"
+_FINITE_OR_NULL = ((lambda v: v is None or is_finite_number(v)),
+                   "null or a finite number")
 _COUNT = (lambda v: _is_integer(v) and v >= 1), "an integer >= 1"
 
 #: Every config block but ``equation`` and ``potential`` (which
@@ -170,7 +171,7 @@ SCHEMAS = {
         "e_init": (1.0, *_FINITE),
         "tol": (1e-10, *_POSITIVE),
         "max_iter": (200, *_COUNT),
-        "damping": (0.5, lambda v: _is_number(v) and 0.0 < v <= 1.0,
+        "damping": (0.5, lambda v: is_finite_number(v) and 0.0 < v <= 1.0,
                     "a number in (0, 1]"),
         "wilson_r": (1.0, *_FINITE),
         "dt": (1e-3, *_POSITIVE),
@@ -183,7 +184,7 @@ SCHEMAS = {
                       "null or two finite increasing numbers a finite "
                       "distance apart"),
         "momenta": ([0.5, 1.0, 2.0],
-                    lambda v: isinstance(v, list) and all(map(_is_finite, v)),
+                    lambda v: isinstance(v, list) and all(map(is_finite_number, v)),
                     "a list of finite numbers"),
         "potential_value": (0.0, *_FINITE),
         "epsilon": (None, *_FINITE_OR_NULL),
@@ -346,25 +347,12 @@ def _modified_spectrum(results):
                      "method": results[0].method}
 
 
-def _solver_scale(config: ScenarioConfig, key: str, label: str, compute):
-    """``compute()``, a number formed from ``solver.<key>``; unless it is a
-    finite float, a ConfigurationError that names the key."""
-    try:
-        value = compute()
-    except (OverflowError, ZeroDivisionError):
-        value = math.inf  # a float ** past the float range, or x / 0 after underflow
-    if math.isfinite(value):
-        return value
-    raise ConfigurationError(f"solver.{key} = {config.solver[key]!r}: {label} "
-                             f"= {value!r} is out of the float range")
-
-
 def _initial_wave(config: ScenarioConfig):
     """Initial data for time-dependent runs: a plane-wave mode by default."""
     grid = config.grid
     k = 2.0 * np.pi * int(config.solver["mode"]) / (grid.x_max - grid.x_min)
-    _solver_scale(config, "mode", "the phase k * x",
-                  lambda: k * max(abs(grid.x_min), abs(grid.x_max)))
+    in_float_range(lambda: k * max(abs(grid.x_min), abs(grid.x_max)),
+                   f"solver.mode = {config.solver['mode']!r}: the phase k * x")
     return WaveField(np.exp(1j * k * grid.x), grid), k
 
 
@@ -416,13 +404,13 @@ def _run_rel_stationary(config: ScenarioConfig):
 def _run_nr_timedep(config: ScenarioConfig):
     solver, units, grid = config.solver, config.units, config.grid
     psi0, k = _initial_wave(config)
-    eps, key = solver["epsilon"], "epsilon"
+    eps, given = solver["epsilon"], f"solver.epsilon = {solver['epsilon']!r}"
     if eps is None:
-        key = "mode"
-        eps = _solver_scale(config, key, "epsilon = (hbar k)**2/2m",
-                            lambda: (units.hbar * k) ** 2 / (2.0 * units.m))
-    _solver_scale(config, key, "epsilon**2 + |epsilon/hbar|",
-                  lambda: eps**2 + abs(eps / units.hbar))
+        given = f"solver.mode = {solver['mode']!r}"
+        eps = in_float_range(lambda: (units.hbar * k) ** 2 / (2.0 * units.m),
+                             f"{given}: epsilon = (hbar k)**2/2m")
+    in_float_range(lambda: eps**2 + abs(eps / units.hbar),
+                   f"{given}: epsilon**2 + |epsilon/hbar|")
     E = float(eps if solver["E"] is None else solver["E"])
     dpsi0 = WaveField(-1j * eps / units.hbar * psi0.values, grid)
     state0 = TimeDepState(psi0, dpsi0, 0.0, E, float(eps))
@@ -435,10 +423,11 @@ def _run_rel_timedep(config: ScenarioConfig):
     units, grid = config.units, config.grid
     psi0, k = _initial_wave(config)
     scen = RelScenario(units, config.potential, grid)
-    E = _solver_scale(config, "mode", "E = sqrt((c hbar k)**2 + E0**2)",
-                      lambda: math.sqrt((units.c * units.hbar * k) ** 2
-                                        + units.E0**2))
-    _solver_scale(config, "mode", "E/hbar", lambda: E / units.hbar)
+    given = f"solver.mode = {config.solver['mode']!r}"
+    E = in_float_range(lambda: math.sqrt((units.c * units.hbar * k) ** 2
+                                         + units.E0**2),
+                       f"{given}: E = sqrt((c hbar k)**2 + E0**2)")
+    in_float_range(lambda: E / units.hbar, f"{given}: E/hbar")
     dpsi0 = WaveField(-1j * E / units.hbar * psi0.values, grid)
     return _trajectory(config, propagate_rel_timedep(
         psi0, dpsi0, scen, float(config.solver["dt"]),
@@ -461,54 +450,56 @@ def _run_dispersion_audit(config: ScenarioConfig):
     units, solver = config.units, config.solver
     rows = []
     v0, E0 = float(solver["potential_value"]), units.E0
-
-    def scale(label, compute, key="momenta"):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return _solver_scale(config, key, f"{label} at p = {p!r}", compute)
-
     for p in solver["momenta"]:
         p = float(p)
-        # the rows form eps = p**2/2m, the time-dependent residual's
-        # eps**2 p**2/(2m hbar**2), -4/eps**2 (for p != 0) and (c p)**2
-        K = scale("eps = p**2/2m", lambda: p**2 / (2.0 * units.m))
-        scale("eps**2 p**2/(2m hbar**2)",
-              lambda: K**2 * p**2 / (2.0 * units.m * units.hbar**2))
-        if p:
-            scale("-4/eps**2", lambda: -4.0 / K**2)
-        scale("(c p)**2", lambda: (units.c * p) ** 2)
+        row, at_p = {"p": p}, f" at p = {p!r}"
+        momenta = f"solver.momenta = {solver['momenta']!r}: "
+        K = in_float_range(lambda: p**2 / (2.0 * units.m),
+                           momenta + "eps = p**2/2m" + at_p)
+
+        def constants():
+            """The calibration constants into ``row``; returned with the
+            time-dependent residual's eps**2 p**2/(2m hbar**2) and
+            -4/eps**2 (for p != 0)."""
+            eps_rel = float(np.sqrt((units.c * p) ** 2 + E0**2))
+            row.update(constant_A=constant_A(units),
+                       constant_A_prime=constant_A_prime(K),
+                       constant_B=constant_B(eps_rel, units),
+                       constant_B_prime=constant_B_prime(p, units),
+                       constant_D=constant_D(eps_rel, units),
+                       constant_D_prime=constant_D_prime(p, units))
+            return [K**2 * p**2 / (2.0 * units.m * units.hbar**2),
+                    -4.0 / K**2 if p else 0.0, *row.values()]
+
+        in_float_range(constants, momenta + "a scale or constant" + at_p)
         # each equation has its own dispersion relation at constant V;
-        # pick the E that satisfies it so every residual closes: a real,
-        # finite E, or the row is refused
+        # pick the E that satisfies it so every residual closes: a real
+        # E, and residuals in the float range, or the row is refused
         if not K * (K + 4.0 * v0) >= 0.0:
             raise ConfigurationError(
                 f"solver.potential_value = {solver['potential_value']!r}: no "
-                f"real E solves (E - 2V)**2 = K (E - V) at p = {p!r}")
-        e_nr = scale("E_nr", lambda: 0.5 * (K + 4.0 * v0 + np.sqrt(K * (K + 4.0 * v0))),
-                     "potential_value")
-        e_rel = scale("E_rel", lambda: v0 + np.sqrt(
-            E0**2 + (units.c * p / (1.0 + v0 / E0)) ** 2), "potential_value")
-        e_spin = scale("E_spin", lambda: np.sqrt((units.c * p) ** 2 + E0**2)
-                       * E0 / (E0 + v0), "potential_value")
-        st_nr = PlaneWaveState(p, e_nr - v0, e_nr, v0)
-        st_rel = PlaneWaveState(p, e_rel - v0, e_rel, v0)
-        st_spin = PlaneWaveState(p, e_spin - v0, e_spin, v0)
-        eps_rel = float(np.sqrt((units.c * p) ** 2 + E0**2))
-        rows.append({
-            "p": p,
-            "constant_A": constant_A(units),
-            "constant_A_prime": constant_A_prime(K),
-            "constant_B": constant_B(eps_rel, units),
-            "constant_B_prime": constant_B_prime(p, units),
-            "constant_D": constant_D(eps_rel, units),
-            "constant_D_prime": constant_D_prime(p, units),
-            "residual_nr_stationary": residual_nr_stationary(st_nr, units),
-            "residual_nr_timedep": residual_nr_timedep(st_nr, units),
-            "residual_rel_stationary": residual_rel_stationary(st_rel, units),
-            "residual_rel_timedep": residual_rel_timedep(st_spin, units),
-            "residual_spin_half_plus": residual_spin_half(st_spin, units, +1),
-            "residual_massless_plus": residual_massless(PlaneWaveState(
-                p, units.c * p, units.c * p * E0 / (E0 + v0), v0), units, +1),
-        })
+                f"real E solves (E - 2V)**2 = K (E - V){at_p}")
+
+        def residuals():
+            e_nr = 0.5 * (K + 4.0 * v0 + np.sqrt(K * (K + 4.0 * v0)))
+            e_rel = v0 + np.sqrt(E0**2 + (units.c * p / (1.0 + v0 / E0)) ** 2)
+            e_spin = np.sqrt((units.c * p) ** 2 + E0**2) * E0 / (E0 + v0)
+            st_nr = PlaneWaveState(p, e_nr - v0, e_nr, v0)
+            st_spin = PlaneWaveState(p, e_spin - v0, e_spin, v0)
+            row.update(
+                residual_nr_stationary=residual_nr_stationary(st_nr, units),
+                residual_nr_timedep=residual_nr_timedep(st_nr, units),
+                residual_rel_stationary=residual_rel_stationary(
+                    PlaneWaveState(p, e_rel - v0, e_rel, v0), units),
+                residual_rel_timedep=residual_rel_timedep(st_spin, units),
+                residual_spin_half_plus=residual_spin_half(st_spin, units, +1),
+                residual_massless_plus=residual_massless(PlaneWaveState(
+                    p, units.c * p, units.c * p * E0 / (E0 + v0), v0), units, +1))
+            return list(row.values())
+
+        in_float_range(residuals, f"solver.potential_value = "
+                       f"{solver['potential_value']!r}: a residual{at_p}")
+        rows.append(row)
     return {"kind": "residual_table", "rows": rows}, {}
 
 
@@ -543,7 +534,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
     # the scenario is re-encoded (a raw key that is no string comes back
     # as one, so the echo need not be the text of ``scenario``)
     encoded = {"scenario": canonical_json(scenario),
-               "payload": canonical_json(payload)}
+               "payload": _payload_json(payload)}
     return RunReport(scenario, payload, diagnostics, __version__, _sha256(echo),
                      _sha256(join_canonical(encoded)), encoded)
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigurationError, InvalidScenarioError,
-                     NonConvergenceError, StabilityError, UsageError)
+                     NonConvergenceError, StabilityError, UsageError,
+                     in_float_range)
 from .numgrid import (Grid, PERIODIC, _clusters, _laplacian_diagonals,
                       count_nodes, dense_matrix, general_band, matvec,
                       ring_fold_order)
@@ -113,8 +114,6 @@ def _derivative_diagonals(grid: Grid) -> dict:
 
 
 def _check_weight(v: np.ndarray, units: UnitSystem):
-    if not np.all(np.isfinite(v)):
-        raise InvalidScenarioError("potential must be finite on the grid")
     if np.any(v <= -units.E0):
         raise InvalidScenarioError("potential must satisfy V > -E0 everywhere")
 
@@ -257,12 +256,15 @@ def _weighted_spectrum(grid: Grid, V: PotentialSpec, units: UnitSystem,
 
     v = np.asarray(evaluate(V, grid.x), dtype=float)
     _check_weight(v, units)
-    op = real_dirac_operator(grid, units, wilson_r, massless)
-    weight = np.concatenate([1.0 + v / units.E0, 1.0 + v / units.E0])
-    inv_root_w = 1.0 / np.sqrt(weight)
-    folded, band, pos = _folded_band(op, inv_root_w, grid.boundary)
+    with np.errstate(all="ignore"):  # a band past the float range: checked below
+        op = real_dirac_operator(grid, units, wilson_r, massless)
+        weight = np.concatenate([1.0 + v / units.E0, 1.0 + v / units.E0])
+        inv_root_w = 1.0 / np.sqrt(weight)
+        folded, band, pos = _folded_band(op, inv_root_w, grid.boundary)
     bw = band.shape[0] // 2
-    scale = float(np.max(np.sum(np.abs(band), axis=0)))  # largest row sum
+    scale = in_float_range(lambda: float(np.max(np.sum(np.abs(band), axis=0))),
+                           f"wilson_r = {wilson_r!r}, units and grid spacing: "
+                           "the folded Dirac operator's largest row sum")
     half = n_states
     widenings = 0
     while True:

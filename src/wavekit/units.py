@@ -2,29 +2,26 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-from .errors import ConfigurationError
-
-
-def _sq(x: float) -> float:
-    # x * x gives inf past the float range, where x**2 raises OverflowError
-    return x * x
-
+from .errors import ConfigurationError, in_float_range
 
 #: The scales the solvers form from the constants alone, as (label, the
 #: constants in it, its value from hbar, m and c). Each must be a finite,
-#: nonzero float, or a solve divides by 0 or inf, or overflows.
+#: nonzero float, or a solve divides by 0 or inf, or overflows: each is
+#: checked, then its reciprocal (_RECIPROCALS).
 _SCALES = (
-    ("hbar**2", ("hbar",), lambda hbar, m, c: _sq(hbar)),
-    ("2*m/hbar**2", ("m", "hbar"), lambda hbar, m, c: 2.0 * m / _sq(hbar)),
-    ("m*c**2", ("m", "c"), lambda hbar, m, c: m * _sq(c)),
-    ("(m*c**2)**2", ("m", "c"), lambda hbar, m, c: _sq(m * _sq(c))),
-    ("(hbar*c)**2", ("hbar", "c"), lambda hbar, m, c: _sq(hbar * c)),
+    ("hbar**2", ("hbar",), lambda hbar, m, c: hbar**2),
+    ("2*m/hbar**2", ("m", "hbar"), lambda hbar, m, c: 2.0 * m / hbar**2),
+    ("m*c**2", ("m", "c"), lambda hbar, m, c: m * c**2),
+    ("(m*c**2)**2", ("m", "c"), lambda hbar, m, c: (m * c**2) ** 2),
+    ("(hbar*c)**2", ("hbar", "c"), lambda hbar, m, c: (hbar * c) ** 2),
     ("(m*c**2/hbar)**2", ("m", "c", "hbar"),
-     lambda hbar, m, c: _sq(m * _sq(c) / hbar)),
+     lambda hbar, m, c: (m * c**2 / hbar) ** 2),
 )
+_RECIPROCALS = tuple(
+    (f"1/({label})", names, lambda hbar, m, c, scale=scale: 1.0 / scale(hbar, m, c))
+    for label, names, scale in _SCALES)
 
 
 @dataclass(frozen=True)
@@ -45,13 +42,11 @@ class UnitSystem:
         for name in ("hbar", "m", "c"):
             if getattr(self, name) <= 0.0:
                 raise ConfigurationError(f"unit constant {name!r} must be > 0")
-        for label, names, scale in _SCALES:
-            value = scale(self.hbar, self.m, self.c)
-            if not 0.0 < value < math.inf:
-                given = ", ".join(f"{n} = {getattr(self, n)!r}" for n in names)
-                raise ConfigurationError(
-                    f"unit constants {given}: {label} = {value!r} is out of "
-                    "the float range")
+        hbar, m, c = float(self.hbar), float(self.m), float(self.c)
+        for label, names, scale in _SCALES + _RECIPROCALS:
+            given = ", ".join(f"{n} = {getattr(self, n)!r}" for n in names)
+            in_float_range(lambda: scale(hbar, m, c),
+                           f"unit constants {given}: {label}")
 
     @property
     def E0(self) -> float:

@@ -1,10 +1,17 @@
 """Property: any generated config ends, through ``cli.main``, in a report
-(exit 0) or a typed error with its mapped exit code (2, 3 or 4); it never
-raises. Each case is a valid config (or sweep config) with up to two faults:
-malformed values, misspelled keys and broken blocks, in every block."""
+(exit 0) that holds finite numbers only, or a typed error with its mapped
+exit code (2, 3 or 4); it never raises, and no warning is raised either
+(each case runs with warnings as errors). Each case of the first property
+is a valid config (or sweep config) with up to two faults: malformed
+values, misspelled keys and broken blocks, in every block. Each case of
+the second is a valid config with one to three numbers (a solver key, a
+grid bound, a unit constant or a potential parameter) at a magnitude near
+an end of the float range."""
 
+import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import yaml
@@ -142,14 +149,90 @@ def cases(draw):
     return command, doc
 
 
+def _refuse_constant(name):
+    raise ValueError(f"a report holds {name}")
+
+
+def _ends_in_report_or_typed_error(command, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "config.yaml", Path(tmp) / "out"
+        cfg.write_text(yaml.safe_dump(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([command, "--config", str(cfg), "--out", str(out),
+                             "--quiet"])
+        assert code in (0, 2, 3, 4)
+        if code == 0 and command != "sweep":  # a sweep writes a CSV table
+            json.loads(out.read_text(), parse_constant=_refuse_constant)
+
+
 @settings(derandomize=True, max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cases())
 def test_cli_any_config_ends_in_report_or_typed_error(case):
-    command, doc = case
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg = Path(tmp) / "config.yaml"
-        cfg.write_text(yaml.safe_dump(doc))
-        code = cli.main([command, "--config", str(cfg),
-                         "--out", str(Path(tmp) / "out"), "--quiet"])
-    assert code in (0, 2, 3, 4)
+    _ends_in_report_or_typed_error(*case)
+
+
+MAGNITUDES = st.builds(
+    lambda sign, size: sign * size, st.sampled_from([1.0, -1.0]),
+    st.sampled_from([0.0, 5e-324, 1e-300, 1e-160, 1e-20, 1e154, 1e300, 1.7e308]))
+
+#: The numeric keys of each block that a case may set to a magnitude; not
+#: the step and iteration counts, which a magnitude turns into a long run.
+NUMERIC = {
+    "units": ("hbar", "m", "c", "e"),
+    "grid": ("x_min", "x_max"),
+    "solver": ("n_states", "state_index", "e_init", "tol", "damping",
+               "wilson_r", "dt", "guard_floor", "e_bracket", "momenta",
+               "potential_value", "epsilon", "E", "mode"),
+}
+
+EXTREME_POTENTIALS = st.sampled_from([
+    {"variant": "square_well", "depth": 4.0, "half_width": 1.0, "center": 0.0},
+    {"variant": "step", "height": 2.0, "edge": 0.5},
+    {"variant": "barrier", "height": 2.0, "left": -0.5, "right": 0.5},
+    {"variant": "harmonic", "omega": 1.0, "mass": 1.0, "center": 0.0},
+    {"variant": "coulomb", "strength": 1.0},
+    {"variant": "piecewise_constant", "breakpoints": [-0.5, 0.5],
+     "values": [0.0, -2.0, 1.0]},
+    {"variant": "tabulated", "sample_x": [-1e3, 1e3], "sample_v": [0.0, 1.0]},
+])
+
+
+@st.composite
+def extreme_cases(draw):
+    """(command, config doc) of a valid config with extreme numbers."""
+    equation = draw(st.sampled_from(sorted(COMMAND_OF)))
+    potential = dict(draw(EXTREME_POTENTIALS))
+    doc = {"equation": equation, "potential": potential}
+    for name, fields in VALID.items():
+        keys = set(ALWAYS.get(name, ()))
+        keys |= set(draw(st.lists(st.sampled_from(sorted(fields)), max_size=5)))
+        doc[name] = {key: draw(fields[key]) for key in sorted(keys)}
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(["potential", *sorted(NUMERIC)]))
+        if name == "potential":
+            key = draw(st.sampled_from(sorted(set(potential) - {"variant"})))
+            if isinstance(potential[key], list):
+                entries = list(potential[key])
+                entries[draw(st.integers(0, len(entries) - 1))] = draw(MAGNITUDES)
+                potential[key] = entries
+            else:
+                potential[key] = draw(MAGNITUDES)
+            continue
+        key = draw(st.sampled_from(NUMERIC[name]))
+        if key == "e_bracket":
+            value = sorted([draw(MAGNITUDES), draw(MAGNITUDES)])
+        elif key == "momenta":
+            value = [0.5, draw(MAGNITUDES)]
+        else:
+            value = draw(MAGNITUDES)
+        doc[name][key] = value
+    return COMMAND_OF[equation], doc
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(extreme_cases())
+def test_cli_extreme_magnitudes_end_in_report_or_typed_error(case):
+    _ends_in_report_or_typed_error(*case)

@@ -907,20 +907,23 @@ potential: {potential}
     assert any("strictly increasing" in f for f in failures)
 
 
-@pytest.mark.parametrize("omega", ["1.0e+160", "1.0e+200", "1.0e+300",
-                                   "1" + "0" * 400],
-                         ids=["1e160", "1e200", "1e300", "int_10^400"])
+@pytest.mark.parametrize("omega", ["1.0e+154", "1.0e+160", "1.0e+200",
+                                   "1.0e+300", "1" + "0" * 400],
+                         ids=["1e154", "1e160", "1e200", "1e300", "int_10^400"])
 def test_cli_harmonic_omega_whose_stiffness_overflows_exits_2(tmp_path,
                                                               omega):
-    # the last is a YAML int past the float range
+    # the last is a YAML int past the float range; at 1e154 the stiffness
+    # 0.5 m omega**2 is finite and V(x) overflows on the grid
     cfg = _write(tmp_path, "stiff.yaml", f"""\
 equation: schrodinger
 grid: {{kind: line, x_min: -4.0, x_max: 4.0, n_points: 16}}
 potential: {{variant: harmonic, omega: {omega}}}
 """)
     out = tmp_path / "err.json"
-    assert cli.main(["solve", "--config", cfg, "--out", str(out),
-                     "--quiet"]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow RuntimeWarning either
+        assert cli.main(["solve", "--config", cfg, "--out", str(out),
+                         "--quiet"]) == 2
     err = json.loads(out.read_text())
     assert err["error"] == "ConfigurationError" and err["exit_code"] == 2
     assert any("omega" in f for f in err["failures"])
@@ -958,6 +961,23 @@ potential: {variant: square_well, depth: 12.0, half_width: 1.0}
     *(("dispersion", "equation: dispersion_audit\n"
        f"solver: {{momenta: [0.5, {p}]}}\n", "solver.momenta")
       for p in ("1.0e-160", "1.0e+52", "1.0e+154", "1.0e+160")),
+    *(("dispersion", "equation: dispersion_audit\n"
+       f"solver: {{momenta: [0.5], potential_value: {v}}}\n",
+       "solver.potential_value")
+      for v in ("1.0e+155", "1.0e+160", "1.0e+200", "1.0e+300")),
+    ("propagate", "equation: modified_nr_timedep\n"
+     "grid: {kind: line, x_min: 0.0, x_max: 3.0, n_points: 64}\n"
+     "potential: {variant: harmonic, omega: 1.0e+154}\n", "omega"),
+    ("propagate", "equation: modified_nr_timedep\n"
+     "grid: {kind: line, x_min: 5.0e-324, x_max: 1.0, n_points: 38}\n"
+     "potential: {variant: coulomb, strength: 1.0}\n", "strength"),
+    ("solve", "equation: spin_half_stationary\n"
+     "grid: {kind: line, x_min: 0.0, x_max: 1.0, n_points: 11}\n"
+     "solver: {wilson_r: 1.7e+308}\n", "wilson_r"),
+    *(("solve", f"equation: {equation}\nunits: {{hbar: 1.0e+154}}\n"
+       "grid: {kind: line, x_min: 0.0, x_max: 1.0, n_points: 16}\n"
+       "solver: {e_init: 1.0}\n", "-hbar**2/2m Laplacian + V")
+      for equation in ("schrodinger", "modified_nr_stationary")),
     ("propagate", "equation: modified_rel_timedep\n" + PERIODIC
      + "units: {c: 1.0e+100, hbar: 1.0e+100, m: 1.0e-120}\n", "(hbar*c)**2"),
     ("propagate", "equation: modified_rel_timedep\n" + PERIODIC
@@ -1005,7 +1025,12 @@ potential: {variant: square_well, depth: 12.0, half_width: 1.0}
         "h_squared_underflows", "dispersion_E0_squared_underflows",
         "dispersion_E0_squared_overflows", "dispersion_momentum_1e-160",
         "dispersion_momentum_1e52", "dispersion_momentum_1e154",
-        "dispersion_momentum_1e160", "rel_timedep_hbar_c_overflows",
+        "dispersion_momentum_1e160", "dispersion_potential_1e155",
+        "dispersion_potential_1e160", "dispersion_potential_1e200",
+        "dispersion_potential_1e300", "nr_timedep_harmonic_V_overflows",
+        "nr_timedep_coulomb_V_overflows", "spin_half_wilson_term_overflows",
+        "schrodinger_band_overflows", "nr_fixed_point_band_overflows",
+        "rel_timedep_hbar_c_overflows",
         "rel_timedep_E0_over_hbar_overflows",
         "rel_timedep_c_sq_over_h_sq_overflows", "nr_timedep_mode_1e150",
         "nr_timedep_mode_1e300", "nr_timedep_epsilon_1e200",
@@ -1032,6 +1057,51 @@ def test_cli_scales_past_the_float_range_exit_2(tmp_path, command, text, key):
     err = json.loads(out.read_text())
     assert err["error"] == "ConfigurationError" and err["exit_code"] == 2
     assert any(key in f for f in err["failures"])
+
+
+@pytest.mark.parametrize("boundary, values", [
+    ("periodic", "[-1.0e+154, -1.7e+308, -1.0e-160]"),
+    ("dirichlet", "[-1.7e+308, 1.7e+308, 1.7e+308]")],
+    ids=["periodic", "dirichlet"])
+@pytest.mark.parametrize("as_errors", [False, True], ids=["plain", "W_error"])
+def test_cli_non_finite_payload_number_exits_2(tmp_path, boundary, values,
+                                               as_errors):
+    # the residual |H psi - E psi| overflows to NaN; a report once held it
+    # (exit 0), and under -W error the overflow warning was a traceback
+    cfg = _write(tmp_path, "nan.yaml", "equation: schrodinger\n"
+                 "grid: {kind: line, x_min: 0.0, x_max: 1.0, n_points: 16, "
+                 f"boundary: {boundary}}}\n"
+                 "potential: {variant: piecewise_constant, breakpoints: "
+                 f"[0.3, 0.6], values: {values}}}\nsolver: {{n_states: 2}}\n")
+    out = tmp_path / "err.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error" if as_errors else "ignore")
+        assert cli.main(["solve", "--config", cfg, "--out", str(out),
+                         "--quiet"]) == 2
+    err = json.loads(out.read_text())
+    assert err["error"] == "ConfigurationError"
+    assert any("payload.self_consistency_residuals" in f
+               for f in err["failures"])
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("x_max", ["1.0e+150", "1.0e+154"])
+def test_cli_eigensolve_that_does_not_converge_exits_3(tmp_path, boundary,
+                                                       x_max):
+    # h**2 and 1/h**2 are finite, and LAPACK dsbevx reports that it did not
+    # converge on the band of 1/h**2 near 1e-300 (a LinAlgError, exit 1)
+    cfg = _write(tmp_path, "wide.yaml", "equation: schrodinger\n"
+                 f"grid: {{kind: line, x_min: 0.0, x_max: {x_max}, "
+                 f"n_points: 16, boundary: {boundary}}}\n"
+                 "potential: {variant: free}\nsolver: {n_states: 2}\n")
+    out = tmp_path / "err.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["solve", "--config", cfg, "--out", str(out),
+                         "--quiet"]) == 3
+    err = json.loads(out.read_text())
+    assert err["error"] == "NonConvergenceError"
+    assert "eigensolve did not converge" in err["message"]
 
 
 def test_cli_relativistic_norm_past_the_float_range_exits_3(tmp_path):
