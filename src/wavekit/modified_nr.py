@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -152,12 +153,12 @@ def _reject_singular(V: PotentialSpec, E: float, grid: Grid, what: str):
 
 
 def _singular_check(V: PotentialSpec, grid: Grid, region_levels=None):
-    """:func:`_reject_singular` for the energies of one solve. The levels
-    of a piecewise-constant V (:func:`domain_levels`, on ``region_levels``
-    when the region table is already read) are read once, and
-    :func:`find_singular_set` runs only for an E within its residual
-    tolerance of one of them, or not finite: the same errors, found at the
-    same locations."""
+    """:func:`_reject_singular` for the energies of the solves of V on
+    ``grid``. The levels of a piecewise-constant V (:func:`domain_levels`,
+    on ``region_levels`` when the region table is already read) are read
+    once, and :func:`find_singular_set` runs only for an E within its
+    residual tolerance of one of them, or not finite: the same errors,
+    found at the same locations."""
     if not V.is_piecewise_constant:
         return lambda E, what: _reject_singular(V, E, grid, what)
     levels = domain_levels(V, grid.x_min, grid.x_max, region_levels)
@@ -167,6 +168,22 @@ def _singular_check(V: PotentialSpec, grid: Grid, region_levels=None):
         if not (math.isfinite(E) and all(abs(E - v) > tol for v in levels)):
             _reject_singular(V, E, grid, what)
     return check
+
+
+@lru_cache(maxsize=16, typed=True)
+def _exact_problem(V: PotentialSpec, grid: Grid, m: float, hbar: float):
+    """What the exact-backend fixed point reads of one potential, prepared
+    once for every solve on it: the region edges and levels
+    (:func:`region_table`) as tuples, the linear problem
+    (:class:`PreparedProblem`) and the E = V check (:func:`_singular_check`
+    on those levels). Keyed on the spec's identity (its list fields are
+    tuples, so it cannot change under its key), the whole grid (the check
+    falls back on :func:`find_singular_set`, which samples it) and the two
+    unit constants the problem reads, an int apart from its float. Solves
+    that interleave the roots of up to 16 potentials all hit."""
+    edges, levels = region_table(V, grid.x_min, grid.x_max)
+    problem = PreparedProblem(edges, SimpleNamespace(m=m, hbar=hbar))
+    return tuple(edges), tuple(levels), problem, _singular_check(V, grid, levels)
 
 
 def _nonlinear_coefficient(e: np.ndarray, region_values: np.ndarray,
@@ -276,9 +293,9 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
     piecewise-constant linear shooting, its Sturm bracket seeded at the
     iterate, so the converged energy is free of discretization error and
     comparable with :func:`solve_stationary_shooting` at 1e-8; it reads the
-    region table (:func:`region_table`) once, for W and the E = V levels,
-    prepares one linear problem (:class:`PreparedProblem`) and makes no
-    NumPy call before the state is read. Its solve gets ``tol``: where a
+    region table, the linear problem and the E = V check prepared once per
+    potential (:func:`_exact_problem`) and makes no NumPy call before the
+    state is read. Its solve gets ``tol``: where a
     count certifies |mu - E_k| < tol it answers without resolving mu, and
     the iteration converges at E_k. Under the ``reject`` guard every
     iterate, and on the grid backend every linearized eigenvalue, is
@@ -298,12 +315,11 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
     # V as the exact backend's region values, Python floats up to the
     # state, or the grid backend's samples
     if exact:
-        edges, v = region_table(V, grid.x_min, grid.x_max)
-        problem = PreparedProblem(edges, units)
+        edges, v, problem, singular = _exact_problem(V, grid, units.m, units.hbar)
     else:
         factor, lap = kinetic_operator(grid, units)
         v = np.asarray(evaluate(V, grid.x), dtype=float)
-    singular = _singular_check(V, grid, v if exact else None) if reject else None
+        singular = _singular_check(V, grid) if reject else None
     effective = _effective_levels if exact else _effective_samples
 
     def result(energy, state, iterations, residual):

@@ -40,7 +40,8 @@ class PotentialSpec:
     """Declarative description of a potential V(x).
 
     Only the fields relevant to ``variant`` are meaningful; the factory
-    classmethods are the intended constructors.
+    classmethods are the intended constructors. The list fields are stored
+    as tuples, so a spec does not change after it is built.
     """
 
     variant: str
@@ -69,6 +70,7 @@ class PotentialSpec:
             seq = getattr(self, name)
             if not (isinstance(seq, (list, tuple)) and all(map(is_finite_number, seq))):
                 raise ConfigurationError(f"{name} must be a list of finite numbers")
+            object.__setattr__(self, name, tuple(seq))  # a caller's list stays its own
         if self.variant == SQUARE_WELL and (self.depth <= 0 or self.half_width <= 0):
             raise ConfigurationError("square_well needs depth > 0 and half_width > 0")
         if self.variant == HARMONIC:

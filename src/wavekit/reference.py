@@ -1,6 +1,6 @@
 """Standard-equation baselines: the stationary Schrodinger solver, free
 Klein-Gordon / Dirac dispersion, and the analytic catalogs
-(infinite well, harmonic, hydrogenic, finite-well roots) used as oracles.
+(infinite well, harmonic, hydrogenic) used as oracles.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import numpy as np
 from .numgrid import (BandedOperator, Grid, WaveField, _clusters,
                       build_laplacian, count_nodes, lowest_eigenpairs, matvec)
 from .potentials import PotentialSpec, evaluate
-from .shooting import bracketed_roots
 from .units import UnitSystem
 
 
@@ -94,30 +93,3 @@ def hydrogen_ground_state(grid: Grid, k: float = 1.0,
     a0 = units.hbar**2 / (units.m * k)
     u = grid.x * np.exp(-grid.x / a0)
     return WaveField(u, grid).normalized()
-
-
-def finite_well_bound_energies(depth: float, half_width: float,
-                               units: UnitSystem = UnitSystem(),
-                               n_scan: int = 20000):
-    """Bound energies of the standard finite square well via the matching
-    conditions k tan(ka) = kappa (even) and -k cot(ka) = kappa (odd).
-    """
-    hbar, m = units.hbar, units.m
-
-    def k_in(E):
-        return np.sqrt(2.0 * m * (E + depth)) / hbar
-
-    def kappa(E):
-        return np.sqrt(-2.0 * m * E) / hbar
-
-    def even(E):
-        return k_in(E) * np.sin(k_in(E) * half_width) - kappa(E) * np.cos(
-            k_in(E) * half_width)
-
-    def odd(E):
-        return k_in(E) * np.cos(k_in(E) * half_width) + kappa(E) * np.sin(
-            k_in(E) * half_width)
-
-    es = np.linspace(-depth * (1 - 1e-9), -depth * 1e-9, n_scan)
-    roots = [bracketed_roots(f, es) for f in (even, odd)]
-    return sorted(np.concatenate(roots).tolist())

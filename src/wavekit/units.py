@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError, in_float_range
@@ -44,9 +45,13 @@ class UnitSystem:
                 raise ConfigurationError(f"unit constant {name!r} must be > 0")
         hbar, m, c = float(self.hbar), float(self.m), float(self.c)
         for label, names, scale in _SCALES + _RECIPROCALS:
-            given = ", ".join(f"{n} = {getattr(self, n)!r}" for n in names)
-            in_float_range(lambda: scale(hbar, m, c),
-                           f"unit constants {given}: {label}")
+            try:  # Python floats: ** past the range raises, x / 0 too
+                value = scale(hbar, m, c)
+            except (OverflowError, ZeroDivisionError):
+                value = math.inf
+            if not math.isfinite(value):  # the label is formed to raise only
+                given = ", ".join(f"{n} = {getattr(self, n)!r}" for n in names)
+                in_float_range(value, f"unit constants {given}: {label}")
 
     @property
     def E0(self) -> float:

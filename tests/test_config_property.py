@@ -6,7 +6,9 @@ is a valid config (or sweep config) with up to two faults: malformed
 values, misspelled keys and broken blocks, in every block. Each case of
 the second is a valid config with one to three numbers (a solver key, a
 grid bound, a unit constant or a potential parameter) at a magnitude near
-an end of the float range."""
+an end of the float range. Both draw as many derandomized cases as the
+Hypothesis profile asks (``tests/conftest.py``): 300 by default, 2000 under
+``--hypothesis-profile=long``."""
 
 import json
 import math
@@ -166,7 +168,7 @@ def _ends_in_report_or_typed_error(command, doc):
             json.loads(out.read_text(), parse_constant=_refuse_constant)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None,
+@settings(derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cases())
 def test_cli_any_config_ends_in_report_or_typed_error(case):
@@ -231,7 +233,7 @@ def extreme_cases(draw):
     return COMMAND_OF[equation], doc
 
 
-@settings(derandomize=True, max_examples=300, deadline=None,
+@settings(derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(extreme_cases())
 def test_cli_extreme_magnitudes_end_in_report_or_typed_error(case):

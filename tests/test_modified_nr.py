@@ -11,7 +11,7 @@ from wavekit import shooting
 from wavekit.errors import (ConfigurationError, NoRootError,
                             NonConvergenceError, NonHyperbolicRegimeError,
                             SingularRegionError, StabilityError,
-                            StateTrackingError)
+                            StateTrackingError, WavekitError)
 from wavekit.numgrid import (BandedOperator, Grid, WaveField, build_laplacian,
                              lowest_eigenpairs, matvec)
 from wavekit.potentials import (E_EQUALS_V, PotentialSpec, evaluate,
@@ -572,6 +572,100 @@ def test_exact_fixed_point_makes_no_numpy_call_before_the_state_is_read(
     if isinstance(res, mnr.ModifiedEigenResult):  # the hook sees the state's
         state, calls = _numpy_calls(lambda: res.state)
         assert calls and state.grid == grid
+
+
+def _confirmation(grid, spec, root, **solver):
+    """What an exact-backend fixed point seeded at a shooting ``root``
+    gives, in floats compared bit for bit: energy, iterations and residual,
+    or the error and its history or message."""
+    try:
+        res = mnr.solve_stationary_fixed_point(
+            grid, spec, root.node_count, root.energy, units=U, backend="exact",
+            **solver)
+    except NonConvergenceError as exc:
+        return "miss", [repr(e) for e in exc.history]
+    except WavekitError as exc:
+        return type(exc).__name__, str(exc)
+    return repr(res.energy), res.iterations, repr(res.self_consistency_residual)
+
+
+@pytest.mark.parametrize("seed", [601, 602, 603, 611, 901])
+def test_exact_fixed_points_equal_with_a_warm_and_a_cleared_cache(seed,
+                                                                  tmp_path):
+    # the first xval_wells pass of the benchmark seed: its wells, roots and
+    # order; each confirmation on the per-potential preparation cached by
+    # the pass equals the one prepared afresh after cache_clear()
+    from perfbench.workloads import XvalWells
+    bench = XvalWells(seed, tmp_path)
+    ops = []
+    for depth, width in bench.draw_wells():
+        spec = PotentialSpec.square_well(depth, 0.5 * width)
+        bracket = (-depth + bench.margin * depth, -bench.margin * depth)
+        ops += [(spec, root) for root in mnr.solve_stationary_shooting(
+            bench.grid, spec, bracket, U, n_scan=10000)]
+    order = bench.rng.permutation(len(ops))
+    mnr._exact_problem.cache_clear()
+    warm = [_confirmation(bench.grid, *ops[i], tol=1e-8, max_iter=4)
+            for i in order]
+    assert mnr._exact_problem.cache_info().misses == 8  # one per well
+    cold = []
+    for i in order:
+        mnr._exact_problem.cache_clear()
+        cold.append(_confirmation(bench.grid, *ops[i], tol=1e-8, max_iter=4))
+    assert warm == cold
+    assert sum(outcome[0] == "miss" for outcome in warm) > 0
+
+
+def test_exact_fixed_point_reads_the_region_table_once_per_potential(
+        monkeypatch):
+    grid, spec = Grid.line(-3.0, 3.0, 200), PotentialSpec.square_well(4.0, 1.0)
+    reads, table = [], mnr.region_table
+    monkeypatch.setattr(mnr, "region_table",
+                        lambda *args: reads.append(args) or table(*args))
+    roots = mnr.solve_stationary_shooting(grid, spec, (-3.99, -0.01), U)
+    outcomes = [_confirmation(grid, spec, root, tol=1e-8, max_iter=4)
+                for root in roots]
+    assert len(roots) == 33 and len(reads) == 1
+    assert [outcome[0] for outcome in outcomes] == [
+        repr(root.energy) for root in roots]
+
+
+def test_exact_e_equals_v_locations_are_those_of_the_solved_grid():
+    # E = -4 is the well bottom: E = V at every scan point in |x| <= 1, so
+    # the locations depend on n_points, not on the bounds alone
+    spec = PotentialSpec.square_well(4.0, 1.0)
+    found = []
+    for grid in (Grid.line(-3.0, 3.0, 200), Grid.line(-3.0, 3.0, 201)):
+        with pytest.raises(SingularRegionError) as exc:
+            mnr.solve_stationary_fixed_point(grid, spec, 0, -4.0, units=U,
+                                             backend="exact")
+        want = find_singular_set(spec, -4.0, E_EQUALS_V, grid).locations
+        assert exc.value.singular_set.locations == want
+        found.append(want)
+    assert found[0] != found[1]
+
+
+def test_a_list_given_to_a_spec_cannot_change_a_later_solve():
+    grid = Grid.line(-3.0, 3.0, 200)
+    breakpoints, values = [-1.0, 1.0], [0.0, -4.0, 0.0]
+    spec = PotentialSpec("piecewise_constant", breakpoints=breakpoints,
+                         values=values)
+
+    def solve():
+        res = mnr.solve_stationary_fixed_point(
+            grid, spec, 6, -3.5851220539340374, tol=1e-9, units=U,
+            backend="exact")
+        return res.energy, res.iterations
+
+    first = solve()
+    breakpoints[0], values[1] = -2.0, -8.0
+    assert (spec.breakpoints, spec.values) == ((-1.0, 1.0), (0.0, -4.0, 0.0))
+    again = solve()
+    mnr._exact_problem.cache_clear()
+    # the same regions as the depth-4 square well, solved from scratch
+    assert first == again == solve() == _inline_w_exact_fixed_point(
+        grid, PotentialSpec.square_well(4.0, 1.0), 6, -3.5851220539340374,
+        1e-9)
 
 
 def test_free_scaling_covariance():

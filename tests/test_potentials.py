@@ -52,6 +52,22 @@ def test_unsorted_positions_are_rejected(make):
         make()
 
 
+def test_list_fields_are_stored_as_tuples():
+    # a spec built from lists, as a config block builds it, keeps its values
+    # when the caller's lists change
+    fields = {"breakpoints": [-1.0, 1.0], "values": [0.0, -4.0, 0.0],
+              "sample_x": [0.0, 1.0], "sample_v": [2.0, 3.0]}
+    pieces = PotentialSpec("piecewise_constant", breakpoints=fields["breakpoints"],
+                           values=fields["values"])
+    table = PotentialSpec("tabulated", sample_x=fields["sample_x"],
+                          sample_v=fields["sample_v"])
+    for seq in fields.values():
+        seq[0] = 9.0
+    assert (pieces.breakpoints, pieces.values) == ((-1.0, 1.0), (0.0, -4.0, 0.0))
+    assert (table.sample_x, table.sample_v) == ((0.0, 1.0), (2.0, 3.0))
+    assert evaluate(pieces, np.array([0.0]))[0] == -4.0
+
+
 def test_tabulated_interpolates():
     x = np.linspace(0.0, 1.0, 11)
     spec = PotentialSpec.tabulated(x, x**2)

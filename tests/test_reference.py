@@ -3,14 +3,42 @@ import pytest
 
 from wavekit.numgrid import Grid
 from wavekit.potentials import PotentialSpec
-from wavekit.reference import (dirac_free_energies, finite_well_bound_energies,
-                               harmonic_energy, hydrogen_energy,
-                               hydrogen_ground_state, infinite_well_energy,
-                               klein_gordon_energy,
+from wavekit.reference import (dirac_free_energies, harmonic_energy,
+                               hydrogen_energy, hydrogen_ground_state,
+                               infinite_well_energy, klein_gordon_energy,
                                solve_schrodinger_stationary)
+from wavekit.shooting import bracketed_roots
 from wavekit.units import UnitSystem
 
 UNITS = UnitSystem()
+
+
+def finite_well_bound_energies(depth: float, half_width: float,
+                               units: UnitSystem = UnitSystem(),
+                               n_scan: int = 20000):
+    """Bound energies of the standard finite square well via the matching
+    conditions k tan(ka) = kappa (even) and -k cot(ka) = kappa (odd): an
+    oracle independent of the grid solver.
+    """
+    hbar, m = units.hbar, units.m
+
+    def k_in(E):
+        return np.sqrt(2.0 * m * (E + depth)) / hbar
+
+    def kappa(E):
+        return np.sqrt(-2.0 * m * E) / hbar
+
+    def even(E):
+        return k_in(E) * np.sin(k_in(E) * half_width) - kappa(E) * np.cos(
+            k_in(E) * half_width)
+
+    def odd(E):
+        return k_in(E) * np.cos(k_in(E) * half_width) + kappa(E) * np.sin(
+            k_in(E) * half_width)
+
+    es = np.linspace(-depth * (1 - 1e-9), -depth * 1e-9, n_scan)
+    roots = [bracketed_roots(f, es) for f in (even, odd)]
+    return sorted(np.concatenate(roots).tolist())
 
 
 def test_infinite_well_spectrum():
