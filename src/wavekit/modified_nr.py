@@ -57,7 +57,7 @@ class GuardPolicy:
             raise ConfigurationError("guard floor must be > 0")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class ModifiedEigenResult:
     """One self-consistent eigenpair of the modified stationary equation.
 
@@ -129,11 +129,11 @@ def _effective_levels(v: list, E: float, guard: GuardPolicy) -> list:
     """:func:`_effective_samples` on a list of Python floats, in its
     operations and order: inf or nan where NumPy gives them, with no
     warning."""
-    floor = float(guard.floor)
+    floor, clamp = float(guard.floor), guard.mode == CLAMP
     w = []
     for level in v:
         denom = E - level
-        if guard.mode == CLAMP and abs(denom) < floor:
+        if clamp and abs(denom) < floor:
             denom = floor if denom >= 0 else -floor
         square = level * level
         if denom:
@@ -165,8 +165,13 @@ def _singular_check(V: PotentialSpec, grid: Grid, region_levels=None):
 
     def check(E, what):
         tol = 1e-9 * max(1.0, abs(E))
-        if not (math.isfinite(E) and all(abs(E - v) > tol for v in levels)):
-            _reject_singular(V, E, grid, what)
+        if math.isfinite(E):
+            for v in levels:  # |E - v| > tol for every level
+                if not abs(E - v) > tol:
+                    break
+            else:
+                return
+        _reject_singular(V, E, grid, what)
     return check
 
 
@@ -331,10 +336,8 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
                     energy, np.asarray(v), units)[0])
         if not callable(residual):
             residual = partial(float, residual)
-        return ModifiedEigenResult(
-            energy=float(energy), build_state=state, iterations=iterations,
-            build_residual=residual, node_count=state_index,
-            method="fixed_point")
+        return ModifiedEigenResult(float(energy), state, iterations, residual,
+                                   state_index, "fixed_point")
 
     e_k = float(e_init)
     history = [e_k]

@@ -12,6 +12,7 @@ root) comes from one scalar walk of one energy, counting as it goes.
 from __future__ import annotations
 
 import math
+from math import atan2, ceil, cos, cosh, exp, floor, hypot, sin, sinh, sqrt, ulp
 
 import numpy as np
 
@@ -151,18 +152,18 @@ def _shot(regions, scale, e, slope=False):
     dp = ddp = 0.0  # d psi/dE, d psi'/dE while ``slope``
     for width, level in regions:
         w = scale * (e - level)
-        k = math.sqrt(abs(w))
         if w > 0.0:
             # zeros at k xi = phi + pi/2 + m pi inside (0, width)
-            phase, phi = k * width, math.atan2(dpsi / k, psi)
+            k = sqrt(w)
+            phase, phi = k * width, atan2(dpsi / k, psi)
             if phase > _LONGEST_PHASE:
                 raise StateTrackingError(f"a region's phase {phase:.6g} rad passes "
                                          "1e12, past which zeros go uncounted")
-            inner = (math.floor((phase - phi - _HALF_PI) / math.pi
-                                - 1e-12 * (phase if phase > 1.0 else 1.0))
-                     - math.ceil((-phi - _HALF_PI) / math.pi + 1e-12) + 1)
+            inner = (floor((phase - phi - _HALF_PI) / math.pi
+                           - 1e-12 * (phase if phase > 1.0 else 1.0))
+                     - ceil((-phi - _HALF_PI) / math.pi + 1e-12) + 1)
             zeros += inner if inner > 0 else 0
-            s, c = math.sin(phase), math.cos(phase)
+            s, c = sin(phase), cos(phase)
             if slope:  # dk/dE = scale/2k, d phase = width dk
                 dk = 0.5 * scale / k
                 dphase = width * dk
@@ -174,11 +175,14 @@ def _shot(regions, scale, e, slope=False):
         else:
             ch, to_psi, to_dpsi = 1.0, width, 0.0
             if w < 0.0:
-                grow = min(k * width, _GROW_CLAMP)
-                ch, sh = math.cosh(grow), math.sinh(grow)
+                k = sqrt(-w)
+                grow = k * width
+                if grow > _GROW_CLAMP:
+                    grow = _GROW_CLAMP
+                ch, sh = cosh(grow), sinh(grow)
                 to_psi, to_dpsi = sh / k, k * sh
                 if to_dpsi == math.inf:
-                    half_gap = 0.5 * (1.0 - math.exp(-2.0 * grow))
+                    half_gap = 0.5 * (1.0 - exp(-2.0 * grow))
                     ch, to_psi, to_dpsi = 1.0 - half_gap, half_gap / k, half_gap * k
                     slope = False
                 elif slope:  # dkappa/dE = -scale/2 kappa; a clamped grow is held
@@ -194,7 +198,10 @@ def _shot(regions, scale, e, slope=False):
             end = ch * psi + to_psi * dpsi
             zeros += end < 0.0 < psi or psi < 0.0 < end
             psi, dpsi = end, to_dpsi * psi + ch * dpsi
-        size = max(abs(psi), abs(dpsi), 1e-280)
+        size = psi if psi >= 0.0 else -psi  # max(abs(psi), abs(dpsi), 1e-280)
+        size = dpsi if dpsi > size else -dpsi if -dpsi > size else size
+        if not size >= 1e-280:  # under the floor, or a NaN psi: the builtins
+            size = max(abs(psi), abs(dpsi), 1e-280)
         psi, dpsi = psi / size, dpsi / size
         if slope:
             dp, ddp = dp / size, ddp / size
@@ -220,8 +227,9 @@ def _wronskian(sides, scale, e, slope=False):
     # psi at c has the sign (-1)^n: a lagging count is made up here
     zeros = (n_l + (psi_l < 0.0 if n_l % 2 == 0 else psi_l > 0.0)
              + n_r + (psi_r < 0.0 if n_r % 2 == 0 else psi_r > 0.0))
-    size_l = max(math.hypot(psi_l, dpsi_l), 1e-280)
-    size_r = max(math.hypot(psi_r, dpsi_r), 1e-280)
+    size_l, size_r = hypot(psi_l, dpsi_l), hypot(psi_r, dpsi_r)
+    size_l = 1e-280 if size_l < 1e-280 else size_l  # max(size, 1e-280)
+    size_r = 1e-280 if size_r < 1e-280 else size_r
     if tangent_r is not None:  # theta_L' + theta_R'; a state at (0, 0) has no angle
         (dp_l, ddp_l), (dp_r, ddp_r) = tangent_l, tangent_r
         turn = ((dpsi_l * dp_l - psi_l * ddp_l) / (size_l * size_l)
@@ -345,6 +353,7 @@ class PreparedProblem:
             raise UsageError("edges must increase, one region per potential")
         self.scale = 2.0 * units.m / units.hbar**2
         self.unit = (math.pi / sum(self.widths)) ** 2 / self.scale
+        self.splits = {}  # lowest region -> widths left of it, the rest mirrored
 
     def solve(self, levels, k: int, guess=None, tol=None):
         """Energy E_k of the ``k``-th Dirichlet eigenstate at the region
@@ -370,44 +379,42 @@ class PreparedProblem:
         together than the float spacing at their bound are refused.
 
         With ``tol`` the count may answer first. When the Newton step from
-        the guess g lands within reach/2 of g, reach = tol less a few
+        the guess g lands within reach of g, reach = tol less a few
         resolution steps over [g - tol, g + tol], the one point g +- reach
         on the level's side is walked: N = k at the lower of the two points
         and k + 1 at the upper one prove |E_k - g| < tol, and the solve
         returns None without resolving E_k. Otherwise the point stays a
-        bracket end and the solve goes on as without ``tol``.
+        bracket end and the solve goes on as without ``tol``. The step
+        only decides whether the point is tried; the counts prove it.
         """
-        u, widths, scale, unit = levels, self.widths, self.scale, self.unit
-        bottom = min(u)
+        u, scale, unit = levels, self.scale, self.unit
+        bottom, peak = min(u), max(u)
         m = u.index(bottom)
-        sides = list(zip(widths[:m], u[:m])), list(zip(widths[m:], u[m:]))[::-1]
-        low, high = min(0.0, bottom), max(0.0, *u)
+        left, right = self.splits.get(m) or self.splits.setdefault(
+            m, (self.widths[:m], self.widths[m:][::-1]))
+        sides = list(zip(left, u[:m])), list(zip(right, u[:m - 1 if m else None:-1]))
+        low, high = bottom if bottom < 0.0 else 0.0, peak if peak > 0.0 else 0.0
 
         def resolution(e):  # the float spacing of the largest |E - U_j|, |E|
-            return math.ulp(max(e - low, high - e))
+            a, b = e - low, high - e
+            return ulp(b if b > a else a)  # max(a, b)
 
         # comparison with the constant profiles min(U) and max(U) puts E_k
         # between min(U) + unit and max(U) + (k+1)^2 unit
         try:
-            top = max(u) + 2.0 * (k + 1) ** 2 * unit
-            doublings = math.ceil(math.log2((top - bottom) / unit)) + 1
-            if (2 * k + 1) * unit < math.ulp(top):  # a flat box's level spacing
-                raise StateTrackingError(f"the levels near state {k} lie closer "
-                                         "together than the float spacing at "
-                                         "their bound")
-        except OverflowError:  # (k + 1)**2 or the bound past the float range
+            top = peak + 2.0 * (k + 1) ** 2 * unit
+        except OverflowError:
+            top = math.inf
+        span = (top - bottom) / unit  # the ladder's 2^j, j < log2(span) + 1
+        if not span < math.inf:  # (k + 1)**2 or the bound past the float range
             raise StateTrackingError(f"the energy bound of state {k} leaves "
-                                     "the float range") from None
+                                     "the float range")
+        if (2 * k + 1) * unit < ulp(top):  # a flat box's level spacing
+            raise StateTrackingError(f"the levels near state {k} lie closer "
+                                     "together than the float spacing at "
+                                     "their bound")
         # (E, N, D) with N <= k (N = 0 at min U), then with N > k
         ends = [(bottom, 0, None), None]
-
-        def past(e):  # is N(e) > k? e is walked, and an end, only inside the bracket
-            if e <= ends[0][0] or ends[1] is not None and e >= ends[1][0]:
-                return e > ends[0][0]
-            point = (e, *_wronskian(sides, scale, e))
-            ends[point[1] > k] = point
-            return point[1] > k
-
         g = float(guess) if guess is not None else math.nan
         seeded, closed = bottom < g < top, False
         if seeded:
@@ -416,25 +423,33 @@ class PreparedProblem:
             ends[not up] = (g, n_g, d_g)
             e = g - d_g / slope if slope else math.nan
             if tol is not None:  # the count certificate for |E_k - g| < tol
-                reach = tol - _CELL_STEPS * max(resolution(g - tol),
-                                                resolution(g + tol))
+                a, b = resolution(g - tol), resolution(g + tol)
+                reach = tol - _CELL_STEPS * (b if b > a else a)  # max(a, b)
                 c = g + reach if up else g - reach
-                if abs(e - g) < 0.5 * reach and bottom < c < top:
-                    past(c)
-                    lower, upper = (g, c) if up else (c, g)
-                    if (ends[1] is not None and ends[0][:2] == (lower, k)
-                            and ends[1][:2] == (upper, k + 1)):
+                # c is walked, and an end, inside the bracket: c != g
+                if abs(e - g) < reach and bottom < c < top and c != g:
+                    n_c, d_c = _wronskian(sides, scale, c)
+                    ends[n_c > k] = (c, n_c, d_c)
+                    if (n_g, n_c) == ((k, k + 1) if up else (k + 1, k)):
                         return None
-            if bottom < e < top:  # a Newton step on D to the nearest grid point
-                step = resolution(e)
-                edge = round(e / step)
-                above = past(edge * step)
-                for _ in range(_CELL_STEPS):  # grid points toward the level
-                    edge += -1 if above else 1
-                    # N = k, k + 1 at a cell's edges
-                    closed = past(edge * step) != above
-                    if closed:
-                        break
+
+        def past(e):  # is N(e) > k? e is walked, and an end, only inside the bracket
+            if e <= ends[0][0] or ends[1] is not None and e >= ends[1][0]:
+                return e > ends[0][0]
+            point = (e, *_wronskian(sides, scale, e))
+            ends[point[1] > k] = point
+            return point[1] > k
+
+        if seeded and bottom < e < top:  # a Newton step on D to the nearest grid point
+            step = resolution(e)
+            edge = round(e / step)
+            above = past(edge * step)
+            for _ in range(_CELL_STEPS):  # grid points toward the level
+                edge += -1 if above else 1
+                # N = k, k + 1 at a cell's edges
+                closed = past(edge * step) != above
+                if closed:
+                    break
         if seeded and not closed:  # rungs from the nearer end out to the bounds
             g, _, d_g = ends[not up]
             near = max(resolution(g), math.ldexp(unit, -62))
@@ -448,7 +463,8 @@ class PreparedProblem:
                 d_e = ends[not up][2]
                 near = r * d_g / (d_g - d_e) if 0.0 < d_e * d_g < d_g * d_g else r
         if ends[1] is None:  # the ladder
-            for e in (bottom + math.ldexp(unit, j) for j in range(-1, doublings)):
+            for e in (bottom + math.ldexp(unit, j)
+                      for j in range(-1, ceil(math.log2(span)) + 1)):
                 if past(e):
                     break
             else:
@@ -466,13 +482,13 @@ class PreparedProblem:
         sign, side = (-1.0) ** k, None
         for _ in range(4096):  # a bound: each walk narrows the bracket
             step = resolution(lo)
-            cell = math.floor(lo / step)
+            cell = floor(lo / step)
             if hi <= (cell + 1) * step:
                 return (cell + 0.5) * step
             # Illinois regula falsi on the grid of steps, strictly inside
             e = (lo * d_hi - hi * d_lo) / (d_hi - d_lo) if d_hi != d_lo else math.nan
             e = e if lo <= e <= hi else 0.5 * (lo + hi)
-            e = min(max(round(e / step), cell + 1), math.ceil(hi / step) - 1) * step
+            e = min(max(round(e / step), cell + 1), ceil(hi / step) - 1) * step
             d = _wronskian(sides, scale, e)[1]
             # the end that stays put twice running has its D halved
             above = d * sign < 0

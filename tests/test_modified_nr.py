@@ -1,3 +1,4 @@
+import hashlib
 import sys
 import tracemalloc
 
@@ -503,6 +504,63 @@ def test_exact_confirmation_at_a_shooting_root_takes_two_walks(monkeypatch,
         assert residual == abs(mu - r.energy) <= 1e-8
         confirmed.append(r.node_count)
     assert len(confirmed) == len(roots) - 1  # one root misses in 4 iterates
+
+
+def test_exact_confirmation_past_half_the_reach_takes_two_walks(monkeypatch):
+    # state 244 of this deep well: the Newton step from its shooting root
+    # lands between reach/2 and reach of it. The counts at the root and at
+    # one point toward the level still certify |mu - E| < tol; the solve
+    # once tried that point only within reach/2 and took 5 walks
+    grid, spec = Grid.line(-8.0, 8.0, 400), PotentialSpec.square_well(
+        47.53145, 0.5 * 2.397184)
+    root = next(r for r in mnr.solve_stationary_shooting(
+        grid, spec, (-47.53145 * (1.0 - 1e-4), -47.53145 * 1e-4), U)
+        if r.node_count == 244)
+    wronskian, walks = shooting._wronskian, []
+    monkeypatch.setattr(shooting, "_wronskian",
+                        lambda *args: walks.append(args[2]) or wronskian(*args))
+    fp = mnr.solve_stationary_fixed_point(grid, spec, 244, root.energy,
+                                          tol=1e-8, max_iter=4, units=U,
+                                          backend="exact")
+    assert (fp.energy, fp.iterations, len(walks)) == (root.energy, 1, 2)
+    assert fp.self_consistency_residual <= 1e-8
+
+
+#: (depth, width) of the eight square wells of the benchmark's seed-601
+#: cross-check, rounded to 6 digits; walls at +-8, 400 points
+SEED_601_WELLS = [(44.950435, 2.938261), (21.449707, 1.619743),
+                  (4.812742, 2.990671), (41.115078, 0.866897),
+                  (19.181842, 2.050806), (36.261387, 2.125635),
+                  (36.335012, 1.612781), (11.111914, 0.50173)]
+
+
+def test_exact_confirmations_of_eight_wells_are_pinned_bit_for_bit():
+    # every shooting root of the eight wells confirmed by the exact-backend
+    # fixed point: well, node count, outcome, iterations and the energy (a
+    # miss: its last iterate) in hex, hashed. The digest was recorded
+    # before the confirmation's bookkeeping was cut down; a change to any
+    # float of a confirmation changes it
+    grid, rows = Grid.line(-8.0, 8.0, 400), []
+    for well, (depth, width) in enumerate(SEED_601_WELLS):
+        spec = PotentialSpec.square_well(depth, 0.5 * width)
+        for root in mnr.solve_stationary_shooting(
+                grid, spec, (-depth + 1e-4 * depth, -1e-4 * depth), U):
+            try:
+                fp = mnr.solve_stationary_fixed_point(
+                    grid, spec, root.node_count, root.energy, tol=1e-8,
+                    max_iter=4, units=U, backend="exact")
+                outcome = ("confirmed", fp.iterations, fp.energy.hex())
+            except NonConvergenceError as exc:
+                outcome = ("miss", len(exc.history) - 1, exc.history[-1].hex())
+            except WavekitError as exc:
+                outcome = (type(exc).__name__, None, str(exc))
+            rows.append((well, root.node_count, *outcome))
+    outcomes = [row[2] for row in rows]
+    assert (len(rows), outcomes.count("miss"), outcomes.count("NoRootError")) == (
+        616, 14, 1)
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == ("72d55cafcc809d66893e969ca3dd98a1"
+                      "08677671a74147a153b1441873051ad7"), digest
 
 
 def test_exact_fixed_point_applies_the_clamp_policy(monkeypatch):

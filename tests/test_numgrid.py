@@ -112,6 +112,11 @@ def test_count_nodes_ignores_noise_floor():
     assert count_nodes(v) == 0
 
 
+def test_count_nodes_keeps_a_sample_well_above_the_floor():
+    # 1e-5 of the peak is far above the 1e-8 floor: its sign counts twice
+    assert count_nodes(np.array([1.0, -1e-5, 1.0])) == 2
+
+
 def test_lowest_eigenpairs_box_energies():
     n = 512
     g = Grid.line(0.0, np.pi, n)

@@ -107,6 +107,19 @@ def test_compare_report_with_itself_is_zero():
     assert delta["overlap_deficit_max"] < 1e-14
 
 
+def test_compare_overlap_is_blind_to_the_norm_of_either_state():
+    # each state doubled: the overlap deficit divides by both norms, so it
+    # stays 0; dividing by |a|^2 would read 1 - 2 = -1
+    report = scenario.run_scenario(scenario.parse_scenario(BOX))
+    payload = copy.deepcopy(report.payload)
+    for state in payload["states"]:
+        state["re"] = [2.0 * x for x in state["re"]]
+        state["im"] = [2.0 * x for x in state["im"]]
+    doubled = scenario.RunReport(report.scenario, payload, {}, "", "", "")
+    for a, b in ((report, doubled), (doubled, report)):
+        assert abs(scenario.compare_reports(a, b)["overlap_deficit_max"]) < 1e-14
+
+
 def test_compare_reads_both_spinor_components():
     # the well binds states whose down component holds nearly all the norm
     report = scenario.run_scenario(scenario.parse_scenario("""\

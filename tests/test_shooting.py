@@ -541,6 +541,12 @@ def test_linear_eigenvalue_refuses_levels_closer_than_the_float_spacing():
     for k in (10**16, 10**17, 10**150):
         with pytest.raises(StateTrackingError, match="float spacing"):
             linear_bound_state_energy(edges, u, k, U)
+    # at a level of 1e20 (float spacing 16384) low states are refused too;
+    # state 0's bound rounds to the level, where the doubling count once
+    # ended in a bare math domain error
+    for k in (0, 100):
+        with pytest.raises(StateTrackingError, match="float spacing"):
+            linear_bound_state_energy(edges, [1e20], k, U)
 
 
 def test_guess_on_a_level_of_a_long_phase_is_counted_once():
