@@ -13,6 +13,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -64,6 +65,13 @@ class Grid:
                 failures.append("radial grids are dirichlet only")
         if failures:
             raise ConfigurationError("invalid grid: " + "; ".join(failures), failures)
+        # the dataclass hash of the same fields, formed once: the exact
+        # fixed point's cache looks a grid up on every solve
+        object.__setattr__(self, "_hash", hash((
+            self.kind, self.x_min, self.x_max, self.n_points, self.boundary)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def h(self) -> float:
@@ -274,8 +282,7 @@ def _solve_band(kinetic: BandedOperator, kinetic_factor: float,
                 eigvals_only: bool):
     """Eigenvalues ``first`` .. ``last`` (ascending), with their vectors
     unless ``eigvals_only``, of ``kinetic_factor * L + diag(potential)``:
-    one LAPACK ``dsbevx`` solve on :attr:`BandedOperator.lower_band`, a
-    NonConvergenceError where LAPACK reports that it did not converge."""
+    one :func:`band_eigh` solve on :attr:`BandedOperator.lower_band`."""
     m = len(kinetic.unknowns)
     if not 0 <= first <= last < m:
         raise ConfigurationError(
@@ -285,14 +292,63 @@ def _solve_band(kinetic: BandedOperator, kinetic_factor: float,
         band[0] += potential[kinetic.unknowns]
     in_float_range(band, "units, grid spacing and potential: the band of "
                    "-hbar**2/2m Laplacian + V")
-    import scipy.linalg  # loaded by the eigensolves, not at import
+    return band_eigh(band, first, last, eigvals_only)
 
-    try:
-        return scipy.linalg.eig_banded(band, lower=True, eigvals_only=eigvals_only,
-                                       select="i", select_range=(first, last))
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(
-            f"the banded eigensolve did not converge: {exc}", []) from None
+
+def _check_info(info: int, routine: str, failure: str):
+    """The one reading of a LAPACK ``info``: < 0 is a bad argument (a
+    ValueError, as SciPy raises), > 0 the NonConvergenceError ``failure``."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal {routine}")
+    if info > 0:
+        raise NonConvergenceError(f"{failure} (LAPACK info={info})", [])
+
+
+# dsbevx bisects to SciPy's absolute tolerance 2 * safmin. Where a band's
+# largest entry lies below 2 * safmin / eps (2**-968), that tolerance is
+# coarser than the band's own rounding: the levels lose digits and inverse
+# iteration can stop short (info > 0 below about 2**-978 on 16-point
+# grids). Such a band is solved scaled up by a power of two, which is exact.
+_BAND_FLOOR = 2.0**-968
+
+
+def band_eigh(band: np.ndarray, first: int, last: int, eigvals_only: bool):
+    """Eigenvalues ``first`` .. ``last`` (ascending), with their vectors
+    unless ``eigvals_only``, of the symmetric band in LAPACK lower storage:
+    one LAPACK ``dsbevx`` call with the arguments that
+    ``scipy.linalg.eig_banded(band, lower=True, select="i", select_range=
+    (first, last))`` passes, so with its bits. A band below _BAND_FLOOR is
+    solved scaled by a power of two and its levels scaled back."""
+    from ._lapack import ABSTOL, dsbevx
+
+    top = float(np.max(np.abs(band)))
+    shift = -math.frexp(top)[1] if 0.0 < top < _BAND_FLOOR else 0
+    w, v, m, _, info = dsbevx(
+        np.ldexp(band, shift) if shift else band, 0.0, 1.0, first + 1,
+        last + 1, compute_v=not eigvals_only,
+        mmax=1 if eigvals_only else last - first + 1, range=2, lower=1,
+        abstol=ABSTOL, overwrite_ab=0)
+    _check_info(info, "sbevx", "the banded eigensolve did not converge: "
+                "sbevx did not converge")
+    w = np.ldexp(w[:m], -shift) if shift else w[:m]
+    return w if eigvals_only else (w, v[:, :m])
+
+
+def band_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``M^-1 rhs`` for the square M with half-bandwidth bw >= 2 in LAPACK
+    general band storage (2 bw + 1 rows): one LAPACK ``dgbsv`` call with
+    the arguments that ``scipy.linalg.solve_banded((bw, bw), band, rhs)``
+    passes, so with its bits (SciPy calls ``dgtsv`` at bw = 1). An exactly
+    singular M is a NonConvergenceError."""
+    from ._lapack import dgbsv
+
+    bw = band.shape[0] // 2
+    lu = np.zeros((3 * bw + 1, band.shape[1]))  # dgbsv fills bw rows on top
+    lu[bw:] = band
+    x, info = dgbsv(bw, bw, lu, rhs, overwrite_ab=1)[2:]
+    _check_info(info, "gbsv", "the band is exactly singular: gbsv met a "
+                "zero pivot")
+    return x
 
 
 def eigenvalue(kinetic: BandedOperator, kinetic_factor: float,

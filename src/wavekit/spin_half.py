@@ -17,8 +17,8 @@ from .errors import (ConfigurationError, InvalidScenarioError,
                      NonConvergenceError, StabilityError, UsageError,
                      in_float_range)
 from .numgrid import (Grid, PERIODIC, _clusters, _laplacian_diagonals,
-                      count_nodes, dense_matrix, general_band, matvec,
-                      ring_fold_order)
+                      band_eigh, band_solve, count_nodes, dense_matrix,
+                      general_band, matvec, ring_fold_order)
 from .potentials import PotentialSpec, evaluate
 from .reference import SpectrumResult
 from .units import UnitSystem
@@ -195,8 +195,6 @@ def _cluster_vectors(folded, band: np.ndarray, scale: float,
     is kept only if each residual is within _RESIDUAL_TOL * max(1, |E|),
     else NonConvergenceError carries the residual of every sweep.
     """
-    import scipy.linalg  # loaded by the eigensolves, not at import
-
     bw = band.shape[0] // 2
     middle = 0.5 * (levels[0] + levels[-1])
     shifted = band.copy()
@@ -206,9 +204,8 @@ def _cluster_vectors(folded, band: np.ndarray, scale: float,
     history = []
     for sweep in range(1, _MAX_SWEEPS + 1):
         try:
-            x = scipy.linalg.solve_banded((bw, bw), shifted, x,
-                                          check_finite=False)
-        except np.linalg.LinAlgError:
+            x = band_solve(shifted, x)
+        except NonConvergenceError:
             raise NonConvergenceError(
                 f"inverse iteration at E = {middle:.12g}: the shifted band "
                 "is exactly singular", history) from None
@@ -252,8 +249,6 @@ def _weighted_spectrum(grid: Grid, V: PotentialSpec, units: UnitSystem,
     n = grid.n_points
     if n_states < 1 or n_states > 2 * n:
         raise ConfigurationError("n_states out of range")
-    import scipy.linalg  # loaded by the eigensolves, not at import
-
     v = np.asarray(evaluate(V, grid.x), dtype=float)
     _check_weight(v, units)
     with np.errstate(all="ignore"):  # a band past the float range: checked below
@@ -269,9 +264,7 @@ def _weighted_spectrum(grid: Grid, V: PotentialSpec, units: UnitSystem,
     widenings = 0
     while True:
         lo, hi = max(n - half, 0), min(n + half, 2 * n) - 1
-        vals = scipy.linalg.eig_banded(band[bw:], lower=True,
-                                       eigvals_only=True, select="i",
-                                       select_range=(lo, hi))
+        vals = band_eigh(band[bw:], lo, hi, eigvals_only=True)
         order = np.argsort(np.abs(vals), kind="stable")[:n_states]
         edge = np.max(np.abs(vals[order]))
         if (lo == 0 or vals[0] <= -edge) and (hi == 2 * n - 1 or vals[-1] >= edge):

@@ -1,12 +1,20 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavekit import spin_half
-from wavekit.errors import ConfigurationError
+import wavekit
+from wavekit import _lapack, spin_half
+from wavekit.errors import ConfigurationError, NonConvergenceError
 from wavekit.numgrid import (BandedOperator, Grid, WaveField, build_laplacian,
                              count_nodes, eigenvalue, inner_product,
                              lowest_eigenpairs, matvec)
+from wavekit.potentials import PotentialSpec
 from wavekit.units import UnitSystem
 
 
@@ -26,6 +34,14 @@ def test_grid_spacing_conventions():
     # the identified endpoint is excluded
     assert gp.x[-1] == pytest.approx(0.9)
     assert np.sum(gp.trapezoid_weights) == pytest.approx(1.0)
+
+
+def test_grid_hash_is_the_dataclass_hash_of_its_fields():
+    g = Grid.line(-1.0, 2.0, 16, boundary="periodic")
+    assert hash(g) == hash(("line", -1.0, 2.0, 16, "periodic"))
+    twin = Grid.line(-1.0, 2.0, 16, boundary="periodic")
+    assert twin == g and hash(twin) == hash(g)
+    assert Grid.line(-1.0, 2.0, 17, boundary="periodic") != g
 
 
 def test_radial_grid_excludes_origin():
@@ -181,6 +197,124 @@ def test_dirichlet_eigenvalue_has_the_bits_of_the_eigenpair_solve(kind, span):
         assert abs(vals[0] - np.linalg.eigvalsh(dense)[index]) <= 1e-12 * scale
     with pytest.raises(ConfigurationError):
         eigenvalue(lap, factor, v, g.n_points)
+
+
+#: Solves banded problems with ``numgrid.band_eigh`` and
+#: ``numgrid.band_solve`` before anything imports ``scipy.linalg``; then
+#: imports the package in full and compares each result with
+#: ``scipy.linalg.eig_banded`` or ``solve_banded``, bit for bit. The bands:
+#: random symmetric ones of half-bandwidth 1, 2, 3 and 5, the Laplacian
+#: bands with a potential of every boundary (Dirichlet line and radial
+#: grids, periodic ring folds) and the folded spin-1/2 bands on both
+#: boundaries. Prints the number of comparisons.
+SCIPY_BITS = """\
+import sys
+import numpy as np
+from wavekit import numgrid, spin_half
+from wavekit.units import UnitSystem
+
+rng = np.random.default_rng(31)
+lower_bands, general_bands = [], []
+for bw in (1, 2, 3, 5):
+    for n in (8, 37, 200):
+        for _ in range(3):
+            scale = 10.0 ** int(rng.integers(-8, 9))
+            lower_bands.append(scale * rng.standard_normal((bw + 1, n)))
+            if bw > 1:  # SciPy solves bw = 1 with dgtsv, not dgbsv
+                general_bands.append(scale * rng.standard_normal((2 * bw + 1, n)))
+for n in (8, 9, 64, 401):
+    for grid in (numgrid.Grid.line(-3.0, 3.0, n), numgrid.Grid.radial(6.0, n),
+                 numgrid.Grid.line(-3.0, 3.0, n, "periodic")):
+        lap = numgrid.build_laplacian(grid)
+        band = -0.5 * lap.lower_band
+        band[0] += rng.uniform(-5.0, 5.0, n)[lap.unknowns]
+        lower_bands.append(band)
+    for boundary in ("dirichlet", "periodic"):
+        grid = numgrid.Grid.line(-3.0, 3.0, n, boundary)
+        for massless in (False, True):
+            op = spin_half.real_dirac_operator(grid, UnitSystem(c=10.0), 0.7,
+                                               massless)
+            s = 1.0 / np.sqrt(np.tile(1.0 + rng.uniform(0.0, 1.0, n), 2))
+            band = spin_half._folded_band(op, s, boundary)[1]
+            bw = band.shape[0] // 2
+            lower_bands.append(band[bw:])
+            shifted = band.copy()
+            shifted[bw] -= rng.uniform(-1.0, 1.0)
+            general_bands.append(shifted)
+eigs = []
+for band in lower_bands:
+    m = band.shape[1]
+    for first, last in ((0, 0), (m // 2 - 1, m // 2 + 1), (m - 3, m - 1)):
+        for only in (True, False):
+            eigs.append((band, first, last, only,
+                         numgrid.band_eigh(band, first, last, only)))
+solves = [(band, rhs, numgrid.band_solve(band, rhs)) for band in general_bands
+          for rhs in [rng.standard_normal((band.shape[1], 3))]]
+package = [m for m in sys.modules
+           if m.split(".")[:2] in (["scipy", "linalg"], ["scipy", "_lib"])]
+assert package == [], package
+
+import scipy.linalg
+import scipy.linalg.lapack
+
+assert scipy.linalg._flapack is sys.modules["scipy.linalg._flapack"]
+assert scipy.linalg.lapack.dsbevx is scipy.linalg._flapack.dsbevx
+
+def same(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+for band, first, last, only, got in eigs:
+    want = scipy.linalg.eig_banded(band, lower=True, eigvals_only=only,
+                                   select="i", select_range=(first, last))
+    pairs = [(got, want)] if only else list(zip(got, want))
+    assert all(same(a, b) for a, b in pairs), (band.shape, first, last, only)
+for band, rhs, got in solves:
+    bw = band.shape[0] // 2
+    assert same(got, scipy.linalg.solve_banded((bw, bw), band, rhs)), band.shape
+print(len(eigs) + len(solves))
+"""
+
+
+def test_band_helpers_have_the_bits_of_scipy_and_leave_scipy_linalg_whole():
+    src = str(Path(wavekit.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", SCIPY_BITS], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    # 64 symmetric bands, each in three windows with and without vectors,
+    # and 43 general bands, each solved once
+    assert json.loads(out.stdout) == 6 * (36 + 12 + 16) + 27 + 16
+
+
+def _reporting(routine, info):
+    """``routine`` with its LAPACK ``info`` (the last output) replaced."""
+    def call(*args, **kwargs):
+        return (*routine(*args, **kwargs)[:-1], info)
+    return call
+
+
+def test_lapack_info_maps_to_typed_errors(monkeypatch):
+    g = Grid.line(0.0, 1.0, 32)
+    lap, v = build_laplacian(g), np.zeros(32)
+    ring = Grid.line(0.0, 5.0, 48, boundary="periodic")
+    units = UnitSystem(c=10.0)
+    dsbevx, dgbsv = _lapack.dsbevx, _lapack.dgbsv
+    monkeypatch.setattr(_lapack, "dsbevx", _reporting(dsbevx, 2))
+    with pytest.raises(NonConvergenceError,
+                       match=r"sbevx did not converge \(LAPACK info=2\)") as info:
+        lowest_eigenpairs(lap, -0.5, v, 2)
+    assert info.value.exit_code == 3
+    # the spin-1/2 window solve ends in the same typed error
+    with pytest.raises(NonConvergenceError, match="sbevx did not converge"):
+        spin_half.solve_massless(ring, PotentialSpec.free(), units, n_states=2)
+    monkeypatch.setattr(_lapack, "dsbevx", _reporting(dsbevx, -3))
+    with pytest.raises(ValueError, match="argument 3 of internal sbevx"):
+        eigenvalue(lap, -0.5, v, 0)
+    monkeypatch.setattr(_lapack, "dsbevx", dsbevx)
+    monkeypatch.setattr(_lapack, "dgbsv", _reporting(dgbsv, 5))
+    with pytest.raises(NonConvergenceError, match="shifted band is exactly singular"):
+        spin_half.solve_massless(ring, PotentialSpec.free(), units, n_states=2)
 
 
 def _csr_product(diagonals, x):

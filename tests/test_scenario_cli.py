@@ -601,24 +601,27 @@ def test_cli_compare_of_a_document_that_is_no_report_exits_2(
 
 
 #: Runs ``cli.main`` on each (name, argv) pair of the JSON list in argv[1]
-#: and prints, per name, the exit code and the SciPy modules then loaded,
-#: the threads that loaded a SciPy module, and the deferred standard
-#: modules (``difflib``, ``concurrent.futures``, ``hashlib``) that the
-#: import loaded.
+#: and prints, per name, the exit code, the SciPy modules then in
+#: ``sys.modules`` and the SciPy modules the run imported; then the threads
+#: that imported a SciPy module, and the deferred standard modules
+#: (``difflib``, ``concurrent.futures``, ``hashlib``) that the import loaded.
 SCIPY_PROBE = """\
 import json, sys, threading
-threads = set()
+imported, threads = [], set()
 def hook(event, args):
     if event == "import" and str(args[0]).split(".")[0] == "scipy":
+        imported.append(str(args[0]))
         threads.add(threading.current_thread().name)
 sys.addaudithook(hook)
 import wavekit.cli
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 deferred = sorted({"difflib", "concurrent.futures", "hashlib"} & set(sys.modules))
-loaded = {"import wavekit.cli": [0, scipy_modules()]}
+loaded = {"import wavekit.cli": [0, scipy_modules(), sorted(set(imported))]}
 for name, argv in json.loads(sys.argv[1]):
-    loaded[name] = [wavekit.cli.main(argv), scipy_modules()]
+    del imported[:]
+    code = wavekit.cli.main(argv)
+    loaded[name] = [code, scipy_modules(), sorted(set(imported))]
 print(json.dumps({"loaded": loaded, "threads": sorted(threads),
                   "deferred": deferred}))
 """
@@ -636,11 +639,12 @@ def _scipy_probe(runs):
 
 def test_cli_loads_scipy_only_for_the_runs_that_call_it(tmp_path):
     # shooting, the exact backend, the audit, compare and both time-dependent
-    # propagates call no SciPy, so the CLI imports it where an eigensolve
-    # first needs it; no run loads scipy.sparse, since every grid operator
-    # is a band of diagonals; the sweep's thread pool, the unknown-key
-    # hint's difflib and the digests' hashlib are imported where they are
-    # used, not by ``import wavekit.cli``
+    # propagates call no SciPy; the first eigensolve loads SciPy's compiled
+    # LAPACK extension alone, and no run loads a module of the scipy.linalg
+    # package, scipy._lib or scipy.sparse (every grid operator is a band of
+    # diagonals); the sweep's thread pool, the unknown-key hint's difflib
+    # and the digests' hashlib are imported where they are used, not by
+    # ``import wavekit.cli``
     def run(name, text):
         cfg = _write(tmp_path, f"{name}.yaml", text)
         command = scenario.EQUATIONS[yaml.safe_load(text)["equation"]].command
@@ -670,16 +674,20 @@ solver: {backend: exact, state_index: 3, e_init: -0.91, tol: 1.0e-8}
     probe = _scipy_probe(runs)
     assert probe["deferred"] == []
     loaded = probe["loaded"]
-    assert {name: code for name, (code, _) in loaded.items()} == {
+    assert {name: code for name, (code, _, _) in loaded.items()} == {
         "import wavekit.cli": 0, "nr_shooting": 0, "rel_shooting": 0,
         "exact_fixed_point": 0, "compare": 0, "dispersion": 0,
         "bad_config": 2, "nr_timedep": 0, "rel_timedep": 0, "schrodinger": 0,
         "spin_half": 0, "massless": 0}
-    *without, (_, first), _, (_, last) = loaded.values()
-    assert [modules for _, modules in without] == [[]] * len(without)
-    assert "scipy.linalg" in first  # the probe sees a load
+    # the probe sees the one load, by the first eigensolve
+    assert {name: imports for name, (_, _, imports) in loaded.items()
+            if imports} == {"schrodinger": ["scipy.linalg._flapack"]}
+    *without, _, _, (_, last, _) = loaded.values()
+    assert [modules for _, modules, _ in without] == [[]] * len(without)
     # the modules pile up from run to run, so the last list has them all
-    assert [m for m in last if m.startswith("scipy.sparse")] == []
+    assert [m for m in last if m.split(".")[:2] in (["scipy", "linalg"],
+                                                    ["scipy", "_lib"],
+                                                    ["scipy", "sparse"])] == []
 
 
 def test_cli_sweep_imports_scipy_in_its_worker_threads(tmp_path):
@@ -1099,22 +1107,30 @@ def test_cli_non_finite_payload_number_exits_2(tmp_path, boundary, values,
 
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
 @pytest.mark.parametrize("x_max", ["1.0e+150", "1.0e+154"])
-def test_cli_eigensolve_that_does_not_converge_exits_3(tmp_path, boundary,
-                                                       x_max):
-    # h**2 and 1/h**2 are finite, and LAPACK dsbevx reports that it did not
-    # converge on the band of 1/h**2 near 1e-300 (a LinAlgError, exit 1)
+def test_cli_eigensolve_of_a_band_near_the_float_floor_exits_0(tmp_path, boundary,
+                                                             x_max):
+    # h**2 and 1/h**2 are finite, and the band of 1/h**2 near 1e-300 is
+    # solved scaled by a power of two: unscaled, LAPACK dsbevx does not
+    # converge on it (info = 2). The levels are the closed-form discrete
+    # ones, (2/h**2) sin**2(k pi/2(n - 1)) on the walls and
+    # (1/h**2)(1 - cos(2 pi k/n)) on the ring, with hbar = m = 1
     cfg = _write(tmp_path, "wide.yaml", "equation: schrodinger\n"
                  f"grid: {{kind: line, x_min: 0.0, x_max: {x_max}, "
                  f"n_points: 16, boundary: {boundary}}}\n"
                  "potential: {variant: free}\nsolver: {n_states: 2}\n")
-    out = tmp_path / "err.json"
+    out = tmp_path / "report.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(["solve", "--config", cfg, "--out", str(out),
-                         "--quiet"]) == 3
-    err = json.loads(out.read_text())
-    assert err["error"] == "NonConvergenceError"
-    assert "eigensolve did not converge" in err["message"]
+                         "--quiet"]) == 0
+    energies = json.loads(out.read_text())["payload"]["energies"]
+    if boundary == "dirichlet":
+        h = float(x_max) / 15
+        exact = [2.0 / h**2 * np.sin(k * np.pi / 30) ** 2 for k in (1, 2)]
+    else:
+        h = float(x_max) / 16
+        exact = [0.0, (1.0 - np.cos(2.0 * np.pi / 16)) / h**2]
+    assert np.allclose(energies, exact, rtol=0.0, atol=1e-12 * max(exact))
 
 
 def test_cli_relativistic_norm_past_the_float_range_exits_3(tmp_path):
