@@ -541,9 +541,11 @@ def leapfrog(state0: TimeDepState, inv_m: np.ndarray, a: dict, dt: float,
         psi_next += acc
         guard(psi_next, k)
         if k % stride == 0 or k == steps:
+            # the velocity at step k, one-sided to second order (psi_prev
+            # is step k - 2; the centred difference is step k - 1's)
             trajectory.append(state(psi_next.copy(),
-                                    (psi_next - psi_prev) / (2.0 * dt),
-                                    t0 + k * dt))
+                                    (3.0 * psi_next - 4.0 * psi + psi_prev)
+                                    / (2.0 * dt), t0 + k * dt))
         psi_prev, psi, psi_next = psi, psi_next, psi_prev
     return trajectory
 

@@ -89,15 +89,24 @@ def canonical_json(obj, allow_nan: bool = True) -> str:
 
 
 def _payload_json(payload: dict) -> str:
-    """``canonical_json(payload)``; a payload holds finite numbers only, so
-    a NaN or an infinity in it is a ConfigurationError that names its key."""
-    try:
-        return canonical_json(payload, allow_nan=False)
-    except ValueError:  # the first key whose text holds one
-        key = next(key for key in sorted(payload) if any(
-            token in canonical_json(payload[key]) for token in ("NaN", "Infinity")))
-        raise ConfigurationError(f"payload.{key} holds a NaN or an infinity: "
-                                 "a number out of the float range") from None
+    """``canonical_json(payload)``, spliced from one encoding per member and
+    per element of a list of dicts (``states``, ``frames``), so no encoding
+    holds the whole payload. A payload holds finite numbers only, so a NaN
+    or an infinity in it is a ConfigurationError that names its member."""
+    members = {}
+    for key in sorted(payload):  # the first member that holds one is named
+        value = payload[key]
+        try:
+            if isinstance(value, list) and all(isinstance(item, dict)
+                                               for item in value):
+                members[key] = "[" + ",".join(canonical_json(item, allow_nan=False)
+                                              for item in value) + "]"
+            else:
+                members[key] = canonical_json(value, allow_nan=False)
+        except ValueError:
+            raise ConfigurationError(f"payload.{key} holds a NaN or an infinity: "
+                                     "a number out of the float range") from None
+    return join_canonical(members)
 
 
 def join_canonical(members: dict) -> str:

@@ -378,14 +378,14 @@ class PreparedProblem:
         cell, whose middle is returned, seeded or not. Levels closer
         together than the float spacing at their bound are refused.
 
-        With ``tol`` the count may answer first. When the Newton step from
-        the guess g lands within reach of g, reach = tol less a few
-        resolution steps over [g - tol, g + tol], the one point g +- reach
-        on the level's side is walked: N = k at the lower of the two points
-        and k + 1 at the upper one prove |E_k - g| < tol, and the solve
-        returns None without resolving E_k. Otherwise the point stays a
-        bracket end and the solve goes on as without ``tol``. The step
-        only decides whether the point is tried; the counts prove it.
+        With ``tol`` the count answers first. Before anything else the pair
+        g - reach, g + reach is walked, without slopes, where reach = tol
+        less a few resolution steps over [g - tol, g + tol] and both points
+        lie inside the bracket: g + reach only when N = k at g - reach. N =
+        k + 1 there puts E_k in (g - reach, g + reach], so |E_k - g| < tol,
+        and the solve returns None without resolving E_k. Otherwise the
+        solve goes on as without ``tol``, with the same walks and the same
+        float; the pair points are no bracket ends.
         """
         u, scale, unit = levels, self.scale, self.unit
         bottom, peak = min(u), max(u)
@@ -413,25 +413,24 @@ class PreparedProblem:
             raise StateTrackingError(f"the levels near state {k} lie closer "
                                      "together than the float spacing at "
                                      "their bound")
+        g = float(guess) if guess is not None else math.nan
+        if tol is not None:  # the count certificate for |E_k - g| < tol
+            a, b = resolution(g - tol), resolution(g + tol)
+            reach = tol - _CELL_STEPS * (b if b > a else a)  # max(a, b)
+            lower, upper = g - reach, g + reach
+            # N = k at lower and k + 1 at upper: E_k in (lower, upper]
+            if (bottom < lower < upper < top
+                    and _wronskian(sides, scale, lower)[0] == k
+                    and _wronskian(sides, scale, upper)[0] == k + 1):
+                return None
         # (E, N, D) with N <= k (N = 0 at min U), then with N > k
         ends = [(bottom, 0, None), None]
-        g = float(guess) if guess is not None else math.nan
         seeded, closed = bottom < g < top, False
         if seeded:
             n_g, d_g, slope = _wronskian(sides, scale, g, True)
             up = n_g <= k
             ends[not up] = (g, n_g, d_g)
             e = g - d_g / slope if slope else math.nan
-            if tol is not None:  # the count certificate for |E_k - g| < tol
-                a, b = resolution(g - tol), resolution(g + tol)
-                reach = tol - _CELL_STEPS * (b if b > a else a)  # max(a, b)
-                c = g + reach if up else g - reach
-                # c is walked, and an end, inside the bracket: c != g
-                if abs(e - g) < reach and bottom < c < top and c != g:
-                    n_c, d_c = _wronskian(sides, scale, c)
-                    ends[n_c > k] = (c, n_c, d_c)
-                    if (n_g, n_c) == ((k, k + 1) if up else (k + 1, k)):
-                        return None
 
         def past(e):  # is N(e) > k? e is walked, and an end, only inside the bracket
             if e <= ends[0][0] or ends[1] is not None and e >= ends[1][0]:

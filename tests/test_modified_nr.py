@@ -891,6 +891,19 @@ def test_strided_propagation_keeps_every_stride_th_and_final_state(steps,
     assert all(_same_state(a, b) for a, b in zip(kept, want))
 
 
+def test_kept_frame_velocity_is_the_plane_wave_time_derivative():
+    # psi_tt = s psi_xx with s = 1/4 moves e^{i(x - omega t)}, omega = 1/2:
+    # the velocity of a kept frame at step k is -i omega e^{i(x - omega t)}
+    # to O(h^2 + dt^2); step k - 1's would be off by omega dt = 0.005
+    state = _plane_wave_state(256)
+    x, omega = state.psi.grid.x, 0.5
+    kept = mnr.propagate_timedep(state, PotentialSpec.free(), 1e-2, 100, U, 50)
+    assert [s.t for s in kept] == pytest.approx([0.0, 0.5, 1.0])
+    for s in kept[1:]:
+        want = -1j * omega * np.exp(1j * (x - omega * s.t))
+        np.testing.assert_allclose(s.dpsi_dt.values, want, rtol=0, atol=1e-4)
+
+
 @pytest.mark.parametrize("stride", [0, -2, 2.0, True])
 def test_strided_propagation_rejects_bad_stride(stride):
     with pytest.raises(ConfigurationError):

@@ -540,6 +540,23 @@ sweep: {{parameter: equation, values: [{equation}]}}
     assert row["payload_digest"] == doc["payload_digest"]
 
 
+def test_payload_is_encoded_member_by_member_as_one_text():
+    # one encoding per member, and per state or frame of a list of dicts,
+    # spliced: the text of one encoding of the whole payload
+    payloads = [scenario.run_scenario(scenario.parse_scenario(config)).payload
+                for config in EACH_EQUATION.values()]
+    assert {p["kind"] for p in payloads} == {"spectrum", "trajectory",
+                                             "residual_table"}
+    for payload in payloads:
+        assert scenario._payload_json(payload) == scenario.canonical_json(
+            payload, allow_nan=False)
+    # a NaN inside one state names its member
+    spectrum = payloads[0]
+    spectrum["states"][1]["re"][5] = float("nan")
+    with pytest.raises(ConfigurationError, match=r"^payload\.states holds a NaN"):
+        scenario._payload_json(spectrum)
+
+
 def test_cli_solve_encodes_the_payload_once(tmp_path, monkeypatch):
     cfg = _write(tmp_path, "spin.yaml", """\
 equation: spin_half_stationary

@@ -351,17 +351,18 @@ def test_slope_is_carried_through_the_growth_clamp():
 
 
 def test_count_certificate_puts_the_level_within_tol(monkeypatch):
-    # with tol, a seeded solve may answer None: N = k and k + 1 at the
-    # guess and at one point toward the level, a few resolution steps short
-    # of tol away. Whenever it does, the full solve's level lies within tol
-    # of the guess and raises nothing. Otherwise it returns the full
-    # solve's float, and where the level is farther than tol from the
-    # guess (an iterate that does not converge) it walks no more
+    # with tol, a seeded solve first walks the pair guess -+ reach, reach
+    # four resolution steps over [guess - tol, guess + tol] short of tol,
+    # the upper point only when N = k at the lower one, and neither with a
+    # slope. N = k + 1 at the upper point answers None, and the full
+    # solve's level lies within tol of the guess. Otherwise the solve
+    # returns the full solve's float and makes exactly its walks after the
+    # pair points walked
     wronskian, walks = shooting._wronskian, []
 
-    def walked(*args, **kwargs):
-        walks.append(args[2])
-        return wronskian(*args, **kwargs)
+    def walked(sides, scale, e, slope=False):
+        walks.append((e, slope))
+        return wronskian(sides, scale, e, slope)
 
     monkeypatch.setattr(shooting, "_wronskian", walked)
     rng = np.random.default_rng(11)
@@ -370,32 +371,36 @@ def test_count_certificate_puts_the_level_within_tol(monkeypatch):
         edges, u = _level_profile(rng)
         k, levels = i % 6, u.tolist()
         low, high = min(0.0, min(levels)), max(0.0, max(levels))
+        sides = _sides(edges, u)
         problem = shooting.PreparedProblem(edges, U)
         mu = problem.solve(levels, k)
         for t in (1e-7, 1e-10, 1e-13):
             tol = t * max(1.0, abs(mu))
             for f in (0.0, 0.1, -0.1, 0.45, -0.45, 0.9, -0.9, 1.5, -1.5, 30.0):
                 guess = mu + f * tol
+                step = max(math.ulp(max(e - low, high - e))
+                           for e in (guess - tol, guess + tol))
+                reach = tol - 4 * step
+                pair = [(guess - reach, False), (guess + reach, False)]
                 walks.clear()
                 full = problem.solve(levels, k, guess)
-                untold = len(walks)
+                untold = walks[:]
                 walks.clear()
                 got = problem.solve(levels, k, guess, tol)
                 if got is None:
                     certified += 1
+                    assert walks == pair, (i, t, f)
                     assert abs(full - guess) < tol, (i, t, f)
-                    # the guess, then one point short of tol by four
-                    # resolution steps over [guess - tol, guess + tol]
-                    step = max(math.ulp(max(e - low, high - e))
-                               for e in (guess - tol, guess + tol))
-                    reach = tol - 4 * step
-                    assert walks[0] == guess and walks[1:] in (
-                        [guess + reach], [guess - reach]), (i, t, f)
                     continue
                 assert got == full, (i, t, f)
-                if abs(full - guess) > tol:
-                    assert len(walks) == untold, (i, t, f)
-    assert certified >= 4000  # 4172 of the 9000 solves
+                # no pair point where the pair leaves the bracket or reach
+                # is not positive (tol within four resolution steps)
+                top = max(levels) + 2.0 * (k + 1) ** 2 * problem.unit
+                first = (0 if not min(levels) < guess - reach < guess + reach < top
+                         else 1 if wronskian(sides, SCALE, guess - reach)[0] != k
+                         else 2)
+                assert walks == pair[:first] + untold, (i, t, f)
+    assert certified >= 4000  # 6103 of the 9000 solves
 
 
 def test_seeded_linear_eigenvalue_cell_edges_hold_the_count():

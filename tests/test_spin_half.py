@@ -6,7 +6,7 @@ import scipy.linalg
 
 from wavekit import cli, scenario
 from wavekit import spin_half as sh
-from wavekit.errors import NonConvergenceError
+from wavekit.errors import NonConvergenceError, StabilityError
 from wavekit.numgrid import BandedOperator, Grid, dense_matrix
 from wavekit.potentials import PotentialSpec, evaluate
 from wavekit.reference import dirac_free_energies
@@ -219,6 +219,21 @@ def test_degenerate_clusters_span_the_dense_eigenspaces(massless):
     assert checked >= 3
 
 
+def test_a_pair_split_above_the_cluster_gap_is_two_clusters():
+    # the free ring's +-p partners agree to rounding and share a cluster; a
+    # shallow wide well splits each pair by about 2e-6, between 1e-9 and
+    # 1e-6 of the operator scale ||A||, and each level is its own cluster
+    g = Grid.line(0.0, 40.0, 96, boundary="periodic")
+    free = sh.solve_spin_half_stationary(g, PotentialSpec.free(), U)
+    assert free.diagnostics["clusters"] == [2, 2, 1, 1, 2, 2]
+    res = sh.solve_spin_half_stationary(
+        g, PotentialSpec.square_well(1e-4, 10.0, 20.0), U)
+    scale = np.abs(dense_matrix(sh.real_dirac_operator(g, U, 1.0))).sum(axis=1).max()
+    split = np.diff(np.sort(res.energies)).min()
+    assert 1e-9 * scale < split < 1e-6 * scale
+    assert res.diagnostics["clusters"] == [1] * 8
+
+
 def test_two_solves_give_the_same_arrays_and_digest():
     doc = {"equation": "spin_half_stationary", "units": {"c": 10.0},
            "grid": {"kind": "line", "x_min": -60.0, "x_max": 60.0,
@@ -366,6 +381,24 @@ def test_massless_propagation_norm_preserved():
                                         0.05 * g.h / U.c, 1000, U)
     assert abs(norms[-1] / norms[0] - 1.0) < 1e-6
     assert len(traj) == 1001
+
+
+def test_massless_guard_stops_at_the_first_step_past_10x():
+    # RK4 at c dt/h = 3, past its bound 2 sqrt(2) on the imaginary axis,
+    # grows the mode q h = pi/2 by about 1.5 a step: the StabilityError
+    # names the first step whose norm passes 10x norm0
+    g = Grid.line(0.0, 2 * np.pi, 32, boundary="periodic")
+    up = np.exp(8j * g.x)
+    psi0, dt = sh.SpinorField(up, up, g), 3.0 * g.h / U.c
+    with pytest.raises(StabilityError, match=r"beyond 10x at step \d+$") as err:
+        sh.propagate_massless(psi0, PotentialSpec.free(), dt, 100, U)
+    first = int(str(err.value).rsplit(" ", 1)[1])
+    assert first > 2
+    traj, norms = sh.propagate_massless(psi0, PotentialSpec.free(), dt,
+                                        first - 1, U)
+    assert max(norms) <= 10.0 * norms[0]
+    _, (_, past) = sh.propagate_massless(traj[-1], PotentialSpec.free(), dt, 1, U)
+    assert past > 10.0 * norms[0]
 
 
 def test_massless_plane_wave_advects():
