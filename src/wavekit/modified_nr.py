@@ -23,8 +23,8 @@ from .errors import (ConfigurationError, NonConvergenceError,
                      SingularCoefficientError, SingularRegionError,
                      StabilityError, StateTrackingError, UsageError,
                      in_float_range)
-from .numgrid import (Grid, WaveField, build_laplacian, eigenvalue,
-                      lowest_eigenpairs, matvec)
+from .numgrid import (PERIODIC, Grid, WaveField, build_laplacian,
+                      eigenvalue, lowest_eigenpairs, matvec)
 from .potentials import (E_EQUALS_V, PotentialSpec, domain_levels, evaluate,
                          find_singular_set, region_table)
 from .reference import kinetic_operator
@@ -191,6 +191,16 @@ def _exact_problem(V: PotentialSpec, grid: Grid, m: float, hbar: float):
     return tuple(edges), tuple(levels), problem, _singular_check(V, grid, levels)
 
 
+def _walled(grid: Grid):
+    """Refuse a periodic ``grid``: the closed-form solvers put Dirichlet
+    walls at its ends, whose levels are not the ring's."""
+    if grid.boundary == PERIODIC:
+        raise ConfigurationError(
+            "grid.boundary: a periodic grid has no closed-form solve; the "
+            "shooting solvers and the exact fixed-point backend put "
+            "Dirichlet walls at the grid ends")
+
+
 def _nonlinear_coefficient(e: np.ndarray, region_values: np.ndarray,
                            units: UnitSystem) -> np.ndarray:
     """Region coefficients w with psi'' = -w psi for the modified equation:
@@ -212,8 +222,10 @@ def shooting_spectrum(grid: Grid, edges, coefficient, e_bracket, n_scan: int,
     the ``poles`` of w; a bracket end that close to one is rejected.
     Returns the results sorted by energy, each with its |matching
     residual|, node count and normalized shot state, which is sampled
-    only when first read.
+    only when first read. The walls sit at the grid ends, so a periodic
+    grid is refused (:func:`_walled`).
     """
+    _walled(grid)
     e_lo, e_hi = float(e_bracket[0]), float(e_bracket[1])
     if not e_hi > e_lo:
         raise ConfigurationError("e_bracket must be an increasing interval")
@@ -300,9 +312,11 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
     comparable with :func:`solve_stationary_shooting` at 1e-8; it reads the
     region table, the linear problem and the E = V check prepared once per
     potential (:func:`_exact_problem`) and makes no NumPy call before the
-    state is read. Its solve gets ``tol``: where a
-    count certifies |mu - E_k| < tol it answers without resolving mu, and
-    the iteration converges at E_k. Under the ``reject`` guard every
+    state is read. Its solve gets the iterate and ``tol``: where a count
+    certifies |mu - E_k| < tol it answers with a closer instead of mu, the
+    iteration converges at E_k, and the residual calls the closer. Its
+    Dirichlet walls sit at the grid ends, so a periodic grid is refused
+    (:func:`_walled`). Under the ``reject`` guard every
     iterate, and on the grid backend every linearized eigenvalue, is
     checked for E = V(x) inside the domain; on a piecewise-constant V
     against levels read once (:func:`_singular_check`). The state and the
@@ -320,6 +334,7 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
     # V as the exact backend's region values, Python floats up to the
     # state, or the grid backend's samples
     if exact:
+        _walled(grid)
         edges, v, problem, singular = _exact_problem(V, grid, units.m, units.hbar)
     else:
         factor, lap = kinetic_operator(grid, units)
@@ -350,9 +365,8 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
         if exact:
             mu = problem.solve(w, state_index, e_k, tol)
             state = None
-            if mu is None:  # a count certified |mu - e_k| < tol
-                return result(e_k, None, it,
-                              lambda: abs(problem.solve(w, state_index, e_k) - e_k))
+            if callable(mu):  # a count certified |mu - e_k| < tol; mu() closes it
+                return result(e_k, None, it, lambda: abs(mu() - e_k))
         else:
             mu, state = _grid_eigenpair(lap, factor, w, state_index)
         residual = abs(mu - e_k)

@@ -12,6 +12,7 @@ root) comes from one scalar walk of one energy, counting as it goes.
 from __future__ import annotations
 
 import math
+from functools import partial
 from math import atan2, ceil, cos, cosh, exp, floor, hypot, sin, sinh, sqrt, ulp
 
 import numpy as np
@@ -37,8 +38,7 @@ _HALF_PI = math.pi / 2
 #: Longest phase k d counted: past it the end margin can hold two zeros.
 _LONGEST_PHASE = 1e12
 
-#: Grid points a seeded linear solve steps past its Newton point before it
-#: falls back on the rungs, and the resolution steps by which its count
+#: Resolution steps by which the reach of the linear solve's count
 #: certificate stays short of ``tol``.
 _CELL_STEPS = 4
 
@@ -131,16 +131,13 @@ def march_endpoint(widths, coeffs) -> np.ndarray:
     return ends[0] if len(ends) == 1 else np.concatenate(ends)
 
 
-def _shot(regions, scale, e, slope=False):
+def _shot(regions, scale, e):
     """Zeros inside the shot from psi = 0, psi' = 1 across ``regions``,
     (width, level) pairs of psi'' = -scale (e - level) psi (a coefficient w
     is the level -w at scale 1 and e = 0, to the bit), and its end
-    (psi, psi'), renormalized; with ``slope`` then d(psi, psi')/dE there, or
-    None past a linear region or the overflow branch. Plain ``math`` with
-    :func:`_transfer`'s closed forms, growth clamp (first: ``math.sinh``
-    raises past it) and overflow branch; the slope rides through each closed
-    form (Pryce 1993), held past the clamp (d grow/dE = 0: the clamped
-    transfer moves the Pruefer angle by about e^-1400).
+    (psi, psi'), renormalized. Plain ``math`` with :func:`_transfer`'s
+    closed forms, growth clamp (first: ``math.sinh`` raises past it) and
+    overflow branch.
 
     An oscillatory region's zeros are counted from the closed form, less
     those within 1e-12 pi rad of its start and 1e-12 max(1, k d) pi rad of
@@ -149,7 +146,6 @@ def _shot(regions, scale, e, slope=False):
     1e12 rad, where the margin holds more, raises StateTrackingError. Any
     other region holds at most one zero, read from the signs at its ends."""
     psi, dpsi, zeros = 0.0, 1.0, 0
-    dp = ddp = 0.0  # d psi/dE, d psi'/dE while ``slope``
     for width, level in regions:
         w = scale * (e - level)
         if w > 0.0:
@@ -164,13 +160,6 @@ def _shot(regions, scale, e, slope=False):
                      - ceil((-phi - _HALF_PI) / math.pi + 1e-12) + 1)
             zeros += inner if inner > 0 else 0
             s, c = sin(phase), cos(phase)
-            if slope:  # dk/dE = scale/2k, d phase = width dk
-                dk = 0.5 * scale / k
-                dphase = width * dk
-                dp, ddp = (c * dp + s / k * ddp - dphase * s * psi
-                           + (c * dphase - s * dk / k) / k * dpsi,
-                           c * ddp - k * s * dp - (dk * s + k * c * dphase) * psi
-                           - dphase * s * dpsi)
             psi, dpsi = c * psi + s / k * dpsi, -k * s * psi + c * dpsi
         else:
             ch, to_psi, to_dpsi = 1.0, width, 0.0
@@ -184,17 +173,6 @@ def _shot(regions, scale, e, slope=False):
                 if to_dpsi == math.inf:
                     half_gap = 0.5 * (1.0 - exp(-2.0 * grow))
                     ch, to_psi, to_dpsi = 1.0 - half_gap, half_gap / k, half_gap * k
-                    slope = False
-                elif slope:  # dkappa/dE = -scale/2 kappa; a clamped grow is held
-                    dk = -0.5 * scale / k
-                    dgrow = width * dk if grow < _GROW_CLAMP else 0.0
-                    dp, ddp = (ch * dp + to_psi * ddp + dgrow * sh * psi
-                               + (ch * dgrow - sh * dk / k) / k * dpsi,
-                               ch * ddp + to_dpsi * dp
-                               + (dk * sh + k * ch * dgrow) * psi
-                               + dgrow * sh * dpsi)
-            else:
-                slope = False
             end = ch * psi + to_psi * dpsi
             zeros += end < 0.0 < psi or psi < 0.0 < end
             psi, dpsi = end, to_dpsi * psi + ch * dpsi
@@ -203,12 +181,10 @@ def _shot(regions, scale, e, slope=False):
         if not size >= 1e-280:  # under the floor, or a NaN psi: the builtins
             size = max(abs(psi), abs(dpsi), 1e-280)
         psi, dpsi = psi / size, dpsi / size
-        if slope:
-            dp, ddp = dp / size, ddp / size
-    return zeros, psi, dpsi, (dp, ddp) if slope else None
+    return zeros, psi, dpsi
 
 
-def _wronskian(sides, scale, e, slope=False):
+def _wronskian(sides, scale, e):
     """N(E) and D(E) = psi_L psi_R' + psi_L' psi_R of the unit-normalized
     left and mirrored right shots (psi_R' along the right shot) at c, the
     left edge of the lowest region: one :func:`_shot` walk per side. With
@@ -216,34 +192,54 @@ def _wronskian(sides, scale, e, slope=False):
     smooth across each eigenvalue, and N = ceil((theta_L + theta_R)/pi) - 1
     is the Sturm count: each shot's zeros, plus one where psi at c lacks
     the sign (-1)^zeros (the zero a lagging count missed), plus one where
-    D has the sign -(-1)^zeros.
-
-    With ``slope`` a third value is dD/dE = cos(theta_L + theta_R)
-    (theta_L' + theta_R'), theta' = (psi' dp - psi ddp)/(psi^2 + psi'^2) at
-    c, where (dp, ddp) = d(psi, psi')/dE from the walk. It is None where a
-    walk has none, and where it is not finite."""
-    n_l, psi_l, dpsi_l, tangent_l = _shot(sides[0], scale, e, slope)
-    n_r, psi_r, dpsi_r, tangent_r = _shot(sides[1], scale, e, tangent_l is not None)
+    D has the sign -(-1)^zeros."""
+    n_l, psi_l, dpsi_l = _shot(sides[0], scale, e)
+    n_r, psi_r, dpsi_r = _shot(sides[1], scale, e)
     # psi at c has the sign (-1)^n: a lagging count is made up here
     zeros = (n_l + (psi_l < 0.0 if n_l % 2 == 0 else psi_l > 0.0)
              + n_r + (psi_r < 0.0 if n_r % 2 == 0 else psi_r > 0.0))
     size_l, size_r = hypot(psi_l, dpsi_l), hypot(psi_r, dpsi_r)
     size_l = 1e-280 if size_l < 1e-280 else size_l  # max(size, 1e-280)
     size_r = 1e-280 if size_r < 1e-280 else size_r
-    if tangent_r is not None:  # theta_L' + theta_R'; a state at (0, 0) has no angle
-        (dp_l, ddp_l), (dp_r, ddp_r) = tangent_l, tangent_r
-        turn = ((dpsi_l * dp_l - psi_l * ddp_l) / (size_l * size_l)
-                if psi_l or dpsi_l else math.nan)
-        turn += ((dpsi_r * dp_r - psi_r * ddp_r) / (size_r * size_r)
-                 if psi_r or dpsi_r else math.nan)
     psi_l, dpsi_l = psi_l / size_l, dpsi_l / size_l
     psi_r, dpsi_r = psi_r / size_r, dpsi_r / size_r
     d = psi_l * dpsi_r + dpsi_l * psi_r
-    n = zeros + (d * (-1.0) ** zeros < 0.0)
-    if not slope:
-        return n, d
-    dd = (dpsi_l * dpsi_r - psi_l * psi_r) * turn if tangent_r is not None else math.nan
-    return n, d, dd if math.isfinite(dd) else None
+    return zeros + (d * (-1.0) ** zeros < 0.0), d
+
+
+def _resolution(e, low, high):
+    """The step energies resolve to at ``e``: the float spacing of the
+    largest |E - U_j| and |E|, for levels U_j and 0 within [low, high]."""
+    a, b = e - low, high - e
+    return ulp(b if b > a else a)  # max(a, b)
+
+
+def _close(sides, scale, k, lo, d_lo, hi, d_hi, low, high):
+    """E_k from a bracket (lo, hi] that holds level k alone, N(lo) = k and
+    N(hi) = k + 1, with D(lo) = ``d_lo`` and D(hi) = ``d_hi``: inside it
+    the sign of D counts, and Illinois regula falsi on D, on the grid of
+    :func:`_resolution` steps s, closes it to a cell [m s, (m + 1) s],
+    whose middle is returned. Every energy walked lies strictly inside the
+    bracket."""
+    sign, side = (-1.0) ** k, None
+    for _ in range(4096):  # a bound: each walk narrows the bracket
+        step = _resolution(lo, low, high)
+        cell = floor(lo / step)
+        if hi <= (cell + 1) * step:
+            return (cell + 0.5) * step
+        # Illinois regula falsi on the grid of steps, strictly inside
+        e = (lo * d_hi - hi * d_lo) / (d_hi - d_lo) if d_hi != d_lo else math.nan
+        e = e if lo <= e <= hi else 0.5 * (lo + hi)
+        e = min(max(round(e / step), cell + 1), ceil(hi / step) - 1) * step
+        d = _wronskian(sides, scale, e)[1]
+        # the end that stays put twice running has its D halved
+        above = d * sign < 0
+        twice, side = (0.5 if side == above else 1.0), above
+        if above:
+            hi, d_hi, d_lo = e, d, twice * d_lo
+        else:
+            lo, d_lo, d_hi = e, d, twice * d_hi
+    raise NoRootError(f"could not isolate linear eigenstate {k}")
 
 
 def count_shot_nodes(edges, coeffs) -> int:
@@ -363,29 +359,26 @@ class PreparedProblem:
         order of roots on a scan (in deep wells neighbouring roots share
         scan cells); one scalar walk (:func:`_wronskian`) per energy gives
         N(E) and D(E), and no energy outside the bracket so far is walked.
-        Energies resolve to a grid of steps s, the float spacing of the
-        largest |E - U_j| and |E|. A ``guess`` (a fixed-point iterate) is
-        walked first, with dD/dE: a Newton step on D lands on a grid point,
-        and grid points toward the level are walked, a few at most, until a
-        cell [m s, (m + 1) s] has N = k at its lower edge and k + 1 at its
-        upper one. Without a slope, or when the step misses, rungs from the
-        nearer end +- unit 4^j toward the level follow, nearest first,
-        skipping those short of the secant root of D; without a guess the
-        doubling ladder min U + unit 2^j (up to a bound on E_k) brackets
-        the level. Rounds take the lowest of 64 inner points past k until
-        N(lo) = k and N(hi) = k + 1. Then the sign of D counts, and
-        Illinois regula falsi on D, on the grid, closes the bracket to a
-        cell, whose middle is returned, seeded or not. Levels closer
-        together than the float spacing at their bound are refused.
+        The doubling ladder min U + unit 2^j (up to a bound on E_k)
+        brackets the level; rounds take the lowest of 64 inner points past
+        k until N(lo) = k and N(hi) = k + 1, and :func:`_close` closes the
+        bracket to a resolution cell, whose middle is returned. Levels
+        closer together than the float spacing at their bound are refused.
 
-        With ``tol`` the count answers first. Before anything else the pair
-        g - reach, g + reach is walked, without slopes, where reach = tol
-        less a few resolution steps over [g - tol, g + tol] and both points
-        lie inside the bracket: g + reach only when N = k at g - reach. N =
-        k + 1 there puts E_k in (g - reach, g + reach], so |E_k - g| < tol,
-        and the solve returns None without resolving E_k. Otherwise the
-        solve goes on as without ``tol``, with the same walks and the same
-        float; the pair points are no bracket ends.
+        ``guess`` is read only with ``tol``: the count answers first. The
+        pair g - reach, g + reach is walked, g the guess, where reach = tol
+        less a few resolution steps over [g - tol, g + tol], or 0 where tol
+        is within them (the pair is then g alone and certifies nothing), and
+        both points lie inside the bracket (a guess that is not finite or
+        lies out of E_k's range walks none): g + reach only when N = k at
+        g - reach.
+        N = k + 1 there puts E_k in (g - reach, g + reach], so
+        |E_k - g| < tol, and the solve returns its closer without
+        resolving E_k: a callable that returns E_k by :func:`_close` on
+        the pair, walking only inside it. Otherwise the pair points walked
+        are bracket ends, and rungs from the last one +- unit 4^j toward
+        the level, nearest first, skipping those short of the secant root
+        of D, come before the ladder.
         """
         u, scale, unit = levels, self.scale, self.unit
         bottom, peak = min(u), max(u)
@@ -394,11 +387,6 @@ class PreparedProblem:
             m, (self.widths[:m], self.widths[m:][::-1]))
         sides = list(zip(left, u[:m])), list(zip(right, u[:m - 1 if m else None:-1]))
         low, high = bottom if bottom < 0.0 else 0.0, peak if peak > 0.0 else 0.0
-
-        def resolution(e):  # the float spacing of the largest |E - U_j|, |E|
-            a, b = e - low, high - e
-            return ulp(b if b > a else a)  # max(a, b)
-
         # comparison with the constant profiles min(U) and max(U) puts E_k
         # between min(U) + unit and max(U) + (k+1)^2 unit
         try:
@@ -413,24 +401,27 @@ class PreparedProblem:
             raise StateTrackingError(f"the levels near state {k} lie closer "
                                      "together than the float spacing at "
                                      "their bound")
-        g = float(guess) if guess is not None else math.nan
+        pair = ()
         if tol is not None:  # the count certificate for |E_k - g| < tol
-            a, b = resolution(g - tol), resolution(g + tol)
+            g = float(guess)
+            a, b = _resolution(g - tol, low, high), _resolution(g + tol, low, high)
             reach = tol - _CELL_STEPS * (b if b > a else a)  # max(a, b)
+            reach = reach if reach > 0.0 else 0.0  # 0: the pair is g alone
             lower, upper = g - reach, g + reach
-            # N = k at lower and k + 1 at upper: E_k in (lower, upper]
-            if (bottom < lower < upper < top
-                    and _wronskian(sides, scale, lower)[0] == k
-                    and _wronskian(sides, scale, upper)[0] == k + 1):
-                return None
-        # (E, N, D) with N <= k (N = 0 at min U), then with N > k
+            if bottom < lower <= upper < top:
+                n, d = _wronskian(sides, scale, lower)
+                pair = (lower, n, d),
+                if n == k and lower < upper:
+                    n, d_upper = _wronskian(sides, scale, upper)
+                    if n == k + 1:  # E_k in (lower, upper]
+                        return partial(_close, sides, scale, k, lower, d,
+                                       upper, d_upper, low, high)
+                    pair += (upper, n, d_upper),
+        # (E, N, D) with N <= k (N = 0 at min U), then with N > k; each pair
+        # point lies inside the bracket so far
         ends = [(bottom, 0, None), None]
-        seeded, closed = bottom < g < top, False
-        if seeded:
-            n_g, d_g, slope = _wronskian(sides, scale, g, True)
-            up = n_g <= k
-            ends[not up] = (g, n_g, d_g)
-            e = g - d_g / slope if slope else math.nan
+        for point in pair:
+            ends[point[1] > k] = point
 
         def past(e):  # is N(e) > k? e is walked, and an end, only inside the bracket
             if e <= ends[0][0] or ends[1] is not None and e >= ends[1][0]:
@@ -439,19 +430,10 @@ class PreparedProblem:
             ends[point[1] > k] = point
             return point[1] > k
 
-        if seeded and bottom < e < top:  # a Newton step on D to the nearest grid point
-            step = resolution(e)
-            edge = round(e / step)
-            above = past(edge * step)
-            for _ in range(_CELL_STEPS):  # grid points toward the level
-                edge += -1 if above else 1
-                # N = k, k + 1 at a cell's edges
-                closed = past(edge * step) != above
-                if closed:
-                    break
-        if seeded and not closed:  # rungs from the nearer end out to the bounds
-            g, _, d_g = ends[not up]
-            near = max(resolution(g), math.ldexp(unit, -62))
+        if pair:  # rungs from the last pair point out to the bounds
+            g, n, d = pair[-1]
+            up = n <= k
+            near = max(_resolution(g, low, high), math.ldexp(unit, -62))
             for r in (unit * 0.25**j for j in range(31, -32, -1)):
                 if r < near:
                     continue
@@ -460,7 +442,7 @@ class PreparedProblem:
                     break
                 # the next rung lies past the root of the secant of D through g, e
                 d_e = ends[not up][2]
-                near = r * d_g / (d_g - d_e) if 0.0 < d_e * d_g < d_g * d_g else r
+                near = r * d / (d - d_e) if 0.0 < d_e * d < d * d else r
         if ends[1] is None:  # the ladder
             for e in (bottom + math.ldexp(unit, j)
                       for j in range(-1, ceil(math.log2(span)) + 1)):
@@ -471,40 +453,22 @@ class PreparedProblem:
         while True:  # rounds to one level, with both ends walked
             (lo, n_lo, d_lo), (hi, n_hi, d_hi) = ends
             if d_lo is not None and (n_lo, n_hi) == (k, k + 1):
-                break
+                return _close(sides, scale, k, lo, d_lo, hi, d_hi, low, high)
             if math.nextafter(lo, hi) == hi:  # levels split below the float spacing
                 raise NoRootError(f"could not isolate linear eigenstate {k}")
             for j in range(1, 65):  # the lowest of 64 inner points past level k
                 if past(lo + (hi - lo) * (j / 65.0)):
                     break
-        # one level in the bracket: the sign of D counts
-        sign, side = (-1.0) ** k, None
-        for _ in range(4096):  # a bound: each walk narrows the bracket
-            step = resolution(lo)
-            cell = floor(lo / step)
-            if hi <= (cell + 1) * step:
-                return (cell + 0.5) * step
-            # Illinois regula falsi on the grid of steps, strictly inside
-            e = (lo * d_hi - hi * d_lo) / (d_hi - d_lo) if d_hi != d_lo else math.nan
-            e = e if lo <= e <= hi else 0.5 * (lo + hi)
-            e = min(max(round(e / step), cell + 1), ceil(hi / step) - 1) * step
-            d = _wronskian(sides, scale, e)[1]
-            # the end that stays put twice running has its D halved
-            above = d * sign < 0
-            twice, side = (0.5 if side == above else 1.0), above
-            if above:
-                hi, d_hi, d_lo = e, d, twice * d_lo
-            else:
-                lo, d_lo, d_hi = e, d, twice * d_hi
-        raise NoRootError(f"could not isolate linear eigenstate {k}")
 
 
 def linear_bound_state_energy(edges, region_potentials, state_index: int,
-                              units, guess=None):
+                              units):
     """Energy of the ``state_index``-th Dirichlet eigenstate of the standard
-    operator -hbar^2/2m psi'' + U psi on a piecewise-constant profile U,
-    seeded at ``guess`` if given: the inputs checked, then
-    :meth:`PreparedProblem.solve` on the problem prepared from ``edges``.
+    operator -hbar^2/2m psi'' + U psi on a piecewise-constant profile U:
+    the inputs checked, then :meth:`PreparedProblem.solve` on the problem
+    prepared from ``edges``. The tested public linear solve: the tests
+    call it as the linear oracle of the fixed point, which solves through
+    :class:`PreparedProblem` directly.
     """
     if not is_index(state_index):
         raise UsageError(f"state_index must be an integer >= 0, got {state_index!r}")
@@ -513,4 +477,4 @@ def linear_bound_state_energy(edges, region_potentials, state_index: int,
         raise UsageError("edges must increase, one region per potential")
     if not all(map(math.isfinite, u)):
         raise UsageError("region potentials must be finite")
-    return PreparedProblem(edges, units).solve(u, state_index, guess)
+    return PreparedProblem(edges, units).solve(u, state_index)

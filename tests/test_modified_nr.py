@@ -469,11 +469,11 @@ def test_fixed_point_rejects_a_bad_state_index(backend, index):
 @pytest.mark.parametrize("depth", [4.0, 12.0])
 def test_exact_confirmation_at_a_shooting_root_takes_two_walks(monkeypatch,
                                                                depth):
-    # seeded at a shooting root, the linear solve walks the root with its
-    # slope and one point toward the level; the counts there certify
-    # |mu - E| < tol, and the fixed point converges at the root in one
-    # iterate without resolving mu. The residual, formed when first read,
-    # is the seeded solve's |mu - E| and is formed once
+    # seeded at a shooting root E, the linear solve walks the pair
+    # E -+ reach; the counts there certify |mu - E| < tol, and the fixed
+    # point converges at the root in one iterate without resolving mu. The
+    # residual, formed when first read by the solve's closer, is the
+    # |mu - E| a fresh told solve's closer gives, and is formed once
     grid, spec = Grid.line(-8.0, 8.0, 400), PotentialSpec.square_well(depth, 1.0)
     roots = mnr.solve_stationary_shooting(
         grid, spec, (-depth * (1.0 - 1e-4), -depth * 1e-4), U)
@@ -499,18 +499,18 @@ def test_exact_confirmation_at_a_shooting_root_takes_two_walks(monkeypatch,
         walks.clear()
         assert fp.self_consistency_residual == residual and walks == []
         w = mnr._effective_levels(v, r.energy, mnr.GuardPolicy())
-        mu = shooting.linear_bound_state_energy(edges, w, r.node_count, U,
-                                                r.energy)
-        assert residual == abs(mu - r.energy) <= 1e-8
+        closer = shooting.PreparedProblem(edges, U).solve(w, r.node_count,
+                                                          r.energy, 1e-8)
+        assert callable(closer)
+        assert residual == abs(closer() - r.energy) <= 1e-8
         confirmed.append(r.node_count)
     assert len(confirmed) == len(roots) - 1  # one root misses in 4 iterates
 
 
 def test_exact_confirmation_past_half_the_reach_takes_two_walks(monkeypatch):
-    # state 244 of this deep well: the Newton step from its shooting root
-    # lands between reach/2 and reach of it. The counts at the root and at
-    # one point toward the level still certify |mu - E| < tol; the solve
-    # once tried that point only within reach/2 and took 5 walks
+    # state 244 of this deep well: its level lies 0.69 reach below its
+    # shooting root E, past half the reach. The counts at the pair
+    # E -+ reach still certify |mu - E| < tol in two walks
     grid, spec = Grid.line(-8.0, 8.0, 400), PotentialSpec.square_well(
         47.53145, 0.5 * 2.397184)
     root = next(r for r in mnr.solve_stationary_shooting(
@@ -537,9 +537,10 @@ SEED_601_WELLS = [(44.950435, 2.938261), (21.449707, 1.619743),
 def test_exact_confirmations_of_eight_wells_are_pinned_bit_for_bit():
     # every shooting root of the eight wells confirmed by the exact-backend
     # fixed point: well, node count, outcome, iterations and the energy (a
-    # miss: its last iterate) in hex, hashed. The digest was recorded
-    # before the confirmation's bookkeeping was cut down; a change to any
-    # float of a confirmation changes it
+    # miss: its last iterate) in hex, and a confirmation's residual in hex,
+    # hashed. The digest was recorded while a seeded solve, not the
+    # certificate's closer, formed the residual; a change to any float of
+    # a confirmation changes it
     grid, rows = Grid.line(-8.0, 8.0, 400), []
     for well, (depth, width) in enumerate(SEED_601_WELLS):
         spec = PotentialSpec.square_well(depth, 0.5 * width)
@@ -549,7 +550,8 @@ def test_exact_confirmations_of_eight_wells_are_pinned_bit_for_bit():
                 fp = mnr.solve_stationary_fixed_point(
                     grid, spec, root.node_count, root.energy, tol=1e-8,
                     max_iter=4, units=U, backend="exact")
-                outcome = ("confirmed", fp.iterations, fp.energy.hex())
+                outcome = ("confirmed", fp.iterations, fp.energy.hex(),
+                           fp.self_consistency_residual.hex())
             except NonConvergenceError as exc:
                 outcome = ("miss", len(exc.history) - 1, exc.history[-1].hex())
             except WavekitError as exc:
@@ -559,8 +561,8 @@ def test_exact_confirmations_of_eight_wells_are_pinned_bit_for_bit():
     assert (len(rows), outcomes.count("miss"), outcomes.count("NoRootError")) == (
         616, 14, 1)
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-    assert digest == ("72d55cafcc809d66893e969ca3dd98a1"
-                      "08677671a74147a153b1441873051ad7"), digest
+    assert digest == ("82be46d77c8af5550ce77d4dea209710"
+                      "a877553903d766fbc5ecf938449ed408"), digest
 
 
 def test_exact_fixed_point_applies_the_clamp_policy(monkeypatch):

@@ -18,9 +18,9 @@ from wavekit import cli, errors, scenario
 from wavekit import modified_nr as mnr
 from wavekit import modified_rel as mrel
 from wavekit.errors import ConfigurationError
-from wavekit.numgrid import WaveField, count_nodes
-from wavekit.potentials import E_EQUALS_V, SingularSet
-from wavekit.units import ATOMIC_C
+from wavekit.numgrid import Grid, WaveField, count_nodes
+from wavekit.potentials import E_EQUALS_V, PotentialSpec, SingularSet
+from wavekit.units import ATOMIC_C, UnitSystem
 
 
 BOX = """\
@@ -399,6 +399,43 @@ def test_cli_dispersion_audit_without_a_real_energy_exits_2(tmp_path, v0):
     assert error["error"] == "ConfigurationError"
     assert "solver.potential_value" in error["message"]
     assert "p = 0.5" in error["message"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("equation, solver", [
+    ("modified_nr_stationary", "{method: shooting, e_bracket: [0.01, 8.0]}"),
+    ("modified_nr_stationary", "{backend: exact, state_index: 1, e_init: 1.5}"),
+    ("modified_rel_stationary", "{e_bracket: [1.2000001, 8.0]}")],
+    ids=["nr_shooting", "nr_exact", "rel_shooting"])
+def test_cli_closed_form_solve_on_a_periodic_grid_exits_2(tmp_path, equation,
+                                                         solver):
+    # the closed-form solvers put Dirichlet walls at the grid ends: on a
+    # ring of length 2 at V = 0.2 (c = 1) relativistic shooting once
+    # reported 1.847262, the walled n = 1 level, which is no ring level
+    cfg = _write(tmp_path, "ring.yaml", f"equation: {equation}\nunits: {{c: 1.0}}\n"
+                 "grid: {kind: line, x_min: 0.0, x_max: 2.0, n_points: 100, "
+                 "boundary: periodic}\npotential: {variant: piecewise_constant, "
+                 f"breakpoints: [], values: [0.2]}}\nsolver: {solver}\n")
+    out = tmp_path / "err.json"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 2
+    error = json.loads(out.read_text())
+    assert error["error"] == "ConfigurationError"
+    assert error["message"].startswith("grid.boundary")
+
+
+def test_closed_form_solvers_refuse_a_periodic_grid():
+    ring = Grid.line(0.0, 2.0, 100, boundary="periodic")
+    spec = PotentialSpec.piecewise_constant([], [0.2])
+    units = UnitSystem(c=1.0)
+    for solve in (
+            lambda: mnr.solve_stationary_shooting(ring, spec, (0.01, 8.0), units),
+            lambda: mnr.solve_stationary_fixed_point(ring, spec, 1, 1.5, units=units,
+                                                     backend="exact"),
+            lambda: mrel.solve_rel_stationary(mrel.RelScenario(units, spec, ring),
+                                              (1.2000001, 8.0))):
+        with pytest.raises(ConfigurationError, match="^grid.boundary"):
+            solve()
 
 
 def test_cli_singular_region_exits_4_with_locations(tmp_path):

@@ -181,9 +181,11 @@ def test_counts_refuse_a_phase_past_1e12():
     assert mu == pytest.approx((10**11 + 1) ** 2 * unit, rel=1e-12)
     assert count_shot_nodes(edges, [SCALE * (mu - 0.5 * 10**11 * unit)]) == 10**11
     for k in (10**12, 10**13, 10**14):
-        for guess in (None, (k + 1) ** 2 * unit):
-            with pytest.raises(StateTrackingError, match="phase"):
-                linear_bound_state_energy(edges, u, k, U, guess)
+        with pytest.raises(StateTrackingError, match="phase"):
+            linear_bound_state_energy(edges, u, k, U)
+        guess = (k + 1) ** 2 * unit  # told: the first pair walk raises
+        with pytest.raises(StateTrackingError, match="phase"):
+            shooting.PreparedProblem(edges, U).solve([0.0], k, guess, 1e-8 * guess)
     with pytest.raises(StateTrackingError, match="phase"):
         count_shot_nodes(edges, [1.000001e24])
 
@@ -212,71 +214,94 @@ def _level_profile(rng):
     return edges, u
 
 
-def test_seeded_linear_eigenvalue_equals_unseeded():
-    # the guess only adds trials to the Sturm batch: near, far, on the next
-    # level, below min(U) or non-finite, it picks the same state, and the
-    # levels below the returned energy, the zeros of the sampled shot, are
-    # k just below it and more than k just above
+def _told(problem, levels, k, guess, tol):
+    """The energy of a told solve: its float, or what its closer returns."""
+    got = problem.solve(levels, k, guess, tol)
+    return got() if callable(got) else got
+
+
+def _walk_log(monkeypatch):
+    """The energies :func:`_wronskian` walks from now on, in order."""
+    wronskian, walks = shooting._wronskian, []
+
+    def walked(sides, scale, e):
+        walks.append(e)
+        return wronskian(sides, scale, e)
+
+    monkeypatch.setattr(shooting, "_wronskian", walked)
+    return walks
+
+
+def test_seeded_linear_eigenvalue_equals_unseeded(monkeypatch):
+    # a solve told a guess and tol = 1e-10 max(1, |mu|) returns the
+    # unseeded float bit for bit, certified or not: near, far, on the next
+    # level, below min(U) or non-finite. The levels below the returned
+    # energy, the zeros of the sampled shot, are k just below it and more
+    # than k just above. A guess below min(U), past the bound on E_k or
+    # not finite walks no pair: the solve is the unseeded one, walk for walk
+    walks = _walk_log(monkeypatch)
     rng = np.random.default_rng(11)
     for i in range(300):
         edges, u = _level_profile(rng)
-        k = i % 6
-        mu = linear_bound_state_energy(edges, u, k, U)
-        gap = linear_bound_state_energy(edges, u, k + 1, U) - mu
-        # the march sees E - U_j: energies resolve to the float spacing of
-        # the largest of them, which is |mu|'s where |mu| dominates
-        ulp = np.spacing(np.max(np.abs(mu - np.append(u, 0.0))))
+        k, levels = i % 6, u.tolist()
+        problem = shooting.PreparedProblem(edges, U)
+        walks.clear()
+        mu = problem.solve(levels, k)
+        unseeded = walks[:]
+        gap = problem.solve(levels, k + 1) - mu
+        tol = 1e-10 * max(1.0, abs(mu))
         guesses = (mu, mu - 1e-12 * abs(mu), mu + 1e-12 * abs(mu),
-                   mu - 0.3 * gap, mu + 0.3 * gap, mu + gap,
-                   np.min(u) - 1.0, 1e6, np.nan, np.inf, -np.inf)
-        got = [linear_bound_state_energy(edges, u, k, U, g) for g in guesses]
+                   mu - 0.3 * gap, mu + 0.3 * gap, mu + gap)
+        unpaired = (np.min(u) - 1.0, 1e6, np.nan, np.inf, -np.inf)
+        got = [_told(problem, levels, k, g, tol) for g in guesses]
+        for g in unpaired:
+            walks.clear()
+            got.append(_told(problem, levels, k, g, tol))
+            assert walks == unseeded, (i, g)
         near = np.ravel([(e - 1e-6 * gap, e + 1e-6 * gap) for e in got])
         below = _sampled_zeros(np.diff(edges),
                                SCALE * (near[:, None] - u))[0].reshape(-1, 2)
-        for guess, e, counts in zip(guesses, got, below):
-            assert abs(e - mu) <= 4.0 * ulp, (i, guess)
+        for guess, e, counts in zip(guesses + unpaired, got, below):
+            assert e == mu, (i, guess)
             assert counts[0] == k < counts[1], (i, guess)
 
 
 def test_seeded_linear_eigenvalue_takes_few_scalar_walks(monkeypatch):
     # the solve is scalar walks alone, no Sturm batch, march or batched
-    # walk: the guess and the rungs toward the level bracket it, then
-    # Illinois steps on D close it, one walk each
+    # walk. Told a guess within tol = 1e-8 max(1, |mu|) of the level, it
+    # walks the pair guess -+ reach and returns its closer; the closer
+    # returns the unseeded float with Illinois steps on D strictly inside
+    # the pair, one walk each, fewer than the unseeded solve
     def batched(*args, **kwargs):
         raise AssertionError("the linear eigensolve called a NumPy batch")
 
-    wronskian, walks, seeded, slopes = shooting._wronskian, [], [], []
-
-    def walked(*args, **kwargs):
-        walks.append(args[2])
-        slopes.append(bool(args[3:] or kwargs))
-        return wronskian(*args, **kwargs)
-
     for name in ("march_endpoint", "_walk"):
         monkeypatch.setattr(shooting, name, batched)
-    monkeypatch.setattr(shooting, "_wronskian", walked)
+    walks, closed = _walk_log(monkeypatch), []
     # a deep well resolves E only to 8-64 of its floats (the spacing of
-    # E - U_mid): a Newton step on D (slope walk of the guess) lands within
-    # a few cells of that grid, whose edges close the bracket; the slope is
-    # carried through the growth clamp (states 133, 134), where D is noisy
-    # enough that the step can land a few cells off
+    # E - U_mid), and past the growth clamp (states 133, 134) D is noisy
+    # at that resolution
     for edges, u, states in [
             (np.array([-8.0, -1.0, 1.0, 8.0]), np.array([0.0, -12.0, 0.0]), range(3)),
             (np.array([-8.0, -0.7, 0.7, 8.0]), np.array([0.0, -5.0e4, 0.0]),
              range(133, 141))]:
+        problem = shooting.PreparedProblem(edges, U)
         for k in states:
             walks.clear()
-            mu = linear_bound_state_energy(edges, u, k, U)
+            mu = problem.solve(u.tolist(), k)
             unseeded = len(walks)
+            tol = 1e-8 * max(1.0, abs(mu))
             for guess in (mu, mu * (1.0 - 1e-9), mu * (1.0 + 1e-12)):
                 walks.clear()
-                slopes.clear()
-                got = linear_bound_state_energy(edges, u, k, U, guess)
-                assert got == mu, (k, guess)
-                assert slopes.count(True) == 1 and slopes[0], (k, guess)
+                closer = problem.solve(u.tolist(), k, guess, tol)
+                assert callable(closer) and len(walks) == 2, (k, guess)
+                lower, upper = walks
+                walks.clear()
+                assert closer() == mu, (k, guess)
+                assert all(lower < e < upper for e in walks), (k, guess)
                 assert len(walks) <= 8 and len(walks) < unseeded, (k, guess)
-                seeded.append(len(walks))
-    assert len(seeded) == 33 and sum(seeded[9:]) <= 82
+                closed.append(len(walks))
+    assert len(closed) == 33 and sum(closed[9:]) <= 92
 
 
 def _sides(edges, u):
@@ -296,77 +321,27 @@ def _full_count(edges, coeffs):
     return _wronskian((regions, []), 1.0, 0.0)[0]
 
 
-def test_wronskian_slope_matches_a_central_difference():
-    # dD/dE carried through the closed forms against a fourth-order central
-    # difference of D, on profiles where each shot crosses an oscillatory
-    # and a decaying region before it meets the other
-    rng = np.random.default_rng(13)
-    checked = 0
-    for _ in range(10000):
-        edges, u = _level_profile(rng)
-        m = int(np.argmin(u))
-        e = float(rng.uniform(u.min(), u.max()))
-        left, right = u[:m], u[m:]
-        if not (np.any(left < e) and np.any(left > e) and np.any(right > e)):
-            continue
-        sides = _sides(edges, u)
-        n, d, slope = _wronskian(sides, SCALE, e, True)
-        if slope is None:  # the growth clamp
-            continue
-        assert (n, d) == _wronskian(sides, SCALE, e), e
-        h = 1e-6 * max(1.0, abs(e))
-        diff = [(_wronskian(sides, SCALE, e + j * h)[1]
-                 - _wronskian(sides, SCALE, e - j * h)[1]) / (2 * j * h)
-                for j in (1, 2)]
-        want = (4.0 * diff[0] - diff[1]) / 3.0
-        assert slope == pytest.approx(want, rel=1e-6), e
-        checked += 1
-    assert checked >= 250
-
-
-def test_slope_is_none_without_a_closed_form():
-    # a linear region (w = 0) carries no slope; N and D are the plain walk's
-    regions, e = [(1.0, 2.0), (1.5, -3.0)], 2.0
-    sides = regions[:0], regions[::-1]
-    n, d, slope = _wronskian(sides, SCALE, e, True)
-    assert slope is None and (n, d) == _wronskian(sides, SCALE, e)
-
-
-def test_slope_is_carried_through_the_growth_clamp():
-    # kappa width = 2546 passes the growth clamp of 700: the clamped
-    # transfer holds its growth, d grow/dE = 0, and the slope is the
-    # derivative of the walked D, against a fourth-order central difference
-    # (a step of 1e-3: D moves by about 1e-10 over it)
-    regions = [(9.0, 4.0e4), (1.5, -3.0)]
-    sides = regions[:0], regions[::-1]
-    for e in (-1.0, 0.5, 1.0, 3.0):
-        n, d, slope = _wronskian(sides, SCALE, e, True)
-        assert (n, d) == _wronskian(sides, SCALE, e)
-        h = 1e-3
-        diff = [(_wronskian(sides, SCALE, e + j * h)[1]
-                 - _wronskian(sides, SCALE, e - j * h)[1]) / (2 * j * h)
-                for j in (1, 2)]
-        assert slope == pytest.approx((4.0 * diff[0] - diff[1]) / 3.0,
-                                      rel=1e-6), e
-
-
 def test_count_certificate_puts_the_level_within_tol(monkeypatch):
-    # with tol, a seeded solve first walks the pair guess -+ reach, reach
-    # four resolution steps over [guess - tol, guess + tol] short of tol,
-    # the upper point only when N = k at the lower one, and neither with a
-    # slope. N = k + 1 at the upper point answers None, and the full
-    # solve's level lies within tol of the guess. Otherwise the solve
-    # returns the full solve's float and makes exactly its walks after the
-    # pair points walked
+    # with tol, a solve first walks the pair guess -+ reach, reach four
+    # resolution steps over [guess - tol, guess + tol] short of tol, the
+    # upper point only when N = k at the lower one. N = k + 1 at the upper
+    # point returns a closer: the unseeded level lies within tol of the
+    # guess, and the closer returns it bit for bit, walking strictly inside
+    # the pair. Otherwise the solve returns the unseeded float, and after
+    # the pair points it walks only inside the bracket they set. A tol
+    # within four resolution steps has reach 0: its pair is the guess
+    # alone, a bracket end that certifies nothing. The walks of the closers
+    # and of the uncertified solves are bounded by their totals here
     wronskian, walks = shooting._wronskian, []
 
-    def walked(sides, scale, e, slope=False):
-        walks.append((e, slope))
-        return wronskian(sides, scale, e, slope)
+    def walked(sides, scale, e):
+        point = wronskian(sides, scale, e)
+        walks.append((e, point[0]))
+        return point
 
     monkeypatch.setattr(shooting, "_wronskian", walked)
     rng = np.random.default_rng(11)
-    certified = 0
+    certified, closing, uncertified = 0, 0, 0
     for i in range(300):
         edges, u = _level_profile(rng)
         k, levels = i % 6, u.tolist()
@@ -380,43 +355,64 @@ def test_count_certificate_puts_the_level_within_tol(monkeypatch):
                 guess = mu + f * tol
                 step = max(math.ulp(max(e - low, high - e))
                            for e in (guess - tol, guess + tol))
-                reach = tol - 4 * step
-                pair = [(guess - reach, False), (guess + reach, False)]
-                walks.clear()
-                full = problem.solve(levels, k, guess)
-                untold = walks[:]
+                reach = max(tol - 4 * step, 0.0)
+                pair = [guess - reach, guess + reach]
                 walks.clear()
                 got = problem.solve(levels, k, guess, tol)
-                if got is None:
+                if callable(got):
                     certified += 1
-                    assert walks == pair, (i, t, f)
-                    assert abs(full - guess) < tol, (i, t, f)
+                    assert [e for e, _ in walks] == pair, (i, t, f)
+                    assert abs(mu - guess) < tol, (i, t, f)
+                    walks.clear()
+                    assert got() == mu, (i, t, f)
+                    assert all(pair[0] < e < pair[1] for e, _ in walks), (i, t, f)
+                    closing += len(walks)
                     continue
-                assert got == full, (i, t, f)
-                # no pair point where the pair leaves the bracket or reach
-                # is not positive (tol within four resolution steps)
+                assert got == mu, (i, t, f)
+                uncertified += len(walks)
+                # no pair point where the pair leaves the bracket, and one
+                # where N != k there or the pair is one point
                 top = max(levels) + 2.0 * (k + 1) ** 2 * problem.unit
-                first = (0 if not min(levels) < guess - reach < guess + reach < top
-                         else 1 if wronskian(sides, SCALE, guess - reach)[0] != k
+                first = (0 if not min(levels) < pair[0] <= pair[1] < top
+                         else 1 if (pair[0] == pair[1]
+                                    or wronskian(sides, SCALE, pair[0])[0] != k)
                          else 2)
-                assert walks == pair[:first] + untold, (i, t, f)
+                assert [e for e, _ in walks[:first]] == pair[:first], (i, t, f)
+                lo, hi = min(levels), math.inf  # the bracket the pair sets
+                for e, n in walks[:first]:
+                    lo, hi = (lo, e) if n > k else (e, hi)
+                assert all(lo < e < hi for e, _ in walks[first:]), (i, t, f)
     assert certified >= 4000  # 6103 of the 9000 solves
+    assert closing <= 19328 and uncertified <= 21879, (closing, uncertified)
+
+
+def test_a_pair_holding_two_levels_certifies_nothing():
+    # a flat box's levels (n + 1)^2 unit: the pair 17.5 -+ 8.2 unit around
+    # state 3 (16 unit) holds states 3 and 4, N = 3 and 5 at its ends, so
+    # it certifies nothing (a closer of that pair would hold two levels),
+    # and the solve returns the unseeded float
+    problem = shooting.PreparedProblem([0.0, 1.0], U)
+    mu, unit = problem.solve([0.0], 3), problem.unit
+    assert mu == pytest.approx(16.0 * unit, rel=1e-12)
+    assert problem.solve([0.0], 3, mu + 1.5 * unit, 8.2 * unit) == mu
 
 
 def test_seeded_linear_eigenvalue_cell_edges_hold_the_count():
-    # the certificate of the Newton step: N = k at the lower edge of the
-    # returned resolution cell and k + 1 at its upper edge (the middle of a
-    # cell one float wide rounds onto an edge, so either cell may be meant)
+    # N = k at the lower edge of the returned resolution cell and k + 1 at
+    # its upper edge (the middle of a cell one float wide rounds onto an
+    # edge, so either cell may be meant), for a closer's level and an
+    # uncertified told solve's alike (tol = 1e-8 max(1, |mu|))
     rng = np.random.default_rng(14)
     for i in range(300):
         edges, u = _level_profile(rng)
-        k = i % 6
+        k, levels = i % 6, u.tolist()
         sides = _sides(edges, u)
-        mu = linear_bound_state_energy(edges, u, k, U)
+        problem = shooting.PreparedProblem(edges, U)
+        mu = problem.solve(levels, k)
         low, high = min(0.0, u.min()), max(0.0, u.max())
         for guess in (mu, mu * (1.0 - 1e-9), mu * (1.0 + 1e-12),
                       mu + 1e-7 * abs(mu)):
-            got = linear_bound_state_energy(edges, u, k, U, guess)
+            got = _told(problem, levels, k, guess, 1e-8 * max(1.0, abs(mu)))
             step = math.ulp(max(got - low, high - got))
             cell = math.floor(got / step)
             cells = (cell - 1, cell) if cell * step == got else (cell,)
@@ -463,15 +459,18 @@ def test_scalar_wronskian_has_the_sign_of_the_sturm_count():
 
 def test_linear_eigenvalue_is_a_sign_change_of_the_march():
     # the march endpoint psi(b), the root function of the one-sided solve,
-    # changes sign within 4 resolution steps of every energy
+    # changes sign within 4 resolution steps of every energy, unseeded and
+    # told (tol = 1e-8 max(1, |mu|))
     rng = np.random.default_rng(11)
     for i in range(300):
         edges, u = _level_profile(rng)
         k = i % 6
         mu = linear_bound_state_energy(edges, u, k, U)
         ulp = np.spacing(np.max(np.abs(mu - np.append(u, 0.0))))
+        problem = shooting.PreparedProblem(edges, U)
         for guess in (None, mu, mu * (1.0 + 1e-9), mu - 1e-3, np.nan):
-            got = linear_bound_state_energy(edges, u, k, U, guess)
+            got = (mu if guess is None else
+                   _told(problem, u.tolist(), k, guess, 1e-8 * max(1.0, abs(mu))))
             es = got + ulp * np.arange(-4.0, 5.0)
             ends = np.sign(march_endpoint(np.diff(edges),
                                           SCALE * (es[:, None] - u)))
@@ -531,9 +530,10 @@ def test_levels_split_below_the_float_spacing_raise_no_root_error():
     v = np.array([0.0, -27.18054458022681, 0.0])
     e = float.fromhex("-0x1.b2f4dd7ddc758p+4")
     w = 3.0 * v - v**2 / (e - v)
-    for guess in (None, e):
-        with pytest.raises(NoRootError):
-            linear_bound_state_energy(edges, w, 165, U, guess)
+    with pytest.raises(NoRootError):
+        linear_bound_state_energy(edges, w, 165, U)
+    with pytest.raises(NoRootError):  # told at the iterate
+        shooting.PreparedProblem(edges, U).solve(w.tolist(), 165, e, 1e-8 * abs(e))
 
 
 def test_linear_eigenvalue_refuses_levels_closer_than_the_float_spacing():
@@ -557,16 +557,18 @@ def test_linear_eigenvalue_refuses_levels_closer_than_the_float_spacing():
 def test_guess_on_a_level_of_a_long_phase_is_counted_once():
     # a flat box's level 1e6 lies at a phase of 1e6 pi, where the rounding
     # of the phase passes the 1e-12 pi end margin: the count next to the
-    # level must still be k or k + 1 (the seeded solve walks its guess
-    # first), and a guess on the level or a float off it finds the level
+    # level must still be k or k + 1 (a told solve walks its pair a few
+    # floats around the guess first), and a guess on the level or a float
+    # off it finds the level
     edges, u, k = np.array([0.0, 1.0]), np.array([0.0]), 10**6
     mu = linear_bound_state_energy(edges, u, k, U)
     assert mu == pytest.approx((k + 1) ** 2 * np.pi**2 / SCALE, rel=1e-12)
     near = (mu + np.spacing(mu) * np.arange(-8.0, 9.0)).tolist()
     counts = [_wronskian(([], [(1.0, 0.0)]), SCALE, e)[0] for e in near]
     assert set(counts) == {k, k + 1} and counts == sorted(counts), counts
+    problem = shooting.PreparedProblem(edges, U)
     for guess in (mu, np.nextafter(mu, 0.0), np.nextafter(mu, np.inf)):
-        assert linear_bound_state_energy(edges, u, k, U, guess) == mu, guess
+        assert _told(problem, [0.0], k, guess, 8 * np.spacing(mu)) == mu, guess
 
 
 def test_sturm_count_end_margin_scales_with_a_long_phase():
