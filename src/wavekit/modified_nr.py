@@ -25,8 +25,9 @@ from .errors import (ConfigurationError, NonConvergenceError,
                      in_float_range)
 from .numgrid import (PERIODIC, Grid, WaveField, build_laplacian,
                       eigenvalue, lowest_eigenpairs, matvec)
-from .potentials import (E_EQUALS_V, PotentialSpec, domain_levels, evaluate,
-                         find_singular_set, region_table)
+from .potentials import (E_EQUALS_V, SINGULAR_TOL, PotentialSpec,
+                         domain_levels, evaluate, find_singular_set,
+                         region_table)
 from .reference import kinetic_operator
 from .shooting import (PreparedProblem, bracketed_roots, count_shot_nodes,
                        is_index, march_endpoint, piecewise_regions,
@@ -35,7 +36,6 @@ from .units import UnitSystem
 
 REJECT = "reject"
 CLAMP = "clamp"
-_MAX_HALVINGS = 60  # additional_term_report: most excision-radius halvings
 
 
 @dataclass(frozen=True)
@@ -157,14 +157,15 @@ def _singular_check(V: PotentialSpec, grid: Grid, region_levels=None):
     ``grid``. The levels of a piecewise-constant V (:func:`domain_levels`,
     on ``region_levels`` when the region table is already read) are read
     once, and :func:`find_singular_set` runs only for an E within its
-    residual tolerance of one of them, or not finite: the same errors,
-    found at the same locations."""
+    residual tolerance (``SINGULAR_TOL``) of one of them, or not finite:
+    the same errors, found at the same locations."""
     if not V.is_piecewise_constant:
         return lambda E, what: _reject_singular(V, E, grid, what)
     levels = domain_levels(V, grid.x_min, grid.x_max, region_levels)
+    rel = SINGULAR_TOL  # a closure cell, not a global read, per iterate
 
     def check(E, what):
-        tol = 1e-9 * max(1.0, abs(E))
+        tol = rel * max(1.0, abs(E))
         if math.isfinite(E):
             for v in levels:  # |E - v| > tol for every level
                 if not abs(E - v) > tol:
@@ -218,8 +219,10 @@ def shooting_spectrum(grid: Grid, edges, coefficient, e_bracket, n_scan: int,
     to the region coefficients w, shape (n_trials, n_regions).
 
     ``n_scan`` evenly spaced energies are scanned for sign changes of the
-    matching function, skipping those within 1e-9 (relative) of any of
-    the ``poles`` of w; a bracket end that close to one is rejected.
+    matching function, skipping those within ``SINGULAR_TOL`` (relative)
+    of any of the ``poles`` of w; a bracket end that close to one is
+    rejected. A sign-change cell across a skipped energy is still bisected,
+    and a midpoint on a pole reads no warning.
     Returns the results sorted by energy, each with its |matching
     residual|, node count and normalized shot state, which is sampled
     only when first read. The walls sit at the grid ends, so a periodic
@@ -229,7 +232,7 @@ def shooting_spectrum(grid: Grid, edges, coefficient, e_bracket, n_scan: int,
     e_lo, e_hi = float(e_bracket[0]), float(e_bracket[1])
     if not e_hi > e_lo:
         raise ConfigurationError("e_bracket must be an increasing interval")
-    margin = 1e-9 * max(1.0, abs(e_lo), abs(e_hi))
+    margin = SINGULAR_TOL * max(1.0, abs(e_lo), abs(e_hi))
     poles = np.asarray(poles, dtype=float)
 
     def near_pole(e):
@@ -243,7 +246,8 @@ def shooting_spectrum(grid: Grid, edges, coefficient, e_bracket, n_scan: int,
     def matching(e_arr):
         return march_endpoint(widths, coefficient(e_arr))
 
-    roots = bracketed_roots(matching, e_scan, skip_mask=near_pole(e_scan))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = bracketed_roots(matching, e_scan, skip_mask=near_pole(e_scan))
     if roots.size == 0:
         raise NoRootError(f"no matching sign change in [{e_lo}, {e_hi}]")
     coeffs = coefficient(roots)
@@ -387,15 +391,17 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
 
 
 def additional_term_report(psi_ref: WaveField, E_ref: float, V: PotentialSpec,
-                           units: UnitSystem = UnitSystem(),
-                           rel_tol: float = 1e-6) -> dict:
+                           units: UnitSystem = UnitSystem()) -> dict:
     """First-order audit of the additional term -2V + V^2/(E - V) on a
     reference eigenstate.
 
-    ``minus_2V_part`` is plain quadrature; ``pv_part`` is a symmetric-
-    excision principal value whenever E - V changes sign on the domain,
-    with the excision radius halved until the value is stable to
-    ``rel_tol`` relative.
+    ``minus_2V_part`` is plain quadrature. ``pv_part`` is the density times
+    V^2/(E - V) integrated by QUADPACK, a Cauchy principal value wherever
+    E - V changes sign inside the domain: the domain is cut midway between
+    consecutive poles and each piece integrated about its pole p with the
+    Cauchy weight 1/(x - p) (QAWC); a pole on a domain end is a plain
+    endpoint. A piece QUADPACK reports unconverged raises
+    :class:`NonConvergenceError` with the piece values so far.
     """
     import scipy.integrate  # this audit alone integrates: kept off import time
     import scipy.interpolate
@@ -416,41 +422,28 @@ def additional_term_report(psi_ref: WaveField, E_ref: float, V: PotentialSpec,
         return dens_spline(x) * vx**2 / (E_ref - vx)
 
     a, b = grid.x_min, grid.x_max
-    if sset.empty:
-        pv, _ = scipy.integrate.quad(integrand, a, b, limit=400)
-        pv_flag = False
-    else:
-        pv_flag = True
-        poles = list(sset.locations)
-
-        def excised(delta):
-            cuts = [a]
-            for p in poles:
-                cuts.extend((p - delta, p + delta))
-            cuts.append(b)
-            total = 0.0
-            for lo, hi in zip(cuts[::2], cuts[1::2]):
-                if hi > lo:
-                    val, _ = scipy.integrate.quad(integrand, lo, hi, limit=400,
-                                                  epsabs=1e-11, epsrel=1e-11)
-                    total += val
-            return total
-
-        delta = min(0.05 * (b - a),
-                    min(min(p - a, b - p) for p in poles) * 0.5)
-        pv = excised(delta)
-        for _ in range(_MAX_HALVINGS):
-            delta *= 0.5
-            new = excised(delta)
-            if abs(new - pv) <= rel_tol * max(1.0, abs(new)):
-                pv = new
-                break
-            pv = new
+    poles = [p for p in sset.locations if a < p < b]
+    cuts = [a, *(0.5 * (p + q) for p, q in zip(poles, poles[1:])), b]
+    parts = []
+    for lo, hi, p in zip(cuts, cuts[1:], poles or [None]):
+        if p is None:
+            out = scipy.integrate.quad(integrand, lo, hi, limit=400,
+                                       full_output=1)
+        else:
+            out = scipy.integrate.quad(lambda x: integrand(x) * (x - p), lo, hi,
+                                       weight="cauchy", wvar=p, limit=400,
+                                       full_output=1)
+        parts.append(out[0])
+        if len(out) > 3:  # QUADPACK's message: ier > 0
+            raise NonConvergenceError(
+                f"principal value on [{lo}, {hi}] did not converge: {out[3]}",
+                parts)
+    pv = sum(parts)
     shift = minus_2v + pv
     return {
         "minus_2V_part": minus_2v,
         "pv_part": float(pv),
-        "pv_flag": pv_flag,
+        "pv_flag": not sset.empty,
         "first_order_shift": float(shift),
         "shift_to_E_ratio": float(abs(shift / E_ref)) if E_ref != 0 else float("inf"),
         "pole_locations": tuple(sset.locations),

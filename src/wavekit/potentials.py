@@ -33,6 +33,7 @@ V_EQUALS_MINUS_E0 = "V_equals_minus_E0"
 SINGULARITY_KINDS = (E_EQUALS_V, E_EQUALS_2V, V_EQUALS_MINUS_E0)
 _SCAN_FACTOR = 8     # find_singular_set: scan points per grid point
 _BISECT_TOL = 1e-12  # find_singular_set: width of a bisected root
+SINGULAR_TOL = 1e-9  # find_singular_set: residual bound, relative to max(1, |E|)
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,21 +243,15 @@ class SingularSet:
         return len(self.locations) == 0
 
 
-def _level_condition(E: float, kind: str):
-    """The singularity condition as a function of the value of V."""
+def _condition(spec: PotentialSpec, E: float, kind: str):
     if kind == E_EQUALS_V:
-        return lambda v: E - v
+        return lambda x: E - evaluate(spec, x)
     if kind == E_EQUALS_2V:
-        return lambda v: E - 2.0 * v
+        return lambda x: E - 2.0 * evaluate(spec, x)
     if kind == V_EQUALS_MINUS_E0:
         # E carries the rest energy E0 here: zeros of V(x) + E0
-        return lambda v: v + E
+        return lambda x: evaluate(spec, x) + E
     raise UsageError(f"unknown singularity kind {kind!r}")
-
-
-def _condition(spec: PotentialSpec, E: float, kind: str):
-    g = _level_condition(E, kind)
-    return lambda x: g(evaluate(spec, x))
 
 
 def find_singular_set(spec: PotentialSpec, E: float, kind: str,
@@ -266,22 +261,11 @@ def find_singular_set(spec: PotentialSpec, E: float, kind: str,
     Sign-change scanning at ``_SCAN_FACTOR`` times the grid density followed
     by bisection. Jump discontinuities of piecewise potentials produce sign
     changes without zeros; those are filtered by a residual check.
-
-    On a piecewise-constant profile the condition takes the levels of
-    :func:`domain_levels`. Unless one of them is within the residual
-    tolerance of zero, the set is empty and no scan is made: every scan
-    sample would be one of them, and every sign change a jump that fails
-    the residual check.
     """
     if not math.isfinite(E):
         raise UsageError("E must be finite")
     f = _condition(spec, E, kind)
-    tol_val = 1e-9 * max(1.0, abs(E))
-    if spec.is_piecewise_constant:
-        g = _level_condition(float(E), kind)
-        if all(abs(g(v)) > tol_val
-               for v in domain_levels(spec, grid.x_min, grid.x_max)):
-            return SingularSet(kind, (), float("inf"))
+    tol_val = SINGULAR_TOL * max(1.0, abs(E))
     xs = np.linspace(grid.x_min, grid.x_max, _SCAN_FACTOR * grid.n_points)
     fs = np.asarray(f(xs), dtype=float)
     roots = []

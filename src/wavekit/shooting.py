@@ -301,7 +301,8 @@ def sample_shot(edges, coeffs, x) -> np.ndarray:
 def bracketed_roots(matching, e_scan: np.ndarray, skip_mask=None):
     """Sign-change scan plus batched bisection of a vectorized matching
     function. Returns the refined roots; scan points under ``skip_mask``
-    (singular energies) are dropped and sign changes across them ignored.
+    (singular energies) are dropped, and a sign change across the cell
+    they leave is kept and bisected like any other.
     """
     e_scan = np.asarray(e_scan, dtype=float)
     if skip_mask is not None:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigurationError, in_float_range
 
@@ -37,7 +37,6 @@ class UnitSystem:
     m: float = 1.0
     c: float = 1.0
     e: float = 1.0
-    labels: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("hbar", "m", "c"):

@@ -249,8 +249,7 @@ def test_acceptance_hydrogen_term_audit():
     grid = Grid.radial(30.0, 200000)
     psi = hydrogen_ground_state(grid, k=1.0, units=U)
     e1 = -0.5
-    report = additional_term_report(psi, e1, PotentialSpec.coulomb(1.0), U,
-                                    rel_tol=1e-6)
+    report = additional_term_report(psi, e1, PotentialSpec.coulomb(1.0), U)
     err_2v = abs(report["minus_2V_part"] - 2.0)
     ok = err_2v <= 1e-6 and report["pv_flag"] and \
         abs(report["pole_locations"][0] - 2.0) < 1e-6

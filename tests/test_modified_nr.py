@@ -1,10 +1,14 @@
 import hashlib
+import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
+import scipy.special
 
 from wavekit import modified_nr as mnr
 from wavekit import modified_rel as mrel
@@ -781,6 +785,74 @@ def test_additional_term_report_hydrogen_virial():
     assert rep["pole_locations"][0] == pytest.approx(2.0, abs=1e-9)
     assert rep["shift_to_E_ratio"] == pytest.approx(
         abs(rep["first_order_shift"] / -0.5))
+
+
+def test_additional_term_pv_of_hydrogen_is_the_closed_form():
+    # rho = 4 r^2 e^{-2r}, V = -1/r, E = -1/2: the principal value of
+    # rho V^2/(E - V) over (0, inf) is 16 e^{-4} Ei(4) - 4; the tail past
+    # r = 30 is below 1e-20
+    g = Grid.radial(30.0, 200000)
+    psi = hydrogen_ground_state(g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = mnr.additional_term_report(psi, -0.5, PotentialSpec.coulomb(1.0))
+    want = 16.0 * math.exp(-4.0) * scipy.special.expi(4.0) - 4.0
+    assert rep["pv_part"] == pytest.approx(want, rel=1e-7)
+
+
+def _harmonic_pv_by_subtraction(E, L=8.0):
+    """PV of rho V^2/(E - V) on [-L, L] for the analytic harmonic ground
+    state (omega = m = hbar = 1), by singularity subtraction: with x* the
+    pole and h = rho V^2 * 2/(x* + x), the integrand is h(x)/(x* - x) on
+    [0, L], so the PV is 2[int_0^L (h(x) - h(x*))/(x* - x) dx
+    + h(x*) ln(x*/(L - x*))]."""
+    xs = math.sqrt(2.0 * E)
+
+    def h(x):
+        return math.exp(-x * x) / math.sqrt(math.pi) * (0.5 * x * x) ** 2 * 2.0 / (xs + x)
+
+    # x* is a break point, where QAGP takes no sample
+    smooth, _ = scipy.integrate.quad(lambda x: (h(x) - h(xs)) / (xs - x), 0.0, L,
+                                     points=[xs], limit=400, epsabs=1e-14,
+                                     epsrel=1e-13)
+    return 2.0 * (smooth + h(xs) * math.log(xs / (L - xs)))
+
+
+@pytest.mark.parametrize("E", [0.5, 1.0, 3.0])
+def test_additional_term_pv_of_the_harmonic_ground_state_matches_subtraction(E):
+    # two interior poles at x = ±sqrt(2E), one Cauchy-weight piece each
+    g = Grid.line(-8.0, 8.0, 1201)
+    psi = WaveField((math.pi ** -0.25 * np.exp(-0.5 * g.x**2)).astype(complex),
+                    g).normalized()
+    rep = mnr.additional_term_report(psi, E, PotentialSpec.harmonic(1.0))
+    assert rep["pv_flag"] is True and len(rep["pole_locations"]) == 2
+    assert rep["pv_part"] == pytest.approx(_harmonic_pv_by_subtraction(E), rel=1e-7)
+
+
+def test_additional_term_poles_on_both_domain_ends_are_plain_endpoints():
+    # E = V at x = ±1, the domain ends, where QAWC refuses a pole: the
+    # density vanishes there and the integrand is finite
+    g = Grid.line(-1.0, 1.0, 401)
+    psi = WaveField(np.cos(0.5 * np.pi * g.x).astype(complex), g).normalized()
+    rep = mnr.additional_term_report(psi, 0.5, PotentialSpec.harmonic(1.0))
+    assert rep["pole_locations"] == (-1.0, 1.0) and rep["pv_flag"] is True
+    assert rep["pv_part"] == pytest.approx(0.0440678644, rel=1e-7)
+
+
+@pytest.mark.parametrize("E", [-1.0, 0.5])  # a plain piece, two Cauchy pieces
+def test_additional_term_quadrature_failure_raises(monkeypatch, E):
+    # QUADPACK's fourth return element, with full_output, is its message
+    # on failure; the audit raises instead of returning the value
+    def failing(*args, **kwargs):
+        return 0.25, 1.0, {}, "The maximum number of subdivisions has been achieved."
+
+    g = Grid.line(-8.0, 8.0, 400)
+    psi = WaveField((math.pi ** -0.25 * np.exp(-0.5 * g.x**2)).astype(complex),
+                    g).normalized()
+    monkeypatch.setattr(scipy.integrate, "quad", failing)
+    with pytest.raises(NonConvergenceError, match="subdivisions") as err:
+        mnr.additional_term_report(psi, E, PotentialSpec.harmonic(1.0))
+    assert err.value.history == [0.25]
 
 
 # -- time-dependent form ----------------------------------------------------

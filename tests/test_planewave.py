@@ -23,6 +23,12 @@ def test_constant_values_by_hand():
     assert pw.constant_D_prime(p, UREL) == pytest.approx(expected, rel=1e-14)
 
 
+def test_unit_system_is_a_hashable_value():
+    # a frozen dataclass of four floats: equal systems hash alike
+    assert hash(UnitSystem(c=2.0)) == hash(UnitSystem(c=2.0))
+    assert {UnitSystem(), UnitSystem(hbar=1.0)} == {U}
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.floats(min_value=0.05, max_value=30.0))
 def test_nr_closures_vanish(p):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavekit import potentials
-from wavekit.errors import ConfigurationError, DomainError
+from wavekit import modified_nr, potentials
+from wavekit.errors import ConfigurationError, DomainError, SingularRegionError
 from wavekit.numgrid import Grid
 from wavekit.potentials import (E_EQUALS_2V, E_EQUALS_V, V_EQUALS_MINUS_E0,
                                 PotentialSpec, evaluate, find_singular_set)
@@ -155,12 +155,16 @@ def test_step_profile_jumps_are_rejected_without_bisection(
         spec, kind, factor, evaluate_calls):
     # E halfway between the region values -10 and 0: the condition changes
     # sign at every jump to or from -10 but is never near zero, so the
-    # region levels and end values, read in Python floats with no call to
-    # evaluate, decide the empty set
+    # scan's residual check rejects every jump. The solvers' E = V check
+    # reads the region levels and end values in Python floats and passes
+    # E with no call to evaluate, so it neither scans nor bisects
     g = Grid.line(-4.0, 4.0, 400)
     s = find_singular_set(spec, factor * -5.0, kind, g)
     assert (s.locations, s.proximity) == ((), float("inf"))
-    assert evaluate_calls == []
+    if kind == E_EQUALS_V:
+        evaluate_calls.clear()
+        assert modified_nr._singular_check(spec, g)(-5.0, "iterate") is None
+        assert evaluate_calls == []
 
 
 @pytest.mark.parametrize("kind, factor", SINGULAR_AT)
@@ -192,9 +196,9 @@ def test_step_profile_near_singular_energy_still_bisects_the_jump(
 
 
 def _full_scan_singular_set(spec, E, kind, grid):
-    """Reference: the singular set from the dense scan alone, as before the
-    region levels were read first. Every sign change is bisected and kept
-    when the residual check passes; exact zeros of the scan are kept."""
+    """Reference: the singular set from the dense scan, written out. Every
+    sign change is bisected and kept when the residual check passes; exact
+    zeros of the scan are kept."""
     f = potentials._condition(spec, E, kind)
     xs = np.linspace(grid.x_min, grid.x_max, 8 * grid.n_points)
     fs = np.asarray(f(xs), dtype=float)
@@ -231,7 +235,9 @@ def test_singular_set_of_random_piecewise_profiles_equals_the_full_scan(
     # E sits at a random level's singular energy, offset by none, by a
     # fraction of the 1e-9 residual tolerance on either side of it, or by
     # far more; breakpoints fall inside and outside the domain, and on
-    # its ends, where the end node takes the outer level
+    # its ends, where the end node takes the outer level. The solvers'
+    # E = V check, which scans only near a level, raises exactly when the
+    # full scan finds a point
     rng = np.random.default_rng(sum(map(ord, kind)))
     g = Grid.line(-2.0, 2.0, 48)
     for _ in range(80):
@@ -250,6 +256,13 @@ def test_singular_set_of_random_piecewise_profiles_equals_the_full_scan(
         want = _full_scan_singular_set(spec, E, kind, g)
         assert (got.locations, got.proximity) == (want.locations,
                                                   want.proximity), (spec, E)
+        if kind == E_EQUALS_V:
+            check = modified_nr._singular_check(spec, g)
+            if want.empty:
+                check(E, "iterate")
+            else:
+                with pytest.raises(SingularRegionError):
+                    check(E, "iterate")
 
 
 PIECEWISE_VARIANTS = ("free", "square_well", "step", "barrier",

@@ -424,6 +424,33 @@ def test_cli_closed_form_solve_on_a_periodic_grid_exits_2(tmp_path, equation,
     assert error["message"].startswith("grid.boundary")
 
 
+POLE_BRACKET = """\
+equation: modified_nr_stationary
+grid: {kind: line, x_min: -8.0, x_max: 8.0, n_points: 400}
+potential: {variant: square_well, depth: 12.0, half_width: 1.0}
+solver: {method: shooting, e_bracket: [-13.0, -11.99]}
+"""
+
+
+def test_cli_shooting_bracket_across_a_pole_solves_under_warnings_as_errors(
+        tmp_path):
+    # the scan point -12.0 = V is skipped, but the cell across it keeps its
+    # sign change and holds the root -11.99994...; a bisection midpoint on
+    # -12.0 once divided by zero and took sin(inf), a traceback under
+    # -W error
+    cfg = _write(tmp_path, "pole.yaml", POLE_BRACKET)
+    energies = []
+    for action in ("error", "ignore"):
+        out = tmp_path / f"{action}.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            assert cli.main(["solve", "--config", cfg, "--out", str(out),
+                             "--quiet"]) == 0
+        energies.append(json.loads(out.read_text())["payload"]["energies"])
+    assert energies[0] == energies[1] and len(energies[0]) == 61
+    assert -12.0 < energies[0][0] < -11.9999
+
+
 def test_closed_form_solvers_refuse_a_periodic_grid():
     ring = Grid.line(0.0, 2.0, 100, boundary="periodic")
     spec = PotentialSpec.piecewise_constant([], [0.2])
