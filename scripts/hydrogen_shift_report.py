@@ -38,8 +38,7 @@ def main():
     grid = Grid.radial(args.r_max, args.n_points)
     psi = hydrogen_ground_state(grid, k=args.strength, units=units)
     e1 = -0.5 * units.m * args.strength**2 / units.hbar**2
-    report = additional_term_report(psi, e1, PotentialSpec.coulomb(args.strength),
-                                    units)
+    report = additional_term_report(psi, e1, PotentialSpec.coulomb(args.strength))
     print(json.dumps(report, indent=2, default=list))
     missed = False
     for key, label, want in (

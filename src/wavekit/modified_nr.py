@@ -390,8 +390,8 @@ def solve_stationary_fixed_point(grid: Grid, V: PotentialSpec, state_index: int,
         f"fixed point did not converge in {max_iter} iterations", history)
 
 
-def additional_term_report(psi_ref: WaveField, E_ref: float, V: PotentialSpec,
-                           units: UnitSystem = UnitSystem()) -> dict:
+def additional_term_report(psi_ref: WaveField, E_ref: float,
+                           V: PotentialSpec) -> dict:
     """First-order audit of the additional term -2V + V^2/(E - V) on a
     reference eigenstate.
 

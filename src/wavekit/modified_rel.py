@@ -6,35 +6,14 @@ reduction of the electromagnetic invariant potential.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import InvalidScenarioError, OutOfScopeError, in_float_range
+from .errors import OutOfScopeError, in_float_range
 from .numgrid import Grid, WaveField, build_laplacian
-from .potentials import PotentialSpec, evaluate
+from .potentials import PotentialSpec, check_weight, evaluate
 from .shooting import piecewise_regions
 from .units import UnitSystem
 from .modified_nr import TimeDepState, leapfrog, shooting_spectrum
-
-
-@dataclass(frozen=True, eq=False)
-class RelScenario:
-    """A relativistic run: units (E0 = m c^2), scalar potential, grid."""
-
-    units: UnitSystem
-    potential: PotentialSpec
-    grid: Grid
-
-    def __post_init__(self):
-        v = np.asarray(evaluate(self.potential, self.grid.x), dtype=float)
-        if np.any(v <= -self.units.E0):
-            raise InvalidScenarioError(
-                "potential must satisfy V > -E0 everywhere (1 + V/E0 > 0)")
-
-    @property
-    def potential_samples(self) -> np.ndarray:
-        return np.asarray(evaluate(self.potential, self.grid.x), dtype=float)
 
 
 def rel_coefficient(e, region_values: np.ndarray, units: UnitSystem) -> np.ndarray:
@@ -58,43 +37,46 @@ def rel_box_energy(n: int, L: float, V: float, units: UnitSystem) -> float:
     return V + float(np.sqrt(E0**2 + rhs / (1.0 + V / E0) ** 2))
 
 
-def solve_rel_stationary(scenario: RelScenario, e_bracket,
+def solve_rel_stationary(grid: Grid, V: PotentialSpec, e_bracket,
+                         units: UnitSystem = UnitSystem(),
                          n_scan: int = 10000):
     """All energies in the bracket with a nontrivial Dirichlet solution of
     the stationary modified relativistic equation, by piecewise-constant
     interface matching (:func:`~wavekit.modified_nr.shooting_spectrum`;
-    the coefficient has no poles). Returns results sorted by energy."""
-    grid, units = scenario.grid, scenario.units
-    edges, region_values = piecewise_regions(scenario.potential,
-                                             grid.x_min, grid.x_max)
-    if np.any(region_values <= -units.E0):
-        raise InvalidScenarioError("region potential fails V > -E0")
+    the coefficient has no poles). V > -E0 is checked on the grid samples,
+    then on the region levels, which also see a region narrower than the
+    grid spacing. Returns results sorted by energy."""
+    check_weight(evaluate(V, grid.x), units.E0)
+    edges, region_values = piecewise_regions(V, grid.x_min, grid.x_max)
+    check_weight(region_values, units.E0)
     return shooting_spectrum(
         grid, edges, lambda e: rel_coefficient(e, region_values, units),
         e_bracket, n_scan)
 
 
 def propagate_rel_timedep(phi0: WaveField, dphi0_dt: WaveField,
-                          scenario: RelScenario, dt: float, steps: int,
-                          stride: int = 1):
+                          V: PotentialSpec, dt: float, steps: int,
+                          units: UnitSystem = UnitSystem(), stride: int = 1):
     """Leapfrog evolution (:func:`~wavekit.modified_nr.leapfrog`) of
-    (1 + V/E0)^2 phi_tt = c^2 Laplacian phi - (E0/hbar)^2 phi: M^-1 =
-    1/(1 + V/E0)^2, A = c^2 Laplacian - (E0/hbar)^2 on its diagonals.
+    (1 + V/E0)^2 phi_tt = c^2 Laplacian phi - (E0/hbar)^2 phi on the grid
+    of ``phi0``: M^-1 = 1/(1 + V/E0)^2, A = c^2 Laplacian - (E0/hbar)^2 on
+    its diagonals. V is sampled once and must satisfy V > -E0.
 
     With V = 0 the update is the discrete Klein-Gordon step (unit factor,
     same code path). Returns the states at steps 0, stride, 2 stride, ...
     and the final step; the default keeps every state. Raises
     StabilityError once the norm grows beyond 10x its initial value.
     """
-    units = scenario.units
+    grid = phi0.grid
+    v = np.asarray(evaluate(V, grid.x), dtype=float)
+    check_weight(v, units.E0)
     what = "potential: (1 + V/E0)**2"
-    factor_sq = in_float_range(
-        lambda: (1.0 + scenario.potential_samples / units.E0) ** 2, what)
+    factor_sq = in_float_range(lambda: (1.0 + v / units.E0) ** 2, what)
     inv_m = in_float_range(lambda: 1.0 / factor_sq, what)
     with np.errstate(over="ignore"):
         # an entry of A past the float range gives the step bound 0
         a = {k: (units.c**2 * row).astype(phi0.values.dtype)
-             for k, row in build_laplacian(scenario.grid).diagonals.items()}
+             for k, row in build_laplacian(grid).diagonals.items()}
         a[0] -= (units.E0 / units.hbar) ** 2
     return leapfrog(TimeDepState(phi0, dphi0_dt, 0.0, 0.0, 0.0), inv_m, a, dt,
                     steps, stride, max_growth=10)

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigurationError, DomainError, UsageError,
-                     in_float_range, is_finite_number)
+from .errors import (ConfigurationError, DomainError, InvalidScenarioError,
+                     UsageError, in_float_range, is_finite_number)
 from .numgrid import Grid
 
 FREE = "free"
@@ -224,6 +224,14 @@ def evaluate(spec: PotentialSpec, x):
         return float(values())
     given = ", ".join(f"{k} = {val!r}" for k, val in vars(spec).items() if val)
     return in_float_range(values, f"potential: V(x) of {given}")
+
+
+def check_weight(values, E0: float):
+    """Refuse potential values at or below -E0: the relativistic and
+    spin-1/2 equations carry the weight 1 + V/E0, which must stay positive."""
+    if np.any(np.asarray(values) <= -E0):
+        raise InvalidScenarioError(
+            "potential must satisfy V > -E0 everywhere (1 + V/E0 > 0)")
 
 
 @dataclass(frozen=True)

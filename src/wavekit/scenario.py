@@ -37,8 +37,7 @@ from .reference import solve_schrodinger_stationary
 from .modified_nr import (GuardPolicy, TimeDepState, propagate_timedep,
                           solve_stationary_fixed_point,
                           solve_stationary_shooting)
-from .modified_rel import (RelScenario, propagate_rel_timedep,
-                           solve_rel_stationary)
+from .modified_rel import propagate_rel_timedep, solve_rel_stationary
 from .spin_half import SpinorField, solve_massless, solve_spin_half_stationary
 from .units import ATOMIC_C, UnitSystem
 
@@ -165,7 +164,6 @@ SCHEMAS = {
         "hbar": (1.0, *_POSITIVE),
         "m": (1.0, *_POSITIVE),
         "c": (1.0, *_POSITIVE),  # ATOMIC_C where EQUATIONS says so
-        "e": (1.0, *_FINITE),
     },
     "grid": {
         "kind": ("line", *_one_of("line", "radial")),
@@ -404,10 +402,10 @@ def _run_nr_stationary(config: ScenarioConfig):
 
 
 def _run_rel_stationary(config: ScenarioConfig):
-    scen = RelScenario(config.units, config.potential, config.grid)
     if config.solver["e_bracket"] is None:
         raise ConfigurationError(f"{config.equation} requires solver.e_bracket")
-    return _modified_spectrum(solve_rel_stationary(scen, config.solver["e_bracket"]))
+    return _modified_spectrum(solve_rel_stationary(
+        config.grid, config.potential, config.solver["e_bracket"], config.units))
 
 
 def _run_nr_timedep(config: ScenarioConfig):
@@ -431,7 +429,6 @@ def _run_nr_timedep(config: ScenarioConfig):
 def _run_rel_timedep(config: ScenarioConfig):
     units, grid = config.units, config.grid
     psi0, k = _initial_wave(config)
-    scen = RelScenario(units, config.potential, grid)
     given = f"solver.mode = {config.solver['mode']!r}"
     E = in_float_range(lambda: math.sqrt((units.c * units.hbar * k) ** 2
                                          + units.E0**2),
@@ -439,8 +436,8 @@ def _run_rel_timedep(config: ScenarioConfig):
     in_float_range(lambda: E / units.hbar, f"{given}: E/hbar")
     dpsi0 = WaveField(-1j * E / units.hbar * psi0.values, grid)
     return _trajectory(config, propagate_rel_timedep(
-        psi0, dpsi0, scen, float(config.solver["dt"]),
-        int(config.solver["steps"]), int(config.output["frame_stride"])))
+        psi0, dpsi0, config.potential, float(config.solver["dt"]),
+        int(config.solver["steps"]), units, int(config.output["frame_stride"])))
 
 
 def _run_spin_half(config: ScenarioConfig):
@@ -554,7 +551,9 @@ def error_object(exc: WavekitError) -> dict:
 
 
 def compare_reports(a: RunReport, b: RunReport) -> dict:
-    """Per-level energy deltas and state overlap deficits of two spectra.
+    """Per-level energy deltas and state overlap deficits of two spectra; a
+    state pair with no overlap (vectors of different lengths, or a zero
+    vector) is named in ``warnings``.
 
     Raises UsageError unless both payloads are spectra, and ValueError when
     a spectrum is truncated: no ``energies``, a state without ``re``/``im``,
@@ -577,12 +576,15 @@ def compare_reports(a: RunReport, b: RunReport) -> dict:
                                  f"energies but {len(p['states'])} states")
         for i in range(n):
             va, vb = _state_vector(pa["states"][i]), _state_vector(pb["states"][i])
-            if va.shape == vb.shape:
-                na = np.linalg.norm(va)
-                nb = np.linalg.norm(vb)
-                if na > 0 and nb > 0:
-                    deficits.append(
-                        float(1.0 - abs(np.vdot(va, vb)) / (na * nb)))
+            if va.shape != vb.shape:
+                warnings.append(f"state {i}: no overlap, the vectors differ in "
+                                f"length ({len(va)} vs {len(vb)})")
+                continue
+            na, nb = np.linalg.norm(va), np.linalg.norm(vb)
+            if na > 0 and nb > 0:
+                deficits.append(float(1.0 - abs(np.vdot(va, vb)) / (na * nb)))
+            else:
+                warnings.append(f"state {i}: no overlap, a vector has zero norm")
     out = {"energy_deltas": deltas, "n_compared": n, "warnings": warnings}
     if deficits:
         out["overlap_deficit_max"] = max(deficits)

@@ -13,13 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigurationError, InvalidScenarioError,
-                     NonConvergenceError, StabilityError, UsageError,
-                     in_float_range)
+from .errors import (ConfigurationError, NonConvergenceError, StabilityError,
+                     UsageError, in_float_range)
 from .numgrid import (Grid, PERIODIC, _clusters, _laplacian_diagonals,
                       band_eigh, band_solve, count_nodes, dense_matrix,
                       general_band, matvec, ring_fold_order)
-from .potentials import PotentialSpec, evaluate
+from .potentials import PotentialSpec, check_weight, evaluate
 from .reference import SpectrumResult
 from .units import UnitSystem
 
@@ -111,11 +110,6 @@ def _derivative_diagonals(grid: Grid) -> dict:
     if grid.boundary == PERIODIC:
         diags.update({n - 1: np.array([-c]), 1 - n: np.array([c])})
     return diags
-
-
-def _check_weight(v: np.ndarray, units: UnitSystem):
-    if np.any(v <= -units.E0):
-        raise InvalidScenarioError("potential must satisfy V > -E0 everywhere")
 
 
 def real_dirac_operator(grid: Grid, units: UnitSystem, wilson_r: float = 0.0,
@@ -250,7 +244,7 @@ def _weighted_spectrum(grid: Grid, V: PotentialSpec, units: UnitSystem,
     if n_states < 1 or n_states > 2 * n:
         raise ConfigurationError("n_states out of range")
     v = np.asarray(evaluate(V, grid.x), dtype=float)
-    _check_weight(v, units)
+    check_weight(v, units.E0)
     with np.errstate(all="ignore"):  # a band past the float range: checked below
         op = real_dirac_operator(grid, units, wilson_r, massless)
         weight = np.concatenate([1.0 + v / units.E0, 1.0 + v / units.E0])
@@ -325,7 +319,7 @@ def propagate_massless(psi0: SpinorField, V: PotentialSpec, dt: float,
     """
     grid = psi0.grid
     v = np.asarray(evaluate(V, grid.x), dtype=float)
-    _check_weight(v, units)
+    check_weight(v, units.E0)
     d = _derivative_diagonals(grid)
     pref = 1.0 / (1.0 + v / units.E0)
     coeff = -units.c  # from (1/(i hbar)) * (-i hbar c) = -c

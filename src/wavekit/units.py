@@ -36,7 +36,6 @@ class UnitSystem:
     hbar: float = 1.0
     m: float = 1.0
     c: float = 1.0
-    e: float = 1.0
 
     def __post_init__(self):
         for name in ("hbar", "m", "c"):

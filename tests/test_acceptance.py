@@ -15,7 +15,7 @@ from wavekit.modified_nr import (additional_term_report, separated_solution,
                                  separation_constant,
                                  solve_stationary_fixed_point,
                                  solve_stationary_shooting)
-from wavekit.modified_rel import RelScenario, propagate_rel_timedep
+from wavekit.modified_rel import propagate_rel_timedep
 from wavekit.errors import NonConvergenceError
 from wavekit.numgrid import Grid, WaveField
 from wavekit.planewave import (calibration_closure_nr_stationary,
@@ -94,7 +94,6 @@ def test_acceptance_free_reduction():
 def test_acceptance_klein_gordon_recovery():
     units = UnitSystem(c=2.0)
     grid = Grid.line(0.0, 2.0 * np.pi, 512, boundary="periodic")
-    scen = RelScenario(units, PotentialSpec.free(), grid)
     k = 3.0
     omega_exact = klein_gordon_energy(units.hbar * k, units.E0,
                                       units.c) / units.hbar
@@ -103,7 +102,7 @@ def test_acceptance_klein_gordon_recovery():
     dt = 1e-3
     steps = 1000
     traj = propagate_rel_timedep(WaveField(phi0, grid), WaveField(dphi0, grid),
-                                 scen, dt, steps)
+                                 PotentialSpec.free(), dt, steps, units)
 
     # independent leapfrog: np.roll stencil, same startup formula
     h = grid.h
@@ -249,7 +248,7 @@ def test_acceptance_hydrogen_term_audit():
     grid = Grid.radial(30.0, 200000)
     psi = hydrogen_ground_state(grid, k=1.0, units=U)
     e1 = -0.5
-    report = additional_term_report(psi, e1, PotentialSpec.coulomb(1.0), U)
+    report = additional_term_report(psi, e1, PotentialSpec.coulomb(1.0))
     err_2v = abs(report["minus_2V_part"] - 2.0)
     ok = err_2v <= 1e-6 and report["pv_flag"] and \
         abs(report["pole_locations"][0] - 2.0) < 1e-6

@@ -46,7 +46,6 @@ VALID = {
         "hbar": st.sampled_from([1.0, 0.5, 1e-200, 1e200]),
         "m": st.sampled_from([1.0, 2.0, 1e-200, 1e200]),
         "c": st.sampled_from([1.0, 10.0, 137.035999, 1e-200, 1e200]),
-        "e": st.sampled_from([1.0, -1.0]),
     },
     "grid": {
         "kind": st.sampled_from(["line", "radial"]),
@@ -182,7 +181,7 @@ MAGNITUDES = st.builds(
 #: The numeric keys of each block that a case may set to a magnitude; not
 #: the step and iteration counts, which a magnitude turns into a long run.
 NUMERIC = {
-    "units": ("hbar", "m", "c", "e"),
+    "units": ("hbar", "m", "c"),
     "grid": ("x_min", "x_max"),
     "solver": ("n_states", "state_index", "e_init", "tol", "damping",
                "wilson_r", "dt", "guard_floor", "e_bracket", "momenta",

@@ -392,8 +392,8 @@ def _nr_shooting():
 def _rel_shooting():
     units = UnitSystem(c=5.0)
     g, spec = Grid.line(0.0, 2.0, 300), PotentialSpec.step(3.0, 1.2)
-    results = mrel.solve_rel_stationary(mrel.RelScenario(units, spec, g),
-                                        (26.0, 60.0), n_scan=4000)
+    results = mrel.solve_rel_stationary(g, spec, (26.0, 60.0), units,
+                                        n_scan=4000)
     edges, values = mnr.piecewise_regions(spec, g.x_min, g.x_max)
     rows = mrel.rel_coefficient([r.energy for r in results], values, units)
     return results, lambda: [shooting.shot_state(g, edges, r) for r in rows]

@@ -2,11 +2,51 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavekit import modified_nr, potentials
-from wavekit.errors import ConfigurationError, DomainError, SingularRegionError
-from wavekit.numgrid import Grid
+from wavekit import modified_nr, modified_rel, potentials, spin_half
+from wavekit.errors import (ConfigurationError, DomainError,
+                            InvalidScenarioError, SingularRegionError)
+from wavekit.numgrid import Grid, WaveField
 from wavekit.potentials import (E_EQUALS_2V, E_EQUALS_V, V_EQUALS_MINUS_E0,
                                 PotentialSpec, evaluate, find_singular_set)
+from wavekit.units import UnitSystem
+
+
+WEIGHT_GRID, WEIGHT_UNITS = Grid.line(0.0, 1.0, 64), UnitSystem(c=2.0)
+ZERO = WaveField(np.zeros(64), WEIGHT_GRID)
+#: V = -E0 on the middle third; and a region narrower than the spacing
+#: 1/63, between two grid points, that no sample sees
+SAMPLED_AT_MINUS_E0 = PotentialSpec.piecewise_constant([1 / 3, 2 / 3],
+                                                       [0.0, -4.0, 0.0])
+NARROW_BELOW_MINUS_E0 = PotentialSpec.piecewise_constant([0.501, 0.502],
+                                                         [0.0, -8.0, 0.0])
+WEIGHTED_SOLVES = {
+    "solve_rel_stationary": lambda V: modified_rel.solve_rel_stationary(
+        WEIGHT_GRID, V, (4.5, 40.0), WEIGHT_UNITS),
+    "propagate_rel_timedep": lambda V: modified_rel.propagate_rel_timedep(
+        ZERO, ZERO, V, 1e-6, 1, WEIGHT_UNITS),
+    "solve_spin_half_stationary": lambda V: spin_half.solve_spin_half_stationary(
+        WEIGHT_GRID, V, WEIGHT_UNITS),
+    "solve_massless": lambda V: spin_half.solve_massless(
+        WEIGHT_GRID, V, WEIGHT_UNITS),
+    "propagate_massless": lambda V: spin_half.propagate_massless(
+        spin_half.SpinorField(ZERO.values, ZERO.values, WEIGHT_GRID), V, 1e-6,
+        1, WEIGHT_UNITS),
+}
+
+
+@pytest.mark.parametrize("V, solve", [
+    *((SAMPLED_AT_MINUS_E0, name) for name in WEIGHTED_SOLVES),
+    (NARROW_BELOW_MINUS_E0, "solve_rel_stationary"),
+])
+def test_every_weighted_solver_refuses_v_at_or_below_minus_e0_alike(V, solve):
+    # one check (potentials.check_weight) and one message for the weight
+    # 1 + V/E0 of the relativistic and spin-1/2 equations
+    if V is NARROW_BELOW_MINUS_E0:  # only the region levels hold it
+        potentials.check_weight(evaluate(V, WEIGHT_GRID.x), WEIGHT_UNITS.E0)
+    with pytest.raises(InvalidScenarioError) as info:
+        WEIGHTED_SOLVES[solve](V)
+    assert str(info.value) == \
+        "potential must satisfy V > -E0 everywhere (1 + V/E0 > 0)"
 
 
 def test_square_well_profile():

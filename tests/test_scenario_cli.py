@@ -139,6 +139,30 @@ solver: {n_states: 4}
     assert delta["overlap_deficit_max"] > 0.99
 
 
+def test_compare_counts_each_state_pair_it_cannot_overlap():
+    # spectra on different grids: two energies compared, no overlap
+    reports = [scenario.run_scenario(scenario.parse_scenario(f"""\
+equation: schrodinger
+grid: {{kind: line, x_min: -5.0, x_max: 5.0, n_points: {n}}}
+potential: {{variant: harmonic, omega: 1.0}}
+solver: {{n_states: 2}}
+""")) for n in (64, 96)]
+    delta = scenario.compare_reports(*reports)
+    assert delta["n_compared"] == 2
+    assert delta["warnings"] == [
+        f"state {i}: no overlap, the vectors differ in length (64 vs 96)"
+        for i in (0, 1)]
+    assert "overlap_deficit_max" not in delta
+    # a zero state: the other pair still overlaps
+    payload = copy.deepcopy(reports[0].payload)
+    payload["states"][1]["re"] = [0.0] * 64
+    payload["states"][1]["im"] = [0.0] * 64
+    zeroed = scenario.RunReport(reports[0].scenario, payload, {}, "", "", "")
+    delta = scenario.compare_reports(reports[0], zeroed)
+    assert delta["warnings"] == ["state 1: no overlap, a vector has zero norm"]
+    assert delta["overlap_deficit_max"] < 1e-14
+
+
 @pytest.mark.parametrize("cls, code", [
     (errors.WavekitError, 2), (errors.ConfigurationError, 2),
     (errors.UsageError, 2), (errors.DomainError, 2),
@@ -260,8 +284,7 @@ output: {{frame_stride: 10}}
         omega = np.sqrt(k**2 + 1.0)
         full = mrel.propagate_rel_timedep(
             psi0, WaveField(-1j * omega * psi0.values, config.grid),
-            mrel.RelScenario(config.units, config.potential, config.grid),
-            1e-3, 47)
+            config.potential, 1e-3, 47, config.units)
     frames = [{"t": float(s.t), "re": s.psi.values.real.tolist(),
                "im": s.psi.values.imag.tolist()} for s in full[::10]]
     want = {"kind": "trajectory", "x": config.grid.x.tolist(),
@@ -459,8 +482,8 @@ def test_closed_form_solvers_refuse_a_periodic_grid():
             lambda: mnr.solve_stationary_shooting(ring, spec, (0.01, 8.0), units),
             lambda: mnr.solve_stationary_fixed_point(ring, spec, 1, 1.5, units=units,
                                                      backend="exact"),
-            lambda: mrel.solve_rel_stationary(mrel.RelScenario(units, spec, ring),
-                                              (1.2000001, 8.0))):
+            lambda: mrel.solve_rel_stationary(ring, spec, (1.2000001, 8.0),
+                                              units)):
         with pytest.raises(ConfigurationError, match="^grid.boundary"):
             solve()
 
@@ -1320,6 +1343,8 @@ def _failures(tmp_path, command, text):
      "unknown block 'solvr' (did you mean 'solver'?)"),
     (GRID64 + "units: {hbr: 1.0}",
      "unknown units key 'hbr' (did you mean 'hbar'?)"),
+    # units.e was checked, echoed and stored, and no solver read it
+    (GRID64 + "units: {e: 1.0}", "unknown units key 'e'"),
     ("grid: {kind: line, x_min: 0.0, x_max: 1.0, n_point: 64}",
      "unknown grid key 'n_point' (did you mean 'n_points'?)"),
     (GRID64 + "solver: {n_state: 2}",
@@ -1329,6 +1354,7 @@ def _failures(tmp_path, command, text):
     (GRID64 + "output: {format: csv}", "unknown output key 'format'"),
     (GRID64 + "output: {path: report.json}", "unknown output key 'path'"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_cli_unknown_keys_exit_2_with_hint(tmp_path, blocks, failure):
     code, failures = _failures(tmp_path, "solve", f"""\
 equation: schrodinger
@@ -1347,7 +1373,7 @@ potential: {{variant: free}}
     ("grid: {kind: ring, n_points: 64}", "grid.kind must be line or radial"),
     (GRID64 + "units: {hbar: .nan}", "units.hbar must be a number > 0, got nan"),
     (GRID64 + "units: {c: .inf}", "units.c must be a number > 0, got inf"),
-    (GRID64 + "units: {e: x}", "units.e must be a finite number, got 'x'"),
+    (GRID64 + "units: {e: x}", "unknown units key 'e'"),  # no units.e
     pytest.param("grid: {kind: line, x_min: -1" + "0" * 400
                  + ", x_max: 1.0, n_points: 64}",
                  "grid.x_min must be a finite number", id="x_min_int_10^400"),
@@ -1362,6 +1388,7 @@ potential: {{variant: free}}
 """)
     assert code == 2
     assert any(f.startswith(failure) for f in failures)
+
 
 
 @pytest.mark.parametrize("equation, command", [
